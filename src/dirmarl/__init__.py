@@ -68,7 +68,6 @@ from .learner import (
     TrainingDiverged,
     WarehouseEvaluator,
     accuracy_schedule,
-    exchange_rewards,
     parse_algorithm,
     run_episode,
     schedule_bound_constant,

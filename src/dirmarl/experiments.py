@@ -194,8 +194,9 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     artifacts into ``cfg.output_dir``.
 
     ``repeat_indices`` restricts execution to a subset of repeats
-    without changing what any individual run computes.  A diverging
-    run is recorded in the manifest and the remaining runs continue.
+    without changing what any individual run computes; an index given
+    twice runs once.  A diverging run is recorded in the manifest and
+    the remaining runs continue.
     """
     started = time.perf_counter()
     out = cfg.output_dir
@@ -208,7 +209,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     arts = build_artifacts(cfg.graph)
     layout = policy.layout
     theta0 = np.zeros(layout.total_dim)
-    repeats = range(cfg.repeats) if repeat_indices is None else sorted(repeat_indices)
+    repeats = range(cfg.repeats) if repeat_indices is None else sorted(set(repeat_indices))
     for r in repeats:
         if not 0 <= r < cfg.repeats:
             raise ValueError(f"repeat index {r} outside 0..{cfg.repeats - 1}")
@@ -229,8 +230,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         traces = [env.draw_noise_trace(cfg.horizon, noise_rng) for _ in range(cfg.epochs)]
         for alg in cfg.algorithms:
             lcfg = LearnerConfig(step_size=cfg.eta, num_epochs=cfg.epochs,
-                                 oracle=parse_algorithm(alg, cfg.delta),
-                                 horizon=cfg.horizon, discount=cfg.discount)
+                                 oracle=parse_algorithm(alg, cfg.delta))
             ev = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
             on_episode = None
             if cfg.checkpoint_every > 0:

@@ -11,12 +11,13 @@ One learning episode:
 3. a gradient oracle turns the values into per-block estimates and
    every agent ascends its own block.
 
-The message bus performs the exchange, enforces that no value ever
-travels outside the routing graph, and counts exactly one message per
-edge per episode.  Centralized variants still run the same exchange
-(so their communication footprint is identical and audited), but feed
-the oracles the directly-computed global value instead of the local
-ones; they exist as the comparison baseline.
+The message bus is the exchange as a routing plan, built once from the
+learning graph and checked against E_L at construction, so no value
+can travel outside the routing graph; every episode runs exactly one
+exchange and counts one message per edge.  Centralized variants still
+run the same exchange (so their communication footprint is identical
+and audited), but feed the oracles the directly-computed global value
+instead of the local ones; they exist as the comparison baseline.
 
 The two-point flavor re-evaluates the unperturbed policy under the
 episode's exact noise trace and ships both values in the same single
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import GraphArtifacts, LearningGraph
+from .graphs import LearningGraph
 from .oracles import (
     GradientEstimate,
     OracleConfig,
@@ -74,152 +75,82 @@ class TrainingDiverged(RuntimeError):
 
 
 class MessageBus:
-    """Audited transport for the per-episode reward exchange.
+    """Static routing plan for the per-episode reward exchange.
 
-    In the default mode the allowed links are exactly the routing
-    edges (j, i), each carrying one message per episode from j to i.
-    In coordinator mode each cluster's minimum-index member relays for
-    the whole cluster: members up, cluster sums across (one link per
-    reachable-cluster pair), assembled local values back down.  Both
-    modes produce the same local values; the coordinator overlay just
-    trades per-edge traffic for relay hops, so its audit checks the
-    coordinator topology instead.
+    Agent i's local value is its own value plus those of its E_L
+    in-neighbours, added in ascending agent order.  The plan is built
+    once and checked against ``learning.edges`` at construction; each
+    episode then runs exactly one exchange along it, which counts one
+    message per routing edge.
+
+    Agents are stored by source count, descending, so the agents that
+    still have a p-th source form a prefix of that order and one
+    gathered add serves all of them.  The plan holds |E_L| + N indices,
+    never a (max sources x N) table.
     """
 
-    def __init__(self, learning: LearningGraph, *, artifacts: GraphArtifacts | None = None,
-                 coordinator_mode: bool = False, keep_log: bool = False):
-        self.num_agents = learning.num_agents
-        self.coordinator_mode = coordinator_mode
-        self.keep_log = keep_log
-        self.full_log: list[tuple[int, int, int]] = []
+    def __init__(self, learning: LearningGraph):
+        n = self.num_agents = learning.num_agents
+        sources = [sorted(set(learning.in_neighbors[i]) | {i}) for i in range(1, n + 1)]
+        plan = {(j, i) for i, src in enumerate(sources, 1) for j in src if j != i}
+        for bad, what in ((plan - learning.edges, "is outside E_L"),
+                          (learning.edges - plan, "is in E_L but not in the plan")):
+            if bad:
+                j, i = min(bad)
+                raise CommunicationViolation(f"routing edge {j} -> {i} {what}")
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(plan))
         self.total_messages = 0
         self.episodes_completed = 0
         self._epoch: int | None = None
-        self._counts: dict[tuple[int, int], int] = {}
-        self._mailbox: dict[int, dict[int, np.ndarray]] = {}
+        self._exchanges = 0
 
-        if not coordinator_mode:
-            self.allowed = frozenset(learning.edges)
-            self._plan = tuple(sorted(learning.edges))
-            self._assembly = {
-                i: tuple(sorted(set(learning.in_neighbors[i]) | {i}))
-                for i in range(1, self.num_agents + 1)
-            }
-        else:
-            if artifacts is None:
-                raise ValueError("coordinator mode needs the full graph artifacts")
-            clusters = artifacts.clusters.clusters
-            self._members = clusters
-            self._coord = tuple(c[0] for c in clusters)  # minimum member relays
-            self._coord_of = {a: self._coord[k] for k, c in enumerate(clusters) for a in c}
-            self._cluster_of = artifacts.clusters.cluster_of
-            self._reached = tuple(artifacts.reach.cluster_reach(k) for k in range(len(clusters)))
-            up, across, down = set(), set(), set()
-            for k, c in enumerate(clusters):
-                for a in c:
-                    if a != self._coord[k]:
-                        up.add((a, self._coord[k]))
-                        down.add((self._coord[k], a))
-                for b in self._reached[k]:
-                    if b != k:
-                        across.add((self._coord[b], self._coord[k]))
-            self._up_edges = tuple(sorted(up))
-            self._across_edges = tuple(sorted(across))
-            self._down_edges = tuple(sorted(down))
-            self.allowed = frozenset(up | across | down)
-            self._plan = self._up_edges + self._across_edges + self._down_edges
+        order = sorted(range(n), key=lambda a: -len(sources[a]))
+        self._order = np.array(order, dtype=np.intp)
+        gathers, m = [], n
+        for p in range(len(sources[order[0]])):
+            while len(sources[order[m - 1]]) <= p:
+                m -= 1
+            gathers.append(np.array([sources[a][p] - 1 for a in order[:m]], dtype=np.intp))
+        self._gathers = tuple(gathers)
 
     @property
     def expected_messages(self) -> int:
-        """Messages per episode: the routing-edge count in default
-        mode, the overlay link count in coordinator mode."""
-        return len(self._plan)
+        """Messages per episode: one per routing edge."""
+        return len(self.edges)
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:
             raise CommunicationViolation(f"episode {self._epoch} still open")
         self._epoch = epoch
-        self._counts = {}
-        self._mailbox = {i: {} for i in range(1, self.num_agents + 1)}
-
-    def send(self, sender: int, receiver: int, payload: np.ndarray) -> None:
-        if self._epoch is None:
-            raise CommunicationViolation("no episode in progress")
-        edge = (sender, receiver)
-        if edge not in self.allowed:
-            raise CommunicationViolation(
-                f"message {sender} -> {receiver} is outside the reward-routing graph")
-        self._counts[edge] = self._counts.get(edge, 0) + 1
-        self._mailbox[receiver][sender] = np.array(payload, dtype=float, copy=True)
-        if self.keep_log:
-            self.full_log.append((self._epoch, sender, receiver))
-
-    def finish_episode(self) -> int:
-        if self._epoch is None:
-            raise CommunicationViolation("no episode in progress")
-        for edge in self._plan:
-            got = self._counts.get(edge, 0)
-            if got != 1:
-                raise CommunicationViolation(
-                    f"edge {edge[0]} -> {edge[1]} carried {got} messages in episode "
-                    f"{self._epoch}, expected exactly 1")
-        count = sum(self._counts.values())
-        self.total_messages += count
-        self.episodes_completed += 1
-        self._epoch = None
-        return count
+        self._exchanges = 0
 
     def exchange(self, values: np.ndarray) -> np.ndarray:
-        """Run the full per-episode exchange on a (k, N) payload matrix
+        """Run the episode's exchange on a (k, N) payload matrix
         (column j is agent j's outgoing payload) and return the (k, N)
         assembled local values."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[1] != self.num_agents:
             raise ValueError(f"payload has {values.shape[1]} columns, expected {self.num_agents}")
-        if not self.coordinator_mode:
-            for j, i in self._plan:
-                self.send(j, i, values[:, j - 1])
-            hat = np.empty_like(values)
-            for i in range(1, self.num_agents + 1):
-                acc = None
-                for j in self._assembly[i]:
-                    col = values[:, i - 1] if j == i else self._mailbox[i][j]
-                    acc = col.copy() if acc is None else acc + col
-                hat[:, i - 1] = acc
-            return hat
-        return self._exchange_via_coordinators(values)
-
-    def _exchange_via_coordinators(self, values: np.ndarray) -> np.ndarray:
-        for a, c in self._up_edges:
-            self.send(a, c, values[:, a - 1])
-        sums = []
-        for k, members in enumerate(self._members):
-            coord = self._coord[k]
-            acc = None
-            for a in members:
-                col = values[:, a - 1] if a == coord else self._mailbox[coord][a]
-                acc = col.copy() if acc is None else acc + col
-            sums.append(acc)
-        for b_coord, a_coord in self._across_edges:
-            b = self._cluster_of[b_coord]
-            self.send(b_coord, a_coord, sums[b])
+        if self._epoch is None:
+            raise CommunicationViolation("no episode in progress")
+        acc = values[:, self._gathers[0]]
+        for idx in self._gathers[1:]:
+            acc[:, :idx.size] += values[:, idx]
         hat = np.empty_like(values)
-        for k, members in enumerate(self._members):
-            coord = self._coord[k]
-            acc = None
-            for b in self._reached[k]:
-                col = sums[k] if b == k else self._mailbox[coord][self._coord[b]]
-                acc = col.copy() if acc is None else acc + col
-            for a in members:
-                if a != coord:
-                    self.send(coord, a, acc)
-                hat[:, a - 1] = acc
+        hat[:, self._order] = acc
+        self._exchanges += 1
         return hat
 
-
-def exchange_rewards(bus: MessageBus, values: np.ndarray) -> np.ndarray:
-    """Assembled local values for a (N,) per-agent value vector."""
-    return bus.exchange(np.asarray(values, dtype=float)[None, :])[0]
+    def finish_episode(self) -> int:
+        if self._epoch is None:
+            raise CommunicationViolation("no episode in progress")
+        if self._exchanges != 1:
+            raise CommunicationViolation(
+                f"episode {self._epoch} ran {self._exchanges} exchanges, expected exactly 1")
+        self.total_messages += len(self.edges)
+        self.episodes_completed += 1
+        self._epoch = None
+        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -227,18 +158,12 @@ class LearnerConfig:
     step_size: float
     num_epochs: int
     oracle: OracleConfig
-    horizon: int
-    discount: float = 1.0
 
     def __post_init__(self):
         if self.step_size < 0.0:
             raise ValueError(f"step_size must be >= 0, got {self.step_size}")
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must lie in (0, 1], got {self.discount}")
 
 
 @dataclass(frozen=True)

@@ -291,16 +291,20 @@ def test_partial_rerun_reproduces_single_repeat(tmp_path):
     out_part = str(tmp_path / "part")
     cfg = load_config(tiny_config(tmp_path, out_full, repeats=3))
     run_experiment(cfg)
-    run_experiment(replace(cfg, output_dir=out_part), repeat_indices=[1])
-
     name = run_file_name("distributed_one_point", 1)
     with open(os.path.join(out_full, name), "rb") as fh:
         full = fh.read()
-    with open(os.path.join(out_part, name), "rb") as fh:
-        part = fh.read()
-    assert full == part
-    with open(os.path.join(out_part, "manifest.json"), encoding="utf-8") as fh:
-        assert json.load(fh)["repeats_run"] == [1]
+
+    # a repeated index runs once
+    for indices in ([1], [1, 1]):
+        summary = run_experiment(replace(cfg, output_dir=out_part), repeat_indices=indices)
+        with open(os.path.join(out_part, name), "rb") as fh:
+            assert fh.read() == full
+        with open(os.path.join(out_part, "manifest.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["repeats_run"] == [1]
+        assert summary.executed == {"distributed_one_point": (1,)}
+        assert summary.total_messages == summarize(out_part).total_messages == {
+            "distributed_one_point": cfg.epochs * 6}
 
     with pytest.raises(ValueError, match="outside 0..2"):
         run_experiment(cfg, repeat_indices=[3])
@@ -383,7 +387,7 @@ def test_runaway_evaluation_becomes_divergence():
     g = build_graph(2, [(1, 2), (2, 1)])
     arts = build_artifacts(g)
     ev = _OverflowingEvaluator(g, blowup=1e200)
-    cfg = LearnerConfig(step_size=1e205, num_epochs=3, horizon=1,
+    cfg = LearnerConfig(step_size=1e205, num_epochs=3,
                         oracle=OracleConfig(delta=0.5))
     theta0 = np.zeros(ev.layout.total_dim)
     with pytest.raises(TrainingDiverged, match="evaluation failed at epoch 1"):
@@ -393,7 +397,7 @@ def test_runaway_evaluation_becomes_divergence():
     # at sane parameter scales the same failure is a real bug and
     # propagates untouched
     ev_bug = _OverflowingEvaluator(g, blowup=-1.0)
-    cfg_small = LearnerConfig(step_size=0.1, num_epochs=2, horizon=1,
+    cfg_small = LearnerConfig(step_size=0.1, num_epochs=2,
                               oracle=OracleConfig(delta=0.5))
     with pytest.raises(ValueError) as excinfo:
         train(theta0, ev_bug, cfg_small, MessageBus(arts.learning),
