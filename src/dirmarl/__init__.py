@@ -8,91 +8,16 @@ warehouse resource-allocation benchmark, RBF-softmax policies, three
 gradient oracles with variance bounds, the distributed training loop
 with an audited message bus, an experiment harness, and an empirical
 validation suite for the underlying identities.
+
+The package namespace carries the experiment entry points; everything
+else is imported from its submodule (``dirmarl.learner`` and so on).
 """
 
-from .graphs import (
-    CoordinationGraph,
-    ClusterDecomposition,
-    CondensationDag,
-    GraphArtifacts,
-    LearningGraph,
-    ReachabilitySets,
-    build_artifacts,
-    build_graph,
-    check_weak_connectivity,
-    cluster_condensation,
-    derive_learning_graph,
-    reachability,
-    strongly_connected_components,
-)
-from .policy import (
-    BlockLayout,
-    BoundRbfPolicy,
-    PolicyParams,
-    RbfPolicy,
-    make_centers,
-    perturb,
-)
-from .warehouse import (
-    NoiseTrace,
-    Rollout,
-    WarehouseConfig,
-    WarehouseEnv,
-    read_rollout_jsonl,
-    simulate_rollout,
-    write_rollout_jsonl,
-)
-from .oracles import (
-    FLAVORS,
-    SCOPES,
-    GradientEstimate,
-    OracleConfig,
-    ResidualState,
-    centralized_value,
-    one_point,
-    one_point_second_moment_bound,
-    residual,
-    sample_perturbation,
-    two_point,
-    two_point_second_moment_bound,
-    two_point_second_moment_bound_total,
-)
-from .learner import (
-    ALGORITHMS,
-    CommunicationViolation,
-    EpisodeRecord,
-    LearnerConfig,
-    MessageBus,
-    ScheduleResult,
-    TrainResult,
-    TrainingDiverged,
-    WarehouseEvaluator,
-    accuracy_schedule,
-    parse_algorithm,
-    run_episode,
-    schedule_bound_constant,
-    train,
-)
-from .validation import (
-    CheckResult,
-    SyntheticEvaluator,
-    SyntheticObjective,
-    check_smoothing_gap,
-    dependency_violations,
-    empirical_second_moment,
-    finite_difference_gradient,
-    make_synthetic,
-    mc_smoothed_gradient,
-    oracle_moments,
-    run_validation,
-)
-from .configio import ConfigError, ExperimentConfig, PolicySettings, load_config
-from .experiments import (
-    RunSummary,
-    read_run_csv,
-    run_experiment,
-    summarize,
-    write_run_csv,
-)
+from .configio import ConfigError, load_config
+from .experiments import run_experiment, summarize
+from .graphs import build_artifacts, check_weak_connectivity
+from .policy import RbfPolicy
+from .validation import run_validation
+from .warehouse import WarehouseEnv
 
 __version__ = "0.1.0"

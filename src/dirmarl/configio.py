@@ -88,6 +88,10 @@ class PolicySettings:
             raise ConfigError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         if self.num_centers < 1:
             raise ConfigError(f"num_centers must be >= 1, got {self.num_centers}")
+        for key in ("stock_range", "demand_range"):
+            lo, hi = getattr(self, key)
+            if not lo < hi:
+                raise ConfigError(f"{key} must be an increasing pair lo hi, got {lo} {hi}")
 
 
 @dataclass(frozen=True)

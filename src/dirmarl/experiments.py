@@ -206,7 +206,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                        stock_range=cfg.policy.stock_range,
                        demand_range=cfg.policy.demand_range,
                        kernel=cfg.policy.kernel)
-    arts = build_artifacts(cfg.graph)
+    bus = MessageBus(build_artifacts(cfg.graph).learning)
+    ev = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
     layout = policy.layout
     theta0 = np.zeros(layout.total_dim)
     repeats = range(cfg.repeats) if repeat_indices is None else sorted(set(repeat_indices))
@@ -231,7 +232,6 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         for alg in cfg.algorithms:
             lcfg = LearnerConfig(step_size=cfg.eta, num_epochs=cfg.epochs,
                                  oracle=parse_algorithm(alg, cfg.delta))
-            ev = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
             on_episode = None
             if cfg.checkpoint_every > 0:
                 def on_episode(k, theta, rec, alg=alg, r=r):
@@ -240,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                             os.path.join(ckpt_dir, f"{alg}.rep{r:03d}.ep{k + 1:05d}.npz"),
                             theta, k + 1)
             try:
-                res = train(theta0, ev, lcfg, MessageBus(arts.learning),
+                res = train(theta0, ev, lcfg, bus,
                             perturbations=perturbations, noise_traces=traces,
                             on_episode=on_episode)
             except TrainingDiverged as exc:
@@ -249,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
             write_run_csv(os.path.join(out, run_file_name(alg, r)),
                           res.records, cfg.graph.num_agents)
             rows[alg][r] = np.array([rec.global_value for rec in res.records])
-            messages[alg] += res.bus.total_messages
+            messages[alg] += sum(rec.message_count for rec in res.records)
 
     mean_value, std_value, executed = {}, {}, {}
     for alg in cfg.algorithms:

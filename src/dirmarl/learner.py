@@ -27,7 +27,6 @@ message per edge, so the communication contract is flavor-independent.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,7 +173,6 @@ class EpisodeRecord:
     global_value: float           # sum of observed values
     gradient_norms: np.ndarray    # per-agent ||g_i||, (N,)
     message_count: int
-    wall_clock: float
 
 
 class WarehouseEvaluator:
@@ -184,7 +182,7 @@ class WarehouseEvaluator:
 
     def __init__(self, env: WarehouseEnv, policy: RbfPolicy, horizon: int,
                  discount: float = 1.0):
-        if policy.graph is not env.graph and policy.graph.edges != env.graph.edges:
+        if policy.graph != env.graph:
             raise ValueError("policy and environment are built on different graphs")
         self.env = env
         self.policy = policy
@@ -212,7 +210,6 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
     layout: BlockLayout = evaluator.layout
     ocfg = cfg.oracle
     n = evaluator.num_agents
-    started = time.perf_counter()
 
     if rng is None and (perturbation is None or noise is None):
         raise ValueError("run_episode needs an rng when perturbation or noise is not supplied")
@@ -274,7 +271,6 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
         global_value=float(w_pert.sum()),
         gradient_norms=est.block_norms(),
         message_count=count,
-        wall_clock=time.perf_counter() - started,
     )
     return theta_next, record, residual_state
 

@@ -131,11 +131,6 @@ def residual(values_perturbed: np.ndarray, state: ResidualState, u: np.ndarray,
     return est, ResidualState(vp.copy(), True)
 
 
-def centralized_value(values: np.ndarray) -> float:
-    """Global value: the sum of every agent's observed value."""
-    return float(np.sum(np.asarray(values, dtype=float)))
-
-
 def one_point_second_moment_bound(value_bound: float, sigma_hat: float,
                                   block_dim: int, delta: float) -> float:
     """Ceiling on E||g_i||^2 for the one-point estimator when

@@ -64,38 +64,6 @@ class BlockLayout:
         return np.repeat(np.asarray(per_agent, dtype=float), self.dims)
 
 
-@dataclass(frozen=True)
-class PolicyParams:
-    """Immutable joint parameter: flat vector plus its block layout."""
-
-    layout: BlockLayout
-    flat: np.ndarray
-
-    def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=float)
-        if flat.shape != (self.layout.total_dim,):
-            raise ValueError(
-                f"flat parameter has shape {flat.shape}, layout expects ({self.layout.total_dim},)")
-        flat = flat.copy()
-        flat.flags.writeable = False
-        object.__setattr__(self, "flat", flat)
-
-    def block(self, i: int) -> np.ndarray:
-        return self.layout.block(self.flat, i)
-
-    def with_flat(self, flat: np.ndarray) -> "PolicyParams":
-        return PolicyParams(self.layout, flat)
-
-
-def perturb(params: PolicyParams, delta: float, u: np.ndarray) -> PolicyParams:
-    """Gaussian-smoothing probe point theta + delta * u (any real delta;
-    the oracles, not this op, require delta != 0)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != params.flat.shape:
-        raise ValueError(f"perturbation has shape {u.shape}, params have {params.flat.shape}")
-    return params.with_flat(params.flat + delta * u)
-
-
 def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
     """num_centers points on the diagonal of the observation box, at
     fractions k/(num_centers+1) for k = 1..num_centers.
@@ -119,9 +87,8 @@ class RbfPolicy:
 
     Holds per-agent centers, the slot structure (self + sorted
     out-neighbors), and the block layout.  ``bind`` attaches a concrete
-    parameter vector and yields a callable policy with both a per-agent
-    path and a padded whole-population path used by the vectorized
-    environment rollout.
+    flat parameter vector and yields a policy whose ``act_matrix`` maps
+    the padded observations of the whole population to allocations.
     """
 
     def __init__(self, graph: CoordinationGraph, num_centers: int = 4,
@@ -147,7 +114,7 @@ class RbfPolicy:
                          self.num_centers)
             for i in graph.agents)
 
-        # Padded tensors for the whole-population fast path.
+        # Padded tensors: every agent is scored in one pass.
         self.obs_max = max(self.obs_dims)
         self.slots_max = max(self.num_slots)
         self.centers_pad = np.zeros((n, self.num_centers, self.obs_max))
@@ -166,51 +133,18 @@ class RbfPolicy:
                     idx.append(base + s * self.num_centers + l)
         self._pad_idx = np.array(idx, dtype=np.intp)
 
-    def zero_params(self) -> PolicyParams:
-        return PolicyParams(self.layout, np.zeros(self.layout.total_dim))
-
-    def params_from(self, flat: np.ndarray) -> PolicyParams:
-        return PolicyParams(self.layout, flat)
-
     def theta_padded(self, flat: np.ndarray) -> np.ndarray:
         n = self.graph.num_agents
         pad = np.zeros(n * self.slots_max * self.num_centers)
         pad[self._pad_idx] = flat
         return pad.reshape(n, self.slots_max, self.num_centers)
 
-    def features(self, i: int, obs: np.ndarray) -> np.ndarray:
-        d = np.asarray(obs, dtype=float) - self.centers[i - 1]
-        sqd = np.einsum("ld,ld->l", d, d)
-        return sqd if self.kernel == "squared" else np.exp(-sqd)
-
-    def bind(self, params) -> "BoundRbfPolicy":
-        flat = params.flat if isinstance(params, PolicyParams) else np.asarray(params, dtype=float)
+    def bind(self, flat: np.ndarray) -> "BoundRbfPolicy":
+        flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.layout.total_dim,):
             raise ValueError(
                 f"parameter vector has shape {flat.shape}, policy expects ({self.layout.total_dim},)")
         return BoundRbfPolicy(self, flat)
-
-
-def rbf_scores(theta_block: np.ndarray, obs: np.ndarray, policy: RbfPolicy, i: int) -> np.ndarray:
-    """Per-slot scores z_ij for agent i: slot-major block times radial
-    features of the observation."""
-    n_c = policy.num_centers
-    block = np.asarray(theta_block, dtype=float)
-    if block.size != policy.layout.dims[i - 1]:
-        raise ValueError(
-            f"agent {i} block has {block.size} coordinates, expected {policy.layout.dims[i - 1]}")
-    feats = policy.features(i, obs)
-    return block.reshape(-1, n_c) @ feats
-
-
-def softmax_allocation(scores: np.ndarray) -> np.ndarray:
-    """exp(-z) normalized over slots; shifted by min(z) for stability
-    so the result is invariant to a common offset."""
-    z = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"non-finite allocation scores: {z}")
-    w = np.exp(-(z - z.min()))
-    return w / w.sum()
 
 
 class BoundRbfPolicy:
@@ -220,13 +154,6 @@ class BoundRbfPolicy:
         self.policy = policy
         self.flat = flat
         self._theta_pad = policy.theta_padded(flat)
-
-    def __call__(self, i: int, obs: np.ndarray) -> np.ndarray:
-        """Out-neighbor allocation fractions for agent i, ordered by
-        ascending neighbor index; the retained fraction is implicit."""
-        p = self.policy
-        z = rbf_scores(p.layout.block(self.flat, i), obs, p, i)
-        return softmax_allocation(z)[1:]
 
     def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
         """Allocations for all agents at once.

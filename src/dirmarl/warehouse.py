@@ -22,9 +22,8 @@ the decoupling checks rely on.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,29 +44,6 @@ class WarehouseConfig:
     fixed_initial_state: bool = False
     clip_demand_noise: bool = False
     shared_demand_noise: bool = False
-
-
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    """Dimensional metadata of an environment plus episode shape."""
-
-    num_agents: int
-    obs_dims: tuple[int, ...]
-    action_dims: tuple[int, ...]
-    horizon: int
-    discount: float
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must lie in (0, 1], got {self.discount}")
-
-
-@dataclass
-class WarehouseState:
-    stocks: np.ndarray  # (N,)
-    time: int
 
 
 @dataclass(frozen=True)
@@ -181,10 +157,6 @@ class WarehouseEnv:
         obs[np.arange(self.num_agents), self._demand_col] = demands
         return obs
 
-    def observation(self, i: int, stocks: np.ndarray, demand_i: float) -> np.ndarray:
-        idx = np.array(self.obs_sets[i - 1], dtype=np.intp) - 1
-        return np.concatenate([stocks[idx], [demand_i]])
-
     def validate_allocations(self, alloc: np.ndarray, where: str = "") -> None:
         out = np.where(self._out_mask, alloc, 0.0)
         viol = (out < -1e-12) | (out > 1.0 + 1e-12)
@@ -215,89 +187,23 @@ def step_rewards(stocks: np.ndarray) -> np.ndarray:
         return np.where(stocks >= 0.0, 0.0, -stocks * stocks)
 
 
-def demand(cfg, i: int, t: int, w: float) -> float:
-    """Demand of agent i at step t under shock w."""
-    env = cfg if isinstance(cfg, WarehouseEnv) else WarehouseEnv(cfg)
-    return float(env.amplitude[i - 1] * (1.0 - np.sin(w * t)) + w)
-
-
-def env_reset(env: WarehouseEnv, rng: np.random.Generator | None = None,
-              trace: NoiseTrace | None = None) -> tuple[WarehouseState, NoiseTrace]:
-    """Fresh initial state; draws the jitter (and returns it inside a
-    zero-length trace) unless a replay trace is supplied."""
-    if trace is None:
-        if rng is None:
-            raise ValueError("env_reset needs an rng or a replay trace")
-        jitter = env.draw_noise_trace(0, rng).initial_jitter
-        trace = NoiseTrace(jitter, np.zeros((0, env.num_agents)))
-    return WarehouseState(env.initial_stocks(trace), 0), trace
-
-
-def env_step(state: WarehouseState, env: WarehouseEnv, actions,
-             rng: np.random.Generator | None = None,
-             demand_noise: np.ndarray | None = None) -> tuple[WarehouseState, np.ndarray]:
-    """One transition.  ``actions`` is a per-agent sequence of
-    out-neighbor fractions (ascending neighbor order).  The demand
-    shock row comes from ``demand_noise`` when replaying, else is drawn
-    from ``rng``.  Returns the next state and the per-agent rewards of
-    the current step."""
-    alloc = _assemble_allocations(env, actions)
-    env.validate_allocations(alloc, where=f" at step {state.time}")
-    if demand_noise is None:
-        if rng is None:
-            raise ValueError("env_step needs an rng or an explicit demand_noise row")
-        demand_noise = env.draw_noise_trace(1, rng).demand_noise[0]
-    demands = env.demand_row(state.time, demand_noise)
-    rewards = step_rewards(state.stocks)
-    nxt = env.apply_transition(state.stocks, alloc, demands)
-    if not np.all(np.isfinite(nxt)):
-        bad = np.flatnonzero(~np.isfinite(nxt)) + 1
-        raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {state.time}")
-    return WarehouseState(nxt, state.time + 1), rewards
-
-
-def _assemble_allocations(env: WarehouseEnv, actions) -> np.ndarray:
-    if isinstance(actions, np.ndarray) and actions.shape == (env.num_agents, env.slots_max):
-        return actions
-    alloc = np.zeros((env.num_agents, env.slots_max))
-    for i in range(env.num_agents):
-        fr = np.asarray(actions[i], dtype=float)
-        k = env.num_slots[i] - 1
-        if fr.shape != (k,):
-            raise RolloutError(f"agent {i + 1} must allocate over {k} out-neighbors, "
-                               f"got shape {fr.shape}")
-        alloc[i, 1:k + 1] = fr
-        alloc[i, 0] = 1.0 - fr.sum()
-    return alloc
-
-
 @dataclass(frozen=True)
 class Rollout:
-    """Everything one episode produced.  ``stocks`` has T+1 rows (the
-    last is the terminal state), every other per-step array has T."""
+    """What one episode produced."""
 
-    stocks: np.ndarray        # (T+1, N)
+    stocks: np.ndarray        # (T+1, N); the last row is the terminal state
     rewards: np.ndarray       # (T, N)
     returns: np.ndarray       # (N,) discounted reward sums
-    observations: np.ndarray  # (T, N, obs_max), zero padded
-    obs_dims: tuple[int, ...]
-    actions: np.ndarray       # (T, N, slots_max); slot 0 retained fraction
-    demands: np.ndarray       # (T, N)
     noise_trace: NoiseTrace
-    discount: float
-
-    def observation(self, i: int, t: int) -> np.ndarray:
-        return self.observations[t, i - 1, :self.obs_dims[i - 1]]
 
 
 def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 1.0,
                      rng: np.random.Generator | None = None,
                      noise_trace: NoiseTrace | None = None) -> Rollout:
-    """Run one episode.  ``policy`` is either an object exposing
-    ``act_matrix(padded_obs) -> padded allocations`` or a plain
-    callable ``(agent, obs) -> out-neighbor fractions``.  Passing
-    ``noise_trace`` replays that exact randomness; otherwise a fresh
-    trace is drawn from ``rng`` and recorded."""
+    """Run one episode.  ``policy.act_matrix(padded_obs)`` returns the
+    padded (N, slots_max) allocations, slot 0 the retained fraction.
+    Passing ``noise_trace`` replays that exact randomness; otherwise a
+    fresh trace is drawn from ``rng`` and recorded."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0.0 < discount <= 1.0:
@@ -311,61 +217,20 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
     n = env.num_agents
     stocks = np.empty((horizon + 1, n))
     rewards = np.empty((horizon, n))
-    observations = np.empty((horizon, n, env.obs_max))
-    actions = np.empty((horizon, n, env.slots_max))
-    demands = np.empty((horizon, n))
 
-    fast = hasattr(policy, "act_matrix")
     m = env.initial_stocks(noise_trace)
     stocks[0] = m
     for t in range(horizon):
         d = env.demand_row(t, noise_trace.demand_noise[t])
-        obs = env.observation_matrix(m, d)
-        if fast:
-            alloc = policy.act_matrix(obs)
-        else:
-            alloc = _assemble_allocations(
-                env, [policy(i, obs[i - 1, :env.obs_dims[i - 1]]) for i in env.graph.agents])
+        alloc = policy.act_matrix(env.observation_matrix(m, d))
         env.validate_allocations(alloc, where=f" at step {t}")
         rewards[t] = step_rewards(m)
         m = env.apply_transition(m, alloc, d)
         if not np.all(np.isfinite(m)):
             bad = np.flatnonzero(~np.isfinite(m)) + 1
             raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {t}")
-        observations[t] = obs
-        actions[t] = alloc
-        demands[t] = d
         stocks[t + 1] = m
 
     weights = discount ** np.arange(horizon)
     returns = weights @ rewards
-    return Rollout(stocks, rewards, returns, observations, env.obs_dims,
-                   actions, demands, noise_trace, discount)
-
-
-def environment_spec(env: WarehouseEnv, horizon: int, discount: float) -> EnvironmentSpec:
-    return EnvironmentSpec(env.num_agents, env.obs_dims,
-                           tuple(k - 1 for k in env.num_slots), horizon, discount)
-
-
-def write_rollout_jsonl(rollout: Rollout, env: WarehouseEnv, path) -> None:
-    """Debug dump, one JSON object per step plus a leading meta line."""
-    horizon = rollout.rewards.shape[0]
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"type": "meta", "num_agents": env.num_agents,
-                             "horizon": horizon, "discount": rollout.discount}) + "\n")
-        for t in range(horizon):
-            rec = {
-                "t": t,
-                "stocks": rollout.stocks[t].tolist(),
-                "demands": rollout.demands[t].tolist(),
-                "rewards": rollout.rewards[t].tolist(),
-                "actions": [rollout.actions[t, i, 1:env.num_slots[i]].tolist()
-                            for i in range(env.num_agents)],
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_rollout_jsonl(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return Rollout(stocks, rewards, returns, noise_trace)

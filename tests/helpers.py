@@ -1,6 +1,7 @@
 """Shared test utilities: independent brute-force reference
-implementations and random graph generators.  Kept free of any imports
-from the package's graph internals beyond the public constructors."""
+implementations, policy stubs and random graph generators.  Kept free
+of any imports from the package's graph internals beyond the public
+constructors."""
 
 from __future__ import annotations
 
@@ -111,3 +112,59 @@ NINE_AGENT_EDGES = [
 
 def nine_agent_graph() -> CoordinationGraph:
     return build_graph(9, NINE_AGENT_EDGES)
+
+
+# -- per-agent policy reference -------------------------------------------
+# One agent at a time, straight from the formulas in dirmarl.policy; the
+# padded whole-population ``act_matrix`` is checked against these.
+
+
+def rbf_features(policy, i: int, obs: np.ndarray) -> np.ndarray:
+    """Radial features of agent i's (unpadded) observation, one per center."""
+    d = np.asarray(obs, dtype=float) - policy.centers[i - 1]
+    sqd = np.einsum("ld,ld->l", d, d)
+    return sqd if policy.kernel == "squared" else np.exp(-sqd)
+
+
+def rbf_scores(theta_block: np.ndarray, obs: np.ndarray, policy, i: int) -> np.ndarray:
+    """Per-slot scores z_ij for agent i: slot-major block times radial
+    features of the observation."""
+    block = np.asarray(theta_block, dtype=float)
+    if block.size != policy.layout.dims[i - 1]:
+        raise ValueError(
+            f"agent {i} block has {block.size} coordinates, expected {policy.layout.dims[i - 1]}")
+    return block.reshape(-1, policy.num_centers) @ rbf_features(policy, i, obs)
+
+
+def softmax_allocation(scores: np.ndarray) -> np.ndarray:
+    """exp(-z) normalized over slots; shifted by min(z) for stability
+    so the result is invariant to a common offset."""
+    z = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"non-finite allocation scores: {z}")
+    w = np.exp(-(z - z.min()))
+    return w / w.sum()
+
+
+def per_agent_allocation(policy, flat: np.ndarray, i: int, obs: np.ndarray) -> np.ndarray:
+    """Agent i's allocation over [self] + ascending out-neighbors."""
+    return softmax_allocation(rbf_scores(policy.layout.block(flat, i), obs, policy, i))
+
+
+class FixedAllocation:
+    """Policy stub whose ``act_matrix`` always returns one padded
+    (N, slots_max) allocation, whatever the observation."""
+
+    def __init__(self, alloc):
+        self.alloc = np.asarray(alloc, dtype=float)
+
+    def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
+        return self.alloc
+
+    @classmethod
+    def uniform(cls, env) -> "FixedAllocation":
+        """Stock split evenly over self and every out-edge."""
+        alloc = np.zeros((env.num_agents, env.slots_max))
+        for i, k in enumerate(env.num_slots):
+            alloc[i, :k] = 1.0 / k
+        return cls(alloc)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dirmarl.experiments
 from dirmarl.cli import main
 from dirmarl.configio import (ConfigError, ExperimentConfig, PolicySettings,
                               load_config, load_graph_file, parse_edge_list)
@@ -158,6 +159,19 @@ def test_demand_amplitude_range_checked_at_load(tmp_path):
                         "[environment]\ndemand_amplitude = 1.5\n")
     with pytest.raises(ConfigError, match="demand amplitude"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key", ["stock_range", "demand_range"])
+def test_inverted_policy_range_is_named(tmp_path, key):
+    path = write_config(tmp_path,
+                        "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                        f"[policy]\n{key} = 2 -1\n")
+    with pytest.raises(ConfigError, match=f"{key} must be an increasing pair"):
+        load_config(path)
+    equal = write_config(tmp_path, f"[graph]\nnum_agents = 2\nedges = 1->2\n"
+                                   f"[policy]\n{key} = 0.5 0.5\n", name="equal.cfg")
+    with pytest.raises(ConfigError, match=key):
+        load_config(equal)
 
 
 def test_disconnected_graph_rejected_with_components(tmp_path):
@@ -310,6 +324,26 @@ def test_partial_rerun_reproduces_single_repeat(tmp_path):
         run_experiment(cfg, repeat_indices=[3])
 
 
+def test_message_bus_built_once_per_experiment(tmp_path, monkeypatch):
+    built = []
+
+    class CountingBus(dirmarl.experiments.MessageBus):
+        def __init__(self, learning):
+            built.append(learning)
+            super().__init__(learning)
+
+    monkeypatch.setattr(dirmarl.experiments, "MessageBus", CountingBus)
+    out = str(tmp_path / "out")
+    cfg = load_config(tiny_config(
+        tmp_path, out, epochs=2, repeats=3,
+        algorithms="distributed_one_point centralized_two_point"))
+    summary = run_experiment(cfg)
+    assert len(built) == 1
+    # 3-cycle: 6 routing edges, one message each per episode
+    assert summary.total_messages == summarize(out).total_messages == {
+        alg: 3 * cfg.epochs * 6 for alg in cfg.algorithms}
+
+
 def test_checkpoints_written_and_loadable(tmp_path):
     out = str(tmp_path / "out")
     cfg = load_config(tiny_config(tmp_path, out, epochs=5, repeats=1,
@@ -449,8 +483,7 @@ def test_summary_statistics_hand_check(tmp_path):
                               local_values=np.full(3, value),
                               global_value=value,
                               gradient_norms=np.zeros(3),
-                              message_count=6,
-                              wall_clock=0.0) for k in range(2)]
+                              message_count=6) for k in range(2)]
 
     write_run_csv(os.path.join(out, run_file_name("distributed_one_point", 0)),
                   rows(0.0), 3)
@@ -471,7 +504,7 @@ def test_run_csv_round_trip_is_exact(tmp_path):
     rec = EpisodeRecord(epoch=0, observed_values=values,
                         local_values=values, global_value=float(values.sum()),
                         gradient_norms=np.array([np.pi, 1e17, 2.0 / 7.0]),
-                        message_count=4, wall_clock=0.0)
+                        message_count=4)
     write_run_csv(path, [rec], 3)
     table = read_run_csv(path)
     assert table.values[0].tolist() == values.tolist()

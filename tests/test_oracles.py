@@ -6,7 +6,6 @@ from dirmarl.oracles import (
     GradientEstimate,
     OracleConfig,
     ResidualState,
-    centralized_value,
     one_point,
     one_point_second_moment_bound,
     residual,
@@ -86,10 +85,6 @@ def test_residual_first_episode_reduces_to_one_point():
     est2, state3 = residual(vals, state2, u, 0.5, LAYOUT)
     assert np.array_equal(est2.flat, np.zeros(6))
     assert np.array_equal(state3.previous_values, vals)
-
-
-def test_centralized_value_sums():
-    assert centralized_value(np.array([1.0, 2.0, -0.5])) == 2.5
 
 
 def test_sample_perturbation_shape_and_determinism():

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
-from dirmarl.policy import (
-    BlockLayout,
-    PolicyParams,
-    RbfPolicy,
-    make_centers,
-    perturb,
+from dirmarl.policy import BlockLayout, RbfPolicy, make_centers
+from helpers import (
+    nine_agent_graph,
+    per_agent_allocation,
+    random_weakly_connected_digraph,
+    rbf_features,
     rbf_scores,
     softmax_allocation,
 )
-from helpers import nine_agent_graph
 
 
 def test_make_centers_midpoint():
@@ -44,14 +43,13 @@ def test_block_dimensions_follow_out_degree():
 
 def test_params_block_views_alias_flat():
     layout = BlockLayout((2, 3))
-    p = PolicyParams(layout, np.arange(5.0))
-    assert np.array_equal(p.block(1), [0.0, 1.0])
-    assert np.array_equal(p.block(2), [2.0, 3.0, 4.0])
-    assert p.block(2).base is p.flat
-    with pytest.raises(ValueError):
-        PolicyParams(layout, np.zeros(4))
-    with pytest.raises(ValueError):
-        p.flat[0] = 9.0  # immutably frozen
+    flat = np.arange(5.0)
+    assert np.array_equal(layout.block(flat, 1), [0.0, 1.0])
+    assert np.array_equal(layout.block(flat, 2), [2.0, 3.0, 4.0])
+    assert layout.block(flat, 2).base is flat
+    pol = RbfPolicy(build_graph(2, [(1, 2)]), num_centers=2)
+    with pytest.raises(ValueError, match="policy expects"):
+        pol.bind(np.zeros(pol.layout.total_dim - 1))
 
 
 def test_block_norms_match_per_block():
@@ -61,32 +59,12 @@ def test_block_norms_match_per_block():
     assert np.allclose(norms, [5.0, 3.0, 7.0])
 
 
-def test_perturb_zero_delta_is_identity():
-    pol = RbfPolicy(build_graph(2, [(1, 2)]), num_centers=2)
-    base = pol.zero_params()
-    u = np.ones(pol.layout.total_dim)
-    same = perturb(base, 0.0, u)
-    assert np.array_equal(same.flat, base.flat)
-
-
-def test_perturb_inverse_recovers_base():
-    layout = BlockLayout((3,))
-    base = PolicyParams(layout, np.array([1.0, -2.0, 0.5]))
-    u = np.array([4.0, 8.0, -2.0])
-    # Power-of-two step keeps the arithmetic exact.
-    forth = perturb(base, 0.25, u)
-    back = perturb(forth, -0.25, u)
-    assert np.array_equal(back.flat, base.flat)
-
-
 def test_zero_params_give_uniform_allocation():
     g = nine_agent_graph()
     pol = RbfPolicy(g, num_centers=4)
-    bound = pol.bind(pol.zero_params())
-    fr = bound(2, np.zeros(pol.obs_dims[1]))
-    assert np.allclose(fr, [1.0 / 3, 1.0 / 3])  # two out-neighbors + self
-    fr = bound(1, np.zeros(pol.obs_dims[0]))
-    assert np.allclose(fr, [0.5])
+    alloc = pol.bind(np.zeros(pol.layout.total_dim)).act_matrix(np.zeros((9, pol.obs_max)))
+    assert np.allclose(alloc[1], [1.0 / 3] * 3)  # two out-neighbors + self
+    assert np.allclose(alloc[0], [0.5, 0.5, 0.0])
 
 
 def test_rbf_scores_match_manual_sum():
@@ -164,10 +142,32 @@ def test_act_matrix_matches_per_agent_path():
         alloc = bound.act_matrix(obs_pad)
         for i in g.agents:
             row = alloc[i - 1]
-            assert np.allclose(row[1:pol.num_slots[i - 1]], bound(i, obs[i - 1]),
+            assert np.allclose(row[:pol.num_slots[i - 1]],
+                               per_agent_allocation(pol, bound.flat, i, obs[i - 1]),
                                rtol=1e-12, atol=1e-14)
             assert np.all(row[pol.num_slots[i - 1]:] == 0.0)
             assert np.isclose(row[:pol.num_slots[i - 1]].sum(), 1.0)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")),
+       st.floats(min_value=-3.0, max_value=6.0))
+@settings(max_examples=150, deadline=None)
+def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
+    # The contract validate_allocations guards, pinned on the production
+    # path: every valid row is a probability vector and padding is zero.
+    rng = np.random.default_rng(seed)
+    g = random_weakly_connected_digraph(rng, 1, 10)
+    pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
+    bound = pol.bind(10.0 ** log_scale * rng.normal(size=pol.layout.total_dim))
+    obs_pad = np.zeros((g.num_agents, pol.obs_max))
+    for i in range(g.num_agents):
+        obs_pad[i, :pol.obs_dims[i]] = rng.uniform(-1.5, 2.5, size=pol.obs_dims[i])
+    alloc = bound.act_matrix(obs_pad)
+    assert alloc.shape == (g.num_agents, pol.slots_max)
+    for i, k in enumerate(pol.num_slots):
+        assert np.all(alloc[i, :k] >= 0.0)
+        assert abs(alloc[i, :k].sum() - 1.0) <= 1e-12
+        assert np.all(alloc[i, k:] == 0.0)
 
 
 def test_gaussian_kernel_changes_features():
@@ -175,8 +175,8 @@ def test_gaussian_kernel_changes_features():
     sq = RbfPolicy(g, num_centers=2, kernel="squared")
     ga = RbfPolicy(g, num_centers=2, kernel="gaussian")
     obs = np.array([0.3, 0.1])
-    f_sq = sq.features(1, obs)
-    f_ga = ga.features(1, obs)
+    f_sq = rbf_features(sq, 1, obs)
+    f_ga = rbf_features(ga, 1, obs)
     assert np.allclose(f_ga, np.exp(-f_sq))
     with pytest.raises(ValueError, match="kernel"):
         RbfPolicy(g, kernel="cubic")

@@ -7,51 +7,37 @@ from hypothesis import given, settings, strategies as st
 from dirmarl.graphs import build_graph
 from dirmarl.policy import RbfPolicy
 from dirmarl.warehouse import (
-    EnvironmentSpec,
     NoiseTrace,
     RolloutError,
     WarehouseConfig,
     WarehouseEnv,
-    WarehouseState,
-    demand,
-    env_reset,
-    env_step,
-    environment_spec,
-    read_rollout_jsonl,
     simulate_rollout,
     step_rewards,
-    write_rollout_jsonl,
 )
-from helpers import nine_agent_graph
+from helpers import FixedAllocation, nine_agent_graph
 
 
 def make_env(graph=None, **kw) -> WarehouseEnv:
     return WarehouseEnv(WarehouseConfig(graph or nine_agent_graph(), **kw))
 
 
-def uniform_policy(env):
-    """Callable policy splitting stock evenly over self and out-edges."""
-    return lambda i, obs: np.full(env.num_slots[i - 1] - 1, 1.0 / env.num_slots[i - 1])
-
-
 def test_demand_formula_matches_hand_value():
     env = make_env()
-    got = demand(env, 1, 8, 0.05)
+    got = env.demand_row(8, np.full(9, 0.05))[0]
     expect = 0.2 * (1.0 - math.sin(0.4)) + 0.05
     assert abs(got - expect) < 1e-15
     assert abs(expect - 0.17211633153826989) < 1e-15
     # At t=0 the sinusoid vanishes regardless of the shock.
-    assert demand(env, 1, 0, 0.3) == pytest.approx(0.2 + 0.3)
+    assert env.demand_row(0, np.full(9, 0.3))[0] == pytest.approx(0.2 + 0.3)
 
 
 def test_isolated_agent_step():
     env = make_env(build_graph(1, []), fixed_initial_state=True, demand_noise_std=0.0)
-    state, _ = env_reset(env, np.random.default_rng(0))
-    assert np.array_equal(state.stocks, [1.0])
-    nxt, rewards = env_step(state, env, [np.zeros(0)], demand_noise=np.zeros(1))
-    assert rewards[0] == 0.0
-    assert nxt.stocks[0] == pytest.approx(0.8)
-    assert nxt.time == 1
+    ro = simulate_rollout(env, FixedAllocation([[1.0]]), horizon=1,
+                          rng=np.random.default_rng(0))
+    assert np.array_equal(ro.stocks[0], [1.0])
+    assert ro.rewards[0, 0] == 0.0
+    assert ro.stocks[1, 0] == pytest.approx(0.8)
 
 
 def test_step_rewards_quadratic_backlog():
@@ -129,24 +115,21 @@ def test_env_rejects_bad_amplitude():
 
 def test_allocation_contract_violations():
     env = make_env(build_graph(2, [(1, 2)]))
-    state = WarehouseState(np.ones(2), 0)
-    with pytest.raises(RolloutError, match="agent 1.*outside"):
-        env_step(state, env, [np.array([1.5]), np.zeros(0)], demand_noise=np.zeros(2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(RolloutError, match="agent 1.*outside.*at step 0"):
+        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0, 0.0]]), horizon=2, rng=rng)
     env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
-    state3 = WarehouseState(np.ones(3), 0)
     with pytest.raises(RolloutError, match="agent 1 ships more"):
-        env_step(state3, env3, [np.array([0.7, 0.7]), np.zeros(0), np.zeros(0)],
-                 demand_noise=np.zeros(3))
-    with pytest.raises(RolloutError, match="allocate over 2"):
-        env_step(state3, env3, [np.array([0.7]), np.zeros(0), np.zeros(0)],
-                 demand_noise=np.zeros(3))
+        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0, 0.0, 0.0],
+                                                [1.0, 0.0, 0.0]]), horizon=2, rng=rng)
 
 
 def test_non_finite_stock_aborts():
-    env = make_env(build_graph(2, [(1, 2)]))
-    state = WarehouseState(np.array([1.7e308, 1.7e308]), 0)
-    with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\]"):
-        env_step(state, env, [np.array([1.0]), np.zeros(0)], demand_noise=np.zeros(2))
+    env = make_env(build_graph(2, [(1, 2)]), initial_stock_mean=1.7e308,
+                   fixed_initial_state=True)
+    with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
+        simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0, 0.0]]), horizon=2,
+                         rng=np.random.default_rng(0))
 
 
 def test_observation_layout():
@@ -158,7 +141,6 @@ def test_observation_layout():
     assert env.obs_sets[2] == (3, 4)
     assert np.array_equal(obs[2, :3], [3.0, 4.0, d[2]])
     assert np.all(obs[2, 3:] == 0.0)
-    assert np.array_equal(env.observation(3, stocks, d[2]), [3.0, 4.0, d[2]])
     # Agent 7 has in-neighbors {2, 4, 6, 9}.
     assert env.obs_sets[6] == (2, 4, 6, 7, 9)
     assert np.array_equal(obs[6, :6], [2.0, 4.0, 6.0, 7.0, 9.0, d[6]])
@@ -171,32 +153,19 @@ def test_rollout_replay_is_bit_identical():
     ro1 = simulate_rollout(env, bound, horizon=8, rng=np.random.default_rng(11))
     ro2 = simulate_rollout(env, bound, horizon=8, noise_trace=ro1.noise_trace)
     for a, b in [(ro1.stocks, ro2.stocks), (ro1.rewards, ro2.rewards),
-                 (ro1.returns, ro2.returns), (ro1.observations, ro2.observations),
-                 (ro1.actions, ro2.actions), (ro1.demands, ro2.demands)]:
+                 (ro1.returns, ro2.returns)]:
         assert np.array_equal(a, b)
     ro3 = simulate_rollout(env, bound, horizon=8, rng=np.random.default_rng(11))
     assert np.array_equal(ro1.returns, ro3.returns)
 
 
-def test_rollout_callable_policy_matches_fast_path():
-    env = make_env()
-    pol = RbfPolicy(env.graph)
-    flat = np.random.default_rng(9).normal(scale=0.2, size=pol.layout.total_dim)
-    bound = pol.bind(flat)
-    tr = env.draw_noise_trace(5, np.random.default_rng(4))
-    fast = simulate_rollout(env, bound, horizon=5, noise_trace=tr)
-    slow = simulate_rollout(env, lambda i, o: bound(i, o), horizon=5, noise_trace=tr)
-    assert np.allclose(fast.actions, slow.actions, rtol=1e-12, atol=1e-14)
-    assert np.allclose(fast.returns, slow.returns, rtol=1e-12)
-
-
 def test_rollout_returns_are_nonpositive_and_discounted():
     env = make_env()
-    ro = simulate_rollout(env, uniform_policy(env), horizon=8, discount=1.0,
+    ro = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, discount=1.0,
                           rng=np.random.default_rng(0))
     assert np.all(ro.returns <= 0.0)
     assert np.array_equal(ro.returns, ro.rewards.sum(axis=0))
-    half = simulate_rollout(env, uniform_policy(env), horizon=8, discount=0.5,
+    half = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, discount=0.5,
                             noise_trace=ro.noise_trace)
     weights = 0.5 ** np.arange(8)
     assert np.allclose(half.returns, weights @ ro.rewards)
@@ -204,7 +173,7 @@ def test_rollout_returns_are_nonpositive_and_discounted():
 
 def test_rewards_use_pre_transition_stock():
     env = make_env()
-    ro = simulate_rollout(env, uniform_policy(env), horizon=8,
+    ro = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8,
                           rng=np.random.default_rng(7))
     assert np.array_equal(ro.rewards, step_rewards(ro.stocks[:-1].reshape(8, 9)))
     assert np.all(ro.rewards[0] == 0.0)  # initial stocks are ~1
@@ -230,44 +199,29 @@ def test_decoupled_agent_trajectory_is_bitwise_identical():
 
 def test_two_resets_same_seed_identical():
     env = make_env()
-    s1, t1 = env_reset(env, np.random.default_rng(42))
-    s2, t2 = env_reset(env, np.random.default_rng(42))
-    assert np.array_equal(s1.stocks, s2.stocks)
+    t1 = env.draw_noise_trace(8, np.random.default_rng(42))
+    t2 = env.draw_noise_trace(8, np.random.default_rng(42))
+    assert np.array_equal(env.initial_stocks(t1), env.initial_stocks(t2))
     assert np.array_equal(t1.initial_jitter, t2.initial_jitter)
+    assert np.array_equal(t1.demand_noise, t2.demand_noise)
 
 
 def test_environment_spec_validation():
+    # The episode shape is checked where episodes run: in simulate_rollout.
     env = make_env()
-    spec = environment_spec(env, 8, 1.0)
-    assert spec.num_agents == 9
-    assert spec.obs_dims[2] == 3
-    assert spec.action_dims == tuple(k - 1 for k in env.num_slots)
+    policy = FixedAllocation.uniform(env)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="horizon"):
-        environment_spec(env, 0, 1.0)
-    with pytest.raises(ValueError, match="discount"):
-        EnvironmentSpec(9, spec.obs_dims, spec.action_dims, 8, 0.0)
-    with pytest.raises(ValueError, match="discount"):
-        environment_spec(env, 8, 1.2)
-
-
-def test_rollout_jsonl_round_trip(tmp_path):
-    env = make_env()
-    ro = simulate_rollout(env, uniform_policy(env), horizon=4,
-                          rng=np.random.default_rng(13))
-    path = tmp_path / "rollout.jsonl"
-    write_rollout_jsonl(ro, env, path)
-    lines = read_rollout_jsonl(path)
-    assert lines[0] == {"type": "meta", "num_agents": 9, "horizon": 4, "discount": 1.0}
-    assert len(lines) == 5
-    step2 = lines[3]
-    assert step2["t"] == 2
-    assert np.array_equal(step2["stocks"], ro.stocks[2])
-    assert np.array_equal(step2["rewards"], ro.rewards[2])
-    assert np.array_equal(step2["actions"][1], ro.actions[2, 1, 1:env.num_slots[1]])
+        simulate_rollout(env, policy, horizon=0, rng=rng)
+    for discount in (0.0, -0.5, 1.2):
+        with pytest.raises(ValueError, match="discount"):
+            simulate_rollout(env, policy, horizon=8, discount=discount, rng=rng)
+    with pytest.raises(ValueError, match="rng or a noise trace"):
+        simulate_rollout(env, policy, horizon=8)
 
 
 def test_trace_shape_mismatch_rejected():
     env = make_env()
     tr = NoiseTrace(np.zeros(9), np.zeros((4, 9)))
     with pytest.raises(ValueError, match="demand shocks"):
-        simulate_rollout(env, uniform_policy(env), horizon=8, noise_trace=tr)
+        simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, noise_trace=tr)
