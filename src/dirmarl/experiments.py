@@ -37,8 +37,8 @@ from .learner import (
     train,
 )
 from .oracles import sample_perturbation
-from .policy import RbfPolicy
-from .warehouse import WarehouseEnv
+from .policy import NonFiniteScores, RbfPolicy
+from .warehouse import RolloutError, WarehouseEnv
 
 CSV_MAGIC = "# dirmarl run csv v1"
 MANIFEST_NAME = "manifest.json"
@@ -195,8 +195,10 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
 
     ``repeat_indices`` restricts execution to a subset of repeats
     without changing what any individual run computes; an index given
-    twice runs once.  A diverging run is recorded in the manifest and
-    the remaining runs continue.
+    twice runs once.  A run that diverges, whose rollout aborts or whose
+    allocation scores turn non-finite is recorded in ``aborted`` with
+    its cause and the remaining runs continue; any other error
+    propagates.
     """
     started = time.perf_counter()
     out = cfg.output_dir
@@ -245,6 +247,9 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                             on_episode=on_episode)
             except TrainingDiverged as exc:
                 aborted.append((alg, r, str(exc)))
+                continue
+            except (RolloutError, NonFiniteScores) as exc:
+                aborted.append((alg, r, f"{type(exc).__name__}: {exc}"))
                 continue
             write_run_csv(os.path.join(out, run_file_name(alg, r)),
                           res.records, cfg.graph.num_agents)

@@ -82,10 +82,14 @@ class MessageBus:
     episode then runs exactly one exchange along it, which counts one
     message per routing edge.
 
-    Agents are stored by source count, descending, so the agents that
-    still have a p-th source form a prefix of that order and one
-    gathered add serves all of them.  The plan holds |E_L| + N indices,
-    never a (max sources x N) table.
+    Agents are stored by source count, descending, and that order is cut
+    into groups whose longest source list is at most twice the shortest.
+    A group is one (members x longest) gather, shorter lists padded with
+    a -0.0 column, summed by ``np.add.accumulate`` along the row: the
+    sum runs sequentially in ascending source order, and ``x + (-0.0)``
+    is ``x`` bit for bit, so the padding changes nothing.  The padded
+    plan holds at most 2 (|E_L| + N) indices, never a
+    (max sources x N) table.
     """
 
     def __init__(self, learning: LearningGraph):
@@ -105,12 +109,18 @@ class MessageBus:
 
         order = sorted(range(n), key=lambda a: -len(sources[a]))
         self._order = np.array(order, dtype=np.intp)
-        gathers, m = [], n
-        for p in range(len(sources[order[0]])):
-            while len(sources[order[m - 1]]) <= p:
-                m -= 1
-            gathers.append(np.array([sources[a][p] - 1 for a in order[:m]], dtype=np.intp))
-        self._gathers = tuple(gathers)
+        groups, start = [], 0
+        while start < n:
+            longest = len(sources[order[start]])
+            stop = start + 1
+            while stop < n and 2 * len(sources[order[stop]]) >= longest:
+                stop += 1
+            idx = np.full((stop - start, longest), n, dtype=np.intp)  # column n holds -0.0
+            for row, a in enumerate(order[start:stop]):
+                idx[row, :len(sources[a])] = [j - 1 for j in sources[a]]
+            groups.append(idx)
+            start = stop
+        self._groups = tuple(groups)
 
     @property
     def expected_messages(self) -> int:
@@ -132,11 +142,10 @@ class MessageBus:
             raise ValueError(f"payload has {values.shape[1]} columns, expected {self.num_agents}")
         if self._epoch is None:
             raise CommunicationViolation("no episode in progress")
-        acc = values[:, self._gathers[0]]
-        for idx in self._gathers[1:]:
-            acc[:, :idx.size] += values[:, idx]
+        padded = np.concatenate((values, np.full((len(values), 1), -0.0)), axis=1)
+        sums = [np.add.accumulate(padded[:, idx], axis=2)[:, :, -1] for idx in self._groups]
         hat = np.empty_like(values)
-        hat[:, self._order] = acc
+        hat[:, self._order] = np.concatenate(sums, axis=1)
         self._exchanges += 1
         return hat
 
@@ -257,9 +266,9 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
 
     with np.errstate(over="ignore", invalid="ignore"):  # guard below turns overflow into an abort
         theta_next = theta + cfg.step_size * est.flat
-    if not np.all(np.isfinite(theta_next)):
+    if not np.isfinite(theta_next).all():
         bad = [i for i in range(1, n + 1)
-               if not np.all(np.isfinite(layout.block(theta_next, i)))]
+               if not np.isfinite(layout.block(theta_next, i)).all()]
         raise TrainingDiverged(
             f"non-finite parameters for agents {bad} after epoch {epoch} "
             f"({ocfg.scope} {ocfg.flavor}, step_size {cfg.step_size})")

@@ -82,6 +82,11 @@ def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
     return lo[None, :] + fracs[:, None] * (hi - lo)[None, :]
 
 
+class NonFiniteScores(ValueError):
+    """Allocation scores overflowed or turned NaN: the observation or the
+    parameters are too large for the policy to act on."""
+
+
 class RbfPolicy:
     """Policy family bound to one coordination graph.
 
@@ -123,6 +128,9 @@ class RbfPolicy:
         self.slot_mask = np.zeros((n, self.slots_max), dtype=bool)
         for i in range(n):
             self.slot_mask[i, :self.num_slots[i]] = True
+        # Additive score mask: 0 on valid slots, +inf on padding, so the
+        # padding's exp(zmin - inf) is exactly 0.
+        self.pad_inf = np.where(self.slot_mask, 0.0, np.inf)
         # Scatter indices taking the flat parameter into the padded
         # (N, slots_max, num_centers) tensor, slot-major within a block.
         idx = []
@@ -166,11 +174,17 @@ class BoundRbfPolicy:
         sqd = np.einsum("ild,ild->il", diff, diff)
         feats = sqd if p.kernel == "squared" else np.exp(-sqd)
         z = np.einsum("isl,il->is", self._theta_pad, feats)
-        if not np.all(np.isfinite(z[p.slot_mask])):
-            raise ValueError("non-finite allocation scores")
-        zmin = np.where(p.slot_mask, z, np.inf).min(axis=1, keepdims=True)
-        # masked lanes hold padding, not scores; pin them to zmin so the
-        # exp never overflows before the mask zeroes them out
-        zc = np.where(p.slot_mask, z, zmin)
-        w = np.where(p.slot_mask, np.exp(-(zc - zmin)), 0.0)
-        return w / w.sum(axis=1, keepdims=True)
+        # Padded slots have zero parameters, so their scores are exactly
+        # 0 while every feature is finite; a non-finite feature makes the
+        # always-valid slot 0 non-finite too.  Checking all of z therefore
+        # rejects exactly the inputs whose valid scores are non-finite.
+        finite = np.isfinite(z)
+        if not finite.all():
+            bad = (np.flatnonzero(~finite.all(axis=1)) + 1).tolist()
+            raise NonFiniteScores(f"non-finite allocation scores for agents {bad}")
+        z += p.pad_inf
+        # zmin - z is bitwise -(z - zmin), and exp(-inf) == 0 on padding
+        w = z.min(axis=1, keepdims=True) - z
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        return w

@@ -89,28 +89,26 @@ class WarehouseEnv:
         self.obs_max = max(self.obs_dims)
         self.slots_max = max(self.num_slots)
 
-        # Flat gather indices filling the padded observation matrix.
-        rows, cols, srcs = [], [], []
+        # Gather index filling the padded observation matrix from
+        # concatenate((stocks, demands, (0.0,))): observed stocks, then
+        # the agent's own demand, then zero padding.
+        self._obs_gather = np.full((n, self.obs_max), 2 * n, dtype=np.intp)
         for i in range(n):
-            for k, j in enumerate(self.obs_sets[i]):
-                rows.append(i)
-                cols.append(k)
-                srcs.append(j - 1)
-        self._obs_rows = np.array(rows, dtype=np.intp)
-        self._obs_cols = np.array(cols, dtype=np.intp)
-        self._obs_srcs = np.array(srcs, dtype=np.intp)
-        self._demand_col = np.array([len(s) for s in self.obs_sets], dtype=np.intp)
+            k = len(self.obs_sets[i])
+            self._obs_gather[i, :k] = [j - 1 for j in self.obs_sets[i]]
+            self._obs_gather[i, k] = n + i
 
         # Edge arrays ordered by (source, target): fixed summation order.
-        e_src, e_dst, e_slot = [], [], []
+        # _e_flat indexes the flattened (N, slots_max) allocation.
+        e_src, e_dst, e_flat = [], [], []
         for i in range(n):
             for k, j in enumerate(self.out_slots[i]):
                 e_src.append(i)
                 e_dst.append(j - 1)
-                e_slot.append(k + 1)  # slot 0 is the retained fraction
+                e_flat.append(i * self.slots_max + k + 1)  # slot 0 is the retained fraction
         self._e_src = np.array(e_src, dtype=np.intp)
         self._e_dst = np.array(e_dst, dtype=np.intp)
-        self._e_slot = np.array(e_slot, dtype=np.intp)
+        self._e_flat = np.array(e_flat, dtype=np.intp)
         self._out_mask = np.zeros((n, self.slots_max), dtype=bool)
         for i in range(n):
             self._out_mask[i, 1:self.num_slots[i]] = True
@@ -152,39 +150,40 @@ class WarehouseEnv:
         return self.amplitude * (1.0 - np.sin(w_row * t)) + w_row
 
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-        obs = np.zeros((self.num_agents, self.obs_max))
-        obs[self._obs_rows, self._obs_cols] = stocks[self._obs_srcs]
-        obs[np.arange(self.num_agents), self._demand_col] = demands
-        return obs
+        return np.concatenate((stocks, demands, (0.0,)))[self._obs_gather]
 
     def validate_allocations(self, alloc: np.ndarray, where: str = "") -> None:
         out = np.where(self._out_mask, alloc, 0.0)
+        sums = out.sum(axis=1)
+        # Fast accept; NaN fails every comparison and takes the full check.
+        if out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12 and sums.max() <= 1.0 + 1e-12:
+            return
         viol = (out < -1e-12) | (out > 1.0 + 1e-12)
         if viol.any():
             bad = int(np.argmax(viol.any(axis=1))) + 1
             raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
-        sums = out.sum(axis=1)
-        if np.any(sums > 1.0 + 1e-12):
+        if (sums > 1.0 + 1e-12).any():
             bad = int(np.argmax(sums > 1.0 + 1e-12)) + 1
             raise RolloutError(f"agent {bad} ships more than its whole stock "
                                f"(fraction sum {sums[bad - 1]}){where}")
 
     def apply_transition(self, stocks: np.ndarray, alloc: np.ndarray,
                          demands: np.ndarray) -> np.ndarray:
-        # Overflow is allowed to surface as inf; the callers' finiteness
-        # guard turns it into a diagnostic abort.
-        with np.errstate(over="ignore", invalid="ignore"):
-            shipped = alloc[self._e_src, self._e_slot] * stocks[self._e_src]
-            outflow = np.bincount(self._e_src, weights=shipped, minlength=self.num_agents)
-            inflow = np.bincount(self._e_dst, weights=shipped, minlength=self.num_agents)
-            return stocks - outflow + inflow - demands
+        """Next stocks.  ``alloc`` is the padded (N, slots_max) matrix.
+        Overflow surfaces as inf (numpy warns unless the caller silences
+        it, as ``simulate_rollout`` does); the rollout's finiteness guard
+        turns it into a diagnostic abort."""
+        shipped = alloc.take(self._e_flat) * stocks[self._e_src]
+        outflow = np.bincount(self._e_src, weights=shipped, minlength=self.num_agents)
+        inflow = np.bincount(self._e_dst, weights=shipped, minlength=self.num_agents)
+        return stocks - outflow + inflow - demands
 
 
 def step_rewards(stocks: np.ndarray) -> np.ndarray:
     """Backlog penalty on the pre-transition stock: zero when
-    non-negative, -m^2 otherwise."""
-    with np.errstate(over="ignore"):
-        return np.where(stocks >= 0.0, 0.0, -stocks * stocks)
+    non-negative, -m^2 otherwise.  An overflowing square is -inf (numpy
+    warns unless the caller silences it, as ``simulate_rollout`` does)."""
+    return np.where(stocks >= 0.0, 0.0, -stocks * stocks)
 
 
 @dataclass(frozen=True)
@@ -220,16 +219,19 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
 
     m = env.initial_stocks(noise_trace)
     stocks[0] = m
-    for t in range(horizon):
-        d = env.demand_row(t, noise_trace.demand_noise[t])
-        alloc = policy.act_matrix(env.observation_matrix(m, d))
-        env.validate_allocations(alloc, where=f" at step {t}")
-        rewards[t] = step_rewards(m)
-        m = env.apply_transition(m, alloc, d)
-        if not np.all(np.isfinite(m)):
-            bad = np.flatnonzero(~np.isfinite(m)) + 1
-            raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {t}")
-        stocks[t + 1] = m
+    # Overflow may surface as inf in rewards and stocks; the guard below
+    # turns a non-finite stock into a named abort instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            d = env.demand_row(t, noise_trace.demand_noise[t])
+            alloc = policy.act_matrix(env.observation_matrix(m, d))
+            env.validate_allocations(alloc, where=f" at step {t}")
+            rewards[t] = step_rewards(m)
+            m = env.apply_transition(m, alloc, d)
+            if not np.isfinite(m).all():
+                bad = np.flatnonzero(~np.isfinite(m)) + 1
+                raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {t}")
+            stocks[t + 1] = m
 
     weights = discount ** np.arange(horizon)
     returns = weights @ rewards

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from dirmarl.graphs import CoordinationGraph, build_graph
+from dirmarl.warehouse import RolloutError
 
 
 def transitive_closure(g: CoordinationGraph) -> np.ndarray:
@@ -21,6 +22,22 @@ def transitive_closure(g: CoordinationGraph) -> np.ndarray:
     for k in range(1, n + 1):
         r |= r[:, k][:, None] & r[k, :][None, :]
     return r
+
+
+def ascending_reach_sums(g: CoordinationGraph, values: np.ndarray) -> np.ndarray:
+    """Reference local values for a (k, N) payload: column i - 1 is the
+    running sum, in ascending agent order, of the payload columns of
+    agent i and of every agent i reaches."""
+    closure = transitive_closure(g)
+    out = np.empty_like(values)
+    for i in g.agents:
+        closure[i, i] = True
+        sources = np.flatnonzero(closure[i]) - 1
+        acc = values[:, sources[0]]
+        for j in sources[1:]:
+            acc = acc + values[:, j]
+        out[:, i - 1] = acc
+    return out
 
 
 def brute_force_learning_edges(g: CoordinationGraph) -> set[tuple[int, int]]:
@@ -168,3 +185,90 @@ class FixedAllocation:
         for i, k in enumerate(env.num_slots):
             alloc[i, :k] = 1.0 / k
         return cls(alloc)
+
+
+# Values that stress bitwise agreement: non-finite, signed zero, near
+# overflow, and tiny magnitudes whose squares underflow.
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 1e300, -1e300, -1e-200, 5e-324, -5e-324)
+
+
+def sprinkle(rng: np.random.Generator, x: np.ndarray, values, frac: float) -> np.ndarray:
+    """Copy of ``x`` with about ``frac`` of its entries replaced by
+    random picks from ``values``."""
+    x = np.array(x, dtype=float)
+    hit = rng.random(x.shape) < frac
+    x[hit] = rng.choice(np.asarray(values, dtype=float), size=int(hit.sum()))
+    return x
+
+
+# -- per-step rollout references ------------------------------------------
+# The straightforward forms of the padded act_matrix and the warehouse step
+# functions, with index arrays rebuilt from public attributes.  The
+# production versions must compute the same bits and raise on the same
+# inputs with the same messages.
+
+
+def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
+    p = bound.policy
+    diff = obs_pad[:, None, :] - p.centers_pad
+    sqd = np.einsum("ild,ild->il", diff, diff)
+    feats = sqd if p.kernel == "squared" else np.exp(-sqd)
+    z = np.einsum("isl,il->is", p.theta_padded(bound.flat), feats)
+    if not np.all(np.isfinite(z[p.slot_mask])):
+        raise ValueError("non-finite allocation scores")
+    zmin = np.where(p.slot_mask, z, np.inf).min(axis=1, keepdims=True)
+    # masked lanes hold padding, not scores; pin them to zmin so the
+    # exp never overflows before the mask zeroes them out
+    zc = np.where(p.slot_mask, z, zmin)
+    w = np.where(p.slot_mask, np.exp(-(zc - zmin)), 0.0)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def reference_observation_matrix(env, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    rows = [i for i, s in enumerate(env.obs_sets) for _ in s]
+    cols = [k for s in env.obs_sets for k in range(len(s))]
+    srcs = [j - 1 for s in env.obs_sets for j in s]
+    obs = np.zeros((env.num_agents, env.obs_max))
+    obs[rows, cols] = stocks[srcs]
+    obs[np.arange(env.num_agents), [len(s) for s in env.obs_sets]] = demands
+    return obs
+
+
+def _out_mask(env) -> np.ndarray:
+    mask = np.zeros((env.num_agents, env.slots_max), dtype=bool)
+    for i, k in enumerate(env.num_slots):
+        mask[i, 1:k] = True
+    return mask
+
+
+def reference_validate_allocations(env, alloc: np.ndarray, where: str = "") -> None:
+    out = np.where(_out_mask(env), alloc, 0.0)
+    viol = (out < -1e-12) | (out > 1.0 + 1e-12)
+    if viol.any():
+        bad = int(np.argmax(viol.any(axis=1))) + 1
+        raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
+    sums = out.sum(axis=1)
+    if np.any(sums > 1.0 + 1e-12):
+        bad = int(np.argmax(sums > 1.0 + 1e-12)) + 1
+        raise RolloutError(f"agent {bad} ships more than its whole stock "
+                           f"(fraction sum {sums[bad - 1]}){where}")
+
+
+def reference_apply_transition(env, stocks: np.ndarray, alloc: np.ndarray,
+                               demands: np.ndarray) -> np.ndarray:
+    # edges ordered by (source, target): the production summation order
+    edges = [(i, j - 1, k + 1) for i, out in enumerate(env.out_slots)
+             for k, j in enumerate(out)]
+    e_src = np.array([e[0] for e in edges], dtype=np.intp)
+    e_dst = np.array([e[1] for e in edges], dtype=np.intp)
+    e_slot = np.array([e[2] for e in edges], dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shipped = alloc[e_src, e_slot] * stocks[e_src]
+        outflow = np.bincount(e_src, weights=shipped, minlength=env.num_agents)
+        inflow = np.bincount(e_dst, weights=shipped, minlength=env.num_agents)
+        return stocks - outflow + inflow - demands
+
+
+def reference_step_rewards(stocks: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.where(stocks >= 0.0, 0.0, -stocks * stocks)

@@ -1,0 +1,62 @@
+"""Byte-identity tripwire for the experiment outputs.
+
+Runs short versions of both bundled experiments and compares the sha256
+of every run CSV and of ``summary.csv`` with ``golden_csv_sha256.json``.
+Any change to the arithmetic of the rollout, the policy, the exchange,
+the oracles or the CSV format moves a digest.  The digests were recorded
+on x86-64 Linux with Python 3.11.7 and numpy 2.4.6; einsum and BLAS
+reductions may round differently on other platforms or numpy builds.
+After a change that is meant to move bits, re-record them with
+``PYTHONPATH=src python tests/test_golden_csv.py > tests/golden_csv_sha256.json``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+
+from dirmarl import load_config, run_experiment
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIG_DIR = os.path.join(os.path.dirname(HERE), "configs")
+GOLDEN = os.path.join(HERE, "golden_csv_sha256.json")
+
+# config name -> (epochs, repeats or None for the config's own count)
+CASES = {"example1": (3, 2), "example2": (2, None)}
+
+
+def output_digests(name: str, out_dir: str) -> dict[str, str]:
+    epochs, repeats = CASES[name]
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"))
+    cfg = dataclasses.replace(cfg, epochs=epochs, repeats=repeats or cfg.repeats,
+                              output_dir=out_dir)
+    run_experiment(cfg)
+    digests = {}
+    for fname in sorted(os.listdir(out_dir)):
+        if fname.endswith(".csv"):
+            with open(os.path.join(out_dir, fname), "rb") as fh:
+                digests[fname] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(CASES)
+    for name in CASES:
+        got = output_digests(name, str(tmp_path / name))
+        assert sorted(got) == sorted(golden[name])
+        moved = [f for f in golden[name] if got[f] != golden[name][f]]
+        assert moved == [], f"{name}: output bytes changed in {moved}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        json.dump({name: output_digests(name, os.path.join(tmp, name)) for name in CASES},
+                  sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dirmarl.experiments
+import dirmarl.learner
 from dirmarl.cli import main
 from dirmarl.configio import (ConfigError, ExperimentConfig, PolicySettings,
                               load_config, load_graph_file, parse_edge_list)
@@ -22,7 +23,7 @@ from dirmarl.learner import (EpisodeRecord, LearnerConfig, MessageBus,
                              TrainingDiverged, train)
 from dirmarl.oracles import OracleConfig
 from dirmarl.policy import BlockLayout
-from dirmarl.warehouse import WarehouseConfig
+from dirmarl.warehouse import RolloutError, WarehouseConfig, simulate_rollout
 
 from helpers import example2_expected_learning_edges
 
@@ -397,6 +398,66 @@ output_dir = {out}
     assert set(again.mean_value) == {"distributed_two_point"}
     np.testing.assert_allclose(again.mean_value["distributed_two_point"],
                                summary.mean_value["distributed_two_point"])
+
+
+def test_failing_rollouts_are_recorded_and_the_batch_completes(tmp_path, capsys, monkeypatch):
+    # Stocks near the float limit overflow the allocation scores of every
+    # run; the batch still writes its summary and manifest and names the
+    # cause of each abort.
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, f"""
+[graph]
+num_agents = 2
+edges = 1->2, 2->1
+
+[environment]
+initial_stock_mean = 1e308
+
+[learner]
+epochs = 2
+horizon = 4
+
+[experiment]
+algorithms = distributed_one_point centralized_two_point
+repeats = 2
+output_dir = {out}
+""")
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out.count("aborted: ") == 4
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        aborted = json.load(fh)["aborted"]
+    assert {(a, r) for a, r, _ in aborted} == {
+        (a, r) for a in ("distributed_one_point", "centralized_two_point") for r in (0, 1)}
+    for _, _, reason in aborted:
+        assert reason == "NonFiniteScores: non-finite allocation scores for agents [1, 2]"
+    again = summarize(out)
+    assert again.mean_value == {} and len(again.aborted) == 4
+
+    # A rollout abort takes out only its own run.
+    out2 = str(tmp_path / "out2")
+    calls = []
+
+    def first_rollout_aborts(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RolloutError("non-finite stock for agents [1] after step 0")
+        return simulate_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(dirmarl.learner, "simulate_rollout", first_rollout_aborts)
+    summary = run_experiment(load_config(tiny_config(
+        tmp_path, out2, algorithms="distributed_one_point centralized_one_point")))
+    assert summary.aborted == (("distributed_one_point", 0,
+                                "RolloutError: non-finite stock for agents [1] after step 0"),)
+    assert summary.executed == {"distributed_one_point": (1,), "centralized_one_point": (0, 1)}
+    assert summarize(out2).executed == summary.executed
+
+    # Any other error is a bug and stops the batch.
+    def broken_rollout(*args, **kwargs):
+        raise ValueError("noise trace demand shocks have shape (3, 2)")
+
+    monkeypatch.setattr(dirmarl.learner, "simulate_rollout", broken_rollout)
+    with pytest.raises(ValueError, match="noise trace"):
+        run_experiment(load_config(tiny_config(tmp_path, str(tmp_path / "out3"))))
 
 
 class _OverflowingEvaluator:

@@ -26,7 +26,7 @@ from dirmarl.policy import RbfPolicy
 from dirmarl.validation import SyntheticEvaluator, make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import nine_agent_graph, random_weakly_connected_digraph, transitive_closure
+from helpers import ascending_reach_sums, nine_agent_graph, random_weakly_connected_digraph
 
 
 def chain_artifacts():
@@ -104,29 +104,29 @@ def tree_with_back_edges(rng, n):
 
 def test_exchange_values_recompute_exactly():
     # agent i's value is the running sum, in ascending agent order, of
-    # every agent in its brute-force reach closure (itself included)
+    # every agent in its brute-force reach closure (itself included).
+    # The 300-agent chain has source counts 1..300 and so fills many
+    # plan groups; the 1000-agent tree is tree1k-sized.
     rng = np.random.default_rng(7)
     graphs = [random_weakly_connected_digraph(rng) for _ in range(25)]
     graphs += [build_graph(1, [])] * 2
     graphs += [tree_with_back_edges(rng, int(rng.integers(20, 41))) for _ in range(6)]
+    graphs += [build_graph(300, [(i, i + 1) for i in range(1, 300)]),
+               tree_with_back_edges(rng, 1000)]
     for graph in graphs:
-        closure = transitive_closure(graph)
         bus = MessageBus(build_artifacts(graph).learning)
+        plan_size = sum(idx.size for idx in bus._groups)
+        assert plan_size <= 2 * (len(bus.edges) + graph.num_agents)
+        if graph.num_agents == 300:
+            assert len(bus._groups) >= 8
         for rows in (1, 2):
             values = rng.standard_normal((rows, graph.num_agents))
             values[rng.random(values.shape) < 0.1] = -0.0
             bus.begin_episode(rows)
             hat = bus.exchange(values)
             assert bus.finish_episode() == len(bus.edges)
-            want = np.empty_like(values)
-            for i in graph.agents:
-                acc = None
-                for j in graph.agents:
-                    if j == i or closure[i, j]:
-                        acc = values[:, j - 1] if acc is None else acc + values[:, j - 1]
-                want[:, i - 1] = acc
-            assert np.all(hat == want)
-            assert np.array_equal(np.signbit(hat), np.signbit(want))
+            want = ascending_reach_sums(graph, values)
+            assert hat.tobytes() == want.tobytes()  # sign bits of zeros included
 
 
 def test_exchange_two_row_payload():

@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 from dirmarl.graphs import build_graph
 from dirmarl.policy import BlockLayout, RbfPolicy, make_centers
 from helpers import (
+    SPECIAL_VALUES,
     nine_agent_graph,
     per_agent_allocation,
     random_weakly_connected_digraph,
     rbf_features,
     rbf_scores,
+    reference_act_matrix,
     softmax_allocation,
+    sprinkle,
 )
 
 
@@ -168,6 +171,36 @@ def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
         assert np.all(alloc[i, :k] >= 0.0)
         assert abs(alloc[i, :k].sum() - 1.0) <= 1e-12
         assert np.all(alloc[i, k:] == 0.0)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")),
+       st.floats(min_value=-3.0, max_value=308.0), st.floats(min_value=0.0, max_value=0.3))
+@settings(max_examples=150, deadline=None)
+def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special):
+    # Same bits as the straightforward masked softmax, and a raise on
+    # exactly the inputs it rejects, including non-finite, signed-zero
+    # and overflowing observations and parameters.
+    rng = np.random.default_rng(seed)
+    g = random_weakly_connected_digraph(rng, 1, 10)
+    pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
+    with np.errstate(over="ignore"):
+        flat = 10.0 ** log_scale * rng.normal(size=pol.layout.total_dim)
+    flat = sprinkle(rng, flat, SPECIAL_VALUES, special / 4)
+    bound = pol.bind(flat)
+    obs_pad = np.zeros((g.num_agents, pol.obs_max))
+    for i in range(g.num_agents):
+        obs_pad[i, :pol.obs_dims[i]] = sprinkle(
+            rng, rng.uniform(-1.5, 2.5, size=pol.obs_dims[i]), SPECIAL_VALUES, special)
+
+    def outcome(act):
+        try:
+            return act(obs_pad).tobytes()
+        except ValueError as exc:
+            assert "non-finite allocation scores" in str(exc)
+            return "non-finite"
+
+    with np.errstate(all="ignore"):
+        assert outcome(bound.act_matrix) == outcome(lambda o: reference_act_matrix(bound, o))
 
 
 def test_gaussian_kernel_changes_features():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,17 @@ from dirmarl.warehouse import (
     simulate_rollout,
     step_rewards,
 )
-from helpers import FixedAllocation, nine_agent_graph
+from helpers import (
+    SPECIAL_VALUES,
+    FixedAllocation,
+    nine_agent_graph,
+    random_weakly_connected_digraph,
+    reference_apply_transition,
+    reference_observation_matrix,
+    reference_step_rewards,
+    reference_validate_allocations,
+    sprinkle,
+)
 
 
 def make_env(graph=None, **kw) -> WarehouseEnv:
@@ -125,11 +136,61 @@ def test_allocation_contract_violations():
 
 
 def test_non_finite_stock_aborts():
+    # Overflow is named by the guard, and the rollout emits no
+    # RuntimeWarning on the way there, with a stub or the real policy.
     env = make_env(build_graph(2, [(1, 2)]), initial_stock_mean=1.7e308,
                    fixed_initial_state=True)
-    with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
-        simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0, 0.0]]), horizon=2,
-                         rng=np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
+            simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0, 0.0]]), horizon=2,
+                             rng=np.random.default_rng(0))
+        policy = RbfPolicy(env.graph)
+        with pytest.raises(ValueError, match="non-finite allocation scores for agents \\[1, 2\\]"):
+            simulate_rollout(env, policy.bind(np.zeros(policy.layout.total_dim)), horizon=2,
+                             rng=np.random.default_rng(0))
+
+
+# allocation fractions on each contract bound and one ulp to either side
+NEAR_BOUNDS = (-1e-12, np.nextafter(-1e-12, -1.0), np.nextafter(-1e-12, 1.0), -0.0, 0.0,
+               1.0, 1.0 + 1e-12, np.nextafter(1.0 + 1e-12, 2.0), np.nextafter(1.0 + 1e-12, 0.0))
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.floats(min_value=0.0, max_value=0.3),
+       st.floats(min_value=0.0, max_value=0.5))
+@settings(max_examples=200, deadline=None)
+def test_step_functions_match_reference_bitwise(seed, special, near):
+    rng = np.random.default_rng(seed)
+    env = make_env(random_weakly_connected_digraph(rng, 1, 10))
+    n = env.num_agents
+    stocks = sprinkle(rng, rng.uniform(-2.0, 2.0, n), SPECIAL_VALUES, special)
+    demands = sprinkle(rng, rng.uniform(0.0, 0.5, n), SPECIAL_VALUES, special)
+    alloc = rng.uniform(-1.0, 2.0, (n, env.slots_max))  # padding holds junk
+    for i, k in enumerate(env.num_slots):
+        alloc[i, :k] = rng.dirichlet(np.ones(k))
+        if k > 1 and rng.random() < near:  # out-fractions summing to ~1 + 1e-12
+            alloc[i, 1:k] = rng.choice([1.0, 1.0 + 1e-12, 1.0 + 2e-12]) / (k - 1)
+    alloc = sprinkle(rng, sprinkle(rng, alloc, NEAR_BOUNDS, near), SPECIAL_VALUES, special / 4)
+
+    with np.errstate(all="ignore"):
+        pairs = [(env.observation_matrix(stocks, demands),
+                  reference_observation_matrix(env, stocks, demands)),
+                 (step_rewards(stocks), reference_step_rewards(stocks)),
+                 (env.apply_transition(stocks, alloc, demands),
+                  reference_apply_transition(env, stocks, alloc, demands))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def outcome(check, *args):
+        try:
+            check(*args, where=" at step 3")
+        except RolloutError as exc:
+            return str(exc)
+        return None
+
+    assert (outcome(env.validate_allocations, alloc)
+            == outcome(reference_validate_allocations, env, alloc))
 
 
 def test_observation_layout():
