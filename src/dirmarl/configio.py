@@ -45,6 +45,7 @@ target`` edge.  Coordination graphs must be weakly connected.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -223,9 +224,12 @@ def _as_int(text, what: str) -> int:
 
 def _as_float(text, what: str) -> float:
     try:
-        return float(str(text).strip())
+        value = float(str(text).strip())
     except ValueError as exc:
         raise ConfigError(f"{what} must be a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {text!r}")
+    return value
 
 
 def _as_bool(text, what: str) -> bool:

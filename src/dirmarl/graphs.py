@@ -323,17 +323,6 @@ class ReachabilitySets:
     def ancestors_closed(self, i: int) -> frozenset[int]:
         return self._up_set(self.clusters.cluster_of[i])
 
-    def cluster_reach(self, c: int) -> tuple[int, ...]:
-        """Cluster indices reachable from cluster c (including c),
-        ascending."""
-        mask = self._down[c]
-        out = []
-        while mask:
-            lsb = mask & -mask
-            out.append(lsb.bit_length() - 1)
-            mask ^= lsb
-        return tuple(out)
-
 
 def reachability(g: CoordinationGraph) -> ReachabilitySets:
     d = strongly_connected_components(g)

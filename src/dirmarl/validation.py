@@ -77,30 +77,40 @@ class SyntheticObjective:
 
     def term_values(self, thetas: np.ndarray) -> np.ndarray:
         """Noise-free per-term values for a (M, d) batch, shape (M, N)."""
-        t = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = np.empty((t.shape[0], self.num_agents))
+        return self._term_rows(_coordinate_major(thetas)).T
+
+    def _term_rows(self, tT: np.ndarray) -> np.ndarray:
+        """Per-term values on coordinate-major points: ``tT`` is a (d, M)
+        array or view, one row per coordinate, so every term works on
+        long rows of M.
+        Term j reads only its own ``gather[j]`` rows.  Shape (N, M)."""
+        out = np.empty((self.num_agents, tT.shape[1]))
         for j in range(self.num_agents):
-            x = t[:, self.gather[j]]
+            x = tT[self.gather[j]]  # a fresh (k, M) copy, free to overwrite
+            w = self.weights[j]
             if self.family == "quadratic":
-                out[:, j] = self.offsets[j] - ((x - self.targets[j]) ** 2 @ self.weights[j])
+                x -= self.targets[j][:, None]
+                x *= x
+                out[j] = self.offsets[j] - w @ x
             elif self.family == "cosine":
-                out[:, j] = self.amplitudes[j] * np.cos(x @ self.weights[j] + self.offsets[j])
+                out[j] = self.amplitudes[j] * np.cos(w @ x + self.offsets[j])
             else:
-                out[:, j] = self.offsets[j] - (np.abs(x - self.targets[j]) @ self.weights[j])
+                x -= self.targets[j][:, None]
+                out[j] = self.offsets[j] - w @ np.abs(x, out=x)
         return out
 
     def values(self, theta: np.ndarray) -> np.ndarray:
         return self.term_values(theta)[0]
 
     def totals(self, thetas: np.ndarray) -> np.ndarray:
-        return self.term_values(thetas).sum(axis=1)
+        return self._term_rows(_coordinate_major(thetas)).sum(axis=0)
 
     def total(self, theta: np.ndarray) -> float:
         return float(self.values(theta).sum())
 
     def local_totals(self, i: int, thetas: np.ndarray) -> np.ndarray:
         cols = np.asarray(self.assembly[i - 1], dtype=np.intp) - 1
-        return self.term_values(thetas)[:, cols].sum(axis=1)
+        return self._term_rows(_coordinate_major(thetas))[cols].sum(axis=0)
 
     def local_total(self, i: int, theta: np.ndarray) -> float:
         return float(self.local_totals(i, np.atleast_2d(theta))[0])
@@ -158,10 +168,6 @@ class SyntheticObjective:
 
     def smoothed_total(self, theta: np.ndarray, delta: float) -> float:
         return float(self._smoothed_terms(theta, delta).sum())
-
-    def smoothed_local_total(self, i: int, theta: np.ndarray, delta: float) -> float:
-        terms = self._smoothed_terms(theta, delta)
-        return float(sum(terms[j - 1] for j in self.assembly[i - 1]))
 
     def _smoothed_term_gradient(self, j: int, theta: np.ndarray, delta: float) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -228,9 +234,6 @@ class SyntheticObjective:
     def global_value_bound(self) -> float:
         return sum(self.term_value_bound(j) for j in range(1, self.num_agents + 1))
 
-    def global_lipschitz(self) -> float:
-        return sum(self.term_lipschitz(j) for j in range(1, self.num_agents + 1))
-
     def global_noise_std(self) -> float:
         return float(np.sqrt((self.noise_std ** 2).sum()))
 
@@ -244,6 +247,12 @@ class SyntheticObjective:
             num[self.gather[j]] += self.weights[j] * self.targets[j]
             den[self.gather[j]] += self.weights[j]
         return num / den  # den > 0: every block is covered by its own agent's term
+
+
+def _coordinate_major(thetas: np.ndarray) -> np.ndarray:
+    """A (M, d) batch of points as a (d, M) view.  No copy: each term's
+    row gather in ``_term_rows`` already produces contiguous rows."""
+    return np.atleast_2d(np.asarray(thetas, dtype=float)).T
 
 
 def _smoothed_abs(y: np.ndarray, delta: float) -> np.ndarray:
@@ -381,17 +390,19 @@ class _MomentAccumulator:
         self.blocks = None if num_blocks is None else np.zeros(num_blocks)
         self.blocks_sq = None if num_blocks is None else np.zeros(num_blocks)
 
-    def add(self, g: np.ndarray, block_sq: np.ndarray | None) -> None:
-        # g is (m, dim); block_sq is (m, num_blocks) of squared block norms
-        self.count += g.shape[0]
-        self.sum += g.sum(axis=0)
-        self.sumsq += (g * g).sum(axis=0)
-        n2 = (g * g).sum(axis=1)
+    def add(self, g: np.ndarray, gg: np.ndarray, block_sq: np.ndarray | None) -> None:
+        # Coordinate-major: g and gg = g * g are (dim, m), one column per
+        # sample; block_sq is (num_blocks, m) of squared block norms.
+        # Every sum over samples runs along the long, contiguous axis.
+        self.count += g.shape[1]
+        self.sum += g.sum(axis=1)
+        self.sumsq += gg.sum(axis=1)
+        n2 = gg.sum(axis=0)
         self.n2_sum += float(n2.sum())
-        self.n4_sum += float((n2 * n2).sum())
+        self.n4_sum += float(n2 @ n2)
         if self.blocks is not None:
-            self.blocks += block_sq.sum(axis=0)
-            self.blocks_sq += (block_sq * block_sq).sum(axis=0)
+            self.blocks += block_sq.sum(axis=1)
+            self.blocks_sq += (block_sq * block_sq).sum(axis=1)
 
     def finish(self) -> MomentEstimate:
         m = self.count
@@ -431,7 +442,9 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
             raise ValueError(f"objective returned shape {vals.shape} for a ({m}, d) batch")
         if not np.all(np.isfinite(vals)):
             raise ValueError("objective produced non-finite values")
-        acc.add((vals / delta)[:, None] * u, None)
+        g = np.ascontiguousarray(u.T)
+        g *= vals / delta
+        acc.add(g, g * g, None)
         done += m
     return acc.finish()
 
@@ -520,7 +533,7 @@ def empirical_second_moment(sample_gradient, layout: BlockLayout, num_samples: i
         g = np.asarray(sample_gradient(rng), dtype=float)
         if not np.all(np.isfinite(g)):
             raise ValueError("sampler produced a non-finite gradient")
-        acc.add(g[None, :], (layout.block_norms(g) ** 2)[None, :])
+        acc.add(g[:, None], (g * g)[:, None], (layout.block_norms(g) ** 2)[:, None])
     return acc.finish()
 
 
@@ -542,37 +555,47 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
         raise ValueError(f"delta must be > 0, got {delta}")
     theta = np.asarray(theta, dtype=float)
     n, d = obj.num_agents, obj.total_dim
-    layout = obj.layout
+    # Coordinate-major throughout: each batch's draws are transposed once
+    # to (d, m), so every array below has rows m long.  ``assemble`` maps
+    # per-term values to each block's feedback value (row i sums the
+    # terms agent i collects; all ones in centralized scope), ``owner``
+    # names each coordinate's block and ``members`` sums squared
+    # coordinates into squared block norms.
+    if scope == "centralized":
+        assemble = np.ones((n, n))
+    else:
+        assemble = np.zeros((n, n))
+        for i, terms in enumerate(obj.assembly):
+            assemble[i, np.asarray(terms, dtype=np.intp) - 1] = 1.0
+    owner = np.repeat(np.arange(n), obj.layout.dims)
+    members = (owner == np.arange(n)[:, None]).astype(float)
+    center = theta[:, None]
+    sigma = obj.noise_std[:, None]
+    base = obj._term_rows(center) if flavor == "two_point" else None
     acc = _MomentAccumulator(d, n)
     done = 0
     while done < num_samples:
         m = min(batch_size, num_samples - done)
-        u = rng.standard_normal((m, d))
-        noise = rng.standard_normal((m, n)) * obj.noise_std
-        tv = obj.term_values(theta[None, :] + delta * u) + noise
+        uT = np.ascontiguousarray(rng.standard_normal((m, d)).T)
+        noise = rng.standard_normal((m, n)).T * sigma
+        tv = obj._term_rows(center + delta * uT) + noise
         if flavor == "two_point":
-            tv_ref = obj.term_values(theta[None, :]) + noise  # common randomness
+            tv_ref = base + noise  # common randomness
         elif flavor == "residual":
-            u_prev = rng.standard_normal((m, d))
-            noise_prev = rng.standard_normal((m, n)) * obj.noise_std
-            tv_ref = obj.term_values(theta[None, :] + delta * u_prev) + noise_prev
+            u_prev = rng.standard_normal((m, d)).T
+            noise_prev = rng.standard_normal((m, n)).T * sigma
+            tv_ref = obj._term_rows(center + delta * u_prev) + noise_prev
         else:
             tv_ref = None
 
-        g = np.empty((m, d))
-        block_sq = np.empty((m, n))
-        for i in range(1, n + 1):
-            if scope == "centralized":
-                v = tv.sum(axis=1)
-                v_ref = tv_ref.sum(axis=1) if tv_ref is not None else 0.0
-            else:
-                cols = np.asarray(obj.assembly[i - 1], dtype=np.intp) - 1
-                v = tv[:, cols].sum(axis=1)
-                v_ref = tv_ref[:, cols].sum(axis=1) if tv_ref is not None else 0.0
-            sl = layout.block_slice(i)
-            g[:, sl] = ((v - v_ref) / delta)[:, None] * u[:, sl]
-            block_sq[:, i - 1] = (g[:, sl] ** 2).sum(axis=1)
-        acc.add(g, block_sq)
+        # -- estimator step: each block's (v - v_ref) / delta times its u
+        v = assemble @ tv
+        if tv_ref is not None:
+            v -= assemble @ tv_ref
+        g = (v / delta)[owner] * uT
+
+        gg = g * g
+        acc.add(g, gg, members @ gg)
         done += m
     return acc.finish()
 

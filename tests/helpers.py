@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from dirmarl.graphs import CoordinationGraph, build_graph
+from dirmarl.validation import _MomentAccumulator
 from dirmarl.warehouse import RolloutError
 
 
@@ -272,3 +273,90 @@ def reference_apply_transition(env, stocks: np.ndarray, alloc: np.ndarray,
 def reference_step_rewards(stocks: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return np.where(stocks >= 0.0, 0.0, -stocks * stocks)
+
+
+# -- claim-battery references ---------------------------------------------
+# The row-major (samples, coordinates) forms of the battery's Monte-Carlo
+# core.  The production versions work on coordinate-major rows; they must
+# draw the same random numbers in the same order and agree to rounding.
+
+
+def reference_term_values(obj, thetas: np.ndarray) -> np.ndarray:
+    t = np.atleast_2d(np.asarray(thetas, dtype=float))
+    out = np.empty((t.shape[0], obj.num_agents))
+    for j in range(obj.num_agents):
+        x = t[:, obj.gather[j]]
+        if obj.family == "quadratic":
+            out[:, j] = obj.offsets[j] - ((x - obj.targets[j]) ** 2 @ obj.weights[j])
+        elif obj.family == "cosine":
+            out[:, j] = obj.amplitudes[j] * np.cos(x @ obj.weights[j] + obj.offsets[j])
+        else:
+            out[:, j] = obj.offsets[j] - (np.abs(x - obj.targets[j]) @ obj.weights[j])
+    return out
+
+
+def reference_moment_add(acc, g: np.ndarray, block_sq: np.ndarray | None) -> None:
+    """Add an (m, dim) sample batch and its (m, num_blocks) squared block
+    norms to a ``validation._MomentAccumulator``."""
+    acc.count += g.shape[0]
+    acc.sum += g.sum(axis=0)
+    acc.sumsq += (g * g).sum(axis=0)
+    n2 = (g * g).sum(axis=1)
+    acc.n2_sum += float(n2.sum())
+    acc.n4_sum += float((n2 * n2).sum())
+    if acc.blocks is not None:
+        acc.blocks += block_sq.sum(axis=0)
+        acc.blocks_sq += (block_sq * block_sq).sum(axis=0)
+
+
+def reference_mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
+                                   rng: np.random.Generator, *, batch_size: int = 16384):
+    theta = np.asarray(theta, dtype=float)
+    acc = _MomentAccumulator(theta.size, None)
+    done = 0
+    while done < num_samples:
+        m = min(batch_size, num_samples - done)
+        u = rng.standard_normal((m, theta.size))
+        vals = np.asarray(f(theta[None, :] + delta * u), dtype=float)
+        reference_moment_add(acc, (vals / delta)[:, None] * u, None)
+        done += m
+    return acc.finish()
+
+
+def reference_oracle_moments(obj, theta: np.ndarray, delta: float, num_samples: int,
+                             rng: np.random.Generator, *, flavor: str = "one_point",
+                             scope: str = "distributed", batch_size: int = 8192):
+    theta = np.asarray(theta, dtype=float)
+    n, d = obj.num_agents, obj.total_dim
+    acc = _MomentAccumulator(d, n)
+    done = 0
+    while done < num_samples:
+        m = min(batch_size, num_samples - done)
+        u = rng.standard_normal((m, d))
+        noise = rng.standard_normal((m, n)) * obj.noise_std
+        tv = reference_term_values(obj, theta[None, :] + delta * u) + noise
+        if flavor == "two_point":
+            tv_ref = reference_term_values(obj, theta[None, :]) + noise
+        elif flavor == "residual":
+            u_prev = rng.standard_normal((m, d))
+            noise_prev = rng.standard_normal((m, n)) * obj.noise_std
+            tv_ref = reference_term_values(obj, theta[None, :] + delta * u_prev) + noise_prev
+        else:
+            tv_ref = None
+
+        g = np.empty((m, d))
+        block_sq = np.empty((m, n))
+        for i in range(1, n + 1):
+            if scope == "centralized":
+                v = tv.sum(axis=1)
+                v_ref = tv_ref.sum(axis=1) if tv_ref is not None else 0.0
+            else:
+                cols = np.asarray(obj.assembly[i - 1], dtype=np.intp) - 1
+                v = tv[:, cols].sum(axis=1)
+                v_ref = tv_ref[:, cols].sum(axis=1) if tv_ref is not None else 0.0
+            sl = obj.layout.block_slice(i)
+            g[:, sl] = ((v - v_ref) / delta)[:, None] * u[:, sl]
+            block_sq[:, i - 1] = (g[:, sl] ** 2).sum(axis=1)
+        reference_moment_add(acc, g, block_sq)
+        done += m
+    return acc.finish()

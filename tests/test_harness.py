@@ -175,6 +175,23 @@ def test_inverted_policy_range_is_named(tmp_path, key):
         load_config(equal)
 
 
+_FLOAT_KEYS = [("environment", key) for key in (
+    "initial_stock_mean", "initial_stock_jitter", "demand_amplitude", "demand_noise_std")] + [
+    ("learner", key) for key in ("delta", "eta", "discount")]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    *[(section, key, value) for section, key in _FLOAT_KEYS
+      for value in ("nan", "inf", "-inf", "1e309")],
+    *[("policy", key, pair) for key in ("stock_range", "demand_range")
+      for pair in ("nan 1", "0 inf", "-inf 0", "0 1e309")]])
+def test_non_finite_number_is_named(tmp_path, section, key, value):
+    path = write_config(tmp_path, "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                                  f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+        load_config(path)
+
+
 def test_disconnected_graph_rejected_with_components(tmp_path):
     path = write_config(tmp_path,
                         "[graph]\nnum_agents = 4\nedges = 1->2, 3->4\n")

@@ -1,18 +1,23 @@
-"""The benchmark's tracer finds every layer it wraps.
+"""The benchmark's tracer finds every layer it wraps, and its battery
+self-check holds.
 
 ``perfbench/tracing.py`` reports a wrap target that is missing from the
 package as absent instead of failing, so without this check a rename or
-deletion of a traced function would only show in a benchmark run."""
+deletion of a traced function would only show in a benchmark run.  The
+same goes for the claim battery's call and draw counts, which the
+benchmark's ``root_metrics`` checks against fixed predictions."""
 
 from __future__ import annotations
 
 import os
 import sys
 
+import dirmarl
 import dirmarl.learner
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
+import run as bench  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -26,3 +31,17 @@ def test_every_trace_target_exists():
     finally:
         tracer.uninstall()
     assert dirmarl.learner.simulate_rollout is original
+
+
+def test_battery_trace_self_check_passes():
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        dirmarl.run_validation(0, quick=True)
+    (i,) = [i for i, s in enumerate(tracer.spans) if s[tracing.PARENT] < 0]
+    root = tracer.spans[i]
+    assert root[tracing.NAME] == "validation.battery"
+    metrics, problems = bench.root_metrics(root[tracing.NAME], root,
+                                           tracer.descendants()[i], None)
+    assert problems == []
+    assert metrics["validation.moment_draws"] == bench.BATTERY_MOMENT_CALLS * 20_000
+    assert metrics["validation.checks_failed"] == 0

@@ -22,9 +22,15 @@ from dirmarl.validation import (
     mc_smoothed_gradient,
     oracle_moments,
     run_validation,
+    _MomentAccumulator,
 )
-
-from helpers import random_weakly_connected_digraph
+from helpers import (
+    random_weakly_connected_digraph,
+    reference_mc_smoothed_gradient,
+    reference_moment_add,
+    reference_oracle_moments,
+    reference_term_values,
+)
 
 
 def chain():
@@ -422,6 +428,91 @@ def test_oracle_moment_validation():
         oracle_moments(obj, theta, 0.3, 2000, rng, scope="federated")
     with pytest.raises(ValueError, match="delta"):
         oracle_moments(obj, theta, 0.0, 2000, rng)
+
+
+# -- coordinate-major core against the row-major reference ------------
+
+
+def _assert_same_moments(got: MomentEstimate, want: MomentEstimate, rtol: float) -> None:
+    assert got.sample_count == want.sample_count
+    for field in ("mean", "standard_errors", "second_moment", "second_moment_stderr",
+                  "block_second_moments", "block_second_moment_stderrs"):
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None, field
+        else:
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0, err_msg=field)
+
+
+def test_term_values_match_the_row_major_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        graph = random_weakly_connected_digraph(rng, 2, 9)
+        for family in FAMILIES:
+            obj = make_synthetic(graph, rng, family=family)
+            batch = rng.uniform(-2.0, 2.0, size=(37, obj.total_dim))
+            np.testing.assert_allclose(obj.term_values(batch),
+                                       reference_term_values(obj, batch),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(obj.values(batch[0]),
+                                       reference_term_values(obj, batch[0])[0],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(obj.totals(batch),
+                                       reference_term_values(obj, batch).sum(axis=1),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_moment_accumulator_matches_the_row_major_reference():
+    rng = np.random.default_rng(32)
+    layout = BlockLayout((2, 1, 3))
+    new, ref = _MomentAccumulator(6, 3), _MomentAccumulator(6, 3)
+    for m in (5, 1, 700):
+        g = rng.standard_normal((m, 6)) * rng.uniform(0.1, 10.0, size=6)
+        block_sq = np.stack([layout.block_norms(row) ** 2 for row in g])
+        gT = np.ascontiguousarray(g.T)
+        new.add(gT, gT * gT, np.ascontiguousarray(block_sq.T))
+        reference_moment_add(ref, g, block_sq)
+    _assert_same_moments(new.finish(), ref.finish(), rtol=1e-12)
+
+
+FLAVORS = ("one_point", "two_point", "residual")
+SCOPES = ("distributed", "centralized")
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_moments_match_the_row_major_reference(family, flavor, scope):
+    rng = np.random.default_rng(
+        [FAMILIES.index(family), FLAVORS.index(flavor), SCOPES.index(scope)])
+    graph = random_weakly_connected_digraph(rng, 2, 8)
+    obj = make_synthetic(graph, rng, family=family,
+                         noise_std=rng.uniform(0.0, 0.5, size=graph.num_agents))
+    theta = rng.uniform(-1.5, 1.5, size=obj.total_dim)
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    # 10_001 samples in batches of 3000: three full batches and a ragged one
+    got = oracle_moments(obj, theta, 0.4, 10_001, rng, flavor=flavor, scope=scope,
+                         batch_size=3000)
+    want = reference_oracle_moments(obj, theta, 0.4, 10_001, ref_rng, flavor=flavor,
+                                    scope=scope, batch_size=3000)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _assert_same_moments(got, want, rtol=1e-9)
+
+
+def test_mc_smoothed_gradient_matches_the_row_major_reference():
+    rng = np.random.default_rng(33)
+    obj = make_synthetic(random_weakly_connected_digraph(rng, 3, 8), rng, family="cosine")
+    theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    got = mc_smoothed_gradient(lambda t: obj.local_totals(1, t), theta, 0.3, 10_001, rng,
+                               batch_size=3000)
+    want = reference_mc_smoothed_gradient(
+        lambda t: reference_term_values(obj, t)[:, np.asarray(obj.assembly[0]) - 1].sum(axis=1),
+        theta, 0.3, 10_001, ref_rng, batch_size=3000)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _assert_same_moments(got, want, rtol=1e-9)
 
 
 # -- the battery ------------------------------------------------------
