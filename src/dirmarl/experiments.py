@@ -184,11 +184,6 @@ def save_parameters(path: str, theta: np.ndarray, epoch: int) -> None:
     np.savez(path, theta=np.asarray(theta, dtype=float), epoch=np.int64(epoch))
 
 
-def load_parameters(path: str) -> tuple[np.ndarray, int]:
-    with np.load(path) as data:
-        return data["theta"].copy(), int(data["epoch"])
-
-
 def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     """Execute the full (algorithm x repeat) matrix and write all
     artifacts into ``cfg.output_dir``.

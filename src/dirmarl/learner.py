@@ -33,15 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import LearningGraph
-from .oracles import (
-    GradientEstimate,
-    OracleConfig,
-    ResidualState,
-    one_point,
-    residual,
-    sample_perturbation,
-    two_point,
-)
+from .oracles import OracleConfig, one_point, residual, sample_perturbation, two_point
 from .policy import BlockLayout, RbfPolicy
 from .warehouse import WarehouseEnv, simulate_rollout
 
@@ -78,17 +70,18 @@ class MessageBus:
 
     Agent i's local value is its own value plus those of its E_L
     in-neighbours, added in ascending agent order.  The plan is built
-    once and checked against ``learning.edges`` at construction; each
-    episode then runs exactly one exchange along it, which counts one
-    message per routing edge.
+    once and checked against ``learning.edges`` at construction.
+    ``gather`` applies it to any agent-first array and keeps no state;
+    ``exchange`` is the audited per-episode use of it: each episode runs
+    exactly one exchange, which counts one message per routing edge.
 
     Agents are stored by source count, descending, and that order is cut
     into groups whose longest source list is at most twice the shortest.
     A group is one (members x longest) gather, shorter lists padded with
-    a -0.0 column, summed by ``np.add.accumulate`` along the row: the
-    sum runs sequentially in ascending source order, and ``x + (-0.0)``
-    is ``x`` bit for bit, so the padding changes nothing.  The padded
-    plan holds at most 2 (|E_L| + N) indices, never a
+    a -0.0 entry, summed by ``np.add.accumulate`` along the source axis:
+    the sum runs sequentially in ascending source order, and
+    ``x + (-0.0)`` is ``x`` bit for bit, so the padding changes nothing.
+    The padded plan holds at most 2 (|E_L| + N) indices, never a
     (max sources x N) table.
     """
 
@@ -115,17 +108,12 @@ class MessageBus:
             stop = start + 1
             while stop < n and 2 * len(sources[order[stop]]) >= longest:
                 stop += 1
-            idx = np.full((stop - start, longest), n, dtype=np.intp)  # column n holds -0.0
+            idx = np.full((stop - start, longest), n, dtype=np.intp)  # entry n holds -0.0
             for row, a in enumerate(order[start:stop]):
                 idx[row, :len(sources[a])] = [j - 1 for j in sources[a]]
             groups.append(idx)
             start = stop
         self._groups = tuple(groups)
-
-    @property
-    def expected_messages(self) -> int:
-        """Messages per episode: one per routing edge."""
-        return len(self.edges)
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:
@@ -133,19 +121,26 @@ class MessageBus:
         self._epoch = epoch
         self._exchanges = 0
 
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Assembled local values of an (N, ...) array whose entry j - 1
+        is agent j's payload; same shape out."""
+        values = np.asarray(values, dtype=float)
+        if values.shape[:1] != (self.num_agents,):
+            raise ValueError(f"payload has shape {values.shape}, expected "
+                             f"{self.num_agents} agent entries first")
+        padded = np.concatenate((values, np.full((1,) + values.shape[1:], -0.0)))
+        sums = [np.add.accumulate(padded[idx], axis=1)[:, -1] for idx in self._groups]
+        hat = np.empty_like(values)
+        hat[self._order] = np.concatenate(sums)
+        return hat
+
     def exchange(self, values: np.ndarray) -> np.ndarray:
-        """Run the episode's exchange on a (k, N) payload matrix
-        (column j is agent j's outgoing payload) and return the (k, N)
-        assembled local values."""
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[1] != self.num_agents:
-            raise ValueError(f"payload has {values.shape[1]} columns, expected {self.num_agents}")
+        """Run the episode's one exchange on an (N, ...) payload (entry
+        j - 1 is agent j's outgoing message) and return the assembled
+        local values."""
         if self._epoch is None:
             raise CommunicationViolation("no episode in progress")
-        padded = np.concatenate((values, np.full((len(values), 1), -0.0)), axis=1)
-        sums = [np.add.accumulate(padded[:, idx], axis=2)[:, :, -1] for idx in self._groups]
-        hat = np.empty_like(values)
-        hat[:, self._order] = np.concatenate(sums, axis=1)
+        hat = self.gather(values)
         self._exchanges += 1
         return hat
 
@@ -212,10 +207,12 @@ class WarehouseEvaluator:
 def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
                 epoch: int, rng: np.random.Generator | None = None, *,
                 perturbation: np.ndarray | None = None, noise=None,
-                residual_state: ResidualState | None = None,
-                ) -> tuple[np.ndarray, EpisodeRecord, ResidualState]:
+                residual_state: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, EpisodeRecord, np.ndarray]:
     """One full learning episode; returns the updated joint parameter,
-    the episode record, and the advanced residual carry state."""
+    the episode record, and the residual carry state: the per-agent
+    values the residual flavor subtracts next episode (zeros before the
+    first), passed through unchanged by the other flavors."""
     layout: BlockLayout = evaluator.layout
     ocfg = cfg.oracle
     n = evaluator.num_agents
@@ -226,16 +223,16 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
     if noise is None:
         noise = evaluator.draw_noise(rng)
     if residual_state is None:
-        residual_state = ResidualState.initial(n)
+        residual_state = np.zeros(n)
 
     try:
         w_pert = np.asarray(evaluator.evaluate(theta + ocfg.delta * u, noise), dtype=float)
         if ocfg.flavor == "two_point":
             w_base = np.asarray(evaluator.evaluate(theta, noise), dtype=float)
-            payload = np.stack([w_pert, w_base])
+            payload = np.stack((w_pert, w_base), axis=1)
         else:
             w_base = None
-            payload = w_pert[None, :]
+            payload = w_pert
     except ValueError as exc:
         # a runaway step can leave parameters finite yet large enough to
         # overflow the allocation scores; that is divergence, not a bug
@@ -248,24 +245,25 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
     bus.begin_episode(epoch)
     hat = bus.exchange(payload)
     count = bus.finish_episode()
-    hat_pert = hat[0]
+    hat_pert = hat if w_base is None else hat[:, 0]
 
     if ocfg.scope == "centralized":
         vals_pert = np.full(n, w_pert.sum())
         vals_base = np.full(n, w_base.sum()) if w_base is not None else None
     else:
         vals_pert = hat_pert
-        vals_base = hat[1] if w_base is not None else None
+        vals_base = hat[:, 1] if w_base is not None else None
 
     if ocfg.flavor == "one_point":
-        est = one_point(vals_pert, u, ocfg.delta, layout)
+        g = one_point(vals_pert, u, ocfg.delta, layout)
     elif ocfg.flavor == "two_point":
-        est = two_point(vals_pert, vals_base, u, ocfg.delta, layout)
+        g = two_point(vals_pert, vals_base, u, ocfg.delta, layout)
     else:
-        est, residual_state = residual(vals_pert, residual_state, u, ocfg.delta, layout)
+        g = residual(vals_pert, residual_state, u, ocfg.delta, layout)
+        residual_state = vals_pert
 
     with np.errstate(over="ignore", invalid="ignore"):  # guard below turns overflow into an abort
-        theta_next = theta + cfg.step_size * est.flat
+        theta_next = theta + cfg.step_size * g
     if not np.isfinite(theta_next).all():
         bad = [i for i in range(1, n + 1)
                if not np.isfinite(layout.block(theta_next, i)).all()]
@@ -278,7 +276,7 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
         observed_values=w_pert,
         local_values=hat_pert,
         global_value=float(w_pert.sum()),
-        gradient_norms=est.block_norms(),
+        gradient_norms=layout.block_norms(g),
         message_count=count,
     )
     return theta_next, record, residual_state
@@ -309,7 +307,7 @@ def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
     if theta.shape != (evaluator.layout.total_dim,):
         raise ValueError(f"theta0 has shape {theta.shape}, "
                          f"expected ({evaluator.layout.total_dim},)")
-    state = ResidualState.initial(evaluator.num_agents)
+    state = np.zeros(evaluator.num_agents)
     records: list[EpisodeRecord] = []
     for k in range(cfg.num_epochs):
         theta, rec, state = run_episode(

@@ -8,19 +8,22 @@ with u ~ N(0, I_d) the joint Gaussian probe and u_i agent i's block:
               (same realized noise xi on both evaluations)
   residual    scalar_i = V_i(theta^k + delta u^k, xi^k)
                          - V_i(theta^{k-1} + delta u^{k-1}, xi^{k-1})
-              (the previous episode's perturbed value, carried in a
-              ResidualState; before the first episode it is zero, so
-              episode 0 reduces to the one-point estimator)
+              (the previous episode's perturbed value, carried by the
+              caller; before the first episode it is zero, so episode 0
+              reduces to the one-point estimator)
 
 In the distributed scope V_i is agent i's assembled local value (its
 own return plus every reward it influences); in the centralized scope
 every agent substitutes the global value.  Each estimator is unbiased
 for the block gradient of the Gaussian-smoothed objective.
 
+Values are agent-first: a single episode passes (N,) values and a (d,)
+probe and gets the flat (d,) estimate back; trailing axes, such as the
+claim battery's (N, m) values and (d, m) probes, ride along unchanged.
+
 The bound calculators evaluate the known second-moment ceilings:
 one-point E||g_i||^2 <= (V_i^* ^2 + sigma_i^2) d_i / delta^2, and
-two-point per-block (L_i^2 + sigma_i^2)(d_i d + 8 d_i + 16) with the
-aggregate form (L^2 + sigma^2)(d + 4)^2.
+two-point per-block (L_i^2 + sigma_i^2)(d_i d + 8 d_i + 16).
 """
 
 from __future__ import annotations
@@ -50,35 +53,6 @@ class OracleConfig:
             raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    """Flat joint estimate plus the ingredients that produced it."""
-
-    flat: np.ndarray
-    layout: BlockLayout
-    perturbation: np.ndarray
-    values_used: np.ndarray              # per-agent scalar fed to each block
-    baseline_values: np.ndarray | None   # two-point / residual subtrahend
-
-    def block(self, i: int) -> np.ndarray:
-        return self.layout.block(self.flat, i)
-
-    def block_norms(self) -> np.ndarray:
-        return self.layout.block_norms(self.flat)
-
-
-@dataclass(frozen=True)
-class ResidualState:
-    """Per-agent value of the previous perturbed episode."""
-
-    previous_values: np.ndarray
-    initialized: bool
-
-    @staticmethod
-    def initial(num_agents: int) -> "ResidualState":
-        return ResidualState(np.zeros(num_agents), False)
-
-
 def sample_perturbation(layout: BlockLayout, rng: np.random.Generator) -> np.ndarray:
     """Joint standard-normal probe u ~ N(0, I_d)."""
     return rng.standard_normal(layout.total_dim)
@@ -89,23 +63,22 @@ def _scaled(values: np.ndarray, u: np.ndarray, delta: float, layout: BlockLayout
     u = np.asarray(u, dtype=float)
     if delta == 0.0:
         raise ValueError("delta must be non-zero")
-    if values.shape != (layout.num_agents,):
+    if values.shape[:1] != (layout.num_agents,):
         raise ValueError(f"expected {layout.num_agents} per-agent values, got shape {values.shape}")
-    if u.shape != (layout.total_dim,):
-        raise ValueError(f"perturbation has shape {u.shape}, layout expects ({layout.total_dim},)")
+    if u.shape != (layout.total_dim,) + values.shape[1:]:
+        raise ValueError(f"perturbation has shape {u.shape}, layout and values expect "
+                         f"{(layout.total_dim,) + values.shape[1:]}")
     return layout.expand(values / delta) * u
 
 
 def one_point(values: np.ndarray, u: np.ndarray, delta: float,
-              layout: BlockLayout) -> GradientEstimate:
+              layout: BlockLayout) -> np.ndarray:
     """g_i = (V_i / delta) u_i from a single perturbed evaluation."""
-    flat = _scaled(values, u, delta, layout)
-    return GradientEstimate(flat, layout, np.asarray(u, dtype=float),
-                            np.asarray(values, dtype=float), None)
+    return _scaled(values, u, delta, layout)
 
 
 def two_point(values_perturbed: np.ndarray, values_base: np.ndarray, u: np.ndarray,
-              delta: float, layout: BlockLayout) -> GradientEstimate:
+              delta: float, layout: BlockLayout) -> np.ndarray:
     """g_i = ((V_i(theta+delta u) - V_i(theta)) / delta) u_i, both
     evaluations under the same realized noise."""
     vp = np.asarray(values_perturbed, dtype=float)
@@ -113,22 +86,19 @@ def two_point(values_perturbed: np.ndarray, values_base: np.ndarray, u: np.ndarr
     if vp.shape != vb.shape:
         raise ValueError(f"perturbed and baseline values have mismatched shapes "
                          f"{vp.shape} vs {vb.shape}")
-    flat = _scaled(vp - vb, u, delta, layout)
-    return GradientEstimate(flat, layout, np.asarray(u, dtype=float), vp, vb)
+    return _scaled(vp - vb, u, delta, layout)
 
 
-def residual(values_perturbed: np.ndarray, state: ResidualState, u: np.ndarray,
-             delta: float, layout: BlockLayout) -> tuple[GradientEstimate, ResidualState]:
+def residual(values_perturbed: np.ndarray, values_previous: np.ndarray, u: np.ndarray,
+             delta: float, layout: BlockLayout) -> np.ndarray:
     """g_i = ((V_i^k - V_i^{k-1}) / delta) u_i^k where V^{k-1} is the
-    previous episode's perturbed value; returns the advanced state."""
+    previous episode's perturbed value (zeros before the first)."""
     vp = np.asarray(values_perturbed, dtype=float)
-    prev = np.asarray(state.previous_values, dtype=float)
+    prev = np.asarray(values_previous, dtype=float)
     if vp.shape != prev.shape:
-        raise ValueError(f"values and residual state have mismatched shapes "
+        raise ValueError(f"values and previous values have mismatched shapes "
                          f"{vp.shape} vs {prev.shape}")
-    flat = _scaled(vp - prev, u, delta, layout)
-    est = GradientEstimate(flat, layout, np.asarray(u, dtype=float), vp, prev.copy())
-    return est, ResidualState(vp.copy(), True)
+    return _scaled(vp - prev, u, delta, layout)
 
 
 def one_point_second_moment_bound(value_bound: float, sigma_hat: float,
@@ -150,12 +120,3 @@ def two_point_second_moment_bound(lipschitz_hat: float, sigma_hat: float,
     if block_dim < 1 or total_dim < block_dim:
         raise ValueError(f"need 1 <= block_dim <= total_dim, got {block_dim}, {total_dim}")
     return (lipschitz_hat ** 2 + sigma_hat ** 2) * (block_dim * total_dim + 8 * block_dim + 16)
-
-
-def two_point_second_moment_bound_total(lipschitz_max: float, sigma_max: float,
-                                        total_dim: int) -> float:
-    """Aggregate ceiling on E||g||^2: (L^2 + sigma^2)(d + 4)^2 with L
-    and sigma the worst per-agent constants."""
-    if total_dim < 1:
-        raise ValueError(f"total_dim must be >= 1, got {total_dim}")
-    return (lipschitz_max ** 2 + sigma_max ** 2) * (total_dim + 4) ** 2

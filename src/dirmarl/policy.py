@@ -60,8 +60,9 @@ class BlockLayout:
         return np.sqrt(np.add.reduceat(sq, self.offsets[:-1]))
 
     def expand(self, per_agent: np.ndarray) -> np.ndarray:
-        """Repeat a per-agent scalar across its block coordinates."""
-        return np.repeat(np.asarray(per_agent, dtype=float), self.dims)
+        """Repeat each agent's entry (axis 0, trailing axes kept) across
+        its block coordinates."""
+        return np.repeat(np.asarray(per_agent, dtype=float), self.dims, axis=0)
 
 
 def make_centers(obs_ranges, num_centers: int) -> np.ndarray:

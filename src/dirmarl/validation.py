@@ -1,12 +1,13 @@
-"""Independent numerical oracles for the library's correctness claims.
+"""Numerical checks of the library's correctness claims.
 
-Everything here deliberately bypasses the learner's own gradient path:
-synthetic decomposable objectives whose variable dependence mirrors a
-coordination graph and whose gradients, Gaussian-smoothed values and
-smoothed gradients are closed form; Monte-Carlo smoothed-gradient
-estimators; central finite differences; empirical second moments of
-the zeroth-order estimators.  The test suite checks the learning stack
-against these, never against itself.
+The targets are independent of the learning stack: synthetic
+decomposable objectives whose variable dependence mirrors a
+coordination graph and whose gradients and Gaussian-smoothed gradients
+are closed form, Monte-Carlo smoothed-gradient estimators and central
+finite differences.  What is checked against them is the production
+code: ``oracle_moments`` assembles local values with the learner's
+``MessageBus`` routing plan and scales the probe with the ``oracles``
+estimators, so the claim battery tests the code that trains.
 
 Statistical checks report estimated standard errors and compare at a
 z-multiple instead of hard-coded tolerances.
@@ -19,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CoordinationGraph, build_artifacts, build_graph
+from .graphs import CoordinationGraph, LearningGraph, build_artifacts, build_graph
+from .learner import MessageBus
 from .oracles import (
+    FLAVORS,
+    SCOPES,
+    one_point,
     one_point_second_moment_bound,
+    residual,
+    two_point,
     two_point_second_moment_bound,
 )
 from .policy import BlockLayout
@@ -39,7 +46,9 @@ class SyntheticObjective:
     agents that can influence j: its graph ancestors plus j itself.
     Consequently the block-i gradient of the global sum equals the
     block-i gradient of agent i's local sum over its reachable set,
-    which is the structural fact the learner relies on.
+    which is the structural fact the learner relies on.  ``learning``
+    is the graph's reward-routing graph; agent i's local sum collects
+    the terms of ``reach_closed_sorted(i)``.
 
     Families:
       quadratic  strictly concave; smoothing only shifts the value by
@@ -57,7 +66,7 @@ class SyntheticObjective:
     family: str
     layout: BlockLayout
     deps: tuple[tuple[int, ...], ...]       # per term: influencing agents, ascending
-    assembly: tuple[tuple[int, ...], ...]   # per agent: terms its local sum collects
+    learning: LearningGraph
     gather: tuple[np.ndarray, ...]          # per term: flat coordinate indices
     weights: tuple[np.ndarray, ...]
     targets: tuple[np.ndarray, ...]
@@ -72,6 +81,11 @@ class SyntheticObjective:
     @property
     def total_dim(self) -> int:
         return self.layout.total_dim
+
+    def reach_closed_sorted(self, i: int) -> tuple[int, ...]:
+        """Agents that agent i reaches, itself included, ascending: the
+        terms its local sum collects."""
+        return tuple(sorted(self.learning.in_neighbors[i] + (i,)))
 
     # -- values -------------------------------------------------------
 
@@ -109,11 +123,8 @@ class SyntheticObjective:
         return float(self.values(theta).sum())
 
     def local_totals(self, i: int, thetas: np.ndarray) -> np.ndarray:
-        cols = np.asarray(self.assembly[i - 1], dtype=np.intp) - 1
+        cols = np.asarray(self.reach_closed_sorted(i), dtype=np.intp) - 1
         return self._term_rows(_coordinate_major(thetas))[cols].sum(axis=0)
-
-    def local_total(self, i: int, theta: np.ndarray) -> float:
-        return float(self.local_totals(i, np.atleast_2d(theta))[0])
 
     # -- gradients ----------------------------------------------------
 
@@ -141,33 +152,11 @@ class SyntheticObjective:
 
     def local_gradient(self, i: int, theta: np.ndarray) -> np.ndarray:
         g = np.zeros(self.total_dim)
-        for j in self.assembly[i - 1]:
+        for j in self.reach_closed_sorted(i):
             g += self.term_gradient(j, theta)
         return g
 
     # -- Gaussian smoothing, closed form ------------------------------
-
-    def _smoothed_terms(self, theta: np.ndarray, delta: float) -> np.ndarray:
-        if delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty(self.num_agents)
-        for j in range(self.num_agents):
-            x = theta[self.gather[j]]
-            w = self.weights[j]
-            if self.family == "quadratic":
-                out[j] = self.offsets[j] - float((x - self.targets[j]) ** 2 @ w) \
-                    - delta ** 2 * float(w.sum())
-            elif self.family == "cosine":
-                damp = math.exp(-0.5 * delta ** 2 * float(w @ w))
-                out[j] = self.amplitudes[j] * damp * math.cos(float(x @ w) + self.offsets[j])
-            else:
-                y = x - self.targets[j]
-                out[j] = self.offsets[j] - float(_smoothed_abs(y, delta) @ w)
-        return out
-
-    def smoothed_total(self, theta: np.ndarray, delta: float) -> float:
-        return float(self._smoothed_terms(theta, delta).sum())
 
     def _smoothed_term_gradient(self, j: int, theta: np.ndarray, delta: float) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -197,14 +186,6 @@ class SyntheticObjective:
             g += self._smoothed_term_gradient(j, theta, delta)
         return g
 
-    def smoothed_local_gradient(self, i: int, theta: np.ndarray, delta: float) -> np.ndarray:
-        if delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        g = np.zeros(self.total_dim)
-        for j in self.assembly[i - 1]:
-            g += self._smoothed_term_gradient(j, theta, delta)
-        return g
-
     # -- known constants ----------------------------------------------
 
     def term_value_bound(self, j: int) -> float:
@@ -222,45 +203,19 @@ class SyntheticObjective:
         return math.inf
 
     def local_value_bound(self, i: int) -> float:
-        return sum(self.term_value_bound(j) for j in self.assembly[i - 1])
+        return sum(self.term_value_bound(j) for j in self.reach_closed_sorted(i))
 
     def local_lipschitz(self, i: int) -> float:
-        return sum(self.term_lipschitz(j) for j in self.assembly[i - 1])
+        return sum(self.term_lipschitz(j) for j in self.reach_closed_sorted(i))
 
     def local_noise_std(self, i: int) -> float:
-        cols = np.asarray(self.assembly[i - 1], dtype=np.intp) - 1
+        cols = np.asarray(self.reach_closed_sorted(i), dtype=np.intp) - 1
         return float(np.sqrt((self.noise_std[cols] ** 2).sum()))
-
-    def global_value_bound(self) -> float:
-        return sum(self.term_value_bound(j) for j in range(1, self.num_agents + 1))
-
-    def global_noise_std(self) -> float:
-        return float(np.sqrt((self.noise_std ** 2).sum()))
-
-    def quadratic_argmax(self) -> np.ndarray:
-        """Unique maximizer of the quadratic family's global sum."""
-        if self.family != "quadratic":
-            raise ValueError(f"argmax is closed form only for quadratic, not {self.family!r}")
-        num = np.zeros(self.total_dim)
-        den = np.zeros(self.total_dim)
-        for j in range(self.num_agents):
-            num[self.gather[j]] += self.weights[j] * self.targets[j]
-            den[self.gather[j]] += self.weights[j]
-        return num / den  # den > 0: every block is covered by its own agent's term
-
 
 def _coordinate_major(thetas: np.ndarray) -> np.ndarray:
     """A (M, d) batch of points as a (d, M) view.  No copy: each term's
     row gather in ``_term_rows`` already produces contiguous rows."""
     return np.atleast_2d(np.asarray(thetas, dtype=float)).T
-
-
-def _smoothed_abs(y: np.ndarray, delta: float) -> np.ndarray:
-    """E|y + delta u| per coordinate for standard-normal u."""
-    if delta == 0.0:
-        return np.abs(y)
-    z = y / delta
-    return y * _erf(z / math.sqrt(2.0)) + delta * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * z * z)
 
 
 def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
@@ -284,11 +239,10 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
         raise ValueError(f"got {len(block_dims)} block dims for {n} agents")
     layout = BlockLayout(tuple(int(d) for d in block_dims))
 
-    deps, assembly, gather = [], [], []
+    deps, gather = [], []
     for i in range(1, n + 1):
         d_i = tuple(sorted(arts.reach.ancestors_closed(i)))
         deps.append(d_i)
-        assembly.append(arts.reach.reach_closed_sorted(i))
         gather.append(np.concatenate(
             [np.arange(layout.offsets[k - 1], layout.offsets[k]) for k in d_i]))
 
@@ -320,7 +274,7 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
         raise ValueError(f"noise_std must be a scalar or {n} nonnegative values")
 
     return SyntheticObjective(
-        family=family, layout=layout, deps=tuple(deps), assembly=tuple(assembly),
+        family=family, layout=layout, deps=tuple(deps), learning=arts.learning,
         gather=tuple(gather), weights=tuple(weights), targets=tuple(targets),
         offsets=offsets, amplitudes=amplitudes, noise_std=sigma)
 
@@ -341,24 +295,6 @@ def dependency_violations(obj: SyntheticObjective, rng: np.random.Generator,
                 if moved[i - 1] and k not in obj.deps[i - 1]:
                     bad.append((i, k))
     return sorted(set(bad))
-
-
-class SyntheticEvaluator:
-    """One-episode value feedback from a synthetic objective, with the
-    same interface the warehouse evaluator exposes to the training
-    loop.  Noise is per-agent additive Gaussian; replaying the same
-    noise vector reproduces the evaluation exactly."""
-
-    def __init__(self, objective: SyntheticObjective):
-        self.objective = objective
-        self.layout = objective.layout
-        self.num_agents = objective.num_agents
-
-    def draw_noise(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.num_agents) * self.objective.noise_std
-
-    def evaluate(self, theta: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return self.objective.values(theta) + noise
 
 
 # -- Monte-Carlo and finite-difference estimators ---------------------
@@ -418,6 +354,11 @@ class _MomentAccumulator:
         return MomentEstimate(m, mean, np.sqrt(var / m), sm, math.sqrt(sm_var / m), bm, bse)
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
                          rng: np.random.Generator, *, batch_size: int = 16384,
                          ) -> MomentEstimate:
@@ -431,6 +372,7 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
         raise ValueError(f"need at least 1000 samples, got {num_samples}")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
+    _check_batch_size(batch_size)
     theta = np.asarray(theta, dtype=float)
     acc = _MomentAccumulator(theta.size, None)
     done = 0
@@ -496,6 +438,7 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
         raise ValueError(f"delta must be >= 0, got {delta}")
     if num_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {num_samples}")
+    _check_batch_size(batch_size)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     d = thetas.shape[1]
     gaps = np.empty(thetas.shape[0])
@@ -521,52 +464,38 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
     return SmoothingGapReport(delta * math.sqrt(d) * lipschitz, gaps, stderrs)
 
 
-def empirical_second_moment(sample_gradient, layout: BlockLayout, num_samples: int,
-                            rng: np.random.Generator) -> MomentEstimate:
-    """Sample moments of an arbitrary gradient sampler.  The sampler is
-    called once per draw with the rng and returns a flat (d,) estimate;
-    at least 10^4 draws."""
-    if num_samples < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {num_samples}")
-    acc = _MomentAccumulator(layout.total_dim, layout.num_agents)
-    for _ in range(num_samples):
-        g = np.asarray(sample_gradient(rng), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("sampler produced a non-finite gradient")
-        acc.add(g[:, None], (g * g)[:, None], (layout.block_norms(g) ** 2)[:, None])
-    return acc.finish()
-
-
 def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
                    num_samples: int, rng: np.random.Generator, *,
                    flavor: str = "one_point", scope: str = "distributed",
                    batch_size: int = 8192) -> MomentEstimate:
-    """Vectorized sample moments of the zeroth-order estimators on a
-    synthetic instance, noise included.  Semantically one draw is one
-    learning episode: perturb, evaluate per-term values plus per-agent
-    noise, assemble each block's feedback value per the scope, scale
-    the block of u.  Residual draws an independent previous episode at
-    the same theta, which is its stationary-point distribution."""
-    if flavor not in ("one_point", "two_point", "residual"):
+    """Vectorized sample moments of the production zeroth-order
+    estimators on a synthetic instance, noise included.  Semantically
+    one draw is one learning episode: perturb, evaluate per-term values
+    plus per-agent noise, assemble each agent's feedback value per the
+    scope (the ``MessageBus`` plan, or the global sum), then run the
+    flavor's estimator from ``oracles``.  Residual draws an independent
+    previous episode at the same theta, which is its stationary-point
+    distribution."""
+    if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if scope not in ("distributed", "centralized"):
+    if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
+    if num_samples < 2:
+        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
+    _check_batch_size(batch_size)
     theta = np.asarray(theta, dtype=float)
     n, d = obj.num_agents, obj.total_dim
     # Coordinate-major throughout: each batch's draws are transposed once
-    # to (d, m), so every array below has rows m long.  ``assemble`` maps
-    # per-term values to each block's feedback value (row i sums the
-    # terms agent i collects; all ones in centralized scope), ``owner``
-    # names each coordinate's block and ``members`` sums squared
-    # coordinates into squared block norms.
+    # to (d, m), so every array below is agent- or coordinate-first with
+    # rows m long.  ``members`` sums squared coordinates into squared
+    # block norms.
     if scope == "centralized":
-        assemble = np.ones((n, n))
+        def assemble(tv):
+            return np.broadcast_to(tv.sum(axis=0), tv.shape)
     else:
-        assemble = np.zeros((n, n))
-        for i, terms in enumerate(obj.assembly):
-            assemble[i, np.asarray(terms, dtype=np.intp) - 1] = 1.0
+        assemble = MessageBus(obj.learning).gather
     owner = np.repeat(np.arange(n), obj.layout.dims)
     members = (owner == np.arange(n)[:, None]).astype(float)
     center = theta[:, None]
@@ -578,22 +507,16 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
         m = min(batch_size, num_samples - done)
         uT = np.ascontiguousarray(rng.standard_normal((m, d)).T)
         noise = rng.standard_normal((m, n)).T * sigma
-        tv = obj._term_rows(center + delta * uT) + noise
+        v = assemble(obj._term_rows(center + delta * uT) + noise)
         if flavor == "two_point":
-            tv_ref = base + noise  # common randomness
+            g = two_point(v, assemble(base + noise), uT, delta, obj.layout)  # common randomness
         elif flavor == "residual":
             u_prev = rng.standard_normal((m, d)).T
             noise_prev = rng.standard_normal((m, n)).T * sigma
-            tv_ref = obj._term_rows(center + delta * u_prev) + noise_prev
+            v_prev = assemble(obj._term_rows(center + delta * u_prev) + noise_prev)
+            g = residual(v, v_prev, uT, delta, obj.layout)
         else:
-            tv_ref = None
-
-        # -- estimator step: each block's (v - v_ref) / delta times its u
-        v = assemble @ tv
-        if tv_ref is not None:
-            v -= assemble @ tv_ref
-        g = (v / delta)[owner] * uT
-
+            g = one_point(v, uT, delta, obj.layout)
         gg = g * g
         acc.add(g, gg, members @ gg)
         done += m

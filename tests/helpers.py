@@ -351,7 +351,7 @@ def reference_oracle_moments(obj, theta: np.ndarray, delta: float, num_samples: 
                 v = tv.sum(axis=1)
                 v_ref = tv_ref.sum(axis=1) if tv_ref is not None else 0.0
             else:
-                cols = np.asarray(obj.assembly[i - 1], dtype=np.intp) - 1
+                cols = np.asarray(obj.reach_closed_sorted(i), dtype=np.intp) - 1
                 v = tv[:, cols].sum(axis=1)
                 v_ref = tv_ref[:, cols].sum(axis=1) if tv_ref is not None else 0.0
             sl = obj.layout.block_slice(i)
@@ -360,3 +360,48 @@ def reference_oracle_moments(obj, theta: np.ndarray, delta: float, num_samples: 
         reference_moment_add(acc, g, block_sq)
         done += m
     return acc.finish()
+
+
+# -- synthetic-objective fakes and closed forms ---------------------------
+
+
+class SyntheticEvaluator:
+    """One-episode value feedback from a synthetic objective, with the
+    interface the warehouse evaluator gives the training loop.  Noise is
+    per-agent additive Gaussian; replaying the same noise vector
+    reproduces the evaluation exactly."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.layout = objective.layout
+        self.num_agents = objective.num_agents
+
+    def draw_noise(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.num_agents) * self.objective.noise_std
+
+    def evaluate(self, theta: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return self.objective.values(theta) + noise
+
+
+def smoothed_local_gradient(obj, i: int, theta: np.ndarray, delta: float) -> np.ndarray:
+    """Closed-form smoothed gradient of agent i's local sum."""
+    g = np.zeros(obj.total_dim)
+    for j in obj.reach_closed_sorted(i):
+        g += obj._smoothed_term_gradient(j, theta, delta)
+    return g
+
+
+def global_value_bound(obj) -> float:
+    """sup |J| of the global sum, from the per-term bounds."""
+    return sum(obj.term_value_bound(j) for j in range(1, obj.num_agents + 1))
+
+
+def global_noise_std(obj) -> float:
+    """Standard deviation of the global sum's additive noise."""
+    return float(np.sqrt((obj.noise_std ** 2).sum()))
+
+
+def load_parameters(path: str) -> tuple[np.ndarray, int]:
+    """Read a checkpoint written by ``experiments.save_parameters``."""
+    with np.load(path) as data:
+        return data["theta"].copy(), int(data["epoch"])

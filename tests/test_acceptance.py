@@ -29,7 +29,8 @@ from dirmarl.validation import (finite_difference_gradient, make_synthetic,
                                 mc_smoothed_gradient, oracle_moments)
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import brute_force_learning_edges, random_weakly_connected_digraph
+from helpers import (brute_force_learning_edges, global_noise_std, global_value_bound,
+                     random_weakly_connected_digraph)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -194,8 +195,8 @@ def test_05_second_moment_ceilings():
         # feedback restricted to the reachable set must come with a
         # strictly smaller guarantee than global feedback would give
         cap1_global = one_point_second_moment_bound(
-            obj.global_value_bound(), obj.global_noise_std(), d_i, delta)
-        ok &= obj.local_value_bound(i) < obj.global_value_bound()
+            global_value_bound(obj), global_noise_std(obj), d_i, delta)
+        ok &= obj.local_value_bound(i) < global_value_bound(obj)
         ok &= cap1 < cap1_global
         ok &= got1 < cap1_global
         scale_gap = min(scale_gap, cap1_global / cap1)

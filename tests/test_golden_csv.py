@@ -1,7 +1,9 @@
 """Byte-identity tripwire for the experiment outputs.
 
-Runs short versions of both bundled experiments and compares the sha256
-of every run CSV and of ``summary.csv`` with ``golden_csv_sha256.json``.
+Runs short versions of both bundled experiments, plus example1 with the
+residual algorithms (whose carried value neither bundled config runs),
+and compares the sha256 of every run CSV and of ``summary.csv`` with
+``golden_csv_sha256.json``.
 Any change to the arithmetic of the rollout, the policy, the exchange,
 the oracles or the CSV format moves a digest.  The digests were recorded
 on x86-64 Linux with Python 3.11.7 and numpy 2.4.6; einsum and BLAS
@@ -24,15 +26,20 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG_DIR = os.path.join(os.path.dirname(HERE), "configs")
 GOLDEN = os.path.join(HERE, "golden_csv_sha256.json")
 
-# config name -> (epochs, repeats or None for the config's own count)
-CASES = {"example1": (3, 2), "example2": (2, None)}
+# case name -> (config name, epochs, repeats or None for the config's own
+# count, algorithms or None for the config's own list)
+CASES = {
+    "example1": ("example1", 3, 2, None),
+    "example2": ("example2", 2, None, None),
+    "example1_residual": ("example1", 5, 2, ("distributed_residual", "centralized_residual")),
+}
 
 
 def output_digests(name: str, out_dir: str) -> dict[str, str]:
-    epochs, repeats = CASES[name]
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"))
+    config, epochs, repeats, algorithms = CASES[name]
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{config}.cfg"))
     cfg = dataclasses.replace(cfg, epochs=epochs, repeats=repeats or cfg.repeats,
-                              output_dir=out_dir)
+                              algorithms=algorithms or cfg.algorithms, output_dir=out_dir)
     run_experiment(cfg)
     digests = {}
     for fname in sorted(os.listdir(out_dir)):

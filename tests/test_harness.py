@@ -15,9 +15,8 @@ import dirmarl.learner
 from dirmarl.cli import main
 from dirmarl.configio import (ConfigError, ExperimentConfig, PolicySettings,
                               load_config, load_graph_file, parse_edge_list)
-from dirmarl.experiments import (CSV_MAGIC, load_parameters, read_run_csv,
-                                 run_experiment, run_file_name, summarize,
-                                 write_run_csv)
+from dirmarl.experiments import (CSV_MAGIC, read_run_csv, run_experiment,
+                                 run_file_name, summarize, write_run_csv)
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import (EpisodeRecord, LearnerConfig, MessageBus,
                              TrainingDiverged, train)
@@ -25,7 +24,7 @@ from dirmarl.oracles import OracleConfig
 from dirmarl.policy import BlockLayout
 from dirmarl.warehouse import RolloutError, WarehouseConfig, simulate_rollout
 
-from helpers import example2_expected_learning_edges
+from helpers import example2_expected_learning_edges, load_parameters
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))

@@ -21,12 +21,13 @@ from dirmarl.learner import (
     schedule_bound_constant,
     train,
 )
-from dirmarl.oracles import OracleConfig, ResidualState, sample_perturbation
+from dirmarl.oracles import OracleConfig, sample_perturbation
 from dirmarl.policy import RbfPolicy
-from dirmarl.validation import SyntheticEvaluator, make_synthetic
+from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import ascending_reach_sums, nine_agent_graph, random_weakly_connected_digraph
+from helpers import (SyntheticEvaluator, ascending_reach_sums, nine_agent_graph,
+                     random_weakly_connected_digraph)
 
 
 def chain_artifacts():
@@ -65,7 +66,7 @@ def test_exchange_on_chain():
     arts = chain_artifacts()
     bus = MessageBus(arts.learning)
     bus.begin_episode(0)
-    hat = bus.exchange(np.array([1.0, 2.0, 4.0])[None])[0]
+    hat = bus.exchange(np.array([1.0, 2.0, 4.0]))
     count = bus.finish_episode()
     assert np.array_equal(hat, [7.0, 6.0, 4.0])
     assert count == len(arts.learning.edges) == 3
@@ -75,7 +76,7 @@ def test_exchange_single_agent_is_identity():
     arts = build_artifacts(build_graph(1, []))
     bus = MessageBus(arts.learning)
     bus.begin_episode(0)
-    hat = bus.exchange(np.array([3.5])[None])[0]
+    hat = bus.exchange(np.array([3.5]))
     assert bus.finish_episode() == 0
     assert np.array_equal(hat, [3.5])
 
@@ -85,7 +86,7 @@ def test_exchange_strongly_connected_yields_global_value():
     bus = MessageBus(arts.learning)
     values = np.array([0.5, -1.25, 2.0, 4.0])
     bus.begin_episode(0)
-    hat = bus.exchange(values[None])[0]
+    hat = bus.exchange(values)
     bus.finish_episode()
     total = ((values[0] + values[1]) + values[2]) + values[3]
     assert np.all(hat == total)
@@ -106,7 +107,8 @@ def test_exchange_values_recompute_exactly():
     # agent i's value is the running sum, in ascending agent order, of
     # every agent in its brute-force reach closure (itself included).
     # The 300-agent chain has source counts 1..300 and so fills many
-    # plan groups; the 1000-agent tree is tree1k-sized.
+    # plan groups; the 1000-agent tree is tree1k-sized.  ``gather`` is
+    # the same plan without the audit, on any trailing axes.
     rng = np.random.default_rng(7)
     graphs = [random_weakly_connected_digraph(rng) for _ in range(25)]
     graphs += [build_graph(1, [])] * 2
@@ -119,31 +121,40 @@ def test_exchange_values_recompute_exactly():
         assert plan_size <= 2 * (len(bus.edges) + graph.num_agents)
         if graph.num_agents == 300:
             assert len(bus._groups) >= 8
-        for rows in (1, 2):
-            values = rng.standard_normal((rows, graph.num_agents))
+        for shape in ((graph.num_agents,), (graph.num_agents, 2)):
+            values = rng.standard_normal(shape)
             values[rng.random(values.shape) < 0.1] = -0.0
-            bus.begin_episode(rows)
+            bus.begin_episode(len(shape))
             hat = bus.exchange(values)
             assert bus.finish_episode() == len(bus.edges)
-            want = ascending_reach_sums(graph, values)
-            assert hat.tobytes() == want.tobytes()  # sign bits of zeros included
+            want = ascending_reach_sums(graph, values.reshape(graph.num_agents, -1).T).T
+            assert hat.tobytes() == want.reshape(shape).tobytes()  # sign bits of zeros included
+        values = rng.standard_normal((graph.num_agents, 7))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        hat = bus.gather(values)
+        want = np.stack([ascending_reach_sums(graph, values[:, c][None])[0]
+                         for c in range(values.shape[1])], axis=1)
+        assert hat.tobytes() == want.tobytes()
+        assert bus.episodes_completed == 2  # gather runs no exchange
 
 
 def test_exchange_two_row_payload():
     arts = chain_artifacts()
     bus = MessageBus(arts.learning)
-    payload = np.array([[1.0, 2.0, 4.0], [10.0, 20.0, 40.0]])
+    payload = np.array([[1.0, 10.0], [2.0, 20.0], [4.0, 40.0]])
     bus.begin_episode(0)
     hat = bus.exchange(payload)
-    assert bus.finish_episode() == 3  # both rows share the per-edge message
-    assert np.array_equal(hat, [[7.0, 6.0, 4.0], [70.0, 60.0, 40.0]])
+    assert bus.finish_episode() == 3  # both values share the per-edge message
+    assert np.array_equal(hat, [[7.0, 70.0], [6.0, 60.0], [4.0, 40.0]])
 
 
 def test_exchange_rejects_wrong_width():
     bus = MessageBus(chain_artifacts().learning)
     bus.begin_episode(0)
-    with pytest.raises(ValueError, match="columns"):
-        bus.exchange(np.zeros((1, 5)))
+    with pytest.raises(ValueError, match="expected 3 agent entries"):
+        bus.exchange(np.zeros(5))
+    with pytest.raises(ValueError, match="expected 3 agent entries"):
+        bus.gather(np.zeros((1, 3)))
 
 
 # -- bus audit --------------------------------------------------------
@@ -163,7 +174,7 @@ def test_send_outside_graph_is_a_hard_failure():
 def test_send_requires_open_episode():
     bus = MessageBus(chain_artifacts().learning)
     with pytest.raises(CommunicationViolation, match="no episode"):
-        bus.exchange(np.ones((1, 3)))
+        bus.exchange(np.ones(3))
     with pytest.raises(CommunicationViolation, match="no episode"):
         bus.finish_episode()
 
@@ -185,8 +196,8 @@ def test_missing_message_detected_at_finish():
 def test_duplicate_message_detected_at_finish():
     bus = MessageBus(chain_artifacts().learning)
     bus.begin_episode(0)
-    bus.exchange(np.ones((1, 3)))
-    bus.exchange(np.ones((1, 3)))
+    bus.exchange(np.ones(3))
+    bus.exchange(np.ones(3))
     with pytest.raises(CommunicationViolation, match="episode 0 ran 2 exchanges"):
         bus.finish_episode()
 
@@ -195,10 +206,9 @@ def test_bus_counts_one_message_per_edge_per_episode():
     arts = chain_artifacts()
     bus = MessageBus(arts.learning)
     assert bus.edges == ((2, 1), (3, 1), (3, 2)) == tuple(sorted(arts.learning.edges))
-    assert bus.expected_messages == 3
     for epoch in range(2):
         bus.begin_episode(epoch)
-        bus.exchange(np.arange(3.0)[None])
+        bus.exchange(np.arange(3.0))
         assert bus.finish_episode() == 3
     assert bus.total_messages == 6
     assert bus.episodes_completed == 2

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirmarl.graphs import build_graph
+import dirmarl.oracles
+from dirmarl.graphs import build_artifacts, build_graph
+from dirmarl.learner import MessageBus
+from dirmarl.oracles import _scaled
 from dirmarl.policy import BlockLayout
 from dirmarl.validation import (
     FAMILIES,
     CheckResult,
     MomentEstimate,
-    SyntheticEvaluator,
     SyntheticObjective,
     check_smoothing_gap,
     dependency_violations,
-    empirical_second_moment,
     finite_difference_gradient,
     make_synthetic,
     mc_smoothed_gradient,
@@ -25,11 +26,15 @@ from dirmarl.validation import (
     _MomentAccumulator,
 )
 from helpers import (
+    SyntheticEvaluator,
+    global_noise_std,
+    global_value_bound,
     random_weakly_connected_digraph,
     reference_mc_smoothed_gradient,
     reference_moment_add,
     reference_oracle_moments,
     reference_term_values,
+    smoothed_local_gradient,
 )
 
 
@@ -43,13 +48,13 @@ def chain():
 def test_chain_dependency_sets():
     obj = make_synthetic(chain(), np.random.default_rng(0))
     assert obj.deps == ((1,), (1, 2), (1, 2, 3))
-    assert obj.assembly == ((1, 2, 3), (2, 3), (3,))
+    assert [obj.reach_closed_sorted(i) for i in (1, 2, 3)] == [(1, 2, 3), (2, 3), (3,)]
 
 
 def test_edgeless_graph_terms_are_private():
     obj = make_synthetic(build_graph(3, []), np.random.default_rng(0))
     assert obj.deps == ((1,), (2,), (3,))
-    assert obj.assembly == ((1,), (2,), (3,))
+    assert [obj.reach_closed_sorted(i) for i in (1, 2, 3)] == [(1,), (2,), (3,)]
     theta = np.random.default_rng(1).normal(size=obj.total_dim)
     g = obj.gradient(theta)
     for i in (1, 2, 3):
@@ -85,7 +90,7 @@ def test_dependency_inspection_catches_a_tampered_instance():
     layout = BlockLayout((1, 1))
     obj = SyntheticObjective(
         family="quadratic", layout=layout,
-        deps=((1,), (2,)), assembly=((1,), (2,)),
+        deps=((1,), (2,)), learning=build_artifacts(build_graph(2, [])).learning,
         gather=(np.array([0]), np.array([0, 1])),
         weights=(np.array([1.0]), np.array([1.0, 1.0])),
         targets=(np.array([0.0]), np.array([0.0, 0.0])),
@@ -117,7 +122,7 @@ def test_block_gradients_of_global_and_local_sums_coincide(seed, family):
         sl = obj.layout.block_slice(i)
         assert np.array_equal(g[sl], obj.local_gradient(i, theta)[sl])
         sg = obj.smoothed_gradient(theta, 0.3)
-        sgl = obj.smoothed_local_gradient(i, theta, 0.3)
+        sgl = smoothed_local_gradient(obj, i, theta, 0.3)
         assert np.array_equal(sg[sl], sgl[sl])
 
 
@@ -129,8 +134,8 @@ def test_local_totals_sum_the_assembly_terms():
     obj = make_synthetic(chain(), rng, family="cosine")
     theta = rng.normal(size=obj.total_dim)
     v = obj.values(theta)
-    assert obj.local_total(1, theta) == pytest.approx(v.sum(), rel=1e-15)
-    assert obj.local_total(3, theta) == v[2]
+    assert obj.local_totals(1, theta)[0] == pytest.approx(v.sum(), rel=1e-15)
+    assert obj.local_totals(3, theta)[0] == v[2]
     assert obj.total(theta) == pytest.approx(float(v.sum()), rel=1e-15)
     batch = rng.normal(size=(4, obj.total_dim))
     np.testing.assert_allclose(obj.local_totals(2, batch),
@@ -160,22 +165,6 @@ def test_quadratic_smoothing_shifts_values_but_not_gradients():
     theta = rng.normal(size=obj.total_dim)
     for delta in (0.0, 0.1, 0.7):
         assert np.array_equal(obj.smoothed_gradient(theta, delta), obj.gradient(theta))
-    shift = sum(float(w.sum()) for w in obj.weights)
-    assert obj.smoothed_total(theta, 0.5) == pytest.approx(
-        obj.total(theta) - 0.25 * shift, rel=1e-12)
-
-
-def test_smoothed_values_match_monte_carlo():
-    rng = np.random.default_rng(13)
-    for family in FAMILIES:
-        obj = make_synthetic(chain(), rng, family=family)
-        theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
-        delta = 0.4
-        u = rng.standard_normal((200_000, obj.total_dim))
-        vals = obj.totals(theta[None, :] + delta * u)
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        assert obj.smoothed_total(theta, delta) == pytest.approx(
-            float(vals.mean()), abs=4 * se)
 
 
 def test_smoothed_gradients_match_monte_carlo():
@@ -196,24 +185,10 @@ def test_smoothing_at_zero_radius_is_the_plain_objective():
     for family in FAMILIES:
         obj = make_synthetic(chain(), rng, family=family)
         theta = rng.uniform(1.2, 1.8, size=obj.total_dim)  # off the abs kinks
-        assert obj.smoothed_total(theta, 0.0) == pytest.approx(obj.total(theta), rel=1e-12)
         np.testing.assert_allclose(obj.smoothed_gradient(theta, 0.0),
                                    obj.gradient(theta), rtol=1e-12)
     with pytest.raises(ValueError, match="delta"):
-        obj.smoothed_total(theta, -0.1)
-
-
-def test_quadratic_argmax_is_stationary_and_maximal():
-    rng = np.random.default_rng(19)
-    obj = make_synthetic(chain(), rng, family="quadratic")
-    star = obj.quadratic_argmax()
-    np.testing.assert_allclose(obj.gradient(star), 0.0, atol=1e-12)
-    best = obj.total(star)
-    for _ in range(10):
-        assert obj.total(star + rng.normal(size=star.size)) < best
-    cos = make_synthetic(chain(), rng, family="cosine")
-    with pytest.raises(ValueError, match="quadratic"):
-        cos.quadratic_argmax()
+        obj.smoothed_gradient(theta, -0.1)
 
 
 def test_bound_constants_for_the_cosine_family():
@@ -222,21 +197,21 @@ def test_bound_constants_for_the_cosine_family():
     # value bound: local sums stay inside the amplitude budget
     for i in (1, 2, 3):
         cap = obj.local_value_bound(i)
-        amps = [float(obj.amplitudes[j - 1]) for j in obj.assembly[i - 1]]
+        amps = [float(obj.amplitudes[j - 1]) for j in obj.reach_closed_sorted(i)]
         assert cap == pytest.approx(sum(amps), rel=1e-15)
         for _ in range(20):
             theta = rng.uniform(-3.0, 3.0, size=obj.total_dim)
-            assert abs(obj.local_total(i, theta)) <= cap + 1e-12
+            assert abs(obj.local_totals(i, theta)[0]) <= cap + 1e-12
     # Lipschitz bound: local sums never move faster than the constant
     for _ in range(20):
         a = rng.uniform(-2.0, 2.0, size=obj.total_dim)
         b = rng.uniform(-2.0, 2.0, size=obj.total_dim)
-        move = abs(obj.local_total(1, a) - obj.local_total(1, b))
+        move = abs(obj.local_totals(1, a)[0] - obj.local_totals(1, b)[0])
         assert move <= obj.local_lipschitz(1) * np.linalg.norm(a - b) + 1e-12
-    assert obj.global_value_bound() == pytest.approx(obj.local_value_bound(1), rel=1e-15)
+    assert global_value_bound(obj) == pytest.approx(obj.local_value_bound(1), rel=1e-15)
     assert obj.local_noise_std(3) == pytest.approx(0.3, rel=1e-12)
     assert obj.local_noise_std(1) == pytest.approx(0.3 * math.sqrt(3.0), rel=1e-12)
-    assert obj.global_noise_std() == pytest.approx(0.3 * math.sqrt(3.0), rel=1e-12)
+    assert global_noise_std(obj) == pytest.approx(0.3 * math.sqrt(3.0), rel=1e-12)
     quad = make_synthetic(chain(), rng, family="quadratic")
     assert quad.local_value_bound(1) == math.inf
     assert quad.local_lipschitz(1) == math.inf
@@ -297,6 +272,9 @@ def test_mc_input_validation():
         mc_smoothed_gradient(lambda t: np.full(len(t), np.inf), np.zeros(2), 0.5, 2000, rng)
     with pytest.raises(ValueError, match="shape"):
         mc_smoothed_gradient(lambda t: np.zeros((len(t), 1)), np.zeros(2), 0.5, 2000, rng)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            mc_smoothed_gradient(f, np.zeros(2), 0.5, 2000, rng, batch_size=bad)
 
 
 # -- finite differences -----------------------------------------------
@@ -364,15 +342,25 @@ def test_smoothing_gap_validation():
         check_smoothing_gap(f, 1.0, -0.1, np.zeros((1, 2)), 2000, rng)
     with pytest.raises(ValueError, match="1000"):
         check_smoothing_gap(f, 1.0, 0.1, np.zeros((1, 2)), 10, rng)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            check_smoothing_gap(f, 1.0, 0.1, np.zeros((1, 2)), 2000, rng, batch_size=bad)
 
 
-# -- empirical second moments -----------------------------------------
+# -- second moments ---------------------------------------------------
+
+
+def _sample_moments(samples: np.ndarray, layout: BlockLayout) -> MomentEstimate:
+    """Moments of (m, d) samples through the battery's accumulator."""
+    acc = _MomentAccumulator(layout.total_dim, layout.num_agents)
+    g = np.ascontiguousarray(samples.T)
+    acc.add(g, g * g, np.stack([layout.block_norms(row) ** 2 for row in samples], axis=1))
+    return acc.finish()
 
 
 def test_second_moment_of_a_zero_sampler_is_zero():
     layout = BlockLayout((2, 3))
-    est = empirical_second_moment(lambda rng: np.zeros(5), layout, 10_000,
-                                  np.random.default_rng(0))
+    est = _sample_moments(np.zeros((10_000, 5)), layout)
     assert est.second_moment == 0.0
     assert np.all(est.block_second_moments == 0.0)
 
@@ -381,26 +369,12 @@ def test_second_moment_of_a_constant_value_one_point_sampler():
     # value c, radius 1: the block second moment is c^2 d_i
     layout = BlockLayout((2, 3))
     c = 2.0
-
-    def sampler(rng):
-        return c * rng.standard_normal(5)
-
-    est = empirical_second_moment(sampler, layout, 40_000, np.random.default_rng(1))
+    est = _sample_moments(c * np.random.default_rng(1).standard_normal((40_000, 5)), layout)
     want = np.array([c * c * 2, c * c * 3])
     assert np.all(np.abs(est.block_second_moments - want)
                   <= 3.0 * est.block_second_moment_stderrs)
     assert est.second_moment == pytest.approx(float(est.block_second_moments.sum()),
                                               rel=1e-12)
-
-
-def test_second_moment_validation():
-    layout = BlockLayout((1,))
-    with pytest.raises(ValueError, match="10000"):
-        empirical_second_moment(lambda rng: np.zeros(1), layout, 100,
-                                np.random.default_rng(0))
-    with pytest.raises(ValueError, match="non-finite"):
-        empirical_second_moment(lambda rng: np.full(1, np.nan), layout, 10_000,
-                                np.random.default_rng(0))
 
 
 def test_oracle_moment_sampler_is_unbiased_and_ranked():
@@ -428,6 +402,12 @@ def test_oracle_moment_validation():
         oracle_moments(obj, theta, 0.3, 2000, rng, scope="federated")
     with pytest.raises(ValueError, match="delta"):
         oracle_moments(obj, theta, 0.0, 2000, rng)
+    for few in (0, 1):
+        with pytest.raises(ValueError, match="num_samples"):
+            oracle_moments(obj, theta, 0.3, few, rng)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            oracle_moments(obj, theta, 0.3, 2000, rng, batch_size=bad)
 
 
 # -- coordinate-major core against the row-major reference ------------
@@ -509,7 +489,8 @@ def test_mc_smoothed_gradient_matches_the_row_major_reference():
     got = mc_smoothed_gradient(lambda t: obj.local_totals(1, t), theta, 0.3, 10_001, rng,
                                batch_size=3000)
     want = reference_mc_smoothed_gradient(
-        lambda t: reference_term_values(obj, t)[:, np.asarray(obj.assembly[0]) - 1].sum(axis=1),
+        lambda t: reference_term_values(obj, t)[:, np.asarray(obj.reach_closed_sorted(1)) - 1]
+        .sum(axis=1),
         theta, 0.3, 10_001, ref_rng, batch_size=3000)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     _assert_same_moments(got, want, rtol=1e-9)
@@ -533,3 +514,64 @@ def test_validation_battery_passes_quickly():
     ]
     failed = [r for r in results if not r.passed]
     assert failed == []
+
+
+# -- the battery runs the production estimators and exchange ----------
+
+
+def _reversed_difference(values_perturbed, values_base, u, delta, layout):
+    return _scaled(np.asarray(values_base, dtype=float)
+                   - np.asarray(values_perturbed, dtype=float), u, delta, layout)
+
+
+def _added_baseline(values_perturbed, values_base, u, delta, layout):
+    return _scaled(np.asarray(values_perturbed, dtype=float)
+                   + np.asarray(values_base, dtype=float), u, delta, layout)
+
+
+def _check(results, name):
+    return next(r for r in results if r.name == name)
+
+
+def test_battery_fails_on_a_broken_production_two_point(monkeypatch):
+    # The mutants replace the code of ``oracles.two_point`` itself, so
+    # every caller sees them.  A reversed difference is biased and the
+    # quick unbiasedness check catches it; an added baseline is still
+    # unbiased (E[J(theta) u] = 0) but inflates the second moment past
+    # the full battery's ceiling.
+    two_point = dirmarl.oracles.two_point
+    original = two_point.__code__
+    with monkeypatch.context() as mp:
+        mp.setattr(two_point, "__code__", _reversed_difference.__code__)
+        assert not _check(run_validation(seed=0, quick=True), "oracle_unbiasedness").passed
+        mp.setattr(two_point, "__code__", _added_baseline.__code__)
+        assert not _check(run_validation(seed=0), "second_moment_bounds").passed
+    assert two_point.__code__ is original
+    assert two_point(np.ones(1), np.ones(1), np.ones(1), 1.0, BlockLayout((1,)))[0] == 0.0
+
+
+def test_oracle_moments_assemble_with_the_message_bus(monkeypatch):
+    rng = np.random.default_rng(8)
+    obj = make_synthetic(chain(), rng, family="quadratic", noise_std=0.1)
+    theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
+
+    def means(scope):
+        return oracle_moments(obj, theta, 0.3, 4000, np.random.default_rng(9),
+                              scope=scope).mean
+
+    gather = MessageBus.gather
+
+    def loses_a_message(self, values):
+        hat = gather(self, values)
+        j, i = self.edges[-1]
+        hat[i - 1] -= values[j - 1]  # agent i never hears from j
+        return hat
+
+    clean = {scope: means(scope) for scope in ("distributed", "centralized")}
+    with monkeypatch.context() as mp:
+        mp.setattr(MessageBus, "gather", loses_a_message)
+        assert not np.array_equal(means("distributed"), clean["distributed"])
+        # the centralized scope sums every value without the bus
+        assert means("centralized").tobytes() == clean["centralized"].tobytes()
+    assert MessageBus.gather is gather
+    assert means("distributed").tobytes() == clean["distributed"].tobytes()
