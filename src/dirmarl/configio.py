@@ -1,45 +1,17 @@
 """Experiment configuration files and graph files.
 
-A config is INI-style text with five sections.  Only [graph] is
-required; every other key has the bundled default, and the resolved
-values are echoed into the run manifest.
+A config is INI-style text with the sections [graph], [environment],
+[policy], [learner] and [experiment]; ``_KEYS`` lists the keys each may
+hold, with their parsers, and README.md shows them all.  Only [graph]
+is required.  An absent key takes the default of the field it fills on
+``WarehouseConfig``, ``PolicySettings`` or ``ExperimentConfig``, and
+the resolved values are echoed into the run manifest.
 
-    [graph]
-    num_agents = 3
-    edges = 1->2 2->3          ; or: file = some.graph
-
-    [environment]
-    initial_stock_mean = 1.0
-    initial_stock_jitter = 0.01
-    demand_amplitude = 0.2     ; scalar or one value per agent
-    demand_noise_std = 0.1
-    fixed_initial_state = false
-    clip_demand_noise = false
-    shared_demand_noise = false
-
-    [policy]
-    num_centers = 4
-    kernel = squared
-    stock_range = -1 2
-    demand_range = 0 0.5
-
-    [learner]
-    delta = 0.1
-    eta = 0.01
-    epochs = 600
-    horizon = 8
-    discount = 1.0
-
-    [experiment]
-    algorithms = distributed_one_point centralized_one_point
-    repeats = 10
-    master_seed = 0
-    output_dir = runs
-    checkpoint_every = 0
-
-A graph file is line-oriented: comments start with '#', the first
-meaningful line is ``agents N``, every further line one ``source
-target`` edge.  Coordination graphs must be weakly connected.
+[graph] holds ``num_agents`` and ``edges`` (``1->2, 2->3``), or
+``file``: a graph file, relative to the config.  A graph file is
+line-oriented: comments start with '#', the first meaningful line is
+``agents N``, every further line one ``source target`` edge.
+Coordination graphs must be weakly connected.
 """
 
 from __future__ import annotations
@@ -60,17 +32,6 @@ DEFAULT_ALGORITHMS = (
     "distributed_two_point",
     "centralized_two_point",
 )
-
-_SECTIONS = {
-    "graph": ("num_agents", "edges", "file"),
-    "environment": ("initial_stock_mean", "initial_stock_jitter", "demand_amplitude",
-                    "demand_noise_std", "fixed_initial_state", "clip_demand_noise",
-                    "shared_demand_noise"),
-    "policy": ("num_centers", "kernel", "stock_range", "demand_range"),
-    "learner": ("delta", "eta", "epochs", "horizon", "discount"),
-    "experiment": ("algorithms", "repeats", "master_seed", "output_dir",
-                   "checkpoint_every"),
-}
 
 
 class ConfigError(ValueError):
@@ -119,12 +80,15 @@ class ExperimentConfig:
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if not self.algorithms:
-            raise ConfigError("at least one algorithm is required")
+            raise ConfigError("algorithms must name at least one algorithm")
         for name in self.algorithms:
             if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+                raise ConfigError(f"unknown algorithm {name!r} in algorithms; "
+                                  f"choose from {ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("algorithms listed twice")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.delta <= 0.0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if self.eta < 0.0:
@@ -139,36 +103,24 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Resolved values as plain data for the run manifest."""
-        amp = self.warehouse.demand_amplitude
-        return {
-            "graph": {"num_agents": self.graph.num_agents,
-                      "edges": [list(e) for e in self.graph.edges]},
-            "environment": {
-                "initial_stock_mean": self.warehouse.initial_stock_mean,
-                "initial_stock_jitter": self.warehouse.initial_stock_jitter,
-                "demand_amplitude": list(amp) if hasattr(amp, "__len__") else amp,
-                "demand_noise_std": self.warehouse.demand_noise_std,
-                "fixed_initial_state": self.warehouse.fixed_initial_state,
-                "clip_demand_noise": self.warehouse.clip_demand_noise,
-                "shared_demand_noise": self.warehouse.shared_demand_noise,
-            },
-            "policy": {"num_centers": self.policy.num_centers,
-                       "kernel": self.policy.kernel,
-                       "stock_range": list(self.policy.stock_range),
-                       "demand_range": list(self.policy.demand_range)},
-            "learner": {"delta": self.delta, "eta": self.eta, "epochs": self.epochs,
-                        "horizon": self.horizon, "discount": self.discount},
-            "experiment": {"algorithms": list(self.algorithms), "repeats": self.repeats,
-                           "master_seed": self.master_seed, "output_dir": self.output_dir,
-                           "checkpoint_every": self.checkpoint_every},
-        }
+        owners = {"environment": self.warehouse, "policy": self.policy,
+                  "learner": self, "experiment": self}
+        echo = {"graph": {"num_agents": self.graph.num_agents,
+                          "edges": [list(e) for e in self.graph.edges]}}
+        for section, owner in owners.items():
+            echo[section] = {key: _plain(getattr(owner, key)) for key in _KEYS[section]}
+        return echo
+
+
+def _plain(value):
+    return value if isinstance(value, str) or not hasattr(value, "__len__") else list(value)
 
 
 def load_graph_file(path: str) -> CoordinationGraph:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
     num_agents = None
     edges = []
@@ -177,31 +129,55 @@ def load_graph_file(path: str) -> CoordinationGraph:
         if not text:
             continue
         parts = text.split()
+        where = f"{path}:{lineno}"
         if num_agents is None:
             if len(parts) != 2 or parts[0] != "agents":
-                raise ConfigError(f"{path}:{lineno}: expected 'agents N', got {text!r}")
-            num_agents = _as_int(parts[1], f"{path}:{lineno}: agent count")
+                raise ConfigError(f"{where}: expected 'agents N', got {text!r}")
+            num_agents = _as_int(parts[1], f"{where}: agent count")
+            origin = where
         else:
             if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'source target', got {text!r}")
-            edges.append((_as_int(parts[0], f"{path}:{lineno}: source"),
-                          _as_int(parts[1], f"{path}:{lineno}: target")))
+                raise ConfigError(f"{where}: expected 'source target', got {text!r}")
+            edges.append((where, (_as_int(parts[0], f"{where}: source"),
+                                  _as_int(parts[1], f"{where}: target"))))
     if num_agents is None:
         raise ConfigError(f"{path}: empty graph file")
-    return _checked_graph(num_agents, edges, path)
+    return _checked_graph(num_agents, edges, origin)
 
 
 def _checked_graph(num_agents: int, edges, origin: str) -> CoordinationGraph:
+    """Build a weakly connected graph from ``(where, (i, j))`` pairs.
+    ``where`` names the line or key an edge came from and ``origin``
+    the agent count; each error names the one it is about."""
+    if len(edges) < num_agents - 1:
+        raise ConfigError(f"{origin}: coordination graph is not weakly connected: "
+                          f"{num_agents} agents need at least {num_agents - 1} edges, "
+                          f"got {len(edges)}")
+    where = origin
+
+    def in_order():
+        # build_graph checks the edges in order and stops at the first
+        # bad one, so ``where`` is then that edge's source.
+        nonlocal where
+        for where, edge in edges:
+            yield edge
+
     try:
-        graph = build_graph(num_agents, edges)
+        graph = build_graph(num_agents, in_order())
     except ValueError as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     components = check_weak_connectivity(graph)
     if len(components) != 1:
-        raise ConfigError(
-            f"{origin}: coordination graph is not weakly connected; "
-            f"components {[list(c) for c in components]}")
+        shown = ", ".join(f"[{_listed(c, 8)}]" for c in components[:3])
+        raise ConfigError(f"{origin}: coordination graph is not weakly connected; "
+                          f"{len(components)} components: {shown}"
+                          + (", ..." if len(components) > 3 else ""))
     return graph
+
+
+def _listed(items, limit: int) -> str:
+    text = ", ".join(str(x) for x in items[:limit])
+    return text if len(items) <= limit else f"{text}, ... ({len(items)} in all)"
 
 
 def parse_edge_list(text: str, origin: str) -> list[tuple[int, int]]:
@@ -248,91 +224,82 @@ def _as_pair(text, what: str) -> tuple[float, float]:
     return (_as_float(parts[0], what), _as_float(parts[1], what))
 
 
+def _as_amplitude(text, what: str) -> float | tuple[float, ...]:
+    """One number for every agent, or one per agent."""
+    values = tuple(_as_float(p, what) for p in str(text).replace(",", " ").split())
+    return values[0] if len(values) == 1 else values
+
+
+def _as_text(text, what: str) -> str:
+    value = str(text).strip()
+    if not value:
+        raise ConfigError(f"{what} must not be empty")
+    return value
+
+
+def _as_names(text, what: str) -> tuple[str, ...]:
+    return tuple(str(text).replace(",", " ").split())
+
+
+# Every key a config may hold, by section, with its parser.  An absent
+# key takes the default of the field it fills.
+_KEYS = {
+    "graph": {"num_agents": _as_int, "edges": parse_edge_list, "file": _as_text},
+    "environment": {"initial_stock_mean": _as_float, "initial_stock_jitter": _as_float,
+                    "demand_amplitude": _as_amplitude, "demand_noise_std": _as_float,
+                    "fixed_initial_state": _as_bool, "clip_demand_noise": _as_bool,
+                    "shared_demand_noise": _as_bool},
+    "policy": {"num_centers": _as_int, "kernel": _as_text, "stock_range": _as_pair,
+               "demand_range": _as_pair},
+    "learner": {"delta": _as_float, "eta": _as_float, "epochs": _as_int,
+                "horizon": _as_int, "discount": _as_float},
+    "experiment": {"algorithms": _as_names, "repeats": _as_int, "master_seed": _as_int,
+                   "output_dir": _as_text, "checkpoint_every": _as_int},
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
+    values = {section: {} for section in _KEYS}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
+        for key, text in parser[section].items():
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            values[section][key] = _KEYS[section][key](text, f"{path}: {key}")
 
     if "graph" not in parser:
         raise ConfigError(f"{path}: missing required section [graph]")
-    gsec = parser["graph"]
-    if "file" in gsec:
-        ref = gsec["file"].strip()
-        graph = load_graph_file(os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-                                if not os.path.isabs(ref) else ref)
+    gkeys = values["graph"]
+    if "file" in gkeys:
+        try:
+            graph = load_graph_file(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                                 gkeys["file"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: file: {exc}") from exc
     else:
-        if "num_agents" not in gsec:
-            raise ConfigError(f"{path}: missing required field 'num_agents' in [graph]")
-        if "edges" not in gsec:
-            raise ConfigError(f"{path}: missing required field 'edges' in [graph]")
-        num_agents = _as_int(gsec["num_agents"], f"{path}: num_agents")
-        edges = parse_edge_list(gsec["edges"], path)
-        graph = _checked_graph(num_agents, edges, path)
-
-    esec = parser["environment"] if "environment" in parser else {}
-    amplitude = esec.get("demand_amplitude", "0.2")
-    amp_parts = str(amplitude).replace(",", " ").split()
-    amp = (_as_float(amp_parts[0], f"{path}: demand_amplitude") if len(amp_parts) == 1
-           else tuple(_as_float(p, f"{path}: demand_amplitude") for p in amp_parts))
+        for key in ("num_agents", "edges"):
+            if key not in gkeys:
+                raise ConfigError(f"{path}: missing required field {key!r} in [graph]")
+        graph = _checked_graph(gkeys["num_agents"],
+                               [(f"{path}: edges", e) for e in gkeys["edges"]],
+                               f"{path}: [graph]")
     try:
-        warehouse = WarehouseConfig(
-            graph=graph,
-            initial_stock_mean=_as_float(esec.get("initial_stock_mean", "1.0"),
-                                         f"{path}: initial_stock_mean"),
-            initial_stock_jitter=_as_float(esec.get("initial_stock_jitter", "0.01"),
-                                           f"{path}: initial_stock_jitter"),
-            demand_amplitude=amp,
-            demand_noise_std=_as_float(esec.get("demand_noise_std", "0.1"),
-                                       f"{path}: demand_noise_std"),
-            fixed_initial_state=_as_bool(esec.get("fixed_initial_state", "false"),
-                                         f"{path}: fixed_initial_state"),
-            clip_demand_noise=_as_bool(esec.get("clip_demand_noise", "false"),
-                                       f"{path}: clip_demand_noise"),
-            shared_demand_noise=_as_bool(esec.get("shared_demand_noise", "false"),
-                                         f"{path}: shared_demand_noise"),
-        )
+        warehouse = WarehouseConfig(graph=graph, **values["environment"])
         WarehouseEnv(warehouse)  # surface range violations here, not mid-run
+        return ExperimentConfig(graph=graph, warehouse=warehouse,
+                                policy=PolicySettings(**values["policy"]),
+                                **values["learner"], **values["experiment"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    psec = parser["policy"] if "policy" in parser else {}
-    policy = PolicySettings(
-        num_centers=_as_int(psec.get("num_centers", "4"), f"{path}: num_centers"),
-        kernel=str(psec.get("kernel", "squared")).strip(),
-        stock_range=_as_pair(psec.get("stock_range", "-1 2"), f"{path}: stock_range"),
-        demand_range=_as_pair(psec.get("demand_range", "0 0.5"), f"{path}: demand_range"),
-    )
-
-    lsec = parser["learner"] if "learner" in parser else {}
-    xsec = parser["experiment"] if "experiment" in parser else {}
-    algorithms = tuple(str(xsec.get("algorithms", " ".join(DEFAULT_ALGORITHMS)))
-                       .replace(",", " ").split())
-    return ExperimentConfig(
-        graph=graph,
-        warehouse=warehouse,
-        policy=policy,
-        delta=_as_float(lsec.get("delta", "0.1"), f"{path}: delta"),
-        eta=_as_float(lsec.get("eta", "0.01"), f"{path}: eta"),
-        epochs=_as_int(lsec.get("epochs", "600"), f"{path}: epochs"),
-        horizon=_as_int(lsec.get("horizon", "8"), f"{path}: horizon"),
-        discount=_as_float(lsec.get("discount", "1.0"), f"{path}: discount"),
-        algorithms=algorithms,
-        repeats=_as_int(xsec.get("repeats", "10"), f"{path}: repeats"),
-        master_seed=_as_int(xsec.get("master_seed", "0"), f"{path}: master_seed"),
-        output_dir=str(xsec.get("output_dir", "runs")).strip(),
-        checkpoint_every=_as_int(xsec.get("checkpoint_every", "0"),
-                                 f"{path}: checkpoint_every"),
-    )

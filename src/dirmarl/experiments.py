@@ -82,15 +82,28 @@ class RunTable:
 
 
 def read_run_csv(path: str) -> RunTable:
+    """Read a run CSV back; a row whose cell count differs from the
+    header's or that holds a non-number is an error that names
+    ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != CSV_MAGIC:
-        raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r})")
+    if len(lines) < 2 or lines[0] != CSV_MAGIC:
+        raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
+                         "and a header)")
     header = lines[1].split(",")
     n = sum(1 for c in header if c.startswith("value_"))
-    data = np.array([[float(cell) for cell in ln.split(",")]
-                     for ln in lines[2:] if ln], dtype=float)
-    data = data.reshape(-1, len(header))
+    rows = []
+    for lineno, ln in enumerate(lines[2:], start=3):
+        if not ln:
+            continue
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    data = np.array(rows, dtype=float).reshape(-1, len(header))
     return RunTable(
         epochs=data[:, 0].astype(int),
         values=data[:, 1:1 + n],
@@ -285,7 +298,8 @@ def _package_version() -> str:
 def summarize(run_dir: str) -> RunSummary:
     """Recompute the cross-repeat statistics from the raw CSVs of a
     finished run directory.  Missing runs are an error that lists every
-    absent file."""
+    absent file; a run CSV whose rows are not the manifest's epochs
+    0..K-1 is an error that names it."""
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -295,6 +309,7 @@ def summarize(run_dir: str) -> RunSummary:
     xcfg = manifest["config"]["experiment"]
     lcfg = manifest["config"]["learner"]
     algorithms = tuple(xcfg["algorithms"])
+    epochs = int(lcfg["epochs"])
     repeats_run = manifest.get("repeats_run", list(range(xcfg["repeats"])))
     skip = {(a, r) for a, r, _ in manifest.get("aborted", [])}
 
@@ -308,7 +323,10 @@ def summarize(run_dir: str) -> RunSummary:
             if not os.path.exists(path):
                 missing.append(run_file_name(alg, r))
                 continue
-            tables[alg][r] = read_run_csv(path)
+            table = tables[alg][r] = read_run_csv(path)
+            if not np.array_equal(table.epochs, np.arange(epochs)):
+                raise ValueError(f"{path}: rows must be the manifest's epochs "
+                                 f"0..{epochs - 1} in order, got {len(table.epochs)} rows")
     if missing:
         raise ValueError(f"{run_dir} is incomplete; missing runs: {', '.join(missing)}")
 
@@ -321,6 +339,6 @@ def summarize(run_dir: str) -> RunSummary:
             [tables[alg][r].global_values for r in done])
         executed[alg] = tuple(done)
         messages[alg] = int(sum(tables[alg][r].messages.sum() for r in done))
-    return RunSummary(algorithms, int(xcfg["repeats"]), int(lcfg["epochs"]),
+    return RunSummary(algorithms, int(xcfg["repeats"]), epochs,
                       mean_value, std_value, messages, executed,
                       tuple(tuple(a) for a in manifest.get("aborted", [])))

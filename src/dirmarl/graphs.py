@@ -13,9 +13,9 @@ From the graph we derive:
 * the learning graph: agent j must forward its realized reward to
   agent i exactly when i can reach j, so that i can assemble the value
   made up of every reward it influences,
-* the cluster condensation, a DAG on clusters that lets reachability
-  be computed once per cluster and expanded to agents instead of
-  running one traversal per agent.
+* a sink-first order of the clusters, read off the same Tarjan pass
+  that finds them, along which reachability is folded once per cluster
+  and expanded to agents instead of running one traversal per agent.
 
 Agent indices are 1-based in every public structure.  Cluster indices
 are 0-based positions into ``ClusterDecomposition.clusters``.  All
@@ -25,9 +25,8 @@ member, neighbor lists and member lists ascending.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -98,10 +97,13 @@ class ClusterDecomposition:
 
     ``clusters`` is ordered by smallest member; each cluster is an
     ascending tuple.  ``cluster_of`` maps agent -> cluster index.
+    ``sink_first`` lists every cluster index after every cluster it
+    has a graph edge into: the order in which Tarjan's pass closed them.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     cluster_of: Mapping[int, int]
+    sink_first: tuple[int, ...]
 
     @property
     def num_clusters(self) -> int:
@@ -114,7 +116,8 @@ class ClusterDecomposition:
 
 def strongly_connected_components(g: CoordinationGraph) -> ClusterDecomposition:
     """Tarjan's algorithm, iterative so 10^4-agent graphs do not hit the
-    recursion limit."""
+    recursion limit.  A component closes only after every component it
+    reaches, so the emission order is a reverse topological order."""
     n = g.num_agents
     adj = g._out
     indices = [0] * (n + 1)  # 0 = unvisited
@@ -164,104 +167,45 @@ def strongly_connected_components(g: CoordinationGraph) -> ClusterDecomposition:
             if work and lowlink[v] < lowlink[work[-1][0]]:
                 lowlink[work[-1][0]] = lowlink[v]
 
-    comps.sort(key=lambda c: c[0])
-    clusters = tuple(tuple(c) for c in comps)
+    clusters = tuple(sorted(tuple(c) for c in comps))
     cluster_of = {a: k for k, comp in enumerate(clusters) for a in comp}
-    return ClusterDecomposition(clusters, cluster_of)
-
-
-@dataclass(frozen=True)
-class CondensationDag:
-    """Cluster-level quotient graph; acyclic by construction.
-
-    ``topo_order`` lists cluster indices so that every edge goes from an
-    earlier to a later position (ties broken by ascending index).
-    """
-
-    num_clusters: int
-    edges: frozenset[tuple[int, int]]
-    topo_order: tuple[int, ...]
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_clusters)]
-        for a, b in self.edges:
-            out[a].append(b)
-        return tuple(tuple(sorted(s)) for s in out)
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.num_clusters)]
-        for a, b in self.edges:
-            inc[b].append(a)
-        return tuple(tuple(sorted(p)) for p in inc)
-
-
-def cluster_condensation(d: ClusterDecomposition, g: CoordinationGraph) -> CondensationDag:
-    """Quotient of g by the clustering d.  Edge A -> B iff some graph
-    edge runs from a member of A to a member of B, A != B."""
-    cedges: set[tuple[int, int]] = set()
-    cof = d.cluster_of
-    for i, j in g.edges:
-        a, b = cof[i], cof[j]
-        if a != b:
-            cedges.add((a, b))
-
-    # Kahn with a heap for a deterministic topological order.
-    n = d.num_clusters
-    indeg = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in cedges:
-        indeg[b] += 1
-        succ[a].append(b)
-    ready = [k for k in range(n) if indeg[k] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        a = heapq.heappop(ready)
-        order.append(a)
-        for b in succ[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(ready, b)
-    if len(order) != n:  # cannot happen for a true condensation
-        raise ValueError("condensation contains a cycle; clustering is inconsistent")
-    return CondensationDag(n, frozenset(cedges), tuple(order))
+    sink_first = tuple(cluster_of[c[0]] for c in comps)
+    return ClusterDecomposition(clusters, cluster_of, sink_first)
 
 
 class ReachabilitySets:
     """Per-agent reachability, computed once at cluster level.
 
-    Cluster reachability is stored as bitmasks over cluster indices;
+    Cluster reachability is stored as bitmasks over cluster indices,
+    folded over the graph's out-edges in ``sink_first`` order (down)
+    and over its in-edges in the reverse order (up);
     agent-level sets are expanded on demand and cached per cluster, so
     same-cluster agents share one frozenset.  This keeps graphs with
     ~10^4 agents tractable as long as callers do not materialize every
     agent's set of a densely-reachable graph.
     """
 
-    def __init__(self, graph: CoordinationGraph, clusters: ClusterDecomposition,
-                 condensation: CondensationDag):
+    def __init__(self, graph: CoordinationGraph, clusters: ClusterDecomposition):
         self.graph = graph
         self.clusters = clusters
-        self.condensation = condensation
-        n = clusters.num_clusters
-        down = [0] * n
-        for c in reversed(condensation.topo_order):
-            m = 1 << c
-            for s in condensation.successors[c]:
-                m |= down[s]
-            down[c] = m
-        up = [0] * n
-        for c in condensation.topo_order:
-            m = 1 << c
-            for p in condensation.predecessors[c]:
-                m |= up[p]
-            up[c] = m
-        self._down = down
-        self._up = up
+        self._down = self._fold(clusters.sink_first, graph._out)
+        self._up = self._fold(reversed(clusters.sink_first), graph._in)
         self._down_agents: dict[int, frozenset[int]] = {}
         self._up_agents: dict[int, frozenset[int]] = {}
         self._down_sorted: dict[int, tuple[int, ...]] = {}
+
+    def _fold(self, order, neighbors) -> list[int]:
+        """Cluster bitmasks closed along ``neighbors``; ``order`` puts
+        every cluster after the clusters its neighbours belong to."""
+        members, cof = self.clusters.clusters, self.clusters.cluster_of
+        masks = [0] * len(members)
+        for c in order:
+            m = 1 << c
+            for a in members[c]:
+                for b in neighbors[a]:
+                    m |= masks[cof[b]]
+            masks[c] = m
+        return masks
 
     def _expand(self, mask: int) -> list[int]:
         members = self.clusters.clusters
@@ -324,11 +268,6 @@ class ReachabilitySets:
         return self._up_set(self.clusters.cluster_of[i])
 
 
-def reachability(g: CoordinationGraph) -> ReachabilitySets:
-    d = strongly_connected_components(g)
-    return ReachabilitySets(g, d, cluster_condensation(d, g))
-
-
 @dataclass(frozen=True)
 class LearningGraph:
     """Reward-routing graph: edge (j, i) means j sends its realized
@@ -387,13 +326,11 @@ class GraphArtifacts:
 
     graph: CoordinationGraph
     clusters: ClusterDecomposition
-    condensation: CondensationDag
     reach: ReachabilitySets
     learning: LearningGraph
 
 
 def build_artifacts(g: CoordinationGraph) -> GraphArtifacts:
     d = strongly_connected_components(g)
-    c = cluster_condensation(d, g)
-    r = ReachabilitySets(g, d, c)
-    return GraphArtifacts(g, d, c, r, derive_learning_graph(g, r))
+    r = ReachabilitySets(g, d)
+    return GraphArtifacts(g, d, r, derive_learning_graph(g, r))

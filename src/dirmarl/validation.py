@@ -128,37 +128,11 @@ class SyntheticObjective:
 
     # -- gradients ----------------------------------------------------
 
-    def term_gradient(self, j: int, theta: np.ndarray) -> np.ndarray:
-        """Gradient of term j alone, embedded in the flat space.  For
-        the abs family this is the sign subgradient (zero at kinks)."""
-        theta = np.asarray(theta, dtype=float)
-        g = np.zeros(self.total_dim)
-        x = theta[self.gather[j - 1]]
-        w = self.weights[j - 1]
-        if self.family == "quadratic":
-            g[self.gather[j - 1]] = -2.0 * w * (x - self.targets[j - 1])
-        elif self.family == "cosine":
-            s = math.sin(float(x @ w) + self.offsets[j - 1])
-            g[self.gather[j - 1]] = -self.amplitudes[j - 1] * s * w
-        else:
-            g[self.gather[j - 1]] = -w * np.sign(x - self.targets[j - 1])
-        return g
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.total_dim)
-        for j in range(1, self.num_agents + 1):
-            g += self.term_gradient(j, theta)
-        return g
-
-    def local_gradient(self, i: int, theta: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.total_dim)
-        for j in self.reach_closed_sorted(i):
-            g += self.term_gradient(j, theta)
-        return g
-
-    # -- Gaussian smoothing, closed form ------------------------------
-
-    def _smoothed_term_gradient(self, j: int, theta: np.ndarray, delta: float) -> np.ndarray:
+    def term_gradient(self, j: int, theta: np.ndarray, delta: float = 0.0) -> np.ndarray:
+        """Gradient of term j alone, Gaussian-smoothed at radius
+        ``delta`` in closed form, embedded in the flat space.  At
+        ``delta = 0`` it is the plain gradient; for the abs family that
+        is the sign subgradient (zero at kinks)."""
         theta = np.asarray(theta, dtype=float)
         g = np.zeros(self.total_dim)
         x = theta[self.gather[j - 1]]
@@ -177,13 +151,25 @@ class SyntheticObjective:
                 g[self.gather[j - 1]] = -w * _erf(y / (delta * math.sqrt(2.0)))
         return g
 
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        g = np.zeros(self.total_dim)
+        for j in range(1, self.num_agents + 1):
+            g += self.term_gradient(j, theta)
+        return g
+
+    def local_gradient(self, i: int, theta: np.ndarray) -> np.ndarray:
+        g = np.zeros(self.total_dim)
+        for j in self.reach_closed_sorted(i):
+            g += self.term_gradient(j, theta)
+        return g
+
     def smoothed_gradient(self, theta: np.ndarray, delta: float) -> np.ndarray:
         """Analytic gradient of E[J(theta + delta u)], u standard normal."""
         if delta < 0.0:
             raise ValueError(f"delta must be >= 0, got {delta}")
         g = np.zeros(self.total_dim)
         for j in range(1, self.num_agents + 1):
-            g += self._smoothed_term_gradient(j, theta, delta)
+            g += self.term_gradient(j, theta, delta)
         return g
 
     # -- known constants ----------------------------------------------

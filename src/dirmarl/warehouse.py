@@ -70,7 +70,8 @@ class WarehouseEnv:
         if np.any(amp <= 0.0) or np.any(amp >= floor):
             bad = int(np.argmax((amp <= 0.0) | (amp >= floor))) + 1
             raise ValueError(
-                f"demand amplitude {amp[bad - 1]} for agent {bad} must lie in (0, {floor}) "
+                f"demand amplitude {amp[bad - 1]} for agent {bad} must lie in (0, {floor}): "
+                "demand_amplitude must stay below initial_stock_mean - initial_stock_jitter "
                 "so demand never exceeds the worst-case initial stock")
         if config.demand_noise_std < 0.0:
             raise ValueError(f"demand_noise_std must be >= 0, got {config.demand_noise_std}")

@@ -387,7 +387,7 @@ def smoothed_local_gradient(obj, i: int, theta: np.ndarray, delta: float) -> np.
     """Closed-form smoothed gradient of agent i's local sum."""
     g = np.zeros(obj.total_dim)
     for j in obj.reach_closed_sorted(i):
-        g += obj._smoothed_term_gradient(j, theta, delta)
+        g += obj.term_gradient(j, theta, delta)
     return g
 
 

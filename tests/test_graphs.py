@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmarl.graphs import (
+    ReachabilitySets,
     build_artifacts,
     build_graph,
     check_weak_connectivity,
-    cluster_condensation,
     derive_learning_graph,
-    reachability,
     strongly_connected_components,
 )
 from helpers import (
@@ -48,7 +47,7 @@ def test_neighbor_views_sorted():
 
 def test_chain_reachability():
     g = build_graph(3, [(1, 2), (2, 3)])
-    r = reachability(g)
+    r = ReachabilitySets(g, strongly_connected_components(g))
     assert r.reach(1) == {2, 3}
     assert r.reach(2) == {3}
     assert r.reach(3) == set()
@@ -60,7 +59,7 @@ def test_chain_reachability():
 
 def test_chain_learning_graph():
     g = build_graph(3, [(1, 2), (2, 3)])
-    lg = derive_learning_graph(g, reachability(g))
+    lg = derive_learning_graph(g, ReachabilitySets(g, strongly_connected_components(g)))
     assert lg.edges == {(2, 1), (3, 1), (3, 2)}
     assert lg.in_neighbors[1] == (2, 3)
     assert lg.in_neighbors[3] == ()
@@ -70,22 +69,13 @@ def test_two_cycle_is_single_cluster():
     g = build_graph(2, [(1, 2), (2, 1)])
     d = strongly_connected_components(g)
     assert d.clusters == ((1, 2),)
-    r = reachability(g)
+    r = ReachabilitySets(g, d)
     # Both agents are on a cycle, so they reach themselves.
     assert r.reach(1) == {1, 2}
     assert r.ancestors(2) == {1, 2}
     lg = derive_learning_graph(g, r)
     # Self-pairs are never routing edges.
     assert lg.edges == {(1, 2), (2, 1)}
-
-
-def test_condensation_of_chain():
-    g = build_graph(3, [(1, 2), (2, 3)])
-    d = strongly_connected_components(g)
-    c = cluster_condensation(d, g)
-    assert d.clusters == ((1,), (2,), (3,))
-    assert c.edges == {(0, 1), (1, 2)}
-    assert c.topo_order == (0, 1, 2)
 
 
 def test_weak_connectivity_components():
@@ -101,7 +91,8 @@ def test_nine_agent_clusters():
 
 
 def test_nine_agent_reach_closed():
-    r = reachability(nine_agent_graph())
+    g = nine_agent_graph()
+    r = ReachabilitySets(g, strongly_connected_components(g))
     assert r.reach_closed(1) == {1, 2, 7, 8, 9}
     assert r.reach_closed(1) is r.reach_closed(2)  # shared per cluster
     assert r.reach_closed(3) == {3, 4, 7, 8, 9}
@@ -119,7 +110,8 @@ def test_example2_learning_graph_exact():
 
 
 def test_reach_closed_sorted_is_canonical():
-    r = reachability(nine_agent_graph())
+    g = nine_agent_graph()
+    r = ReachabilitySets(g, strongly_connected_components(g))
     assert r.reach_closed_sorted(2) == (1, 2, 7, 8, 9)
     assert r.reach_closed_sorted(7) == (7, 8, 9)
 
@@ -174,7 +166,7 @@ def test_learning_graph_matches_brute_force(g):
 @given(digraphs())
 @settings(max_examples=100, deadline=None)
 def test_reach_ancestor_duality(g):
-    r = reachability(g)
+    r = ReachabilitySets(g, strongly_connected_components(g))
     for i in g.agents:
         for j in g.agents:
             assert (j in r.reach(i)) == (i in r.ancestors(j))
@@ -214,13 +206,16 @@ def test_cluster_cliques_and_cross_cluster_completeness(g):
 
 @given(digraphs())
 @settings(max_examples=100, deadline=None)
-def test_condensation_is_acyclic_dag(g):
+def test_sink_first_orders_clusters_after_their_targets(g):
+    # The reachability folds rely on this: every cluster comes after
+    # each cluster it has a graph edge into.
     d = strongly_connected_components(g)
-    c = cluster_condensation(d, g)
-    pos = {k: p for p, k in enumerate(c.topo_order)}
-    assert sorted(c.topo_order) == list(range(d.num_clusters))
-    for a, b in c.edges:
-        assert pos[a] < pos[b]
+    pos = {k: p for p, k in enumerate(d.sink_first)}
+    assert sorted(d.sink_first) == list(range(d.num_clusters))
+    for i, j in g.edges:
+        a, b = d.cluster_of[i], d.cluster_of[j]
+        if a != b:
+            assert pos[b] < pos[a]
 
 
 def test_random_weakly_connected_generator_is_connected():
@@ -265,7 +260,7 @@ def test_deep_chain_cluster_level_reachability():
     # cluster-level masks stay cheap and individual queries work.
     n = 3000
     g = build_graph(n, [(i, i + 1) for i in range(1, n)])
-    r = reachability(g)
+    r = ReachabilitySets(g, strongly_connected_components(g))
     assert len(r.reach_closed(1)) == n
     assert r.reach(n) == set()
     assert r.ancestors(1) == set()

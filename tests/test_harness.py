@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -191,11 +192,44 @@ def test_non_finite_number_is_named(tmp_path, section, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "repeats", "0"), ("policy", "num_centers", "0"),
+    ("learner", "delta", "0"), ("policy", "kernel", "cubic")])
+def test_out_of_range_value_names_the_file(tmp_path, section, key, value):
+    path = write_config(tmp_path, "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                                  f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{path}: {key} must"):
+        load_config(path)
+
+
 def test_disconnected_graph_rejected_with_components(tmp_path):
     path = write_config(tmp_path,
                         "[graph]\nnum_agents = 4\nedges = 1->2, 3->4\n")
     with pytest.raises(ConfigError, match="not weakly connected"):
         load_config(path)
+
+
+def test_too_few_edges_fail_before_the_graph_is_built(tmp_path):
+    # A billion agents would exhaust memory if the graph were built.
+    gpath = str(tmp_path / "huge.txt")
+    with open(gpath, "w", encoding="utf-8") as fh:
+        fh.write("agents 1000000000\n1 2\n")
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"huge\.txt:1: .*1000000000 agents need at "
+                                          r"least 999999999 edges, got 1$"):
+        load_graph_file(gpath)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_disconnection_message_is_capped(tmp_path):
+    # A 21-agent clique has enough edges for 200 agents, but leaves 179
+    # of them isolated.
+    clique = [(i, j) for i in range(1, 22) for j in range(1, 22) if i != j]
+    path = write_config(tmp_path, "[graph]\nnum_agents = 200\nedges = "
+                        + ", ".join(f"{i}->{j}" for i, j in clique) + "\n")
+    with pytest.raises(ConfigError, match="180 components") as info:
+        load_config(path)
+    assert len(str(info.value)) < 400
 
 
 def test_malformed_edge_token():
@@ -547,6 +581,42 @@ def test_summarize_reports_missing_pieces(tmp_path):
     empty.mkdir()
     with pytest.raises(ValueError, match="manifest.json"):
         summarize(str(empty))
+
+
+def _damage_run_csvs(out, damage):
+    """Rewrite every run CSV in ``out`` as ``damage(lines)``."""
+    for name in os.listdir(out):
+        if name.endswith(".csv") and name != "summary.csv":
+            path = os.path.join(out, name)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(damage(lines)) + "\n")
+
+
+def test_summarize_rejects_runs_missing_their_last_row(tmp_path):
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    _damage_run_csvs(out, lambda lines: lines[:-1])
+    with pytest.raises(ValueError, match=r"rep000\.csv: rows must be the manifest's "
+                                         r"epochs 0\.\.2 in order, got 2 rows"):
+        summarize(out)
+
+
+def test_summarize_names_a_ragged_row(tmp_path):
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    _damage_run_csvs(out, lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:])
+    with pytest.raises(ValueError, match=r"rep000\.csv:4: 10 cells, the header has 9"):
+        summarize(out)
+
+
+def test_summarize_names_a_non_numeric_cell(tmp_path):
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    _damage_run_csvs(out, lambda lines: lines[:4] + ["abc" + lines[4][1:]])
+    with pytest.raises(ValueError, match=r"rep000\.csv:5: .*'abc'"):
+        summarize(out)
 
 
 def test_summary_statistics_hand_check(tmp_path):
