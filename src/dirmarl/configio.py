@@ -227,6 +227,8 @@ def _as_pair(text, what: str) -> tuple[float, float]:
 def _as_amplitude(text, what: str) -> float | tuple[float, ...]:
     """One number for every agent, or one per agent."""
     values = tuple(_as_float(p, what) for p in str(text).replace(",", " ").split())
+    if not values:
+        raise ConfigError(f"{what} must be one number or one per agent, got {text!r}")
     return values[0] if len(values) == 1 else values
 
 

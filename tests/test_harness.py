@@ -14,7 +14,7 @@ import pytest
 import dirmarl.experiments
 import dirmarl.learner
 from dirmarl.cli import main
-from dirmarl.configio import (ConfigError, ExperimentConfig, PolicySettings,
+from dirmarl.configio import (_KEYS, ConfigError, ExperimentConfig, PolicySettings,
                               load_config, load_graph_file, parse_edge_list)
 from dirmarl.experiments import (CSV_MAGIC, read_run_csv, run_experiment,
                                  run_file_name, summarize, write_run_csv)
@@ -200,6 +200,26 @@ def test_out_of_range_value_names_the_file(tmp_path, section, key, value):
                                   f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"^{path}: {key} must"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", ["", ",", " , ", "# only a comment"])
+def test_empty_amplitude_names_the_key(tmp_path, value):
+    path = write_config(tmp_path, "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                                  f"[environment]\ndemand_amplitude = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{path}: demand_amplitude must be one number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _KEYS.items() if section != "graph" for key in keys])
+@pytest.mark.parametrize("value", ["", ","])
+def test_empty_value_loads_or_names_the_key(tmp_path, section, key, value):
+    path = write_config(tmp_path, "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                                  f"[{section}]\n{key} = {value}\n")
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: {key}"), str(exc)
 
 
 def test_disconnected_graph_rejected_with_components(tmp_path):
