@@ -1,9 +1,12 @@
 """Byte-identity tripwire for the experiment outputs.
 
 Runs short versions of both bundled experiments, plus example1 with the
-residual algorithms (whose carried value neither bundled config runs),
-and compares the sha256 of every run CSV and of ``summary.csv`` with
-``golden_csv_sha256.json``.
+residual algorithms (whose carried value neither bundled config runs)
+and example1 with checkpointing (which neither bundled config enables),
+and compares the sha256 of every run CSV, of ``summary.csv`` and of
+every checkpoint's parameter vector and epoch with
+``golden_csv_sha256.json``.  A checkpoint is digested from its arrays,
+not from the zip bytes, which carry timestamps.
 Any change to the arithmetic of the rollout, the policy, the exchange,
 the oracles or the CSV format moves a digest.  The digests were recorded
 on x86-64 Linux with Python 3.11.7 and numpy 2.4.6; einsum and BLAS
@@ -20,6 +23,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from dirmarl import load_config, run_experiment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -27,25 +32,32 @@ CONFIG_DIR = os.path.join(os.path.dirname(HERE), "configs")
 GOLDEN = os.path.join(HERE, "golden_csv_sha256.json")
 
 # case name -> (config name, epochs, repeats or None for the config's own
-# count, algorithms or None for the config's own list)
+# count, algorithms or None for the config's own list, checkpoint_every)
 CASES = {
-    "example1": ("example1", 3, 2, None),
-    "example2": ("example2", 2, None, None),
-    "example1_residual": ("example1", 5, 2, ("distributed_residual", "centralized_residual")),
+    "example1": ("example1", 3, 2, None, 0),
+    "example2": ("example2", 2, None, None, 0),
+    "example1_residual": ("example1", 5, 2, ("distributed_residual", "centralized_residual"), 0),
+    "example1_checkpoint": ("example1", 4, 2, None, 2),
 }
 
 
 def output_digests(name: str, out_dir: str) -> dict[str, str]:
-    config, epochs, repeats, algorithms = CASES[name]
+    config, epochs, repeats, algorithms, checkpoint_every = CASES[name]
     cfg = load_config(os.path.join(CONFIG_DIR, f"{config}.cfg"))
     cfg = dataclasses.replace(cfg, epochs=epochs, repeats=repeats or cfg.repeats,
-                              algorithms=algorithms or cfg.algorithms, output_dir=out_dir)
+                              algorithms=algorithms or cfg.algorithms, output_dir=out_dir,
+                              checkpoint_every=checkpoint_every)
     run_experiment(cfg)
     digests = {}
     for fname in sorted(os.listdir(out_dir)):
         if fname.endswith(".csv"):
             with open(os.path.join(out_dir, fname), "rb") as fh:
                 digests[fname] = hashlib.sha256(fh.read()).hexdigest()
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    for fname in sorted(os.listdir(ckpt_dir)) if os.path.isdir(ckpt_dir) else ():
+        with np.load(os.path.join(ckpt_dir, fname)) as z:
+            blob = z["theta"].tobytes() + z["epoch"].tobytes()
+        digests[f"checkpoints/{fname}"] = hashlib.sha256(blob).hexdigest()
     return digests
 
 
