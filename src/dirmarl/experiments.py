@@ -29,6 +29,7 @@ import numpy as np
 from .configio import ExperimentConfig
 from .graphs import build_artifacts
 from .learner import (
+    ALGORITHMS,
     LearnerConfig,
     MessageBus,
     TrainingDiverged,
@@ -48,24 +49,19 @@ def run_file_name(algorithm: str, repeat: int) -> str:
     return f"{algorithm}.rep{repeat:03d}.csv"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_run_csv(path: str, records, num_agents: int) -> None:
     cols = (["epoch"]
             + [f"value_{i}" for i in range(1, num_agents + 1)]
             + ["global_value"]
             + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
             + ["messages"])
+    # "%.17g" % x gives the bytes of f"{float(x):.17g}": 17 significant
+    # digits, which read back to the same double
+    row = "%d," + ",".join(["%.17g"] * (2 * num_agents + 1)) + ",%d"
     lines = [CSV_MAGIC, ",".join(cols)]
-    for rec in records:
-        row = ([str(rec.epoch)]
-               + [_fmt(v) for v in rec.observed_values]
-               + [_fmt(rec.global_value)]
-               + [_fmt(g) for g in rec.gradient_norms]
-               + [str(rec.message_count)])
-        lines.append(",".join(row))
+    lines += [row % (rec.epoch, *rec.observed_values.tolist(), rec.global_value,
+                     *rec.gradient_norms.tolist(), rec.message_count)
+              for rec in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -182,9 +178,8 @@ def write_summary(out_dir: str, summary: RunSummary) -> None:
     for alg in summary.algorithms:
         if alg not in summary.mean_value:
             continue
-        mean, std = summary.mean_value[alg], summary.std_value[alg]
-        for k in range(summary.num_epochs):
-            lines.append(f"{alg},{k},{_fmt(mean[k])},{_fmt(std[k])}")
+        mean, std = summary.mean_value[alg].tolist(), summary.std_value[alg].tolist()
+        lines += [f"{alg},{k},{mean[k]:.17g},{std[k]:.17g}" for k in range(summary.num_epochs)]
     with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -304,14 +299,40 @@ def summarize(run_dir: str) -> RunSummary:
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{run_dir} has no readable {MANIFEST_NAME}: {exc}") from exc
-    xcfg = manifest["config"]["experiment"]
-    lcfg = manifest["config"]["learner"]
-    algorithms = tuple(xcfg["algorithms"])
-    epochs = int(lcfg["epochs"])
-    repeats_run = manifest.get("repeats_run", list(range(xcfg["repeats"])))
-    skip = {(a, r) for a, r, _ in manifest.get("aborted", [])}
+
+    def field(key, valid, what, *default):
+        node = manifest
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                if default:  # an optional key, absent
+                    return default[0]
+                raise ValueError(f"{manifest_path}: {key} is missing")
+            node = node[part]
+        if not valid(node):
+            raise ValueError(f"{manifest_path}: {key} must be {what}, got {node!r}")
+        return node
+
+    def count(v):
+        return type(v) is int and v >= 1
+
+    algorithms = tuple(field(
+        "config.experiment.algorithms",
+        lambda v: isinstance(v, list) and v and all(a in ALGORITHMS for a in v),
+        f"a non-empty list of names from {ALGORITHMS}"))
+    repeats = field("config.experiment.repeats", count, "an integer >= 1")
+    epochs = field("config.learner.epochs", count, "an integer >= 1")
+
+    def repeat(v):
+        return type(v) is int and 0 <= v < repeats
+
+    repeats_run = field("repeats_run", lambda v: isinstance(v, list) and all(map(repeat, v)),
+                        f"a list of repeat indices in 0..{repeats - 1}", range(repeats))
+    aborted = field("aborted", lambda v: isinstance(v, list) and all(
+        isinstance(a, list) and len(a) == 3 and a[0] in algorithms and repeat(a[1]) for a in v),
+                    "a list of [algorithm, repeat, reason] entries", [])
+    skip = {(a, r) for a, r, _ in aborted}
 
     missing = []
     tables = {alg: {} for alg in algorithms}
@@ -339,6 +360,5 @@ def summarize(run_dir: str) -> RunSummary:
             [tables[alg][r].global_values for r in done])
         executed[alg] = tuple(done)
         messages[alg] = int(sum(tables[alg][r].messages.sum() for r in done))
-    return RunSummary(algorithms, int(xcfg["repeats"]), epochs,
-                      mean_value, std_value, messages, executed,
-                      tuple(tuple(a) for a in manifest.get("aborted", [])))
+    return RunSummary(algorithms, repeats, epochs, mean_value, std_value, messages,
+                      executed, tuple(tuple(a) for a in aborted))

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CoordinationGraph:
@@ -51,6 +53,14 @@ class CoordinationGraph:
         for i, j in self.edges:
             inc[j].append(i)
         return tuple(tuple(sorted(n)) for n in inc)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only (2, E) array of the edges' 0-based sources (row 0)
+        and targets (row 1), sorted by source, then target."""
+        edges = (np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2) - 1).T.copy()
+        edges.flags.writeable = False
+        return edges
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Agents j with (i, j) an edge, ascending."""

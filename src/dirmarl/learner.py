@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -75,45 +76,44 @@ class MessageBus:
     ``exchange`` is the audited per-episode use of it: each episode runs
     exactly one exchange, which counts one message per routing edge.
 
-    Agents are stored by source count, descending, and that order is cut
-    into groups whose longest source list is at most twice the shortest.
-    A group is one (members x longest) gather, shorter lists padded with
-    a -0.0 entry, summed by ``np.add.accumulate`` along the source axis:
-    the sum runs sequentially in ascending source order, and
-    ``x + (-0.0)`` is ``x`` bit for bit, so the padding changes nothing.
-    The padded plan holds at most 2 (|E_L| + N) indices, never a
-    (max sources x N) table.
+    The plan is each agent's smallest source (``_first``, itself or a
+    sender) plus the remaining (target, source) pairs sorted by target,
+    then source (``_dst``, ``_src``): N + |E_L| indices in all.
+    ``np.add.at`` applies the pairs in that order, so every sum starts
+    from a real value and runs left to right in ascending source order:
+    the bits, signed zeros included, of a sequential ascending sum.
     """
 
     def __init__(self, learning: LearningGraph):
         n = self.num_agents = learning.num_agents
-        sources = [sorted(set(learning.in_neighbors[i]) | {i}) for i in range(1, n + 1)]
-        plan = {(j, i) for i, src in enumerate(sources, 1) for j in src if j != i}
-        for bad, what in ((plan - learning.edges, "is outside E_L"),
-                          (learning.edges - plan, "is in E_L but not in the plan")):
-            if bad:
-                j, i = min(bad)
-                raise CommunicationViolation(f"routing edge {j} -> {i} {what}")
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(plan))
+        senders = [learning.in_neighbors[i] for i in range(1, n + 1)]
+        j = np.fromiter(chain.from_iterable(senders), dtype=np.intp)
+        i = np.repeat(np.arange(1, n + 1), [len(s) for s in senders])
+        # routing edge j -> i (1-based) as one sortable key j (n + 1) + i
+        plan = np.unique((j * (n + 1) + i)[j != i])
+        ends = np.fromiter(chain.from_iterable(learning.edges), dtype=np.intp,
+                           count=2 * len(learning.edges))
+        links = np.unique(ends[0::2] * (n + 1) + ends[1::2])
+        for bad, what in ((np.setdiff1d(plan, links), "is outside E_L"),
+                          (np.setdiff1d(links, plan), "is in E_L but not in the plan")):
+            if bad.size:
+                raise CommunicationViolation(
+                    "routing edge {} -> {} {}".format(*divmod(int(bad[0]), n + 1), what))
+        j, i = np.divmod(plan, n + 1)
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(j.tolist(), i.tolist()))
         self.total_messages = 0
         self.episodes_completed = 0
         self._epoch: int | None = None
         self._exchanges = 0
 
-        order = sorted(range(n), key=lambda a: -len(sources[a]))
-        self._order = np.array(order, dtype=np.intp)
-        groups, start = [], 0
-        while start < n:
-            longest = len(sources[order[start]])
-            stop = start + 1
-            while stop < n and 2 * len(sources[order[stop]]) >= longest:
-                stop += 1
-            idx = np.full((stop - start, longest), n, dtype=np.intp)  # entry n holds -0.0
-            for row, a in enumerate(order[start:stop]):
-                idx[row, :len(sources[a])] = [j - 1 for j in sources[a]]
-            groups.append(idx)
-            start = stop
-        self._groups = tuple(groups)
+        # every (target, source) pair, each agent its own source too
+        agents = np.arange(n)
+        dst, src = np.concatenate((i - 1, agents)), np.concatenate((j - 1, agents))
+        order = np.lexsort((src, dst))
+        dst, src = dst[order], src[order]
+        first = np.concatenate(([True], dst[1:] != dst[:-1]))
+        self._first = src[first]
+        self._dst, self._src = dst[~first], src[~first]
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:
@@ -124,14 +124,16 @@ class MessageBus:
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Assembled local values of an (N, ...) array whose entry j - 1
         is agent j's payload; same shape out."""
-        values = np.asarray(values, dtype=float)
+        values = np.ascontiguousarray(values, dtype=float)
         if values.shape[:1] != (self.num_agents,):
             raise ValueError(f"payload has shape {values.shape}, expected "
                              f"{self.num_agents} agent entries first")
-        padded = np.concatenate((values, np.full((1,) + values.shape[1:], -0.0)))
-        sums = [np.add.accumulate(padded[idx], axis=1)[:, -1] for idx in self._groups]
-        hat = np.empty_like(values)
-        hat[self._order] = np.concatenate(sums)
+        hat = values[self._first]
+        idx = self._dst
+        if hat.ndim > 1:  # one flat index per (pair, trailing entry): add.at's fast 1-D path
+            width = hat[0].size
+            idx = (idx[:, None] * width + np.arange(width)).ravel()
+        np.add.at(hat.reshape(-1), idx, values[self._src].reshape(-1))
         return hat
 
     def exchange(self, values: np.ndarray) -> np.ndarray:

@@ -65,24 +65,6 @@ class BlockLayout:
         return np.repeat(np.asarray(per_agent, dtype=float), self.dims, axis=0)
 
 
-def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
-    """num_centers points on the diagonal of the observation box, at
-    fractions k/(num_centers+1) for k = 1..num_centers.
-
-    obs_ranges is a sequence of (lo, hi) per observation dimension;
-    degenerate ranges are rejected.
-    """
-    if num_centers < 1:
-        raise ValueError(f"num_centers must be >= 1, got {num_centers}")
-    lo = np.array([r[0] for r in obs_ranges], dtype=float)
-    hi = np.array([r[1] for r in obs_ranges], dtype=float)
-    if not np.all(hi > lo):
-        bad = int(np.argmax(~(hi > lo)))
-        raise ValueError(f"observation range {(lo[bad], hi[bad])} for dimension {bad} is degenerate")
-    fracs = np.arange(1, num_centers + 1, dtype=float) / (num_centers + 1)
-    return lo[None, :] + fracs[:, None] * (hi - lo)[None, :]
-
-
 class NonFiniteScores(ValueError):
     """Allocation scores overflowed or turned NaN: the observation or the
     parameters are too large for the policy to act on."""
@@ -108,39 +90,40 @@ class RbfPolicy:
         self.stock_range = (float(stock_range[0]), float(stock_range[1]))
         self.demand_range = (float(demand_range[0]), float(demand_range[1]))
 
+        src, dst = graph.edge_array
         n = graph.num_agents
-        self.out_slots = tuple(graph.out_neighbors(i) for i in graph.agents)
-        self.obs_sets = tuple(graph.observation_set(i) for i in graph.agents)
-        self.obs_dims = tuple(len(s) + 1 for s in self.obs_sets)
-        self.num_slots = tuple(len(s) + 1 for s in self.out_slots)
-        self.layout = BlockLayout(tuple(self.num_centers * k for k in self.num_slots))
-
-        self.centers = tuple(
-            make_centers([self.stock_range] * len(self.obs_sets[i - 1]) + [self.demand_range],
-                         self.num_centers)
-            for i in graph.agents)
+        nc = self.num_centers
+        self.obs_dims = np.bincount(dst, minlength=n) + 2
+        self.num_slots = np.bincount(src, minlength=n) + 1
+        if nc < 1:
+            raise ValueError(f"num_centers must be >= 1, got {nc}")
+        # Centers sit on the diagonal of the observation box, at fractions
+        # k/(nc+1), k = 1..nc: column 0 of ``diag`` is every stock
+        # coordinate, column 1 the last (demand) coordinate.
+        lo = np.array([self.stock_range[0], self.demand_range[0]])
+        hi = np.array([self.stock_range[1], self.demand_range[1]])
+        if not np.all(hi > lo):
+            bad = int(np.argmax(~(hi > lo)))
+            dim = 0 if bad == 0 else int(self.obs_dims[0]) - 1  # agent 1's dimension
+            raise ValueError(f"observation range {(lo[bad], hi[bad])} for dimension {dim} "
+                             "is degenerate")
+        diag = lo + (np.arange(1, nc + 1, dtype=float) / (nc + 1))[:, None] * (hi - lo)
+        self.layout = BlockLayout(tuple((nc * self.num_slots).tolist()))
 
         # Padded tensors: every agent is scored in one pass.
-        self.obs_max = max(self.obs_dims)
-        self.slots_max = max(self.num_slots)
-        self.centers_pad = np.zeros((n, self.num_centers, self.obs_max))
-        for i in range(n):
-            self.centers_pad[i, :, :self.obs_dims[i]] = self.centers[i]
-        self.slot_mask = np.zeros((n, self.slots_max), dtype=bool)
-        for i in range(n):
-            self.slot_mask[i, :self.num_slots[i]] = True
+        self.obs_max = int(self.obs_dims.max())
+        self.slots_max = int(self.num_slots.max())
+        col = np.arange(self.obs_max)
+        last = (self.obs_dims - 1)[:, None, None]
+        self.centers_pad = np.where(col < last, diag[:, :1],
+                                    np.where(col == last, diag[:, 1:], 0.0))
+        self.slot_mask = np.arange(self.slots_max) < self.num_slots[:, None]
         # Additive score mask: 0 on valid slots, +inf on padding, so the
         # padding's exp(zmin - inf) is exactly 0.
         self.pad_inf = np.where(self.slot_mask, 0.0, np.inf)
         # Scatter indices taking the flat parameter into the padded
         # (N, slots_max, num_centers) tensor, slot-major within a block.
-        idx = []
-        for i in range(n):
-            base = i * self.slots_max * self.num_centers
-            for s in range(self.num_slots[i]):
-                for l in range(self.num_centers):
-                    idx.append(base + s * self.num_centers + l)
-        self._pad_idx = np.array(idx, dtype=np.intp)
+        self._pad_idx = np.flatnonzero(np.repeat(self.slot_mask, nc, axis=1))
 
     def theta_padded(self, flat: np.ndarray) -> np.ndarray:
         n = self.graph.num_agents

@@ -83,36 +83,33 @@ class WarehouseEnv:
         self.num_agents = n
         self.amplitude = amp
 
-        self.out_slots = tuple(g.out_neighbors(i) for i in g.agents)
-        self.obs_sets = tuple(g.observation_set(i) for i in g.agents)
-        self.obs_dims = tuple(len(s) + 1 for s in self.obs_sets)
-        self.num_slots = tuple(len(s) + 1 for s in self.out_slots)
-        self.obs_max = max(self.obs_dims)
-        self.slots_max = max(self.num_slots)
+        # Edges ordered by (source, target): fixed summation order.
+        src, dst = self._e_src, self._e_dst = g.edge_array
+        out_deg = np.bincount(src, minlength=n)
+        self.obs_dims = np.bincount(dst, minlength=n) + 2
+        self.num_slots = out_deg + 1
+        self.obs_max = int(self.obs_dims.max())
+        self.slots_max = int(self.num_slots.max())
 
         # Gather index filling the padded observation matrix from
-        # concatenate((stocks, demands, (0.0,))): observed stocks, then
-        # the agent's own demand, then zero padding.
+        # concatenate((stocks, demands, (0.0,))): observed stocks
+        # (in-neighbours and the agent itself, ascending), then the
+        # agent's own demand, then zero padding.
+        agents = np.arange(n)
+        who, seen = np.concatenate((dst, agents)), np.concatenate((src, agents))
+        order = np.lexsort((seen, who))
+        who, seen = who[order], seen[order]
+        row_start = np.cumsum(self.obs_dims - 1) - (self.obs_dims - 1)
         self._obs_gather = np.full((n, self.obs_max), 2 * n, dtype=np.intp)
-        for i in range(n):
-            k = len(self.obs_sets[i])
-            self._obs_gather[i, :k] = [j - 1 for j in self.obs_sets[i]]
-            self._obs_gather[i, k] = n + i
+        self._obs_gather[who, np.arange(who.size) - row_start[who]] = seen
+        self._obs_gather[agents, self.obs_dims - 1] = n + agents
 
-        # Edge arrays ordered by (source, target): fixed summation order.
-        # _e_flat indexes the flattened (N, slots_max) allocation.
-        e_src, e_dst, e_flat = [], [], []
-        for i in range(n):
-            for k, j in enumerate(self.out_slots[i]):
-                e_src.append(i)
-                e_dst.append(j - 1)
-                e_flat.append(i * self.slots_max + k + 1)  # slot 0 is the retained fraction
-        self._e_src = np.array(e_src, dtype=np.intp)
-        self._e_dst = np.array(e_dst, dtype=np.intp)
-        self._e_flat = np.array(e_flat, dtype=np.intp)
-        self._out_mask = np.zeros((n, self.slots_max), dtype=bool)
-        for i in range(n):
-            self._out_mask[i, 1:self.num_slots[i]] = True
+        # _e_flat indexes the flattened (N, slots_max) allocation; slot 0
+        # is the retained fraction, slot k + 1 the k-th out-neighbour.
+        out_start = np.cumsum(out_deg) - out_deg
+        self._e_flat = src * self.slots_max + 1 + np.arange(src.size) - out_start[src]
+        slot = np.arange(self.slots_max)
+        self._out_mask = (slot >= 1) & (slot < self.num_slots[:, None])
 
     # -- randomness -------------------------------------------------
 

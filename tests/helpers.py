@@ -68,6 +68,17 @@ def random_weakly_connected_digraph(rng: np.random.Generator, n_min: int = 2,
     return build_graph(n, edges)
 
 
+def tree_with_back_edges(rng, n):
+    """Random recursive out-tree on agents 1..n (the root reaches
+    everyone, leaves only themselves) plus a few child -> parent back
+    edges, so per-agent source counts range from 1 to n."""
+    parent = {c: int(rng.integers(1, c)) for c in range(2, n + 1)}
+    edges = [(p, c) for c, p in parent.items()]
+    for c in rng.choice(np.arange(2, n + 1), size=min(n - 1, 3), replace=False):
+        edges.append((int(c), parent[int(c)]))
+    return build_graph(n, edges)
+
+
 def _weak_components(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
     adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for i, j in edges:
@@ -137,9 +148,15 @@ def nine_agent_graph() -> CoordinationGraph:
 # padded whole-population ``act_matrix`` is checked against these.
 
 
+def agent_centers(policy, i: int) -> np.ndarray:
+    """Agent i's (num_centers, obs dim) centers, from ``make_centers``."""
+    k = len(policy.graph.observation_set(i))
+    return make_centers([policy.stock_range] * k + [policy.demand_range], policy.num_centers)
+
+
 def rbf_features(policy, i: int, obs: np.ndarray) -> np.ndarray:
     """Radial features of agent i's (unpadded) observation, one per center."""
-    d = np.asarray(obs, dtype=float) - policy.centers[i - 1]
+    d = np.asarray(obs, dtype=float) - agent_centers(policy, i)
     sqd = np.einsum("ld,ld->l", d, d)
     return sqd if policy.kernel == "squared" else np.exp(-sqd)
 
@@ -226,12 +243,13 @@ def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
 
 
 def reference_observation_matrix(env, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    rows = [i for i, s in enumerate(env.obs_sets) for _ in s]
-    cols = [k for s in env.obs_sets for k in range(len(s))]
-    srcs = [j - 1 for s in env.obs_sets for j in s]
+    obs_sets = [env.graph.observation_set(i) for i in env.graph.agents]
+    rows = [i for i, s in enumerate(obs_sets) for _ in s]
+    cols = [k for s in obs_sets for k in range(len(s))]
+    srcs = [j - 1 for s in obs_sets for j in s]
     obs = np.zeros((env.num_agents, env.obs_max))
     obs[rows, cols] = stocks[srcs]
-    obs[np.arange(env.num_agents), [len(s) for s in env.obs_sets]] = demands
+    obs[np.arange(env.num_agents), [len(s) for s in obs_sets]] = demands
     return obs
 
 
@@ -258,8 +276,8 @@ def reference_validate_allocations(env, alloc: np.ndarray, where: str = "") -> N
 def reference_apply_transition(env, stocks: np.ndarray, alloc: np.ndarray,
                                demands: np.ndarray) -> np.ndarray:
     # edges ordered by (source, target): the production summation order
-    edges = [(i, j - 1, k + 1) for i, out in enumerate(env.out_slots)
-             for k, j in enumerate(out)]
+    edges = [(i - 1, j - 1, k + 1) for i in env.graph.agents
+             for k, j in enumerate(env.graph.out_neighbors(i))]
     e_src = np.array([e[0] for e in edges], dtype=np.intp)
     e_dst = np.array([e[1] for e in edges], dtype=np.intp)
     e_slot = np.array([e[2] for e in edges], dtype=np.intp)
@@ -405,3 +423,133 @@ def load_parameters(path: str) -> tuple[np.ndarray, int]:
     """Read a checkpoint written by ``experiments.save_parameters``."""
     with np.load(path) as data:
         return data["theta"].copy(), int(data["epoch"])
+
+
+# -- set-up references ----------------------------------------------------
+# The policy and environment tables, the exchange plan and the run-CSV
+# writer as they were first written: one agent, one plan group and one
+# CSV cell at a time.  The array-built production versions must produce
+# the same bytes.
+
+
+def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
+    """num_centers points on the diagonal of the observation box, at
+    fractions k/(num_centers+1) for k = 1..num_centers.
+
+    obs_ranges is a sequence of (lo, hi) per observation dimension;
+    degenerate ranges are rejected.
+    """
+    if num_centers < 1:
+        raise ValueError(f"num_centers must be >= 1, got {num_centers}")
+    lo = np.array([r[0] for r in obs_ranges], dtype=float)
+    hi = np.array([r[1] for r in obs_ranges], dtype=float)
+    if not np.all(hi > lo):
+        bad = int(np.argmax(~(hi > lo)))
+        raise ValueError(f"observation range {(lo[bad], hi[bad])} for dimension {bad} is degenerate")
+    fracs = np.arange(1, num_centers + 1, dtype=float) / (num_centers + 1)
+    return lo[None, :] + fracs[:, None] * (hi - lo)[None, :]
+
+
+def reference_policy_tables(policy) -> dict[str, np.ndarray]:
+    """``centers_pad``, ``slot_mask``, ``pad_inf`` and ``_pad_idx`` of an
+    RbfPolicy, filled agent by agent."""
+    g = policy.graph
+    n, nc = g.num_agents, policy.num_centers
+    obs_sets = [g.observation_set(i) for i in g.agents]
+    num_slots = [len(g.out_neighbors(i)) + 1 for i in g.agents]
+    slots_max = max(num_slots)
+    centers_pad = np.zeros((n, nc, max(len(s) for s in obs_sets) + 1))
+    for i, s in enumerate(obs_sets):
+        centers_pad[i, :, :len(s) + 1] = make_centers(
+            [policy.stock_range] * len(s) + [policy.demand_range], nc)
+    slot_mask = np.zeros((n, slots_max), dtype=bool)
+    for i in range(n):
+        slot_mask[i, :num_slots[i]] = True
+    idx = []
+    for i in range(n):
+        base = i * slots_max * nc
+        for s in range(num_slots[i]):
+            for l in range(nc):
+                idx.append(base + s * nc + l)
+    return {"centers_pad": centers_pad, "slot_mask": slot_mask,
+            "pad_inf": np.where(slot_mask, 0.0, np.inf),
+            "_pad_idx": np.array(idx, dtype=np.intp)}
+
+
+def reference_env_tables(env) -> dict[str, np.ndarray]:
+    """``_obs_gather``, ``_e_src``, ``_e_dst``, ``_e_flat`` and
+    ``_out_mask`` of a WarehouseEnv, filled agent by agent."""
+    g = env.graph
+    n = g.num_agents
+    obs_sets = [g.observation_set(i) for i in g.agents]
+    out_slots = [g.out_neighbors(i) for i in g.agents]
+    slots_max = max(len(s) for s in out_slots) + 1
+    gather = np.full((n, max(len(s) for s in obs_sets) + 1), 2 * n, dtype=np.intp)
+    for i in range(n):
+        k = len(obs_sets[i])
+        gather[i, :k] = [j - 1 for j in obs_sets[i]]
+        gather[i, k] = n + i
+    e_src, e_dst, e_flat = [], [], []
+    for i in range(n):
+        for k, j in enumerate(out_slots[i]):
+            e_src.append(i)
+            e_dst.append(j - 1)
+            e_flat.append(i * slots_max + k + 1)
+    out_mask = np.zeros((n, slots_max), dtype=bool)
+    for i in range(n):
+        out_mask[i, 1:len(out_slots[i]) + 1] = True
+    return {"_obs_gather": gather, "_e_src": np.array(e_src, dtype=np.intp),
+            "_e_dst": np.array(e_dst, dtype=np.intp),
+            "_e_flat": np.array(e_flat, dtype=np.intp), "_out_mask": out_mask}
+
+
+def grouped_gather(learning, values: np.ndarray) -> np.ndarray:
+    """Local values by the grouped exchange plan: agents sorted by
+    source count, cut into groups whose longest source list is at most
+    twice the shortest, each group one gather padded with -0.0 and
+    summed by ``np.add.accumulate`` in ascending source order."""
+    n = learning.num_agents
+    sources = [sorted(set(learning.in_neighbors[i]) | {i}) for i in range(1, n + 1)]
+    order = sorted(range(n), key=lambda a: -len(sources[a]))
+    groups, start = [], 0
+    while start < n:
+        longest = len(sources[order[start]])
+        stop = start + 1
+        while stop < n and 2 * len(sources[order[stop]]) >= longest:
+            stop += 1
+        idx = np.full((stop - start, longest), n, dtype=np.intp)  # entry n holds -0.0
+        for row, a in enumerate(order[start:stop]):
+            idx[row, :len(sources[a])] = [j - 1 for j in sources[a]]
+        groups.append(idx)
+        start = stop
+    values = np.asarray(values, dtype=float)
+    padded = np.concatenate((values, np.full((1,) + values.shape[1:], -0.0)))
+    sums = [np.add.accumulate(padded[idx], axis=1)[:, -1] for idx in groups]
+    hat = np.empty_like(values)
+    hat[np.array(order, dtype=np.intp)] = np.concatenate(sums)
+    return hat
+
+
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def reference_write_run_csv(path: str, records, num_agents: int) -> None:
+    """``experiments.write_run_csv`` formatting one cell at a time."""
+    from dirmarl.experiments import CSV_MAGIC
+
+    cols = (["epoch"]
+            + [f"value_{i}" for i in range(1, num_agents + 1)]
+            + ["global_value"]
+            + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
+            + ["messages"])
+    lines = [CSV_MAGIC, ",".join(cols)]
+    for rec in records:
+        row = ([str(rec.epoch)]
+               + [_fmt(v) for v in rec.observed_values]
+               + [_fmt(rec.global_value)]
+               + [_fmt(g) for g in rec.gradient_norms]
+               + [str(rec.message_count)])
+        lines.append(",".join(row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -601,6 +602,62 @@ def test_summarize_reports_missing_pieces(tmp_path):
     empty.mkdir()
     with pytest.raises(ValueError, match="manifest.json"):
         summarize(str(empty))
+
+
+def _rewrite_manifest(out, change):
+    path = os.path.join(out, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    change(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    return path
+
+
+def test_summarize_names_a_manifest_without_config(tmp_path):
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out)))
+    path = _rewrite_manifest(out, lambda m: m.pop("config"))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: config.experiment.algorithms "
+                                         "is missing$"):
+        summarize(out)
+
+
+def test_summarize_names_a_string_algorithm_list(tmp_path):
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out)))
+    path = _rewrite_manifest(
+        out, lambda m: m["config"]["experiment"].update(algorithms="distributed_one_point"))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: config.experiment.algorithms "
+                                         "must be a non-empty list of names"):
+        summarize(out)
+
+
+def test_summarize_checks_every_manifest_key_it_reads(tmp_path):
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out)))
+    path = os.path.join(out, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        clean = fh.read()
+    for key, value in (("config.experiment.algorithms", ["federated_one_point"]),
+                       ("config.experiment.repeats", "2"),
+                       ("config.experiment.repeats", 0),
+                       ("config.learner.epochs", 2.0),
+                       ("repeats_run", [0, 2]),
+                       ("repeats_run", 0),
+                       ("aborted", [["distributed_one_point", 0]])):
+        def change(m, key=key, value=value):
+            *parents, last = key.split(".")
+            for part in parents:
+                m = m[part]
+            m[last] = value
+
+        _rewrite_manifest(out, change)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: {re.escape(key)} must be "):
+            summarize(out)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(clean)
+    summarize(out)
 
 
 def _damage_run_csvs(out, damage):

@@ -27,7 +27,7 @@ from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
 from helpers import (SyntheticEvaluator, ascending_reach_sums, nine_agent_graph,
-                     random_weakly_connected_digraph)
+                     random_weakly_connected_digraph, tree_with_back_edges)
 
 
 def chain_artifacts():
@@ -92,23 +92,12 @@ def test_exchange_strongly_connected_yields_global_value():
     assert np.all(hat == total)
 
 
-def tree_with_back_edges(rng, n):
-    """Random recursive out-tree on agents 1..n (the root reaches
-    everyone, leaves only themselves) plus a few child -> parent back
-    edges, so per-agent source counts range from 1 to n."""
-    parent = {c: int(rng.integers(1, c)) for c in range(2, n + 1)}
-    edges = [(p, c) for c, p in parent.items()]
-    for c in rng.choice(np.arange(2, n + 1), size=min(n - 1, 3), replace=False):
-        edges.append((int(c), parent[int(c)]))
-    return build_graph(n, edges)
-
-
 def test_exchange_values_recompute_exactly():
     # agent i's value is the running sum, in ascending agent order, of
     # every agent in its brute-force reach closure (itself included).
-    # The 300-agent chain has source counts 1..300 and so fills many
-    # plan groups; the 1000-agent tree is tree1k-sized.  ``gather`` is
-    # the same plan without the audit, on any trailing axes.
+    # The 300-agent chain has source counts 1..300; the 1000-agent tree
+    # is tree1k-sized.  ``gather`` is the same plan without the audit,
+    # on any trailing axes.
     rng = np.random.default_rng(7)
     graphs = [random_weakly_connected_digraph(rng) for _ in range(25)]
     graphs += [build_graph(1, [])] * 2
@@ -117,10 +106,9 @@ def test_exchange_values_recompute_exactly():
                tree_with_back_edges(rng, 1000)]
     for graph in graphs:
         bus = MessageBus(build_artifacts(graph).learning)
-        plan_size = sum(idx.size for idx in bus._groups)
-        assert plan_size <= 2 * (len(bus.edges) + graph.num_agents)
-        if graph.num_agents == 300:
-            assert len(bus._groups) >= 8
+        # one first source per agent plus one (target, source) pair per edge
+        assert bus._first.shape == (graph.num_agents,)
+        assert bus._dst.shape == bus._src.shape == (len(bus.edges),)
         for shape in ((graph.num_agents,), (graph.num_agents, 2)):
             values = rng.standard_normal(shape)
             values[rng.random(values.shape) < 0.1] = -0.0

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
-from dirmarl.policy import BlockLayout, RbfPolicy, make_centers
+from dirmarl.policy import BlockLayout, RbfPolicy
 from helpers import (
     SPECIAL_VALUES,
+    agent_centers,
+    make_centers,
     nine_agent_graph,
     per_agent_allocation,
     random_weakly_connected_digraph,
@@ -35,6 +37,18 @@ def test_make_centers_rejects_degenerate_range():
         make_centers([(0.0, 1.0), (1.0, 1.0)], 3)
     with pytest.raises(ValueError, match="num_centers"):
         make_centers([(0.0, 1.0)], 0)
+    # RbfPolicy builds every agent's centers at once and rejects the
+    # same inputs with the message make_centers gives for agent 1
+    g = build_graph(3, [(2, 1), (3, 1), (1, 2)])  # agent 1 observes {1, 2, 3}
+    for num_centers, stock, demand in ((0, (-1.0, 2.0), (0.0, 0.5)),
+                                       (3, (1.0, 1.0), (0.0, 0.5)),
+                                       (3, (-1.0, 2.0), (0.5, 0.0)),
+                                       (3, (2.0, -1.0), (0.5, 0.5))):
+        with pytest.raises(ValueError) as want:
+            make_centers([stock] * 3 + [demand], num_centers)
+        with pytest.raises(ValueError) as got:
+            RbfPolicy(g, num_centers=num_centers, stock_range=stock, demand_range=demand)
+        assert str(got.value) == str(want.value)
 
 
 def test_block_dimensions_follow_out_degree():
@@ -80,7 +94,7 @@ def test_rbf_scores_match_manual_sum():
     z = rbf_scores(block, obs, pol, i)
     mat = block.reshape(-1, pol.num_centers)
     for s in range(pol.num_slots[i - 1]):
-        expect = sum(mat[s, l] * np.sum((obs - pol.centers[i - 1][l]) ** 2)
+        expect = sum(mat[s, l] * np.sum((obs - agent_centers(pol, i)[l]) ** 2)
                      for l in range(pol.num_centers))
         assert np.isclose(z[s], expect, rtol=1e-12)
 
