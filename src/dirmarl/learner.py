@@ -90,12 +90,14 @@ class MessageBus:
         j = np.fromiter(chain.from_iterable(senders), dtype=np.intp)
         i = np.repeat(np.arange(1, n + 1), [len(s) for s in senders])
         # routing edge j -> i (1-based) as one sortable key j (n + 1) + i
-        plan = np.unique((j * (n + 1) + i)[j != i])
+        plan = np.sort((j * (n + 1) + i)[j != i])
+        plan = plan[np.diff(plan, prepend=plan[:1] - 1) != 0]  # a repeated sender sends once
         ends = np.fromiter(chain.from_iterable(learning.edges), dtype=np.intp,
                            count=2 * len(learning.edges))
-        links = np.unique(ends[0::2] * (n + 1) + ends[1::2])
-        for bad, what in ((np.setdiff1d(plan, links), "is outside E_L"),
-                          (np.setdiff1d(links, plan), "is in E_L but not in the plan")):
+        links = np.sort(ends[0::2] * (n + 1) + ends[1::2])
+        # (np.unique would import numpy.ma; both key arrays are sorted and unique)
+        for bad, what in ((np.setdiff1d(plan, links, True), "is outside E_L"),
+                          (np.setdiff1d(links, plan, True), "is in E_L but not in the plan")):
             if bad.size:
                 raise CommunicationViolation(
                     "routing edge {} -> {} {}".format(*divmod(int(bad[0]), n + 1), what))
