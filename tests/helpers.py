@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dirmarl.experiments import CSV_MAGIC
 from dirmarl.graphs import CoordinationGraph, build_graph
 from dirmarl.validation import _MomentAccumulator
 from dirmarl.warehouse import RolloutError
@@ -536,8 +537,6 @@ def _fmt(x: float) -> str:
 
 def reference_write_run_csv(path: str, records, num_agents: int) -> None:
     """``experiments.write_run_csv`` formatting one cell at a time."""
-    from dirmarl.experiments import CSV_MAGIC
-
     cols = (["epoch"]
             + [f"value_{i}" for i in range(1, num_agents + 1)]
             + ["global_value"]
