@@ -42,12 +42,10 @@ def export(rev: str, dest: str) -> str:
     return sha
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float | None) -> dict | None:
-    """One benchmark run in ``root``; its JSON result, or None when it
-    failed."""
+def run_once(root: str, workload: str, seed: int) -> dict | None:
+    """One benchmark run in ``root`` at the benchmark's own run length;
+    its end-to-end medians, or None when it failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -74,8 +72,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="measuring time per run (default: the benchmark's own)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -90,7 +86,7 @@ def main(argv=None) -> int:
         runs: dict[str, list[dict | None]] = {"A": [], "B": []}
         for k in range(args.pairs):
             for label in ("AB" if k % 2 == 0 else "BA"):
-                res = run_once(sides[label][1], args.workload, args.seed, args.seconds)
+                res = run_once(sides[label][1], args.workload, args.seed)
                 runs[label].append(res)
                 print(f"# pair {k + 1} {label}: "
                       + (json.dumps(res, sort_keys=True) if res else "FAILED"), flush=True)
