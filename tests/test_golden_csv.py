@@ -1,9 +1,12 @@
 """Byte-identity tripwire for the experiment outputs.
 
 Runs short versions of both bundled experiments, plus example1 with the
-residual algorithms (whose carried value neither bundled config runs)
-and example1 with checkpointing (which neither bundled config enables),
-and compares the sha256 of every run CSV, of ``summary.csv`` and of
+residual algorithms (whose carried value neither bundled config runs),
+example1 with checkpointing (which neither bundled config enables) and
+the generated 1,000-agent tree1k benchmark graph at seed 0 (whose
+widest agents have 11 or more softmax slots, where numpy's pairwise
+row sum splits a row across its 8 accumulators; the bundled graphs have
+at most 3), and compares the sha256 of every run CSV, of ``summary.csv`` and of
 every checkpoint's parameter vector and epoch with
 ``golden_csv_sha256.json``.  A checkpoint is digested from its arrays,
 not from the zip bytes, which carry timestamps.
@@ -26,24 +29,36 @@ import sys
 import numpy as np
 
 from dirmarl import load_config, run_experiment
+from dirmarl.policy import RbfPolicy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG_DIR = os.path.join(os.path.dirname(HERE), "configs")
 GOLDEN = os.path.join(HERE, "golden_csv_sha256.json")
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+import workloads  # noqa: E402
 
 # case name -> (config name, epochs, repeats or None for the config's own
-# count, algorithms or None for the config's own list, checkpoint_every)
+# count, algorithms or None for the config's own list, checkpoint_every);
+# "tree1k" is the benchmark's generated graph at seed 0.
 CASES = {
     "example1": ("example1", 3, 2, None, 0),
     "example2": ("example2", 2, None, None, 0),
     "example1_residual": ("example1", 5, 2, ("distributed_residual", "centralized_residual"), 0),
     "example1_checkpoint": ("example1", 4, 2, None, 2),
+    "tree1k": ("tree1k", 2, None, None, 0),
 }
+
+
+def config_file(config: str, epochs: int, work_dir: str) -> str:
+    if config == "tree1k":
+        os.makedirs(work_dir, exist_ok=True)
+        return workloads.write_tree1k(work_dir, 0, epochs)
+    return os.path.join(CONFIG_DIR, f"{config}.cfg")
 
 
 def output_digests(name: str, out_dir: str) -> dict[str, str]:
     config, epochs, repeats, algorithms, checkpoint_every = CASES[name]
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{config}.cfg"))
+    cfg = load_config(config_file(config, epochs, out_dir + ".input"))
     cfg = dataclasses.replace(cfg, epochs=epochs, repeats=repeats or cfg.repeats,
                               algorithms=algorithms or cfg.algorithms, output_dir=out_dir,
                               checkpoint_every=checkpoint_every)
@@ -70,6 +85,11 @@ def test_outputs_match_recorded_digests(tmp_path):
         assert sorted(got) == sorted(golden[name])
         moved = [f for f in golden[name] if got[f] != golden[name][f]]
         assert moved == [], f"{name}: output bytes changed in {moved}"
+
+
+def test_tree1k_case_has_wide_rows(tmp_path):
+    cfg = load_config(config_file("tree1k", 2, str(tmp_path)))
+    assert RbfPolicy(cfg.graph).slots_max >= 11
 
 
 if __name__ == "__main__":
