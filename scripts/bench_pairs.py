@@ -2,6 +2,7 @@
 """Alternating benchmark pairs on two git revisions.
 
     python3 scripts/bench_pairs.py REV_A REV_B --workload W [--pairs 10] [--seed S]
+                                   [--json PATH]
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, so the checkout and its ``.git`` stay untouched.  Each pair
@@ -14,6 +15,13 @@ median and quartiles over the pairs, B's relative change of the median,
 the interquartile range of A's runs, and in how many pairs B was better
 (by the metric's ``better`` direction).  A run that exits non-zero or
 reports ``correct: false`` is listed and counts as a lost pair.
+
+``--json PATH`` also writes a machine-readable record: the machine as
+the benchmark reports it (nproc, CPU, Python, numpy), both full commit
+ids, and one entry per (workload, seed) holding, per end-to-end metric,
+each side's median, quartiles, IQR and pair wins.  An existing file for
+the same two commits gains the entry (replacing one for the same
+workload and seed), so one file can hold several workloads.
 """
 
 from __future__ import annotations
@@ -42,12 +50,16 @@ def export(rev: str, dest: str) -> str:
     return sha
 
 
-def run_once(root: str, workload: str, seed: int) -> dict | None:
+def run_once(root: str, workload: str, seed: int, machine: dict) -> dict | None:
     """One benchmark run in ``root`` at the benchmark's own run length;
-    its end-to-end medians, or None when it failed."""
+    its end-to-end medians, or None when it failed.  The run's machine
+    record is stored into ``machine``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    for line in lines:
+        if line.startswith("# machine "):
+            machine.update(json.loads(line[len("# machine "):]))
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
         return None
@@ -65,6 +77,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def write_json(path: str, machine: dict, commits: dict, entry: dict) -> None:
+    """Add ``entry`` to the record at ``path`` for these two commits."""
+    machine = {k: v for k, v in machine.items() if k != "commit"}  # exports have no .git
+    record = {"machine": machine, "commits": commits, "results": []}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        if record["commits"] != commits:
+            sys.exit(f"{path} holds results for commits {record['commits']}, not {commits}")
+    record["results"] = [r for r in record["results"]
+                         if (r["workload"], r["seed"]) != (entry["workload"], entry["seed"])]
+    record["results"].append(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev_a")
@@ -72,21 +101,25 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", metavar="PATH", help="also write the results as JSON to PATH")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
+    machine: dict = {}
+    commits = {}
     with tempfile.TemporaryDirectory() as dir_a, tempfile.TemporaryDirectory() as dir_b:
         sides = {"A": (args.rev_a, dir_a), "B": (args.rev_b, dir_b)}
         for label, (rev, root) in sides.items():
-            print(f"# {label} = {rev} ({export(rev, root)})", flush=True)
+            commits[label] = export(rev, root)
+            print(f"# {label} = {rev} ({commits[label]})", flush=True)
         with open(os.path.join(dir_b, "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)["end_to_end"]
 
         runs: dict[str, list[dict | None]] = {"A": [], "B": []}
         for k in range(args.pairs):
             for label in ("AB" if k % 2 == 0 else "BA"):
-                res = run_once(sides[label][1], args.workload, args.seed)
+                res = run_once(sides[label][1], args.workload, args.seed, machine)
                 runs[label].append(res)
                 print(f"# pair {k + 1} {label}: "
                       + (json.dumps(res, sort_keys=True) if res else "FAILED"), flush=True)
@@ -95,6 +128,7 @@ def main(argv=None) -> int:
     print(f"{'metric':16s} {'A median':>11s} {'A q1':>11s} {'A q3':>11s} "
           f"{'B median':>11s} {'B q1':>11s} {'B q3':>11s} {'change':>8s} "
           f"{'A IQR':>10s} {'B wins':>7s}")
+    metrics = {}
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
         a = [r[name] for r in runs["A"] if r and name in r]
@@ -102,14 +136,22 @@ def main(argv=None) -> int:
         if not a or not b:
             print(f"{name:16s} absent")
             continue
-        wins = sum(1 for ra, rb in zip(runs["A"], runs["B"])
-                   if ra and rb and (rb[name] < ra[name] if lower else rb[name] > ra[name]))
+        both = [(ra[name], rb[name]) for ra, rb in zip(runs["A"], runs["B"]) if ra and rb]
+        wins = {"A": sum(1 for va, vb in both if (va < vb if lower else va > vb)),
+                "B": sum(1 for va, vb in both if (vb < va if lower else vb > va))}
         qa, qb = quartiles(a), quartiles(b)
         change = (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan")
+        metrics[name] = {"unit": m["unit"], "better": m["better"], "change": change, **{
+            label: {"median": q[1], "q1": q[0], "q3": q[2], "iqr": q[2] - q[0],
+                    "wins": wins[label]} for label, q in (("A", qa), ("B", qb))}}
         print(f"{name:16s} {qa[1]:11.5g} {qa[0]:11.5g} {qa[2]:11.5g} "
               f"{qb[1]:11.5g} {qb[0]:11.5g} {qb[2]:11.5g} {change:+8.1%} "
-              f"{qa[2] - qa[0]:10.3g} {wins:4d}/{args.pairs}")
+              f"{qa[2] - qa[0]:10.3g} {wins['B']:4d}/{args.pairs}")
     failed = {label: sum(r is None for r in rs) for label, rs in runs.items()}
+    if args.json:
+        write_json(args.json, machine, commits, {
+            "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+            "failed": failed, "metrics": metrics})
     if any(failed.values()):
         print(f"# failed runs: A {failed['A']}, B {failed['B']}")
         return 1

@@ -15,6 +15,12 @@ n_c * (|out-neighbors| + 1).
 The joint parameter is a flat vector cut into per-agent blocks by a
 BlockLayout; all learning updates and perturbations act on the flat
 view, and block views always alias it.
+
+``act_matrix`` scores, shifts and exponentiates only the K valid (agent,
+slot) pairs, the rows of the flat vector read as (K, n_c), but sums each
+row over the zero-padded (N, slots_max) matrix: numpy sums 8 or more
+entries with 8 interleaved accumulators, so a row's rounding depends on
+the padded width, and a compact per-agent sum would move bits.
 """
 
 from __future__ import annotations
@@ -110,26 +116,20 @@ class RbfPolicy:
         diag = lo + (np.arange(1, nc + 1, dtype=float) / (nc + 1))[:, None] * (hi - lo)
         self.layout = BlockLayout(tuple((nc * self.num_slots).tolist()))
 
-        # Padded tensors: every agent is scored in one pass.
+        # Observations and centers are padded to obs_max, so every agent's
+        # features come from one pass.
         self.obs_max = int(self.obs_dims.max())
         self.slots_max = int(self.num_slots.max())
         col = np.arange(self.obs_max)
         last = (self.obs_dims - 1)[:, None, None]
         self.centers_pad = np.where(col < last, diag[:, :1],
                                     np.where(col == last, diag[:, 1:], 0.0))
-        self.slot_mask = np.arange(self.slots_max) < self.num_slots[:, None]
-        # Additive score mask: 0 on valid slots, +inf on padding, so the
-        # padding's exp(zmin - inf) is exactly 0.
-        self.pad_inf = np.where(self.slot_mask, 0.0, np.inf)
-        # Scatter indices taking the flat parameter into the padded
-        # (N, slots_max, num_centers) tensor, slot-major within a block.
-        self._pad_idx = np.flatnonzero(np.repeat(self.slot_mask, nc, axis=1))
-
-    def theta_padded(self, flat: np.ndarray) -> np.ndarray:
-        n = self.graph.num_agents
-        pad = np.zeros(n * self.slots_max * self.num_centers)
-        pad[self._pad_idx] = flat
-        return pad.reshape(n, self.slots_max, self.num_centers)
+        # The K valid (agent, slot) pairs in flat-parameter order: the
+        # agent of each, each agent's first, and the index of each in the
+        # flattened (N, slots_max) allocation.
+        self.slot_agent = np.repeat(np.arange(n), self.num_slots)
+        self.slot_start = np.cumsum(self.num_slots) - self.num_slots
+        self.slot_flat = np.flatnonzero(np.arange(self.slots_max) < self.num_slots[:, None])
 
     def bind(self, flat: np.ndarray) -> "BoundRbfPolicy":
         flat = np.asarray(flat, dtype=float)
@@ -145,7 +145,9 @@ class BoundRbfPolicy:
     def __init__(self, policy: RbfPolicy, flat: np.ndarray):
         self.policy = policy
         self.flat = flat
-        self._theta_pad = policy.theta_padded(flat)
+        # Row k holds valid slot k's parameters; contiguous, since einsum's
+        # strided loop rounds differently.
+        self._theta = np.ascontiguousarray(flat).reshape(-1, policy.num_centers)
 
     def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
         """Allocations for all agents at once.
@@ -157,18 +159,16 @@ class BoundRbfPolicy:
         diff = obs_pad[:, None, :] - p.centers_pad
         sqd = np.einsum("ild,ild->il", diff, diff)
         feats = sqd if p.kernel == "squared" else np.exp(-sqd)
-        z = np.einsum("isl,il->is", self._theta_pad, feats)
-        # Padded slots have zero parameters, so their scores are exactly
-        # 0 while every feature is finite; a non-finite feature makes the
-        # always-valid slot 0 non-finite too.  Checking all of z therefore
-        # rejects exactly the inputs whose valid scores are non-finite.
+        z = np.einsum("kl,kl->k", self._theta, feats.take(p.slot_agent, axis=0))
         finite = np.isfinite(z)
         if not finite.all():
-            bad = (np.flatnonzero(~finite.all(axis=1)) + 1).tolist()
+            bad = (np.flatnonzero(np.bincount(p.slot_agent[~finite])) + 1).tolist()
             raise NonFiniteScores(f"non-finite allocation scores for agents {bad}")
-        z += p.pad_inf
-        # zmin - z is bitwise -(z - zmin), and exp(-inf) == 0 on padding
-        w = z.min(axis=1, keepdims=True) - z
+        # zmin - z is bitwise -(z - zmin)
+        w = np.minimum.reduceat(z, p.slot_start).take(p.slot_agent)
+        w -= z
         np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-        return w
+        alloc = np.zeros((len(p.num_slots), p.slots_max))
+        alloc.put(p.slot_flat, w)
+        alloc /= alloc.sum(axis=1, keepdims=True)
+        return alloc

@@ -152,18 +152,18 @@ class WarehouseEnv:
 
     def validate_allocations(self, alloc: np.ndarray, where: str = "") -> None:
         out = np.where(self._out_mask, alloc, 0.0)
-        sums = out.sum(axis=1)
-        # Fast accept; NaN fails every comparison and takes the full check.
-        if out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12 and sums.max() <= 1.0 + 1e-12:
-            return
-        viol = (out < -1e-12) | (out > 1.0 + 1e-12)
-        if viol.any():
-            bad = int(np.argmax(viol.any(axis=1))) + 1
-            raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
-        if (sums > 1.0 + 1e-12).any():
+        # Fast accept.  NaN fails every comparison, so it counts as outside
+        # [0, 1]; rows are summed only when every fraction lies inside.
+        if out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12:
+            sums = out.sum(axis=1)
+            if sums.max() <= 1.0 + 1e-12:
+                return
             bad = int(np.argmax(sums > 1.0 + 1e-12)) + 1
             raise RolloutError(f"agent {bad} ships more than its whole stock "
                                f"(fraction sum {sums[bad - 1]}){where}")
+        inside = (out >= -1e-12) & (out <= 1.0 + 1e-12)
+        bad = int(np.argmin(inside.all(axis=1))) + 1
+        raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
 
     def apply_transition(self, stocks: np.ndarray, alloc: np.ndarray,
                          demands: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 
 from dirmarl.experiments import CSV_MAGIC
 from dirmarl.graphs import CoordinationGraph, build_graph
+from dirmarl.policy import NonFiniteScores
 from dirmarl.validation import _MomentAccumulator
 from dirmarl.warehouse import RolloutError
 
@@ -227,19 +228,38 @@ def sprinkle(rng: np.random.Generator, x: np.ndarray, values, frac: float) -> np
 # inputs with the same messages.
 
 
+def slot_mask(policy) -> np.ndarray:
+    """(N, slots_max) bool: True on each agent's valid slots."""
+    return np.arange(policy.slots_max) < policy.num_slots[:, None]
+
+
+def theta_padded(policy, flat: np.ndarray) -> np.ndarray:
+    """The flat parameter as a zero-padded (N, slots_max, num_centers)
+    tensor, filled block by block."""
+    nc = policy.num_centers
+    pad = np.zeros((policy.graph.num_agents, policy.slots_max, nc))
+    for i, k in enumerate(policy.num_slots):
+        pad[i, :k] = policy.layout.block(flat, i + 1).reshape(k, nc)
+    return pad
+
+
 def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
+    """The padded masked softmax: every slot scored and exponentiated,
+    padding pinned to the row minimum and zeroed by the mask."""
     p = bound.policy
+    mask = slot_mask(p)
     diff = obs_pad[:, None, :] - p.centers_pad
     sqd = np.einsum("ild,ild->il", diff, diff)
     feats = sqd if p.kernel == "squared" else np.exp(-sqd)
-    z = np.einsum("isl,il->is", p.theta_padded(bound.flat), feats)
-    if not np.all(np.isfinite(z[p.slot_mask])):
-        raise ValueError("non-finite allocation scores")
-    zmin = np.where(p.slot_mask, z, np.inf).min(axis=1, keepdims=True)
+    z = np.einsum("isl,il->is", theta_padded(p, bound.flat), feats)
+    bad = [i + 1 for i, k in enumerate(p.num_slots) if not np.all(np.isfinite(z[i, :k]))]
+    if bad:
+        raise NonFiniteScores(f"non-finite allocation scores for agents {bad}")
+    zmin = np.where(mask, z, np.inf).min(axis=1, keepdims=True)
     # masked lanes hold padding, not scores; pin them to zmin so the
     # exp never overflows before the mask zeroes them out
-    zc = np.where(p.slot_mask, z, zmin)
-    w = np.where(p.slot_mask, np.exp(-(zc - zmin)), 0.0)
+    zc = np.where(mask, z, zmin)
+    w = np.where(mask, np.exp(-(zc - zmin)), 0.0)
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -263,7 +283,7 @@ def _out_mask(env) -> np.ndarray:
 
 def reference_validate_allocations(env, alloc: np.ndarray, where: str = "") -> None:
     out = np.where(_out_mask(env), alloc, 0.0)
-    viol = (out < -1e-12) | (out > 1.0 + 1e-12)
+    viol = ~((out >= -1e-12) & (out <= 1.0 + 1e-12))  # NaN included
     if viol.any():
         bad = int(np.argmax(viol.any(axis=1))) + 1
         raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
@@ -452,8 +472,8 @@ def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
 
 
 def reference_policy_tables(policy) -> dict[str, np.ndarray]:
-    """``centers_pad``, ``slot_mask``, ``pad_inf`` and ``_pad_idx`` of an
-    RbfPolicy, filled agent by agent."""
+    """``centers_pad``, ``slot_agent``, ``slot_start`` and ``slot_flat``
+    of an RbfPolicy, filled agent by agent."""
     g = policy.graph
     n, nc = g.num_agents, policy.num_centers
     obs_sets = [g.observation_set(i) for i in g.agents]
@@ -463,18 +483,15 @@ def reference_policy_tables(policy) -> dict[str, np.ndarray]:
     for i, s in enumerate(obs_sets):
         centers_pad[i, :, :len(s) + 1] = make_centers(
             [policy.stock_range] * len(s) + [policy.demand_range], nc)
-    slot_mask = np.zeros((n, slots_max), dtype=bool)
+    agent, start, flat = [], [], []
     for i in range(n):
-        slot_mask[i, :num_slots[i]] = True
-    idx = []
-    for i in range(n):
-        base = i * slots_max * nc
+        start.append(len(agent))
         for s in range(num_slots[i]):
-            for l in range(nc):
-                idx.append(base + s * nc + l)
-    return {"centers_pad": centers_pad, "slot_mask": slot_mask,
-            "pad_inf": np.where(slot_mask, 0.0, np.inf),
-            "_pad_idx": np.array(idx, dtype=np.intp)}
+            agent.append(i)
+            flat.append(i * slots_max + s)
+    return {"centers_pad": centers_pad, "slot_agent": np.array(agent, dtype=np.intp),
+            "slot_start": np.array(start, dtype=np.intp),
+            "slot_flat": np.array(flat, dtype=np.intp)}
 
 
 def reference_env_tables(env) -> dict[str, np.ndarray]:

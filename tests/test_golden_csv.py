@@ -3,10 +3,10 @@
 Runs short versions of both bundled experiments, plus example1 with the
 residual algorithms (whose carried value neither bundled config runs),
 example1 with checkpointing (which neither bundled config enables) and
-the generated 1,000-agent tree1k benchmark graph at seed 0 (whose
-widest agents have 11 or more softmax slots, where numpy's pairwise
-row sum splits a row across its 8 accumulators; the bundled graphs have
-at most 3), and compares the sha256 of every run CSV, of ``summary.csv`` and of
+the generated 1,000-agent tree1k benchmark graph at seed 0 (its padded
+allocation rows have 11 or more slots, which numpy sums with 8
+interleaved accumulators; the bundled graphs' rows have at most 3), and
+compares the sha256 of every run CSV, of ``summary.csv`` and of
 every checkpoint's parameter vector and epoch with
 ``golden_csv_sha256.json``.  A checkpoint is digested from its arrays,
 not from the zip bytes, which carry timestamps.

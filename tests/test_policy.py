@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
-from dirmarl.policy import BlockLayout, RbfPolicy
+from dirmarl.policy import BlockLayout, NonFiniteScores, RbfPolicy
 from helpers import (
     SPECIAL_VALUES,
     agent_centers,
@@ -187,16 +187,31 @@ def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
         assert np.all(alloc[i, k:] == 0.0)
 
 
+def graph_with_hub(rng: np.random.Generator):
+    """Random digraph on 9-14 agents plus out-edges making one agent's
+    out-degree at least 8: the padded allocation rows have 9 or more
+    slots, which numpy sums with 8 interleaved accumulators."""
+    g = random_weakly_connected_digraph(rng, 9, 14)
+    hub = int(rng.integers(1, g.num_agents + 1))
+    others = [j for j in g.agents if j != hub]
+    picked = rng.choice(others, size=int(rng.integers(8, len(others) + 1)), replace=False)
+    return build_graph(g.num_agents, set(g.edges) | {(hub, int(j)) for j in picked})
+
+
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")),
-       st.floats(min_value=-3.0, max_value=308.0), st.floats(min_value=0.0, max_value=0.3))
-@settings(max_examples=150, deadline=None)
-def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special):
-    # Same bits as the straightforward masked softmax, and a raise on
-    # exactly the inputs it rejects, including non-finite, signed-zero
-    # and overflowing observations and parameters.
+       st.floats(min_value=-3.0, max_value=308.0), st.floats(min_value=0.0, max_value=0.3),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, hub):
+    # Same bits as the straightforward padded masked softmax, and a raise
+    # with the same message (agent list included) on exactly the inputs
+    # it rejects, including non-finite, signed-zero and overflowing
+    # observations and parameters, on small graphs and on graphs with a
+    # hub of 9 or more slots.
     rng = np.random.default_rng(seed)
-    g = random_weakly_connected_digraph(rng, 1, 10)
+    g = graph_with_hub(rng) if hub else random_weakly_connected_digraph(rng, 1, 10)
     pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
+    assert not hub or pol.slots_max >= 9
     with np.errstate(over="ignore"):
         flat = 10.0 ** log_scale * rng.normal(size=pol.layout.total_dim)
     flat = sprinkle(rng, flat, SPECIAL_VALUES, special / 4)
@@ -209,9 +224,8 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special):
     def outcome(act):
         try:
             return act(obs_pad).tobytes()
-        except ValueError as exc:
-            assert "non-finite allocation scores" in str(exc)
-            return "non-finite"
+        except NonFiniteScores as exc:
+            return str(exc)
 
     with np.errstate(all="ignore"):
         assert outcome(bound.act_matrix) == outcome(lambda o: reference_act_matrix(bound, o))

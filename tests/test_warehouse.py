@@ -135,6 +135,40 @@ def test_allocation_contract_violations():
                                                 [1.0, 0.0, 0.0]]), horizon=2, rng=rng)
 
 
+def test_nan_allocation_fraction_is_outside_the_contract():
+    # NaN fails both bound comparisons; it must still be rejected, by the
+    # production check and by the reference alike.
+    env = make_env(build_graph(2, [(1, 2)]))
+    env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
+    cases = [(env, [[0.5, np.nan], [1.0, 0.0]], 1),
+             (env, [[1.0, 0.0], [np.nan, 0.0]], None),  # slot 0 is not checked
+             (env3, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, np.nan, np.nan]], None),
+             (env3, [[0.0, 0.4, 0.4], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], None),
+             (env3, [[0.0, 0.4, np.nan], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 1)]
+    for e, alloc, bad in cases:
+        for check in (e.validate_allocations,
+                      lambda a, w: reference_validate_allocations(e, a, w)):
+            if bad is None:
+                check(np.array(alloc), " at step 2")
+                continue
+            with pytest.raises(RolloutError) as info:
+                check(np.array(alloc), " at step 2")
+            assert str(info.value) == f"agent {bad} allocation fraction outside [0, 1] at step 2"
+
+
+def test_validate_allocations_does_not_warn_on_opposite_infinities():
+    # A row holding inf and -inf sums to NaN; outside simulate_rollout's
+    # errstate that sum would warn.  Both checks reject it silently.
+    env = make_env(build_graph(3, [(1, 2), (1, 3)]))
+    alloc = np.array([[0.0, np.inf, -np.inf], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (env.validate_allocations,
+                      lambda a: reference_validate_allocations(env, a)):
+            with pytest.raises(RolloutError, match="^agent 1 allocation fraction outside"):
+                check(alloc)
+
+
 def test_non_finite_stock_aborts():
     # Overflow is named by the guard, and the rollout emits no
     # RuntimeWarning on the way there, with a stub or the real policy.
