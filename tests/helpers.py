@@ -228,11 +228,6 @@ def sprinkle(rng: np.random.Generator, x: np.ndarray, values, frac: float) -> np
 # inputs with the same messages.
 
 
-def slot_mask(policy) -> np.ndarray:
-    """(N, slots_max) bool: True on each agent's valid slots."""
-    return np.arange(policy.slots_max) < policy.num_slots[:, None]
-
-
 def theta_padded(policy, flat: np.ndarray) -> np.ndarray:
     """The flat parameter as a zero-padded (N, slots_max, num_centers)
     tensor, filled block by block."""
@@ -247,7 +242,7 @@ def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
     """The padded masked softmax: every slot scored and exponentiated,
     padding pinned to the row minimum and zeroed by the mask."""
     p = bound.policy
-    mask = slot_mask(p)
+    mask = np.arange(p.slots_max) < p.num_slots[:, None]
     diff = obs_pad[:, None, :] - p.centers_pad
     sqd = np.einsum("ild,ild->il", diff, diff)
     feats = sqd if p.kernel == "squared" else np.exp(-sqd)
