@@ -69,6 +69,11 @@ def test_tables_match_the_per_agent_loops():
             assert (obj.obs_max, obj.slots_max) == (max(obj.obs_dims), max(obj.num_slots))
         assert policy.layout.dims == tuple(
             settings["num_centers"] * (len(g.out_neighbors(i)) + 1) for i in g.agents)
+        # act_matrix reads the flat vector as (K, num_centers): row k must
+        # be valid slot k, so each block starts at its agent's first slot.
+        assert np.array_equal(policy.layout.offsets,
+                              np.append(policy.slot_start, policy.slot_agent.size)
+                              * settings["num_centers"])
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
