@@ -78,6 +78,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.json and not os.path.isdir(os.path.dirname(os.path.abspath(args.json))):
+        raise ValueError(f"cannot write --json {args.json}: its directory does not exist")
     results = run_validation(seed=args.seed, quick=args.quick)
     for res in results:
         print(f"{res.name}: {'PASS' if res.passed else 'FAIL'}  {res.detail}")

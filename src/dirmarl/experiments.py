@@ -205,7 +205,10 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     """
     started = time.perf_counter()
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
     env = WarehouseEnv(cfg.warehouse)
     policy = RbfPolicy(cfg.graph, num_centers=cfg.policy.num_centers,
                        stock_range=cfg.policy.stock_range,

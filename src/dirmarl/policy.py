@@ -16,11 +16,9 @@ The joint parameter is a flat vector cut into per-agent blocks by a
 BlockLayout; all learning updates and perturbations act on the flat
 view, and block views always alias it.
 
-``act_matrix`` scores, shifts and exponentiates only the K valid (agent,
-slot) pairs, the rows of the flat vector read as (K, n_c), but sums each
-row over the zero-padded (N, slots_max) matrix: numpy sums 8 or more
-entries with 8 interleaved accumulators, so a row's rounding depends on
-the padded width, and a compact per-agent sum would move bits.
+``act_matrix`` works on the K valid (agent, slot) pairs only, the rows
+of the flat vector read as (K, n_c).  Each agent's softmax denominator is
+the left fold of its own weights in slot order, whatever the widest agent.
 """
 
 from __future__ import annotations
@@ -119,17 +117,14 @@ class RbfPolicy:
         # Observations and centers are padded to obs_max, so every agent's
         # features come from one pass.
         self.obs_max = int(self.obs_dims.max())
-        self.slots_max = int(self.num_slots.max())
         col = np.arange(self.obs_max)
         last = (self.obs_dims - 1)[:, None, None]
         self.centers_pad = np.where(col < last, diag[:, :1],
                                     np.where(col == last, diag[:, 1:], 0.0))
         # The K valid (agent, slot) pairs in flat-parameter order: the
-        # agent of each, each agent's first, and the index of each in the
-        # flattened (N, slots_max) allocation.
+        # agent of each, and each agent's first.
         self.slot_agent = np.repeat(np.arange(n), self.num_slots)
         self.slot_start = np.cumsum(self.num_slots) - self.num_slots
-        self.slot_flat = np.flatnonzero(np.arange(self.slots_max) < self.num_slots[:, None])
 
     def bind(self, flat: np.ndarray) -> "BoundRbfPolicy":
         flat = np.asarray(flat, dtype=float)
@@ -152,8 +147,8 @@ class BoundRbfPolicy:
     def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
         """Allocations for all agents at once.
 
-        obs_pad is (N, obs_max) zero-padded; returns (N, slots_max)
-        with slot 0 the retained fraction and invalid slots zero.
+        obs_pad is (N, obs_max) zero-padded; returns the compact (K,)
+        allocation in slot order, each agent's retained fraction first.
         """
         p = self.policy
         diff = obs_pad[:, None, :] - p.centers_pad
@@ -168,7 +163,6 @@ class BoundRbfPolicy:
         w = np.minimum.reduceat(z, p.slot_start).take(p.slot_agent)
         w -= z
         np.exp(w, out=w)
-        alloc = np.zeros((len(p.num_slots), p.slots_max))
-        alloc.put(p.slot_flat, w)
-        alloc /= alloc.sum(axis=1, keepdims=True)
-        return alloc
+        # bincount adds each agent's weights in slot order: a left fold
+        w /= np.bincount(p.slot_agent, weights=w).take(p.slot_agent)
+        return w

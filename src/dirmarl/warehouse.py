@@ -85,11 +85,9 @@ class WarehouseEnv:
 
         # Edges ordered by (source, target): fixed summation order.
         src, dst = self._e_src, self._e_dst = g.edge_array
-        out_deg = np.bincount(src, minlength=n)
         self.obs_dims = np.bincount(dst, minlength=n) + 2
-        self.num_slots = out_deg + 1
+        self.num_slots = np.bincount(src, minlength=n) + 1
         self.obs_max = int(self.obs_dims.max())
-        self.slots_max = int(self.num_slots.max())
 
         # Gather index filling the padded observation matrix from
         # concatenate((stocks, demands, (0.0,))): observed stocks
@@ -104,12 +102,10 @@ class WarehouseEnv:
         self._obs_gather[who, np.arange(who.size) - row_start[who]] = seen
         self._obs_gather[agents, self.obs_dims - 1] = n + agents
 
-        # _e_flat indexes the flattened (N, slots_max) allocation; slot 0
-        # is the retained fraction, slot k + 1 the k-th out-neighbour.
-        out_start = np.cumsum(out_deg) - out_deg
-        self._e_flat = src * self.slots_max + 1 + np.arange(src.size) - out_start[src]
-        slot = np.arange(self.slots_max)
-        self._out_mask = (slot >= 1) & (slot < self.num_slots[:, None])
+        # Edge e of source s is slot e + s + 1 of the compact allocation:
+        # each agent's slots are its retained fraction, then its out-edges,
+        # so the non-self slots in slot order are the edges in order.
+        self._e_slot = np.arange(src.size) + src + 1
 
     # -- randomness -------------------------------------------------
 
@@ -150,28 +146,28 @@ class WarehouseEnv:
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
         return np.concatenate((stocks, demands, (0.0,)))[self._obs_gather]
 
-    def validate_allocations(self, alloc: np.ndarray, where: str = "") -> None:
-        out = np.where(self._out_mask, alloc, 0.0)
-        # Fast accept.  NaN fails every comparison, so it counts as outside
-        # [0, 1]; rows are summed only when every fraction lies inside.
-        if out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12:
-            sums = out.sum(axis=1)
+    def validate_allocations(self, frac: np.ndarray, where: str = "") -> None:
+        # (E,) out-edge fractions.  Fast accept; a graph without edges has
+        # none.  NaN fails every comparison, so it counts as outside [0, 1];
+        # the left-fold sums are taken only when every fraction lies inside.
+        if frac.min(initial=0.0) >= -1e-12 and frac.max(initial=0.0) <= 1.0 + 1e-12:
+            sums = np.bincount(self._e_src, weights=frac, minlength=self.num_agents)
             if sums.max() <= 1.0 + 1e-12:
                 return
             bad = int(np.argmax(sums > 1.0 + 1e-12)) + 1
             raise RolloutError(f"agent {bad} ships more than its whole stock "
                                f"(fraction sum {sums[bad - 1]}){where}")
-        inside = (out >= -1e-12) & (out <= 1.0 + 1e-12)
-        bad = int(np.argmin(inside.all(axis=1))) + 1
+        inside = (frac >= -1e-12) & (frac <= 1.0 + 1e-12)
+        bad = int(self._e_src[np.argmin(inside)]) + 1
         raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
 
-    def apply_transition(self, stocks: np.ndarray, alloc: np.ndarray,
+    def apply_transition(self, stocks: np.ndarray, frac: np.ndarray,
                          demands: np.ndarray) -> np.ndarray:
-        """Next stocks.  ``alloc`` is the padded (N, slots_max) matrix.
-        Overflow surfaces as inf (numpy warns unless the caller silences
-        it, as ``simulate_rollout`` does); the rollout's finiteness guard
-        turns it into a diagnostic abort."""
-        shipped = alloc.take(self._e_flat) * stocks[self._e_src]
+        """Next stocks from the (E,) out-edge fractions.  Overflow
+        surfaces as inf (numpy warns unless the caller silences it, as
+        ``simulate_rollout`` does); the rollout's finiteness guard turns
+        it into a diagnostic abort."""
+        shipped = frac * stocks[self._e_src]
         outflow = np.bincount(self._e_src, weights=shipped, minlength=self.num_agents)
         inflow = np.bincount(self._e_dst, weights=shipped, minlength=self.num_agents)
         return stocks - outflow + inflow - demands
@@ -198,7 +194,8 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
                      rng: np.random.Generator | None = None,
                      noise_trace: NoiseTrace | None = None) -> Rollout:
     """Run one episode.  ``policy.act_matrix(padded_obs)`` returns the
-    padded (N, slots_max) allocations, slot 0 the retained fraction.
+    compact (K,) allocation, each agent's retained fraction first; the
+    step reads its out-edge fractions once, in edge order.
     Passing ``noise_trace`` replays that exact randomness; otherwise a
     fresh trace is drawn from ``rng`` and recorded."""
     if horizon < 1:
@@ -222,10 +219,10 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             d = env.demand_row(t, noise_trace.demand_noise[t])
-            alloc = policy.act_matrix(env.observation_matrix(m, d))
-            env.validate_allocations(alloc, where=f" at step {t}")
+            frac = policy.act_matrix(env.observation_matrix(m, d)).take(env._e_slot)
+            env.validate_allocations(frac, where=f" at step {t}")
             rewards[t] = step_rewards(m)
-            m = env.apply_transition(m, alloc, d)
+            m = env.apply_transition(m, frac, d)
             if not np.isfinite(m).all():
                 bad = np.flatnonzero(~np.isfinite(m)) + 1
                 raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {t}")

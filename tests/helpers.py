@@ -5,6 +5,9 @@ constructors."""
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from dirmarl.experiments import CSV_MAGIC
@@ -147,7 +150,7 @@ def nine_agent_graph() -> CoordinationGraph:
 
 # -- per-agent policy reference -------------------------------------------
 # One agent at a time, straight from the formulas in dirmarl.policy; the
-# padded whole-population ``act_matrix`` is checked against these.
+# whole-population ``act_matrix`` is checked against these.
 
 
 def agent_centers(policy, i: int) -> np.ndarray:
@@ -189,11 +192,12 @@ def per_agent_allocation(policy, flat: np.ndarray, i: int, obs: np.ndarray) -> n
 
 
 class FixedAllocation:
-    """Policy stub whose ``act_matrix`` always returns one padded
-    (N, slots_max) allocation, whatever the observation."""
+    """Policy stub whose ``act_matrix`` always returns one compact (K,)
+    allocation, whatever the observation.  Built from one row per agent:
+    its retained fraction, then one per out-neighbour in ascending order."""
 
-    def __init__(self, alloc):
-        self.alloc = np.asarray(alloc, dtype=float)
+    def __init__(self, rows):
+        self.alloc = np.concatenate([np.asarray(r, dtype=float) for r in rows])
 
     def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
         return self.alloc
@@ -201,10 +205,7 @@ class FixedAllocation:
     @classmethod
     def uniform(cls, env) -> "FixedAllocation":
         """Stock split evenly over self and every out-edge."""
-        alloc = np.zeros((env.num_agents, env.slots_max))
-        for i, k in enumerate(env.num_slots):
-            alloc[i, :k] = 1.0 / k
-        return cls(alloc)
+        return cls([np.full(k, 1.0 / k) for k in env.num_slots])
 
 
 # Values that stress bitwise agreement: non-finite, signed zero, near
@@ -222,27 +223,33 @@ def sprinkle(rng: np.random.Generator, x: np.ndarray, values, frac: float) -> np
 
 
 # -- per-step rollout references ------------------------------------------
-# The straightforward forms of the padded act_matrix and the warehouse step
-# functions, with index arrays rebuilt from public attributes.  The
-# production versions must compute the same bits and raise on the same
-# inputs with the same messages.
+# The straightforward forms of act_matrix and the warehouse step functions,
+# with index arrays rebuilt from public attributes.  The production
+# versions must compute the same bits and raise on the same inputs with
+# the same messages.
 
 
 def theta_padded(policy, flat: np.ndarray) -> np.ndarray:
-    """The flat parameter as a zero-padded (N, slots_max, num_centers)
-    tensor, filled block by block."""
+    """The flat parameter as a zero-padded (N, widest slot count,
+    num_centers) tensor, filled block by block."""
     nc = policy.num_centers
-    pad = np.zeros((policy.graph.num_agents, policy.slots_max, nc))
+    pad = np.zeros((policy.graph.num_agents, int(policy.num_slots.max()), nc))
     for i, k in enumerate(policy.num_slots):
         pad[i, :k] = policy.layout.block(flat, i + 1).reshape(k, nc)
     return pad
 
 
+def left_fold(values) -> float:
+    """0.0 + v0 + v1 + ... in order.  Not the builtin ``sum``: from
+    Python 3.12 its float sum is compensated."""
+    return functools.reduce(operator.add, (float(v) for v in values), 0.0)
+
+
 def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
-    """The padded masked softmax: every slot scored and exponentiated,
-    padding pinned to the row minimum and zeroed by the mask."""
+    """The softmax agent by agent, on that agent's own slots only: each
+    denominator is the left fold of its exp-weights in slot order.
+    Returns the compact (K,) allocation."""
     p = bound.policy
-    mask = np.arange(p.slots_max) < p.num_slots[:, None]
     diff = obs_pad[:, None, :] - p.centers_pad
     sqd = np.einsum("ild,ild->il", diff, diff)
     feats = sqd if p.kernel == "squared" else np.exp(-sqd)
@@ -250,12 +257,11 @@ def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
     bad = [i + 1 for i, k in enumerate(p.num_slots) if not np.all(np.isfinite(z[i, :k]))]
     if bad:
         raise NonFiniteScores(f"non-finite allocation scores for agents {bad}")
-    zmin = np.where(mask, z, np.inf).min(axis=1, keepdims=True)
-    # masked lanes hold padding, not scores; pin them to zmin so the
-    # exp never overflows before the mask zeroes them out
-    zc = np.where(mask, z, zmin)
-    w = np.where(mask, np.exp(-(zc - zmin)), 0.0)
-    return w / w.sum(axis=1, keepdims=True)
+    rows = []
+    for i, k in enumerate(p.num_slots):
+        w = np.exp(-(z[i, :k] - z[i, :k].min()))
+        rows.append(w / left_fold(w))
+    return np.concatenate(rows)
 
 
 def reference_observation_matrix(env, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
@@ -269,36 +275,37 @@ def reference_observation_matrix(env, stocks: np.ndarray, demands: np.ndarray) -
     return obs
 
 
-def _out_mask(env) -> np.ndarray:
-    mask = np.zeros((env.num_agents, env.slots_max), dtype=bool)
-    for i, k in enumerate(env.num_slots):
-        mask[i, 1:k] = True
-    return mask
+def out_fractions(env, frac: np.ndarray) -> list[list[float]]:
+    """The (E,) out-edge fractions cut into one list per agent, by the
+    graph's out-neighbours (edges in (source, target) order)."""
+    rows, e = [], 0
+    for i in env.graph.agents:
+        k = len(env.graph.out_neighbors(i))
+        rows.append([float(f) for f in frac[e:e + k]])
+        e += k
+    return rows
 
 
-def reference_validate_allocations(env, alloc: np.ndarray, where: str = "") -> None:
-    out = np.where(_out_mask(env), alloc, 0.0)
-    viol = ~((out >= -1e-12) & (out <= 1.0 + 1e-12))  # NaN included
-    if viol.any():
-        bad = int(np.argmax(viol.any(axis=1))) + 1
-        raise RolloutError(f"agent {bad} allocation fraction outside [0, 1]{where}")
-    sums = out.sum(axis=1)
-    if np.any(sums > 1.0 + 1e-12):
-        bad = int(np.argmax(sums > 1.0 + 1e-12)) + 1
-        raise RolloutError(f"agent {bad} ships more than its whole stock "
-                           f"(fraction sum {sums[bad - 1]}){where}")
+def reference_validate_allocations(env, frac: np.ndarray, where: str = "") -> None:
+    rows = out_fractions(env, frac)
+    for i, row in enumerate(rows, 1):
+        if not all(-1e-12 <= f <= 1.0 + 1e-12 for f in row):  # NaN included
+            raise RolloutError(f"agent {i} allocation fraction outside [0, 1]{where}")
+    for i, row in enumerate(rows, 1):
+        total = left_fold(row)
+        if total > 1.0 + 1e-12:
+            raise RolloutError(f"agent {i} ships more than its whole stock "
+                               f"(fraction sum {total}){where}")
 
 
-def reference_apply_transition(env, stocks: np.ndarray, alloc: np.ndarray,
+def reference_apply_transition(env, stocks: np.ndarray, frac: np.ndarray,
                                demands: np.ndarray) -> np.ndarray:
     # edges ordered by (source, target): the production summation order
-    edges = [(i - 1, j - 1, k + 1) for i in env.graph.agents
-             for k, j in enumerate(env.graph.out_neighbors(i))]
+    edges = [(i - 1, j - 1) for i in env.graph.agents for j in env.graph.out_neighbors(i)]
     e_src = np.array([e[0] for e in edges], dtype=np.intp)
     e_dst = np.array([e[1] for e in edges], dtype=np.intp)
-    e_slot = np.array([e[2] for e in edges], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        shipped = alloc[e_src, e_slot] * stocks[e_src]
+        shipped = frac * stocks[e_src]
         outflow = np.bincount(e_src, weights=shipped, minlength=env.num_agents)
         inflow = np.bincount(e_dst, weights=shipped, minlength=env.num_agents)
         return stocks - outflow + inflow - demands
@@ -467,53 +474,48 @@ def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
 
 
 def reference_policy_tables(policy) -> dict[str, np.ndarray]:
-    """``centers_pad``, ``slot_agent``, ``slot_start`` and ``slot_flat``
-    of an RbfPolicy, filled agent by agent."""
+    """``centers_pad``, ``slot_agent`` and ``slot_start`` of an
+    RbfPolicy, filled agent by agent."""
     g = policy.graph
     n, nc = g.num_agents, policy.num_centers
     obs_sets = [g.observation_set(i) for i in g.agents]
     num_slots = [len(g.out_neighbors(i)) + 1 for i in g.agents]
-    slots_max = max(num_slots)
     centers_pad = np.zeros((n, nc, max(len(s) for s in obs_sets) + 1))
     for i, s in enumerate(obs_sets):
         centers_pad[i, :, :len(s) + 1] = make_centers(
             [policy.stock_range] * len(s) + [policy.demand_range], nc)
-    agent, start, flat = [], [], []
+    agent, start = [], []
     for i in range(n):
         start.append(len(agent))
-        for s in range(num_slots[i]):
-            agent.append(i)
-            flat.append(i * slots_max + s)
+        agent.extend([i] * num_slots[i])
     return {"centers_pad": centers_pad, "slot_agent": np.array(agent, dtype=np.intp),
-            "slot_start": np.array(start, dtype=np.intp),
-            "slot_flat": np.array(flat, dtype=np.intp)}
+            "slot_start": np.array(start, dtype=np.intp)}
 
 
 def reference_env_tables(env) -> dict[str, np.ndarray]:
-    """``_obs_gather``, ``_e_src``, ``_e_dst``, ``_e_flat`` and
-    ``_out_mask`` of a WarehouseEnv, filled agent by agent."""
+    """``_obs_gather``, ``_e_src``, ``_e_dst`` and ``_e_slot`` of a
+    WarehouseEnv, filled agent by agent.  ``_e_slot`` is each edge's
+    index into the compact allocation, whose agents each hold a
+    retained slot and then one slot per out-neighbour."""
     g = env.graph
     n = g.num_agents
     obs_sets = [g.observation_set(i) for i in g.agents]
     out_slots = [g.out_neighbors(i) for i in g.agents]
-    slots_max = max(len(s) for s in out_slots) + 1
     gather = np.full((n, max(len(s) for s in obs_sets) + 1), 2 * n, dtype=np.intp)
     for i in range(n):
         k = len(obs_sets[i])
         gather[i, :k] = [j - 1 for j in obs_sets[i]]
         gather[i, k] = n + i
-    e_src, e_dst, e_flat = [], [], []
+    e_src, e_dst, e_slot, first = [], [], [], 0
     for i in range(n):
         for k, j in enumerate(out_slots[i]):
             e_src.append(i)
             e_dst.append(j - 1)
-            e_flat.append(i * slots_max + k + 1)
-    out_mask = np.zeros((n, slots_max), dtype=bool)
-    for i in range(n):
-        out_mask[i, 1:len(out_slots[i]) + 1] = True
+            e_slot.append(first + 1 + k)
+        first += len(out_slots[i]) + 1
     return {"_obs_gather": gather, "_e_src": np.array(e_src, dtype=np.intp),
             "_e_dst": np.array(e_dst, dtype=np.intp),
-            "_e_flat": np.array(e_flat, dtype=np.intp), "_out_mask": out_mask}
+            "_e_slot": np.array(e_slot, dtype=np.intp)}
 
 
 def grouped_gather(learning, values: np.ndarray) -> np.ndarray:

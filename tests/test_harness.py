@@ -822,6 +822,29 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert "num_agents" in capsys.readouterr().err
 
 
+def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
+    path = tiny_config(tmp_path, str(tmp_path / "out"))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["run", path, "--output", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {taken}: ")
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_validate_json_in_missing_directory_exits_2_before_the_battery(
+        tmp_path, capsys, monkeypatch):
+    def battery(**kw):
+        raise AssertionError("the battery ran before the --json path was checked")
+
+    monkeypatch.setattr("dirmarl.cli.run_validation", battery)
+    report = tmp_path / "absent" / "report.json"
+    assert main(["validate", "--quick", "--json", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write --json {report}: its directory does not exist\n")
+    assert not report.parent.exists()
+
+
 def test_cli_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--help"])

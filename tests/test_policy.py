@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
 from dirmarl.policy import BlockLayout, NonFiniteScores, RbfPolicy
@@ -76,12 +76,19 @@ def test_block_norms_match_per_block():
     assert np.allclose(norms, [5.0, 3.0, 7.0])
 
 
+def agent_rows(pol: RbfPolicy, alloc: np.ndarray) -> list[np.ndarray]:
+    """The compact (K,) allocation cut into one row per agent."""
+    assert alloc.shape == pol.slot_agent.shape
+    return np.split(alloc, pol.slot_start[1:])
+
+
 def test_zero_params_give_uniform_allocation():
     g = nine_agent_graph()
     pol = RbfPolicy(g, num_centers=4)
     alloc = pol.bind(np.zeros(pol.layout.total_dim)).act_matrix(np.zeros((9, pol.obs_max)))
-    assert np.allclose(alloc[1], [1.0 / 3] * 3)  # two out-neighbors + self
-    assert np.allclose(alloc[0], [0.5, 0.5, 0.0])
+    rows = agent_rows(pol, alloc)
+    assert np.allclose(rows[1], [1.0 / 3] * 3)  # two out-neighbors + self
+    assert np.allclose(rows[0], [0.5, 0.5])
 
 
 def test_rbf_scores_match_manual_sum():
@@ -156,14 +163,12 @@ def test_act_matrix_matches_per_agent_path():
             o = rng.uniform(-1, 2, size=pol.obs_dims[i - 1])
             obs.append(o)
             obs_pad[i - 1, :o.size] = o
-        alloc = bound.act_matrix(obs_pad)
+        rows = agent_rows(pol, bound.act_matrix(obs_pad))
         for i in g.agents:
-            row = alloc[i - 1]
-            assert np.allclose(row[:pol.num_slots[i - 1]],
-                               per_agent_allocation(pol, bound.flat, i, obs[i - 1]),
+            row = rows[i - 1]
+            assert np.allclose(row, per_agent_allocation(pol, bound.flat, i, obs[i - 1]),
                                rtol=1e-12, atol=1e-14)
-            assert np.all(row[pol.num_slots[i - 1]:] == 0.0)
-            assert np.isclose(row[:pol.num_slots[i - 1]].sum(), 1.0)
+            assert np.isclose(row.sum(), 1.0)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")),
@@ -171,7 +176,7 @@ def test_act_matrix_matches_per_agent_path():
 @settings(max_examples=150, deadline=None)
 def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
     # The contract validate_allocations guards, pinned on the production
-    # path: every valid row is a probability vector and padding is zero.
+    # path: every agent's row is a probability vector.
     rng = np.random.default_rng(seed)
     g = random_weakly_connected_digraph(rng, 1, 10)
     pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
@@ -179,18 +184,15 @@ def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
     obs_pad = np.zeros((g.num_agents, pol.obs_max))
     for i in range(g.num_agents):
         obs_pad[i, :pol.obs_dims[i]] = rng.uniform(-1.5, 2.5, size=pol.obs_dims[i])
-    alloc = bound.act_matrix(obs_pad)
-    assert alloc.shape == (g.num_agents, pol.slots_max)
-    for i, k in enumerate(pol.num_slots):
-        assert np.all(alloc[i, :k] >= 0.0)
-        assert abs(alloc[i, :k].sum() - 1.0) <= 1e-12
-        assert np.all(alloc[i, k:] == 0.0)
+    for row in agent_rows(pol, bound.act_matrix(obs_pad)):
+        assert np.all(row >= 0.0)
+        assert abs(row.sum() - 1.0) <= 1e-12
 
 
 def graph_with_hub(rng: np.random.Generator):
     """Random digraph on 9-14 agents plus out-edges making one agent's
-    out-degree at least 8: the padded allocation rows have 9 or more
-    slots, which numpy sums with 8 interleaved accumulators."""
+    out-degree at least 8: a row of 9 or more slots, which numpy's own
+    sums would add with 8 interleaved accumulators, not as a left fold."""
     g = random_weakly_connected_digraph(rng, 9, 14)
     hub = int(rng.integers(1, g.num_agents + 1))
     others = [j for j in g.agents if j != hub]
@@ -203,7 +205,7 @@ def graph_with_hub(rng: np.random.Generator):
        st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, hub):
-    # Same bits as the straightforward padded masked softmax, and a raise
+    # Same bits as the per-agent left-fold softmax, and a raise
     # with the same message (agent list included) on exactly the inputs
     # it rejects, including non-finite, signed-zero and overflowing
     # observations and parameters, on small graphs and on graphs with a
@@ -211,7 +213,7 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, 
     rng = np.random.default_rng(seed)
     g = graph_with_hub(rng) if hub else random_weakly_connected_digraph(rng, 1, 10)
     pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
-    assert not hub or pol.slots_max >= 9
+    assert not hub or pol.num_slots.max() >= 9
     with np.errstate(over="ignore"):
         flat = 10.0 ** log_scale * rng.normal(size=pol.layout.total_dim)
     flat = sprinkle(rng, flat, SPECIAL_VALUES, special / 4)
@@ -230,6 +232,45 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, 
 
     with np.errstate(all="ignore"):
         assert outcome(bound.act_matrix) == outcome(lambda o: reference_act_matrix(bound, o))
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")))
+@settings(max_examples=60, deadline=None)
+def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel):
+    # A base graph whose agents have 2-7 slots gains a new agent with 8 or
+    # more out-edges.  Every agent whose observation set and slot set did
+    # not change must get the same allocation bits: its denominator is
+    # its own left fold, whatever the widest row.  The hub's targets are
+    # chosen so that the padded observation width stays the same.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 19))
+    edges = set()
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        edges |= {(i, int(j)) for j in rng.choice(others, size=int(rng.integers(1, 7)),
+                                                  replace=False)}
+    base = RbfPolicy(build_graph(n, edges), num_centers=int(rng.integers(1, 5)), kernel=kernel)
+    eligible = np.flatnonzero(base.obs_dims < base.obs_max) + 1
+    assume(eligible.size >= 8)
+    targets = rng.choice(eligible, size=int(rng.integers(8, eligible.size + 1)), replace=False)
+    # rows of 4 or more slots are where a padded 8-accumulator sum differs
+    assume(any(base.num_slots[j - 1] >= 4 for j in base.graph.agents if j not in targets))
+    wide = RbfPolicy(build_graph(n + 1, edges | {(n + 1, int(j)) for j in targets}),
+                     num_centers=base.num_centers, kernel=kernel)
+    assert wide.obs_max == base.obs_max and wide.num_slots.max() >= 9
+    assert base.num_slots.max() <= 7
+
+    flat = rng.normal(scale=0.5, size=wide.layout.total_dim)  # the hub's block is last
+    obs = [rng.uniform(-1.5, 2.5, size=d) for d in wide.obs_dims]
+    allocs = []
+    for pol in (base, wide):
+        obs_pad = np.zeros((pol.graph.num_agents, pol.obs_max))
+        for i, d in enumerate(pol.obs_dims):
+            obs_pad[i, :d] = obs[i][:d]
+        allocs.append(agent_rows(pol, pol.bind(flat[:pol.layout.total_dim]).act_matrix(obs_pad)))
+    untouched = [i for i in range(n) if i + 1 not in targets]
+    for i in untouched:
+        assert allocs[0][i].tobytes() == allocs[1][i].tobytes(), f"agent {i + 1}"
 
 
 def test_gaussian_kernel_changes_features():

@@ -56,16 +56,17 @@ def test_step_rewards_quadratic_backlog():
     assert np.array_equal(r, [-0.25, 0.0, 0.0])
 
 
+def out_edge_fractions(env, rng: np.random.Generator) -> np.ndarray:
+    """A random valid allocation's (E,) out-edge fractions: each agent's
+    Dirichlet draw over its slots without the retained fraction."""
+    return np.concatenate([rng.dirichlet(np.ones(k))[1:] for k in env.num_slots])
+
+
 def test_transition_conserves_stock_without_demand():
     env = make_env()
     rng = np.random.default_rng(1)
     stocks = rng.uniform(-0.5, 2.0, size=9)
-    alloc = np.zeros((9, env.slots_max))
-    for i in range(9):
-        k = env.num_slots[i]
-        fr = rng.dirichlet(np.ones(k))
-        alloc[i, :k] = fr
-    nxt = env.apply_transition(stocks, alloc, np.zeros(9))
+    nxt = env.apply_transition(stocks, out_edge_fractions(env, rng), np.zeros(9))
     assert np.isclose(nxt.sum(), stocks.sum(), atol=1e-12)
 
 
@@ -76,12 +77,9 @@ def test_transition_balance_identity(seed):
     env = make_env()
     rng = np.random.default_rng(seed)
     stocks = rng.uniform(-1.0, 2.0, size=9)
-    alloc = np.zeros((9, env.slots_max))
-    for i in range(9):
-        k = env.num_slots[i]
-        alloc[i, :k] = rng.dirichlet(np.ones(k))
+    frac = out_edge_fractions(env, rng)
     d = rng.uniform(0.0, 0.4, size=9)
-    nxt = env.apply_transition(stocks, alloc, d)
+    nxt = env.apply_transition(stocks, frac, d)
     assert np.isclose(nxt.sum(), stocks.sum() - d.sum(), atol=1e-10)
 
 
@@ -128,45 +126,82 @@ def test_allocation_contract_violations():
     env = make_env(build_graph(2, [(1, 2)]))
     rng = np.random.default_rng(0)
     with pytest.raises(RolloutError, match="agent 1.*outside.*at step 0"):
-        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0, 0.0]]), horizon=2, rng=rng)
+        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0]]), horizon=2, rng=rng)
     env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
     with pytest.raises(RolloutError, match="agent 1 ships more"):
-        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0, 0.0, 0.0],
-                                                [1.0, 0.0, 0.0]]), horizon=2, rng=rng)
+        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0], [1.0]]), horizon=2,
+                         rng=rng)
+    # The retained fraction is neither checked nor used: the rollout runs.
+    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0], [np.nan]]), horizon=2, rng=rng)
+    assert np.isfinite(ro.stocks).all()
+
+
+# edges (1, 2), (1, 3), (2, 3), (3, 1): agent 1 owns the first two
+FOUR_EDGES = [(1, 2), (1, 3), (2, 3), (3, 1)]
+
+
+def check_outcomes(env, frac, where=""):
+    """The production and the reference check's verdicts on the (E,)
+    out-edge fractions ``frac``: None or the error message."""
+    got = []
+    for check in (env.validate_allocations,
+                  lambda f, w: reference_validate_allocations(env, f, w)):
+        try:
+            check(np.array(frac, dtype=float), where)
+            got.append(None)
+        except RolloutError as exc:
+            got.append(str(exc))
+    return got
 
 
 def test_nan_allocation_fraction_is_outside_the_contract():
     # NaN fails both bound comparisons; it must still be rejected, by the
     # production check and by the reference alike.
     env = make_env(build_graph(2, [(1, 2)]))
-    env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
-    cases = [(env, [[0.5, np.nan], [1.0, 0.0]], 1),
-             (env, [[1.0, 0.0], [np.nan, 0.0]], None),  # slot 0 is not checked
-             (env3, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, np.nan, np.nan]], None),
-             (env3, [[0.0, 0.4, 0.4], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], None),
-             (env3, [[0.0, 0.4, np.nan], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 1)]
-    for e, alloc, bad in cases:
-        for check in (e.validate_allocations,
-                      lambda a, w: reference_validate_allocations(e, a, w)):
-            if bad is None:
-                check(np.array(alloc), " at step 2")
-                continue
-            with pytest.raises(RolloutError) as info:
-                check(np.array(alloc), " at step 2")
-            assert str(info.value) == f"agent {bad} allocation fraction outside [0, 1] at step 2"
+    env4 = make_env(build_graph(3, FOUR_EDGES))
+    cases = [(env, [np.nan], 1),
+             (env4, [0.4, 0.4, np.nan, 0.0], 2),
+             (env4, [0.4, np.nan, np.nan, 0.2], 1),
+             (env4, [0.0, 0.0, 0.0, np.nan], 3),
+             (env4, [0.4, 0.4, 0.5, 0.5], None)]
+    for e, frac, bad in cases:
+        want = None if bad is None else f"agent {bad} allocation fraction outside [0, 1] at step 2"
+        assert check_outcomes(e, frac, " at step 2") == [want, want]
+
+
+def test_allocation_contract_messages():
+    # Each bound, one ulp to either side of it, and the per-agent sum:
+    # the production check and the reference give the same verdict and
+    # the same message text.
+    env4 = make_env(build_graph(3, FOUR_EDGES))
+    outside = "agent {} allocation fraction outside [0, 1] at step 5"
+    cases = [([1.0 + 1e-12, 0.0, 0.0, 0.0], None),
+             ([np.nextafter(1.0 + 1e-12, 2.0), 0.0, 0.0, 0.0], outside.format(1)),
+             ([0.0, 0.0, 0.0, np.nextafter(1.0 + 1e-12, 2.0)], outside.format(3)),
+             ([-1e-12, 1.0, -1e-12, 1.0], None),
+             ([0.5, 0.5, np.nextafter(-1e-12, -1.0), 0.0], outside.format(2)),
+             ([np.inf, 0.0, 0.0, 0.0], outside.format(1)),
+             ([0.0, 0.0, 0.0, -np.inf], outside.format(3)),
+             ([0.6, 0.6, 1.0, 1.0],
+              "agent 1 ships more than its whole stock (fraction sum 1.2) at step 5"),
+             ([0.5, 0.5 + 2e-12, 0.0, 0.0],
+              "agent 1 ships more than its whole stock "
+              "(fraction sum 1.000000000002) at step 5"),
+             ([0.5, 0.5 + 1e-12, 0.0, 0.0], None)]
+    for frac, want in cases:
+        assert check_outcomes(env4, frac, " at step 5") == [want, want], frac
 
 
 def test_validate_allocations_does_not_warn_on_opposite_infinities():
-    # A row holding inf and -inf sums to NaN; outside simulate_rollout's
+    # An agent holding inf and -inf sums to NaN; outside simulate_rollout's
     # errstate that sum would warn.  Both checks reject it silently.
     env = make_env(build_graph(3, [(1, 2), (1, 3)]))
-    alloc = np.array([[0.0, np.inf, -np.inf], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for check in (env.validate_allocations,
-                      lambda a: reference_validate_allocations(env, a)):
+                      lambda f: reference_validate_allocations(env, f)):
             with pytest.raises(RolloutError, match="^agent 1 allocation fraction outside"):
-                check(alloc)
+                check(np.array([np.inf, -np.inf]))
 
 
 def test_non_finite_stock_aborts():
@@ -177,7 +212,7 @@ def test_non_finite_stock_aborts():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
-            simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0, 0.0]]), horizon=2,
+            simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0]]), horizon=2,
                              rng=np.random.default_rng(0))
         policy = RbfPolicy(env.graph)
         with pytest.raises(ValueError, match="non-finite allocation scores for agents \\[1, 2\\]"):
@@ -199,19 +234,21 @@ def test_step_functions_match_reference_bitwise(seed, special, near):
     n = env.num_agents
     stocks = sprinkle(rng, rng.uniform(-2.0, 2.0, n), SPECIAL_VALUES, special)
     demands = sprinkle(rng, rng.uniform(0.0, 0.5, n), SPECIAL_VALUES, special)
-    alloc = rng.uniform(-1.0, 2.0, (n, env.slots_max))  # padding holds junk
-    for i, k in enumerate(env.num_slots):
-        alloc[i, :k] = rng.dirichlet(np.ones(k))
+    rows = []
+    for k in env.num_slots:
+        row = rng.dirichlet(np.ones(k))[1:]
         if k > 1 and rng.random() < near:  # out-fractions summing to ~1 + 1e-12
-            alloc[i, 1:k] = rng.choice([1.0, 1.0 + 1e-12, 1.0 + 2e-12]) / (k - 1)
-    alloc = sprinkle(rng, sprinkle(rng, alloc, NEAR_BOUNDS, near), SPECIAL_VALUES, special / 4)
+            row[:] = rng.choice([1.0, 1.0 + 1e-12, 1.0 + 2e-12]) / (k - 1)
+        rows.append(row)
+    frac = sprinkle(rng, sprinkle(rng, np.concatenate(rows), NEAR_BOUNDS, near),
+                    SPECIAL_VALUES, special / 4)
 
     with np.errstate(all="ignore"):
         pairs = [(env.observation_matrix(stocks, demands),
                   reference_observation_matrix(env, stocks, demands)),
                  (step_rewards(stocks), reference_step_rewards(stocks)),
-                 (env.apply_transition(stocks, alloc, demands),
-                  reference_apply_transition(env, stocks, alloc, demands))]
+                 (env.apply_transition(stocks, frac, demands),
+                  reference_apply_transition(env, stocks, frac, demands))]
     for got, want in pairs:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -223,8 +260,8 @@ def test_step_functions_match_reference_bitwise(seed, special, near):
             return str(exc)
         return None
 
-    assert (outcome(env.validate_allocations, alloc)
-            == outcome(reference_validate_allocations, env, alloc))
+    assert (outcome(env.validate_allocations, frac)
+            == outcome(reference_validate_allocations, env, frac))
 
 
 def test_observation_layout():
