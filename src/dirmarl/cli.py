@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .configio import ConfigError, load_config
 from .experiments import run_experiment, summarize
 from .graphs import build_artifacts
@@ -33,7 +35,8 @@ def _cmd_graph(args) -> int:
         print(f"  cluster {k}: {' '.join(str(a) for a in members)}")
     print(f"learning edges: {len(arts.learning.edges)}")
     if args.edges:
-        for j, i in sorted(arts.learning.edges):
+        pairs = arts.learning.edges
+        for j, i in pairs[np.argsort(pairs[:, 0], kind="stable")].tolist():
             print(f"  {j} -> {i}")
     centralized = arts.clusters.num_clusters == 1
     print(f"centralized equivalent: {'yes' if centralized else 'no'}")

@@ -105,8 +105,9 @@ class ExperimentConfig:
         """Resolved values as plain data for the run manifest."""
         owners = {"environment": self.warehouse, "policy": self.policy,
                   "learner": self, "experiment": self}
-        echo = {"graph": {"num_agents": self.graph.num_agents,
-                          "edges": [list(e) for e in self.graph.edges]}}
+        # edges in the config's own inline syntax, by source, then target
+        edges = ", ".join(f"{i}->{j}" for i, j in (self.graph.edge_array.T + 1).tolist())
+        echo = {"graph": {"num_agents": self.graph.num_agents, "edges": edges}}
         for section, owner in owners.items():
             echo[section] = {key: _plain(getattr(owner, key)) for key in _KEYS[section]}
         return echo

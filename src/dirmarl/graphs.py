@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -278,32 +279,105 @@ class ReachabilitySets:
         return self._up_set(self.clusters.cluster_of[i])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearningGraph:
-    """Reward-routing graph: edge (j, i) means j sends its realized
+    """Reward-routing graph E_L: edge (j, i) means j sends its realized
     reward to i, required exactly when i reaches j in the coordination
     graph.  Self-pairs are omitted: an agent is trivially its own
     reward source and never messages itself, even when it lies on a
     cycle.
 
-    ``in_neighbors[i]`` lists i's reward senders ascending (i's
-    reachable set minus i itself).
+    Stored as read-only CSR arrays over 0-based agents: target i's
+    senders are ``indices[indptr[i]:indptr[i + 1]]``, strictly
+    ascending and never i itself; ``senders`` gives the same row
+    1-based.
     """
 
     num_agents: int
-    edges: frozenset[tuple[int, int]]
-    in_neighbors: Mapping[int, tuple[int, ...]]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def senders(self, i: int) -> np.ndarray:
+        """Agent i's reward senders (1-based), ascending: i's reachable
+        set minus i itself."""
+        return self.indices[self.indptr[i - 1]:self.indptr[i]] + 1
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(|E_L|, 2) array of the 1-based (sender, target) pairs,
+        ordered by target, then sender."""
+        targets = np.repeat(np.arange(1, self.num_agents + 1), np.diff(self.indptr))
+        return np.column_stack((self.indices + 1, targets))
 
 
-def derive_learning_graph(g: CoordinationGraph, r: ReachabilitySets) -> LearningGraph:
-    in_nb: dict[int, tuple[int, ...]] = {}
-    edges: set[tuple[int, int]] = set()
-    for i in g.agents:
-        senders = tuple(j for j in r.reach_closed_sorted(i) if j != i)
-        in_nb[i] = senders
-        for j in senders:
-            edges.add((j, i))
-    return LearningGraph(g.num_agents, frozenset(edges), in_nb)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + l)`` over (starts, lengths)."""
+    begin = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - begin, lengths)
+
+
+def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> LearningGraph:
+    """E_L from one array pass over the condensation DAG.
+
+    The clusters are taken level by level from the sinks up: a level
+    holds every cluster whose children all lie on earlier levels, and
+    its closed reach sets (members plus the children's sets) are
+    gathered, sorted and deduplicated together.  Each agent's row is
+    then its cluster's set without the agent itself.  Work and memory
+    are linear in N + |E_L| up to the sorts."""
+    n, nc = g.num_agents, d.num_clusters
+    members = np.fromiter(chain.from_iterable(d.clusters), dtype=np.intp, count=n) - 1
+    size = np.fromiter(map(len, d.clusters), dtype=np.intp, count=nc)
+    cof = np.empty(n, dtype=np.intp)
+    cof[members] = np.repeat(np.arange(nc), size)
+    mstart = np.cumsum(size) - size
+
+    # condensation DAG edges parent -> child, sorted by parent, then child
+    src, dst = cof[g.edge_array]
+    key = np.sort((src * nc + dst)[src != dst])
+    key = key[np.diff(key, prepend=-1) != 0]
+    parent, child = np.divmod(key, nc)
+    out_ptr = np.concatenate(([0], np.cumsum(np.bincount(parent, minlength=nc))))
+    by_child = np.argsort(child, kind="stable")
+    up = parent[by_child]
+    in_ptr = np.concatenate(([0], np.cumsum(np.bincount(child, minlength=nc))))
+
+    # closed reach set of cluster c: buf[rstart[c]:rstart[c] + rlen[c]], ascending
+    buf = np.empty(n, dtype=np.intp)
+    used = 0
+    rstart = np.zeros(nc, dtype=np.intp)
+    rlen = np.zeros(nc, dtype=np.intp)
+    pending = np.diff(out_ptr)  # children not yet closed
+    level = np.flatnonzero(pending == 0)
+    while level.size:
+        kids = child[_ranges(out_ptr[level], out_ptr[level + 1] - out_ptr[level])]
+        owner = np.concatenate((
+            np.repeat(np.arange(level.size), size[level]),
+            np.repeat(np.repeat(np.arange(level.size), np.diff(out_ptr)[level]), rlen[kids])))
+        agents = np.concatenate((members[_ranges(mstart[level], size[level])],
+                                 buf[_ranges(rstart[kids], rlen[kids])]))
+        key = np.sort(owner * n + agents)
+        key = key[np.diff(key, prepend=-1) != 0]  # a descendant reached twice counts once
+        owner, agents = np.divmod(key, n)
+        count = np.bincount(owner, minlength=level.size)
+        if used + key.size > buf.size:
+            buf = np.concatenate((buf[:used], np.empty(max(buf.size, key.size), dtype=np.intp)))
+        buf[used:used + key.size] = agents
+        rstart[level] = used + np.cumsum(count) - count
+        rlen[level] = count
+        used += key.size
+        # release the parents whose last child closed on this level
+        ups = up[_ranges(in_ptr[level], in_ptr[level + 1] - in_ptr[level])]
+        np.subtract.at(pending, ups, 1)
+        ups = np.sort(ups[pending[ups] == 0])
+        level = ups[np.diff(ups, prepend=-1) != 0]
+
+    lengths = rlen[cof]
+    row = buf[_ranges(rstart[cof], lengths)]
+    indices = row[row != np.repeat(np.arange(n), lengths)]
+    indptr = np.concatenate(([0], np.cumsum(lengths - 1)))
+    indptr.flags.writeable = indices.flags.writeable = False
+    return LearningGraph(n, indptr, indices)
 
 
 def check_weak_connectivity(g: CoordinationGraph) -> tuple[tuple[int, ...], ...]:
@@ -332,15 +406,19 @@ def check_weak_connectivity(g: CoordinationGraph) -> tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class GraphArtifacts:
-    """Everything derived from one coordination graph, computed once."""
+    """Everything derived from one coordination graph, computed once.
+    ``reach`` is built on first use: only the claim battery's synthetic
+    objectives and the tests ask for agent-level reach sets."""
 
     graph: CoordinationGraph
     clusters: ClusterDecomposition
-    reach: ReachabilitySets
     learning: LearningGraph
+
+    @cached_property
+    def reach(self) -> ReachabilitySets:
+        return ReachabilitySets(self.graph, self.clusters)
 
 
 def build_artifacts(g: CoordinationGraph) -> GraphArtifacts:
     d = strongly_connected_components(g)
-    r = ReachabilitySets(g, d)
-    return GraphArtifacts(g, d, r, derive_learning_graph(g, r))
+    return GraphArtifacts(g, d, derive_learning_graph(g, d))

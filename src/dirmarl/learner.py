@@ -12,8 +12,8 @@ One learning episode:
    every agent ascends its own block.
 
 The message bus is the exchange as a routing plan, built once from the
-learning graph and checked against E_L at construction, so no value
-can travel outside the routing graph; every episode runs exactly one
+learning graph's arrays and audited at construction, so no value can
+travel outside the routing graph; every episode runs exactly one
 exchange and counts one message per edge.  Centralized variants still
 run the same exchange (so their communication footprint is identical
 and audited), but feed the oracles the directly-computed global value
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -70,11 +69,13 @@ class MessageBus:
     """Static routing plan for the per-episode reward exchange.
 
     Agent i's local value is its own value plus those of its E_L
-    in-neighbours, added in ascending agent order.  The plan is built
-    once and checked against ``learning.edges`` at construction.
-    ``gather`` applies it to any agent-first array and keeps no state;
-    ``exchange`` is the audited per-episode use of it: each episode runs
-    exactly one exchange, which counts one message per routing edge.
+    in-neighbours, added in ascending agent order.  The plan is sliced
+    from the learning graph's CSR arrays once, after an audit of those
+    arrays: every sender is another agent of 1..N and appears at most
+    once per target, in ascending order.  ``gather`` applies the plan to
+    any agent-first array and keeps no state; ``exchange`` is the
+    audited per-episode use of it: each episode runs exactly one
+    exchange, which counts one message per routing edge.
 
     The plan is each agent's smallest source (``_first``, itself or a
     sender) plus the remaining (target, source) pairs sorted by target,
@@ -86,36 +87,37 @@ class MessageBus:
 
     def __init__(self, learning: LearningGraph):
         n = self.num_agents = learning.num_agents
-        senders = [learning.in_neighbors[i] for i in range(1, n + 1)]
-        j = np.fromiter(chain.from_iterable(senders), dtype=np.intp)
-        i = np.repeat(np.arange(1, n + 1), [len(s) for s in senders])
-        # routing edge j -> i (1-based) as one sortable key j (n + 1) + i
-        plan = np.sort((j * (n + 1) + i)[j != i])
-        plan = plan[np.diff(plan, prepend=plan[:1] - 1) != 0]  # a repeated sender sends once
-        ends = np.fromiter(chain.from_iterable(learning.edges), dtype=np.intp,
-                           count=2 * len(learning.edges))
-        links = np.sort(ends[0::2] * (n + 1) + ends[1::2])
-        # (np.unique would import numpy.ma; both key arrays are sorted and unique)
-        for bad, what in ((np.setdiff1d(plan, links, True), "is outside E_L"),
-                          (np.setdiff1d(links, plan, True), "is in E_L but not in the plan")):
-            if bad.size:
+        senders = learning.indices
+        e = self.num_edges = senders.size
+        agents = np.arange(n)
+        dst = np.repeat(agents, np.diff(learning.indptr))
+        later = np.zeros(e, dtype=bool)
+        later[1:] = dst[1:] == dst[:-1]
+        for bad, what in (((senders < 0) | (senders >= n), f"has its sender outside 1..{n}"),
+                          (senders == dst, "is a self-pair"),
+                          (later & (np.diff(senders, prepend=-1) <= 0),
+                           "repeats a sender or is out of ascending order")):
+            if bad.any():
+                k = int(np.argmax(bad))
                 raise CommunicationViolation(
-                    "routing edge {} -> {} {}".format(*divmod(int(bad[0]), n + 1), what))
-        j, i = np.divmod(plan, n + 1)
-        self.edges: tuple[tuple[int, int], ...] = tuple(zip(j.tolist(), i.tolist()))
+                    f"routing edge {senders[k] + 1} -> {dst[k] + 1} {what}")
         self.total_messages = 0
         self.episodes_completed = 0
         self._epoch: int | None = None
         self._exchanges = 0
 
-        # every (target, source) pair, each agent its own source too
-        agents = np.arange(n)
-        dst, src = np.concatenate((i - 1, agents)), np.concatenate((j - 1, agents))
-        order = np.lexsort((src, dst))
-        dst, src = dst[order], src[order]
-        first = np.concatenate(([True], dst[1:] != dst[:-1]))
-        self._first = src[first]
-        self._dst, self._src = dst[~first], src[~first]
+        # each agent's sources are its senders with itself slotted in;
+        # the first of them starts its sum and the rest, one per
+        # sender, keep the senders' targets
+        own = learning.indptr[:-1] + agents + np.bincount(dst[senders < dst], minlength=n)
+        src = np.empty(e + n, dtype=np.intp)
+        is_own = np.zeros(e + n, dtype=bool)
+        is_own[own] = True
+        src[own] = agents
+        src[~is_own] = senders
+        head = np.zeros(e + n, dtype=bool)
+        head[learning.indptr[:-1] + agents] = True
+        self._first, self._src, self._dst = src[head], src[~head], dst
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:
@@ -154,10 +156,10 @@ class MessageBus:
         if self._exchanges != 1:
             raise CommunicationViolation(
                 f"episode {self._epoch} ran {self._exchanges} exchanges, expected exactly 1")
-        self.total_messages += len(self.edges)
+        self.total_messages += self.num_edges
         self.episodes_completed += 1
         self._epoch = None
-        return len(self.edges)
+        return self.num_edges
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,9 @@ class RbfPolicy:
         last = (self.obs_dims - 1)[:, None, None]
         self.centers_pad = np.where(col < last, diag[:, :1],
                                     np.where(col == last, diag[:, 1:], 0.0))
+        # center-major copy: the feature difference comes out (nc, N, obs_max)
+        # with the observation axis innermost, as the einsum expects
+        self._centers_t = np.ascontiguousarray(self.centers_pad.transpose(1, 0, 2))
         # The K valid (agent, slot) pairs in flat-parameter order: the
         # agent of each, and each agent's first.
         self.slot_agent = np.repeat(np.arange(n), self.num_slots)
@@ -151,8 +154,8 @@ class BoundRbfPolicy:
         allocation in slot order, each agent's retained fraction first.
         """
         p = self.policy
-        diff = obs_pad[:, None, :] - p.centers_pad
-        sqd = np.einsum("ild,ild->il", diff, diff)
+        diff = obs_pad - p._centers_t
+        sqd = np.einsum("lid,lid->il", diff, diff)
         feats = sqd if p.kernel == "squared" else np.exp(-sqd)
         z = np.einsum("kl,kl->k", self._theta, feats.take(p.slot_agent, axis=0))
         finite = np.isfinite(z)

@@ -85,7 +85,7 @@ class SyntheticObjective:
     def reach_closed_sorted(self, i: int) -> tuple[int, ...]:
         """Agents that agent i reaches, itself included, ascending: the
         terms its local sum collects."""
-        return tuple(sorted(self.learning.in_neighbors[i] + (i,)))
+        return tuple(sorted(self.learning.senders(i).tolist() + [i]))
 
     # -- values -------------------------------------------------------
 

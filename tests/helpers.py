@@ -53,6 +53,20 @@ def brute_force_learning_edges(g: CoordinationGraph) -> set[tuple[int, int]]:
     return {(j, i) for i in g.agents for j in g.agents if i != j and r[i, j]}
 
 
+def learning_edge_set(learning) -> set[tuple[int, int]]:
+    """A learning graph's routing edges as a set of 1-based (sender,
+    target) pairs."""
+    return set(map(tuple, learning.edges.tolist()))
+
+
+def bus_links(bus) -> set[tuple[int, int]]:
+    """Every 1-based (source, target) pair a message bus's plan adds,
+    self-pairs left out: the routing edges it actually uses."""
+    src = np.concatenate((bus._first, bus._src)) + 1
+    dst = np.concatenate((np.arange(bus.num_agents), bus._dst)) + 1
+    return {(j, i) for j, i in zip(src.tolist(), dst.tolist()) if j != i}
+
+
 def random_weakly_connected_digraph(rng: np.random.Generator, n_min: int = 2,
                                     n_max: int = 12) -> CoordinationGraph:
     n = int(rng.integers(n_min, n_max + 1))
@@ -524,7 +538,7 @@ def grouped_gather(learning, values: np.ndarray) -> np.ndarray:
     twice the shortest, each group one gather padded with -0.0 and
     summed by ``np.add.accumulate`` in ascending source order."""
     n = learning.num_agents
-    sources = [sorted(set(learning.in_neighbors[i]) | {i}) for i in range(1, n + 1)]
+    sources = [sorted(learning.senders(i).tolist() + [i]) for i in range(1, n + 1)]
     order = sorted(range(n), key=lambda a: -len(sources[a]))
     groups, start = [], 0
     while start < n:

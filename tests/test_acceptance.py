@@ -29,8 +29,8 @@ from dirmarl.validation import (finite_difference_gradient, make_synthetic,
                                 mc_smoothed_gradient, oracle_moments)
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import (brute_force_learning_edges, global_noise_std, global_value_bound,
-                     random_weakly_connected_digraph)
+from helpers import (brute_force_learning_edges, bus_links, global_noise_std,
+                     global_value_bound, learning_edge_set, random_weakly_connected_digraph)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -68,7 +68,7 @@ def hundred_agent_run(tmp_path_factory):
 def test_01_bundled_graph_structure():
     started = time.perf_counter()
     cfg2 = load_config(os.path.join(CONFIG_DIR, "example2.cfg"))
-    derived = set(build_artifacts(cfg2.graph).learning.edges)
+    derived = learning_edge_set(build_artifacts(cfg2.graph).learning)
     # even agents feed both array neighbors, plus the wrap link
     stated = {(i, j) for i in range(2, 101, 2)
               for j in (i - 1, i + 1) if 1 <= j <= 100} | {(100, 1)}
@@ -91,7 +91,7 @@ def test_02_learning_graph_properties():
     for _ in range(500):
         g = random_weakly_connected_digraph(rng)
         arts = build_artifacts(g)
-        derived = set(arts.learning.edges)
+        derived = learning_edge_set(arts.learning)
         ok &= derived == brute_force_learning_edges(g)
         clusters = arts.clusters.clusters
         for members in clusters:
@@ -277,7 +277,7 @@ def test_08_communication_audit(nine_agent_run):
                          oracle=OracleConfig(delta=cfg.delta))
     train(np.zeros(policy.layout.total_dim), evaluator, lcfg, bus,
           np.random.default_rng(0))
-    links = set(bus.edges)
+    links = bus_links(bus)
     audit_ok = (links == brute_force_learning_edges(cfg.graph)
                 and bus.total_messages == 5 * expected)
     _verdict(8, "communication audit", csv_ok and audit_ok,

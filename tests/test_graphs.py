@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,12 @@ from dirmarl.graphs import (
     derive_learning_graph,
     strongly_connected_components,
 )
+from dirmarl.learner import MessageBus
 from helpers import (
     brute_force_learning_edges,
     example2_expected_learning_edges,
     example2_graph,
+    learning_edge_set,
     nine_agent_graph,
     random_weakly_connected_digraph,
     transitive_closure,
@@ -59,10 +63,10 @@ def test_chain_reachability():
 
 def test_chain_learning_graph():
     g = build_graph(3, [(1, 2), (2, 3)])
-    lg = derive_learning_graph(g, ReachabilitySets(g, strongly_connected_components(g)))
-    assert lg.edges == {(2, 1), (3, 1), (3, 2)}
-    assert lg.in_neighbors[1] == (2, 3)
-    assert lg.in_neighbors[3] == ()
+    lg = derive_learning_graph(g, strongly_connected_components(g))
+    assert lg.edges.tolist() == [[2, 1], [3, 1], [3, 2]]
+    assert lg.senders(1).tolist() == [2, 3]
+    assert lg.senders(3).tolist() == []
 
 
 def test_two_cycle_is_single_cluster():
@@ -73,9 +77,9 @@ def test_two_cycle_is_single_cluster():
     # Both agents are on a cycle, so they reach themselves.
     assert r.reach(1) == {1, 2}
     assert r.ancestors(2) == {1, 2}
-    lg = derive_learning_graph(g, r)
+    lg = derive_learning_graph(g, d)
     # Self-pairs are never routing edges.
-    assert lg.edges == {(1, 2), (2, 1)}
+    assert learning_edge_set(lg) == {(1, 2), (2, 1)}
 
 
 def test_weak_connectivity_components():
@@ -105,7 +109,7 @@ def test_example2_learning_graph_exact():
     assert len(g.edges) == 100
     art = build_artifacts(g)
     assert art.clusters.num_clusters == 100  # no cycles anywhere
-    assert set(art.learning.edges) == example2_expected_learning_edges()
+    assert learning_edge_set(art.learning) == example2_expected_learning_edges()
     assert len(art.learning.edges) == 100
 
 
@@ -125,6 +129,48 @@ def digraph_edges(n: int):
 def digraphs(draw, max_n: int = 9):
     n = draw(st.integers(2, max_n))
     return build_graph(n, draw(digraph_edges(n)))
+
+
+@st.composite
+def planted_digraphs(draw, max_n: int = 12):
+    """A sparse random digraph with a diamond (one descendant reached
+    by two paths) and a directed cycle (a multi-member cluster) planted
+    in it."""
+    n = draw(st.integers(4, max_n))
+    possible = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    edges = set(draw(st.lists(st.sampled_from(possible), unique=True, max_size=n)))
+    a, b, c, x = draw(st.permutations(range(1, n + 1)))[:4]
+    edges |= {(a, b), (a, c), (b, x), (c, x)}
+    ring = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(2, n))]
+    edges |= {(u, v) for u, v in zip(ring, ring[1:] + ring[:1])}
+    return build_graph(n, sorted(edges))
+
+
+@given(planted_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_csr_senders_and_bus_plan_match_brute_force(g):
+    lg = build_artifacts(g).learning
+    expected = brute_force_learning_edges(g)
+    assert lg.indptr.shape == (g.num_agents + 1,)
+    pairs = set()
+    for i in g.agents:
+        row = lg.senders(i).tolist()
+        assert all(u < v for u, v in zip(row, row[1:])), row  # strictly ascending
+        assert i not in row
+        pairs |= {(j, i) for j in row}
+    assert pairs == expected
+    # the bus plan against one built from the brute-force pairs: each
+    # agent's ascending sources (itself included), the first apart
+    first, dst, src = [], [], []
+    for i in g.agents:
+        sources = sorted({j for j, t in expected if t == i} | {i})
+        first.append(sources[0] - 1)
+        dst += [i - 1] * (len(sources) - 1)
+        src += [j - 1 for j in sources[1:]]
+    bus = MessageBus(lg)
+    assert bus._first.tolist() == first
+    assert bus._dst.tolist() == dst
+    assert bus._src.tolist() == src
 
 
 @given(digraphs())
@@ -160,7 +206,7 @@ def test_clusters_match_closure_equivalence(g):
 @settings(max_examples=150, deadline=None)
 def test_learning_graph_matches_brute_force(g):
     art = build_artifacts(g)
-    assert set(art.learning.edges) == brute_force_learning_edges(g)
+    assert learning_edge_set(art.learning) == brute_force_learning_edges(g)
 
 
 @given(digraphs())
@@ -187,7 +233,7 @@ def test_same_cluster_same_closed_reach(g):
 @settings(max_examples=100, deadline=None)
 def test_cluster_cliques_and_cross_cluster_completeness(g):
     art = build_artifacts(g)
-    edges = set(art.learning.edges)
+    edges = learning_edge_set(art.learning)
     for c in art.clusters.clusters:
         if len(c) >= 2:
             for a in c:
@@ -237,8 +283,8 @@ def test_strongly_connected_graph_learns_globally():
 
 
 def test_large_sparse_graph_scales():
-    # Example-2 pattern at 10^4 agents: artifacts build quickly and the
-    # full learning graph stays sparse.
+    # Example-2 pattern at 10^4 agents: the full learning graph stays
+    # sparse.
     n = 10_000
     edges = []
     for i in range(1, n + 1, 2):
@@ -253,6 +299,28 @@ def test_large_sparse_graph_scales():
     assert len(art.learning.edges) == len(edges)
     assert art.reach.reach_closed(3) == {2, 3, 4}
     assert art.reach.reach_closed(2) == {2}
+
+    # Set-up memory is linear in N + |E_L|: on a random recursive tree
+    # of 8k agents with 6% back edges (|E_L| about 77k) the artifacts and
+    # the bus retain about 40 bytes per entry; per-agent sets and tuples
+    # retained about 380.
+    rng = np.random.default_rng(8)
+    n = 8000
+    parent = rng.integers(1, np.arange(2, n + 1))
+    edges = list(zip(parent.tolist(), range(2, n + 1)))
+    back = rng.choice(np.arange(2, n + 1), size=n * 6 // 100, replace=False)
+    edges += [(int(c), int(parent[c - 2])) for c in back]
+    g = build_graph(n, edges)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        art = build_artifacts(g)
+        bus = MessageBus(art.learning)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = n + bus.num_edges
+    assert retained <= 64 * entries, f"{retained / entries:.0f} bytes per entry"
 
 
 def test_deep_chain_cluster_level_reachability():

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -26,7 +28,7 @@ from dirmarl.oracles import OracleConfig
 from dirmarl.policy import BlockLayout
 from dirmarl.warehouse import RolloutError, WarehouseConfig, simulate_rollout
 
-from helpers import example2_expected_learning_edges, load_parameters
+from helpers import example2_expected_learning_edges, learning_edge_set, load_parameters
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -87,7 +89,7 @@ def test_bundled_hundred_agent_config():
             expected.add((i, i - 1))
     assert set(cfg.graph.edges) == expected
     arts = build_artifacts(cfg.graph)
-    assert set(arts.learning.edges) == example2_expected_learning_edges()
+    assert learning_edge_set(arts.learning) == example2_expected_learning_edges()
     assert set(cfg.algorithms) == {"distributed_one_point", "centralized_one_point"}
 
 
@@ -108,6 +110,43 @@ def test_config_defaults(tmp_path):
     assert echo["graph"]["num_agents"] == 2
     assert echo["learner"]["delta"] == 0.1
     assert echo["experiment"]["repeats"] == 10
+
+
+SETUP_SCRIPT = """\
+import sys
+from dirmarl import RbfPolicy, WarehouseEnv, build_artifacts, load_config
+from dirmarl.learner import MessageBus
+cfg = load_config(sys.argv[1])
+MessageBus(build_artifacts(cfg.graph).learning)
+WarehouseEnv(cfg.warehouse)
+p = cfg.policy
+RbfPolicy(cfg.graph, num_centers=p.num_centers, stock_range=p.stock_range,
+          demand_range=p.demand_range, kernel=p.kernel)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_setup_never_imports_numpy_ma():
+    # numpy.ma takes about 16 ms to import and np.unique imports it;
+    # a sort plus a np.diff mask deduplicates without it
+    src = os.path.dirname(os.path.dirname(dirmarl.experiments.__file__))
+    out = subprocess.run([sys.executable, "-c", SETUP_SCRIPT,
+                          os.path.join(CONFIG_DIR, "example2.cfg")],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
+def test_graph_echo_is_sorted_and_reloads(tmp_path, name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    echo = cfg.echo()["graph"]
+    pairs = parse_edge_list(echo["edges"], "echo")
+    assert pairs == sorted(cfg.graph.edges)
+    path = write_config(tmp_path, f"[graph]\nnum_agents = {echo['num_agents']}\n"
+                                  f"edges = {echo['edges']}\n")
+    assert load_config(path).graph == cfg.graph
 
 
 def test_config_amplitude_list_and_inline_comments(tmp_path):

@@ -26,8 +26,8 @@ from dirmarl.policy import RbfPolicy
 from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import (SyntheticEvaluator, ascending_reach_sums, nine_agent_graph,
-                     random_weakly_connected_digraph, tree_with_back_edges)
+from helpers import (SyntheticEvaluator, ascending_reach_sums, bus_links, learning_edge_set,
+                     nine_agent_graph, random_weakly_connected_digraph, tree_with_back_edges)
 
 
 def chain_artifacts():
@@ -108,13 +108,13 @@ def test_exchange_values_recompute_exactly():
         bus = MessageBus(build_artifacts(graph).learning)
         # one first source per agent plus one (target, source) pair per edge
         assert bus._first.shape == (graph.num_agents,)
-        assert bus._dst.shape == bus._src.shape == (len(bus.edges),)
+        assert bus._dst.shape == bus._src.shape == (bus.num_edges,)
         for shape in ((graph.num_agents,), (graph.num_agents, 2)):
             values = rng.standard_normal(shape)
             values[rng.random(values.shape) < 0.1] = -0.0
             bus.begin_episode(len(shape))
             hat = bus.exchange(values)
-            assert bus.finish_episode() == len(bus.edges)
+            assert bus.finish_episode() == bus.num_edges
             want = ascending_reach_sums(graph, values.reshape(graph.num_agents, -1).T).T
             assert hat.tobytes() == want.reshape(shape).tobytes()  # sign bits of zeros included
         values = rng.standard_normal((graph.num_agents, 7))
@@ -149,14 +149,22 @@ def test_exchange_rejects_wrong_width():
 
 
 def test_send_outside_graph_is_a_hard_failure():
-    # chain 1 -> 2 -> 3: E_L = {2 -> 1, 3 -> 1, 3 -> 2}
+    # chain 1 -> 2 -> 3: E_L = {2 -> 1, 3 -> 1, 3 -> 2}, senders by target
+    # [[1, 2], [2], []] (0-based); the bus audits the arrays it slices
     learning = chain_artifacts().learning
-    extra = replace(learning, in_neighbors={**learning.in_neighbors, 3: (1,)})
-    with pytest.raises(CommunicationViolation, match="1 -> 3 is outside E_L"):
-        MessageBus(extra)  # reward would flow opposite to reach
-    missing = replace(learning, in_neighbors={**learning.in_neighbors, 2: ()})
-    with pytest.raises(CommunicationViolation, match="3 -> 2 is in E_L but not in the plan"):
-        MessageBus(missing)
+    assert learning.indptr.tolist() == [0, 2, 3, 3] and learning.indices.tolist() == [1, 2, 2]
+    for senders, match in (([1, 2, 3], "4 -> 2 has its sender outside 1..3"),
+                           ([1, 2, 1], "2 -> 2 is a self-pair"),
+                           ([2, 2, 2], "3 -> 1 repeats a sender"),
+                           ([2, 1, 2], "2 -> 1 repeats a sender or is out of ascending order")):
+        with pytest.raises(CommunicationViolation, match=match):
+            MessageBus(replace(learning, indices=np.array(senders)))
+    # one sender per target: the audit checks the arrays' form, not reach
+    lone = replace(learning, indptr=np.array([0, 1, 2, 3]))
+    with pytest.raises(CommunicationViolation, match="3 -> 3 is a self-pair"):
+        MessageBus(replace(lone, indices=np.array([1, 2, 2])))
+    assert bus_links(MessageBus(replace(lone, indices=np.array([1, 2, 1])))) == \
+        {(2, 1), (3, 2), (2, 3)}
 
 
 def test_send_requires_open_episode():
@@ -193,7 +201,8 @@ def test_duplicate_message_detected_at_finish():
 def test_bus_counts_one_message_per_edge_per_episode():
     arts = chain_artifacts()
     bus = MessageBus(arts.learning)
-    assert bus.edges == ((2, 1), (3, 1), (3, 2)) == tuple(sorted(arts.learning.edges))
+    assert bus.num_edges == 3
+    assert bus_links(bus) == {(2, 1), (3, 1), (3, 2)} == learning_edge_set(arts.learning)
     for epoch in range(2):
         bus.begin_episode(epoch)
         bus.exchange(np.arange(3.0))

@@ -27,6 +27,7 @@ from dirmarl.validation import (
 )
 from helpers import (
     SyntheticEvaluator,
+    bus_links,
     global_noise_std,
     global_value_bound,
     random_weakly_connected_digraph,
@@ -563,7 +564,7 @@ def test_oracle_moments_assemble_with_the_message_bus(monkeypatch):
 
     def loses_a_message(self, values):
         hat = gather(self, values)
-        j, i = self.edges[-1]
+        j, i = max(bus_links(self))
         hat[i - 1] -= values[j - 1]  # agent i never hears from j
         return hat
 
