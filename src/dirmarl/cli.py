@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .configio import ConfigError, load_config
 from .experiments import run_experiment, summarize
 from .graphs import build_artifacts
@@ -35,8 +33,7 @@ def _cmd_graph(args) -> int:
         print(f"  cluster {k}: {' '.join(str(a) for a in members)}")
     print(f"learning edges: {len(arts.learning.edges)}")
     if args.edges:
-        pairs = arts.learning.edges
-        for j, i in pairs[np.argsort(pairs[:, 0], kind="stable")].tolist():
+        for j, i in arts.learning.edges.tolist():
             print(f"  {j} -> {i}")
     centralized = arts.clusters.num_clusters == 1
     print(f"centralized equivalent: {'yes' if centralized else 'no'}")

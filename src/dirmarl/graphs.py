@@ -7,17 +7,16 @@ From the graph we derive:
 
 * the clustering of agents into strongly connected components (agents
   on a common directed cycle share a cluster),
-* per-agent reachability: who agent i can influence (``reach``), the
-  same set closed with i itself (``reach_closed``), and who can
-  influence i (``ancestors``),
 * the learning graph: agent j must forward its realized reward to
   agent i exactly when i can reach j, so that i can assemble the value
-  made up of every reward it influences,
-* a sink-first order of the clusters, read off the same Tarjan pass
-  that finds them, along which reachability is folded once per cluster
-  and expanded to agents instead of running one traversal per agent.
+  made up of every reward it influences; sorted CSR arrays from one
+  array pass over the cluster graph, linear in N + |E_L| up to sorts,
+* on demand only, per-agent reachability: who agent i can influence
+  (``reach``), the same set closed with i itself (``reach_closed``),
+  and who can influence i (``ancestors``).
 
-Agent indices are 1-based in every public structure.  Cluster indices
+Agent indices are 1-based in every public structure but the 0-based
+arrays (``edge_array``, the learning graph's CSR).  Cluster indices
 are 0-based positions into ``ClusterDecomposition.clusters``.  All
 derived orderings are deterministic: clusters are sorted by smallest
 member, neighbor lists and member lists ascending.
@@ -25,9 +24,8 @@ member, neighbor lists and member lists ascending.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -191,19 +189,18 @@ class ReachabilitySets:
     folded over the graph's out-edges in ``sink_first`` order (down)
     and over its in-edges in the reverse order (up);
     agent-level sets are expanded on demand and cached per cluster, so
-    same-cluster agents share one frozenset.  This keeps graphs with
-    ~10^4 agents tractable as long as callers do not materialize every
-    agent's set of a densely-reachable graph.
+    same-cluster agents share one frozenset.  The masks are quadratic
+    in the cluster count, so only ``GraphArtifacts.reach`` builds them,
+    when first asked.
     """
 
     def __init__(self, graph: CoordinationGraph, clusters: ClusterDecomposition):
         self.graph = graph
         self.clusters = clusters
-        self._down = self._fold(clusters.sink_first, graph._out)
-        self._up = self._fold(reversed(clusters.sink_first), graph._in)
-        self._down_agents: dict[int, frozenset[int]] = {}
-        self._up_agents: dict[int, frozenset[int]] = {}
-        self._down_sorted: dict[int, tuple[int, ...]] = {}
+        down = self._fold(clusters.sink_first, graph._out)
+        up = self._fold(reversed(clusters.sink_first), graph._in)
+        self._down_set = cache(lambda c: frozenset(self._expand(down[c])))
+        self._up_set = cache(lambda c: frozenset(self._expand(up[c])))
 
     def _fold(self, order, neighbors) -> list[int]:
         """Cluster bitmasks closed along ``neighbors``; ``order`` puts
@@ -225,31 +222,13 @@ class ReachabilitySets:
             lsb = mask & -mask
             agents.extend(members[lsb.bit_length() - 1])
             mask ^= lsb
-        agents.sort()
         return agents
-
-    def _down_set(self, c: int) -> frozenset[int]:
-        s = self._down_agents.get(c)
-        if s is None:
-            s = frozenset(self._expand(self._down[c]))
-            self._down_agents[c] = s
-        return s
-
-    def _up_set(self, c: int) -> frozenset[int]:
-        s = self._up_agents.get(c)
-        if s is None:
-            s = frozenset(self._expand(self._up[c]))
-            self._up_agents[c] = s
-        return s
 
     def reach(self, i: int) -> frozenset[int]:
         """Agents j reachable from i by a directed path (contains i
         itself exactly when i is on a cycle)."""
-        c = self.clusters.cluster_of[i]
-        s = self._down_set(c)
-        if self.clusters.on_cycle(i):
-            return s
-        return s - {i}
+        s = self.reach_closed(i)
+        return s if self.clusters.on_cycle(i) else s - {i}
 
     def reach_closed(self, i: int) -> frozenset[int]:
         """reach(i) united with {i}; identical for all members of a
@@ -257,23 +236,15 @@ class ReachabilitySets:
         return self._down_set(self.clusters.cluster_of[i])
 
     def reach_closed_sorted(self, i: int) -> tuple[int, ...]:
-        """Ascending tuple of reach_closed(i), cached per cluster; the
-        canonical summation order for assembled local values."""
-        c = self.clusters.cluster_of[i]
-        t = self._down_sorted.get(c)
-        if t is None:
-            t = tuple(self._expand(self._down[c]))
-            self._down_sorted[c] = t
-        return t
+        """Ascending tuple of reach_closed(i): the canonical summation
+        order for assembled local values."""
+        return tuple(sorted(self.reach_closed(i)))
 
     def ancestors(self, i: int) -> frozenset[int]:
         """Agents j that can reach i (contains i itself exactly when i
         is on a cycle).  j in reach(i) iff i in ancestors(j)."""
-        c = self.clusters.cluster_of[i]
-        s = self._up_set(c)
-        if self.clusters.on_cycle(i):
-            return s
-        return s - {i}
+        s = self.ancestors_closed(i)
+        return s if self.clusters.on_cycle(i) else s - {i}
 
     def ancestors_closed(self, i: int) -> frozenset[int]:
         return self._up_set(self.clusters.cluster_of[i])
@@ -287,10 +258,8 @@ class LearningGraph:
     reward source and never messages itself, even when it lies on a
     cycle.
 
-    Stored as read-only CSR arrays over 0-based agents: target i's
-    senders are ``indices[indptr[i]:indptr[i + 1]]``, strictly
-    ascending and never i itself; ``senders`` gives the same row
-    1-based.
+    Read-only CSR arrays over 0-based agents: target i's senders are
+    ``indices[indptr[i]:indptr[i + 1]]``, strictly ascending, never i.
     """
 
     num_agents: int
@@ -298,82 +267,65 @@ class LearningGraph:
     indices: np.ndarray
 
     def senders(self, i: int) -> np.ndarray:
-        """Agent i's reward senders (1-based), ascending: i's reachable
-        set minus i itself."""
+        """Agent i's reward senders, 1-based and ascending."""
         return self.indices[self.indptr[i - 1]:self.indptr[i]] + 1
 
     @property
     def edges(self) -> np.ndarray:
-        """(|E_L|, 2) array of the 1-based (sender, target) pairs,
-        ordered by target, then sender."""
+        """(|E_L|, 2) array of the 1-based (sender, target) pairs, sorted."""
         targets = np.repeat(np.arange(1, self.num_agents + 1), np.diff(self.indptr))
-        return np.column_stack((self.indices + 1, targets))
+        order = np.argsort(self.indices, kind="stable")
+        return np.column_stack((self.indices[order] + 1, targets[order]))
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(s, s + l)`` over (starts, lengths)."""
-    begin = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - begin, lengths)
+    """The positions ``arange(s, s + l)`` of each (s, l), concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
 def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> LearningGraph:
-    """E_L from one array pass over the condensation DAG.
-
-    The clusters are taken level by level from the sinks up: a level
-    holds every cluster whose children all lie on earlier levels, and
-    its closed reach sets (members plus the children's sets) are
-    gathered, sorted and deduplicated together.  Each agent's row is
-    then its cluster's set without the agent itself.  Work and memory
-    are linear in N + |E_L| up to the sorts."""
+    """E_L from one array pass over the cluster graph, level by level
+    from the sinks up: a level is every cluster whose children are all
+    closed, and their closed reach sets (members plus the children's
+    sets) are gathered, sorted and deduplicated at once.  An agent's
+    row is its cluster's set less the agent itself."""
     n, nc = g.num_agents, d.num_clusters
-    members = np.fromiter(chain.from_iterable(d.clusters), dtype=np.intp, count=n) - 1
     size = np.fromiter(map(len, d.clusters), dtype=np.intp, count=nc)
-    cof = np.empty(n, dtype=np.intp)
-    cof[members] = np.repeat(np.arange(nc), size)
-    mstart = np.cumsum(size) - size
-
-    # condensation DAG edges parent -> child, sorted by parent, then child
+    members = np.fromiter(chain.from_iterable(d.clusters), dtype=np.intp, count=n) - 1
+    cof = np.repeat(np.arange(nc), size)[np.argsort(members)]
     src, dst = cof[g.edge_array]
     key = np.sort((src * nc + dst)[src != dst])
-    key = key[np.diff(key, prepend=-1) != 0]
-    parent, child = np.divmod(key, nc)
-    out_ptr = np.concatenate(([0], np.cumsum(np.bincount(parent, minlength=nc))))
-    by_child = np.argsort(child, kind="stable")
-    up = parent[by_child]
-    in_ptr = np.concatenate(([0], np.cumsum(np.bincount(child, minlength=nc))))
+    parent, child = np.divmod(key[np.diff(key, prepend=-1) != 0], nc)  # by parent, then child
+    down, up = np.bincount(parent, minlength=nc), np.bincount(child, minlength=nc)
+    down_at, up_at = np.cumsum(down) - down, np.cumsum(up) - up
+    parents = parent[np.argsort(child, kind="stable")]  # by child
 
-    # closed reach set of cluster c: buf[rstart[c]:rstart[c] + rlen[c]], ascending
-    buf = np.empty(n, dtype=np.intp)
-    used = 0
-    rstart = np.zeros(nc, dtype=np.intp)
-    rlen = np.zeros(nc, dtype=np.intp)
-    pending = np.diff(out_ptr)  # children not yet closed
+    # cluster c's closed reach set is buf[start[c]:start[c] + count[c]],
+    # ascending; its members come first in buf
+    buf, used = np.concatenate((members, np.empty(n, dtype=np.intp))), n
+    start, count = np.cumsum(size) - size, size.copy()
+    pending = down.copy()  # children not yet closed
     level = np.flatnonzero(pending == 0)
     while level.size:
-        kids = child[_ranges(out_ptr[level], out_ptr[level + 1] - out_ptr[level])]
-        owner = np.concatenate((
-            np.repeat(np.arange(level.size), size[level]),
-            np.repeat(np.repeat(np.arange(level.size), np.diff(out_ptr)[level]), rlen[kids])))
-        agents = np.concatenate((members[_ranges(mstart[level], size[level])],
-                                 buf[_ranges(rstart[kids], rlen[kids])]))
-        key = np.sort(owner * n + agents)
-        key = key[np.diff(key, prepend=-1) != 0]  # a descendant reached twice counts once
-        owner, agents = np.divmod(key, n)
-        count = np.bincount(owner, minlength=level.size)
-        if used + key.size > buf.size:
-            buf = np.concatenate((buf[:used], np.empty(max(buf.size, key.size), dtype=np.intp)))
-        buf[used:used + key.size] = agents
-        rstart[level] = used + np.cumsum(count) - count
-        rlen[level] = count
-        used += key.size
-        # release the parents whose last child closed on this level
-        ups = up[_ranges(in_ptr[level], in_ptr[level + 1] - in_ptr[level])]
+        kids = child[_ranges(down_at[level], down[level])]
+        owner = np.concatenate((np.arange(level.size), np.repeat(np.arange(level.size), down[level])))
+        seg = np.concatenate((level, kids))
+        key = np.sort(np.repeat(owner, count[seg]) * n + buf[_ranges(start[seg], count[seg])])
+        owner, agents = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # reached twice: once
+        if used + agents.size > buf.size:
+            buf = np.resize(buf, 2 * (used + agents.size))
+        buf[used:used + agents.size] = agents
+        count[level] = np.bincount(owner, minlength=level.size)
+        start[level] = used + np.cumsum(count[level]) - count[level]
+        used += agents.size
+        # the next level: the parents whose last child closed on this one
+        ups = parents[_ranges(up_at[level], up[level])]
         np.subtract.at(pending, ups, 1)
         ups = np.sort(ups[pending[ups] == 0])
         level = ups[np.diff(ups, prepend=-1) != 0]
 
-    lengths = rlen[cof]
-    row = buf[_ranges(rstart[cof], lengths)]
+    lengths = count[cof]
+    row = buf[_ranges(start[cof], lengths)]
     indices = row[row != np.repeat(np.arange(n), lengths)]
     indptr = np.concatenate(([0], np.cumsum(lengths - 1)))
     indptr.flags.writeable = indices.flags.writeable = False
@@ -382,33 +334,16 @@ def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> Lear
 
 def check_weak_connectivity(g: CoordinationGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components of the undirected view, each ascending,
-    ordered by smallest member.  A single component means the graph is
-    weakly connected."""
-    seen = bytearray(g.num_agents + 1)
-    comps: list[tuple[int, ...]] = []
-    for root in g.agents:
-        if seen[root]:
-            continue
-        comp = []
-        q = deque([root])
-        seen[root] = 1
-        while q:
-            v = q.popleft()
-            comp.append(v)
-            for w in g._out[v] + g._in[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    q.append(w)
-        comp.sort()
-        comps.append(tuple(comp))
-    return tuple(comps)
+    ordered by smallest member: the clusters of the graph with every
+    edge also reversed.  A single component means the graph is weakly
+    connected."""
+    both = CoordinationGraph(g.num_agents, g.edges | {(j, i) for i, j in g.edges})
+    return strongly_connected_components(both).clusters
 
 
 @dataclass(frozen=True)
 class GraphArtifacts:
-    """Everything derived from one coordination graph, computed once.
-    ``reach`` is built on first use: only the claim battery's synthetic
-    objectives and the tests ask for agent-level reach sets."""
+    """Everything derived from one coordination graph; ``reach`` on first use."""
 
     graph: CoordinationGraph
     clusters: ClusterDecomposition

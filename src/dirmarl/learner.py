@@ -70,11 +70,10 @@ class MessageBus:
 
     Agent i's local value is its own value plus those of its E_L
     in-neighbours, added in ascending agent order.  The plan is sliced
-    from the learning graph's CSR arrays once, after an audit of those
-    arrays: every sender is another agent of 1..N and appears at most
-    once per target, in ascending order.  ``gather`` applies the plan to
-    any agent-first array and keeps no state; ``exchange`` is the
-    audited per-episode use of it: each episode runs exactly one
+    once from the learning graph's CSR arrays, audited first: every
+    sender another agent, once per target, ascending.  ``gather``
+    applies it to any agent-first array and keeps no state; ``exchange``
+    is the audited per-episode use of it: each episode runs exactly one
     exchange, which counts one message per routing edge.
 
     The plan is each agent's smallest source (``_first``, itself or a
@@ -87,12 +86,11 @@ class MessageBus:
 
     def __init__(self, learning: LearningGraph):
         n = self.num_agents = learning.num_agents
-        senders = learning.indices
-        e = self.num_edges = senders.size
+        senders, starts = learning.indices, learning.indptr[:-1]
+        self.num_edges = senders.size
         agents = np.arange(n)
         dst = np.repeat(agents, np.diff(learning.indptr))
-        later = np.zeros(e, dtype=bool)
-        later[1:] = dst[1:] == dst[:-1]
+        later = np.diff(dst, prepend=-1) == 0  # not the first sender of its target
         for bad, what in (((senders < 0) | (senders >= n), f"has its sender outside 1..{n}"),
                           (senders == dst, "is a self-pair"),
                           (later & (np.diff(senders, prepend=-1) <= 0),
@@ -109,15 +107,10 @@ class MessageBus:
         # each agent's sources are its senders with itself slotted in;
         # the first of them starts its sum and the rest, one per
         # sender, keep the senders' targets
-        own = learning.indptr[:-1] + agents + np.bincount(dst[senders < dst], minlength=n)
-        src = np.empty(e + n, dtype=np.intp)
-        is_own = np.zeros(e + n, dtype=bool)
-        is_own[own] = True
-        src[own] = agents
-        src[~is_own] = senders
-        head = np.zeros(e + n, dtype=bool)
-        head[learning.indptr[:-1] + agents] = True
-        self._first, self._src, self._dst = src[head], src[~head], dst
+        src = np.insert(senders, starts + np.bincount(dst[senders < dst], minlength=n), agents)
+        rest = np.ones(src.size, dtype=bool)
+        rest[starts + agents] = False
+        self._first, self._src, self._dst = src[starts + agents], src[rest], dst
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:

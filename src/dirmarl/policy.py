@@ -121,8 +121,7 @@ class RbfPolicy:
         last = (self.obs_dims - 1)[:, None, None]
         self.centers_pad = np.where(col < last, diag[:, :1],
                                     np.where(col == last, diag[:, 1:], 0.0))
-        # center-major copy: the feature difference comes out (nc, N, obs_max)
-        # with the observation axis innermost, as the einsum expects
+        # (nc, N, obs_max) copy: the difference keeps the observation axis innermost
         self._centers_t = np.ascontiguousarray(self.centers_pad.transpose(1, 0, 2))
         # The K valid (agent, slot) pairs in flat-parameter order: the
         # agent of each, and each agent's first.
