@@ -195,7 +195,6 @@ class ReachabilitySets:
     """
 
     def __init__(self, graph: CoordinationGraph, clusters: ClusterDecomposition):
-        self.graph = graph
         self.clusters = clusters
         down = self._fold(clusters.sink_first, graph._out)
         up = self._fold(reversed(clusters.sink_first), graph._in)
@@ -280,7 +279,12 @@ class LearningGraph:
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions ``arange(s, s + l)`` of each (s, l), concatenated."""
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(lengths.sum()) + (starts - lengths.cumsum() + lengths).repeat(lengths)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, without np.unique's numpy.ma import."""
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
 def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> LearningGraph:
@@ -294,8 +298,7 @@ def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> Lear
     members = np.fromiter(chain.from_iterable(d.clusters), dtype=np.intp, count=n) - 1
     cof = np.repeat(np.arange(nc), size)[np.argsort(members)]
     src, dst = cof[g.edge_array]
-    key = np.sort((src * nc + dst)[src != dst])
-    parent, child = np.divmod(key[np.diff(key, prepend=-1) != 0], nc)  # by parent, then child
+    parent, child = np.divmod(_distinct(np.sort((src * nc + dst)[src != dst])), nc)
     down, up = np.bincount(parent, minlength=nc), np.bincount(child, minlength=nc)
     down_at, up_at = np.cumsum(down) - down, np.cumsum(up) - up
     parents = parent[np.argsort(child, kind="stable")]  # by child
@@ -308,21 +311,21 @@ def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> Lear
     level = np.flatnonzero(pending == 0)
     while level.size:
         kids = child[_ranges(down_at[level], down[level])]
-        owner = np.concatenate((np.arange(level.size), np.repeat(np.arange(level.size), down[level])))
+        at = np.arange(level.size)
+        owner = np.concatenate((at, at.repeat(down[level])))
         seg = np.concatenate((level, kids))
-        key = np.sort(np.repeat(owner, count[seg]) * n + buf[_ranges(start[seg], count[seg])])
-        owner, agents = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # reached twice: once
+        key = owner.repeat(count[seg]) * n + buf[_ranges(start[seg], count[seg])]
+        owner, agents = np.divmod(_distinct(np.sort(key)), n)  # reached twice: once
         if used + agents.size > buf.size:
             buf = np.resize(buf, 2 * (used + agents.size))
         buf[used:used + agents.size] = agents
-        count[level] = np.bincount(owner, minlength=level.size)
-        start[level] = used + np.cumsum(count[level]) - count[level]
+        count[level] = sizes = np.bincount(owner, minlength=level.size)
+        start[level] = used + sizes.cumsum() - sizes
         used += agents.size
         # the next level: the parents whose last child closed on this one
         ups = parents[_ranges(up_at[level], up[level])]
         np.subtract.at(pending, ups, 1)
-        ups = np.sort(ups[pending[ups] == 0])
-        level = ups[np.diff(ups, prepend=-1) != 0]
+        level = _distinct(np.sort(ups[pending[ups] == 0]))
 
     lengths = count[cof]
     row = buf[_ranges(start[cof], lengths)]

@@ -90,11 +90,11 @@ class MessageBus:
         self.num_edges = senders.size
         agents = np.arange(n)
         dst = np.repeat(agents, np.diff(learning.indptr))
-        later = np.diff(dst, prepend=-1) == 0  # not the first sender of its target
+        unordered = np.zeros(senders.size, dtype=bool)  # at or below its target's previous sender
+        unordered[1:] = (dst[1:] == dst[:-1]) & (senders[1:] <= senders[:-1])
         for bad, what in (((senders < 0) | (senders >= n), f"has its sender outside 1..{n}"),
                           (senders == dst, "is a self-pair"),
-                          (later & (np.diff(senders, prepend=-1) <= 0),
-                           "repeats a sender or is out of ascending order")):
+                          (unordered, "repeats a sender or is out of ascending order")):
             if bad.any():
                 k = int(np.argmax(bad))
                 raise CommunicationViolation(
@@ -108,9 +108,8 @@ class MessageBus:
         # the first of them starts its sum and the rest, one per
         # sender, keep the senders' targets
         src = np.insert(senders, starts + np.bincount(dst[senders < dst], minlength=n), agents)
-        rest = np.ones(src.size, dtype=bool)
-        rest[starts + agents] = False
-        self._first, self._src, self._dst = src[starts + agents], src[rest], dst
+        head = starts + agents
+        self._first, self._src, self._dst = src[head], np.delete(src, head), dst
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:
