@@ -204,6 +204,10 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     propagates.
     """
     started = time.perf_counter()
+    repeats = range(cfg.repeats) if repeat_indices is None else sorted(set(repeat_indices))
+    for r in repeats:
+        if not 0 <= r < cfg.repeats:
+            raise ValueError(f"repeat index {r} outside 0..{cfg.repeats - 1}")
     out = cfg.output_dir
     try:
         os.makedirs(out, exist_ok=True)
@@ -218,10 +222,6 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     ev = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
     layout = policy.layout
     theta0 = np.zeros(layout.total_dim)
-    repeats = range(cfg.repeats) if repeat_indices is None else sorted(set(repeat_indices))
-    for r in repeats:
-        if not 0 <= r < cfg.repeats:
-            raise ValueError(f"repeat index {r} outside 0..{cfg.repeats - 1}")
 
     ckpt_dir = os.path.join(out, "checkpoints")
     if cfg.checkpoint_every > 0:

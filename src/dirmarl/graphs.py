@@ -10,24 +10,27 @@ From the graph we derive:
 * the learning graph: agent j must forward its realized reward to
   agent i exactly when i can reach j, so that i can assemble the value
   made up of every reward it influences; sorted CSR arrays from one
-  array pass over the cluster graph, linear in N + |E_L| up to sorts,
-* on demand only, per-agent reachability: who agent i can influence
-  (``reach``), the same set closed with i itself (``reach_closed``),
-  and who can influence i (``ancestors``).
+  array pass over the cluster graph, linear in N + |E_L| up to sorts.
+
+The sorted edge array (``CoordinationGraph.edge_array``) and the
+learning graph's CSR arrays are the only graph representations: both
+component passes walk the edge array, and every reach fact is a
+learning-graph row (agent i reaches ``senders(i)``; the agents that
+reach i are the rows that contain it).
 
 Agent indices are 1-based in every public structure but the 0-based
 arrays (``edge_array``, the learning graph's CSR).  Cluster indices
 are 0-based positions into ``ClusterDecomposition.clusters``.  All
 derived orderings are deterministic: clusters are sorted by smallest
-member, neighbor lists and member lists ascending.
+member, senders and member lists ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -40,39 +43,12 @@ class CoordinationGraph:
     edges: frozenset[tuple[int, int]]
 
     @cached_property
-    def _out(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_agents + 1)]
-        for i, j in self.edges:
-            out[i].append(j)
-        return tuple(tuple(sorted(n)) for n in out)
-
-    @cached_property
-    def _in(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.num_agents + 1)]
-        for i, j in self.edges:
-            inc[j].append(i)
-        return tuple(tuple(sorted(n)) for n in inc)
-
-    @cached_property
     def edge_array(self) -> np.ndarray:
         """Read-only (2, E) array of the edges' 0-based sources (row 0)
         and targets (row 1), sorted by source, then target."""
         edges = (np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2) - 1).T.copy()
         edges.flags.writeable = False
         return edges
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        """Agents j with (i, j) an edge, ascending."""
-        return self._out[i]
-
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Agents j with (j, i) an edge, ascending."""
-        return self._in[i]
-
-    def observation_set(self, i: int) -> tuple[int, ...]:
-        """In-neighborhood closed with i itself, ascending: the agents
-        whose stock appears in i's observation."""
-        return tuple(sorted(set(self._in[i]) | {i}))
 
     @property
     def agents(self) -> range:
@@ -102,151 +78,75 @@ def build_graph(num_agents: int, edges: Iterable[tuple[int, int]]) -> Coordinati
 
 @dataclass(frozen=True)
 class ClusterDecomposition:
-    """Partition of agents into strongly connected components.
-
-    ``clusters`` is ordered by smallest member; each cluster is an
-    ascending tuple.  ``cluster_of`` maps agent -> cluster index.
-    ``sink_first`` lists every cluster index after every cluster it
-    has a graph edge into: the order in which Tarjan's pass closed them.
-    """
+    """Partition of agents into strongly connected components, ordered
+    by smallest member; each cluster is an ascending tuple."""
 
     clusters: tuple[tuple[int, ...], ...]
-    cluster_of: Mapping[int, int]
-    sink_first: tuple[int, ...]
 
     @property
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    def on_cycle(self, i: int) -> bool:
-        """True when agent i lies on a directed cycle (cluster size >= 2)."""
-        return len(self.clusters[self.cluster_of[i]]) >= 2
+
+def _tarjan(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components of the 0-based CSR graph whose
+    node v has out-neighbours ``targets[indptr[v]:indptr[v + 1]]``, as
+    ascending tuples of 1-based agents ordered by smallest member.
+    Tarjan's algorithm, iterative so 10^4-agent graphs do not hit the
+    recursion limit."""
+    indptr, targets = indptr.tolist(), targets.tolist()
+    index = [0] * n  # 0 = unvisited
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    counter = 1
+    comps: list[tuple[int, ...]] = []
+
+    for root in range(n):
+        if index[root]:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [[root, indptr[root]]]  # (node, next edge position)
+        while work:
+            frame = work[-1]
+            v, p = frame
+            end = indptr[v + 1]
+            while p < end:
+                w = targets[p]
+                p += 1
+                if not index[w]:
+                    frame[1] = p
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append([w, indptr[w]])
+                    break
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w + 1)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+                if work and lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
+    return tuple(sorted(comps))
 
 
 def strongly_connected_components(g: CoordinationGraph) -> ClusterDecomposition:
-    """Tarjan's algorithm, iterative so 10^4-agent graphs do not hit the
-    recursion limit.  A component closes only after every component it
-    reaches, so the emission order is a reverse topological order."""
-    n = g.num_agents
-    adj = g._out
-    indices = [0] * (n + 1)  # 0 = unvisited
-    lowlink = [0] * (n + 1)
-    on_stack = bytearray(n + 1)
-    stack: list[int] = []
-    counter = 1
-    comps: list[list[int]] = []
-
-    for root in g.agents:
-        if indices[root]:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, pi = frame
-            if pi == 0:
-                indices[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            nbrs = adj[v]
-            advanced = False
-            while pi < len(nbrs):
-                w = nbrs[pi]
-                pi += 1
-                if not indices[w]:
-                    frame[1] = pi
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w] and indices[w] < lowlink[v]:
-                    lowlink[v] = indices[w]
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == indices[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            if work and lowlink[v] < lowlink[work[-1][0]]:
-                lowlink[work[-1][0]] = lowlink[v]
-
-    clusters = tuple(sorted(tuple(c) for c in comps))
-    cluster_of = {a: k for k, comp in enumerate(clusters) for a in comp}
-    sink_first = tuple(cluster_of[c[0]] for c in comps)
-    return ClusterDecomposition(clusters, cluster_of, sink_first)
-
-
-class ReachabilitySets:
-    """Per-agent reachability, computed once at cluster level.
-
-    Cluster reachability is stored as bitmasks over cluster indices,
-    folded over the graph's out-edges in ``sink_first`` order (down)
-    and over its in-edges in the reverse order (up);
-    agent-level sets are expanded on demand and cached per cluster, so
-    same-cluster agents share one frozenset.  The masks are quadratic
-    in the cluster count, so only ``GraphArtifacts.reach`` builds them,
-    when first asked.
-    """
-
-    def __init__(self, graph: CoordinationGraph, clusters: ClusterDecomposition):
-        self.clusters = clusters
-        down = self._fold(clusters.sink_first, graph._out)
-        up = self._fold(reversed(clusters.sink_first), graph._in)
-        self._down_set = cache(lambda c: frozenset(self._expand(down[c])))
-        self._up_set = cache(lambda c: frozenset(self._expand(up[c])))
-
-    def _fold(self, order, neighbors) -> list[int]:
-        """Cluster bitmasks closed along ``neighbors``; ``order`` puts
-        every cluster after the clusters its neighbours belong to."""
-        members, cof = self.clusters.clusters, self.clusters.cluster_of
-        masks = [0] * len(members)
-        for c in order:
-            m = 1 << c
-            for a in members[c]:
-                for b in neighbors[a]:
-                    m |= masks[cof[b]]
-            masks[c] = m
-        return masks
-
-    def _expand(self, mask: int) -> list[int]:
-        members = self.clusters.clusters
-        agents: list[int] = []
-        while mask:
-            lsb = mask & -mask
-            agents.extend(members[lsb.bit_length() - 1])
-            mask ^= lsb
-        return agents
-
-    def reach(self, i: int) -> frozenset[int]:
-        """Agents j reachable from i by a directed path (contains i
-        itself exactly when i is on a cycle)."""
-        s = self.reach_closed(i)
-        return s if self.clusters.on_cycle(i) else s - {i}
-
-    def reach_closed(self, i: int) -> frozenset[int]:
-        """reach(i) united with {i}; identical for all members of a
-        cluster and shared as one frozenset."""
-        return self._down_set(self.clusters.cluster_of[i])
-
-    def reach_closed_sorted(self, i: int) -> tuple[int, ...]:
-        """Ascending tuple of reach_closed(i): the canonical summation
-        order for assembled local values."""
-        return tuple(sorted(self.reach_closed(i)))
-
-    def ancestors(self, i: int) -> frozenset[int]:
-        """Agents j that can reach i (contains i itself exactly when i
-        is on a cycle).  j in reach(i) iff i in ancestors(j)."""
-        s = self.ancestors_closed(i)
-        return s if self.clusters.on_cycle(i) else s - {i}
-
-    def ancestors_closed(self, i: int) -> frozenset[int]:
-        return self._up_set(self.clusters.cluster_of[i])
+    src, dst = g.edge_array
+    indptr = np.searchsorted(src, np.arange(g.num_agents + 1))
+    return ClusterDecomposition(_tarjan(g.num_agents, indptr, dst))
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,24 +237,22 @@ def derive_learning_graph(g: CoordinationGraph, d: ClusterDecomposition) -> Lear
 
 def check_weak_connectivity(g: CoordinationGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components of the undirected view, each ascending,
-    ordered by smallest member: the clusters of the graph with every
-    edge also reversed.  A single component means the graph is weakly
-    connected."""
-    both = CoordinationGraph(g.num_agents, g.edges | {(j, i) for i, j in g.edges})
-    return strongly_connected_components(both).clusters
+    ordered by smallest member: the strongly connected components of
+    the edge array with every edge also reversed.  A single component
+    means the graph is weakly connected."""
+    src, dst = np.concatenate((g.edge_array, g.edge_array[::-1]), axis=1)
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(g.num_agents + 1))
+    return _tarjan(g.num_agents, indptr, dst[order])
 
 
 @dataclass(frozen=True)
 class GraphArtifacts:
-    """Everything derived from one coordination graph; ``reach`` on first use."""
+    """Everything derived from one coordination graph."""
 
     graph: CoordinationGraph
     clusters: ClusterDecomposition
     learning: LearningGraph
-
-    @cached_property
-    def reach(self) -> ReachabilitySets:
-        return ReachabilitySets(self.graph, self.clusters)
 
 
 def build_artifacts(g: CoordinationGraph) -> GraphArtifacts:

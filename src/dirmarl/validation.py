@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,12 @@ class SyntheticObjective:
     def reach_closed_sorted(self, i: int) -> tuple[int, ...]:
         """Agents that agent i reaches, itself included, ascending: the
         terms its local sum collects."""
-        return tuple(sorted(self.learning.senders(i).tolist() + [i]))
+        return self._reach_closed[i - 1]
+
+    @cached_property
+    def _reach_closed(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(self.learning.senders(i).tolist() + [i]))
+                     for i in range(1, self.num_agents + 1))
 
     # -- values -------------------------------------------------------
 
@@ -210,14 +216,15 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
                    noise_std=0.0) -> SyntheticObjective:
     """Random instance aligned to ``graph``.
 
-    Term j depends on the blocks of sorted(ancestors(j) + {j}); the
-    dependency invariant (term j never reads block i unless i reaches
-    j) therefore holds by construction and is re-checkable with
-    ``dependency_violations``.
+    Term j depends on the blocks of j and of every agent that reaches
+    j, ascending: the targets j sends its reward to in the learning
+    graph.  The dependency invariant (term j never reads block i unless
+    i reaches j) therefore holds by construction and is re-checkable
+    with ``dependency_violations``.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    arts = build_artifacts(graph)
+    learning = build_artifacts(graph).learning
     n = graph.num_agents
     if block_dims is None:
         block_dims = tuple(int(v) for v in rng.integers(1, 4, size=n))
@@ -225,12 +232,14 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
         raise ValueError(f"got {len(block_dims)} block dims for {n} agents")
     layout = BlockLayout(tuple(int(d) for d in block_dims))
 
+    pairs = learning.edges  # (sender, target), by sender
+    cut = np.searchsorted(pairs[:, 0], np.arange(2, n + 1))
     deps, gather = [], []
-    for i in range(1, n + 1):
-        d_i = tuple(sorted(arts.reach.ancestors_closed(i)))
-        deps.append(d_i)
+    for j, reachers in enumerate(np.split(pairs[:, 1], cut), 1):
+        d_j = tuple(sorted(reachers.tolist() + [j]))
+        deps.append(d_j)
         gather.append(np.concatenate(
-            [np.arange(layout.offsets[k - 1], layout.offsets[k]) for k in d_i]))
+            [np.arange(layout.offsets[k - 1], layout.offsets[k]) for k in d_j]))
 
     weights, targets = [], []
     offsets = np.empty(n)
@@ -260,7 +269,7 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
         raise ValueError(f"noise_std must be a scalar or {n} nonnegative values")
 
     return SyntheticObjective(
-        family=family, layout=layout, deps=tuple(deps), learning=arts.learning,
+        family=family, layout=layout, deps=tuple(deps), learning=learning,
         gather=tuple(gather), weights=tuple(weights), targets=tuple(targets),
         offsets=offsets, amplitudes=amplitudes, noise_std=sigma)
 

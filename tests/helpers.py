@@ -30,6 +30,30 @@ def transitive_closure(g: CoordinationGraph) -> np.ndarray:
     return r
 
 
+def closed_reach(g: CoordinationGraph) -> list[tuple[int, ...]]:
+    """Entry i - 1: the agents agent i reaches, itself included,
+    ascending, from ``transitive_closure``."""
+    closure = transitive_closure(g)
+    return [tuple(j for j in g.agents if j == i or closure[i, j]) for i in g.agents]
+
+
+def out_neighbors(g: CoordinationGraph) -> list[list[int]]:
+    """Entry i - 1: agent i's out-neighbours, ascending, from ``g.edges``."""
+    out: list[list[int]] = [[] for _ in g.agents]
+    for i, j in sorted(g.edges):
+        out[i - 1].append(j)
+    return out
+
+
+def observation_sets(g: CoordinationGraph) -> list[list[int]]:
+    """Entry i - 1: agent i's in-neighbours and i itself, ascending,
+    from ``g.edges``: the agents whose stock agent i observes."""
+    obs = [[i] for i in g.agents]
+    for i, j in g.edges:
+        obs[j - 1].append(i)
+    return [sorted(s) for s in obs]
+
+
 def ascending_reach_sums(g: CoordinationGraph, values: np.ndarray) -> np.ndarray:
     """Reference local values for a (k, N) payload: column i - 1 is the
     running sum, in ascending agent order, of the payload columns of
@@ -169,7 +193,7 @@ def nine_agent_graph() -> CoordinationGraph:
 
 def agent_centers(policy, i: int) -> np.ndarray:
     """Agent i's (num_centers, obs dim) centers, from ``make_centers``."""
-    k = len(policy.graph.observation_set(i))
+    k = len(observation_sets(policy.graph)[i - 1])
     return make_centers([policy.stock_range] * k + [policy.demand_range], policy.num_centers)
 
 
@@ -279,7 +303,7 @@ def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
 
 
 def reference_observation_matrix(env, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    obs_sets = [env.graph.observation_set(i) for i in env.graph.agents]
+    obs_sets = observation_sets(env.graph)
     rows = [i for i, s in enumerate(obs_sets) for _ in s]
     cols = [k for s in obs_sets for k in range(len(s))]
     srcs = [j - 1 for s in obs_sets for j in s]
@@ -293,8 +317,8 @@ def out_fractions(env, frac: np.ndarray) -> list[list[float]]:
     """The (E,) out-edge fractions cut into one list per agent, by the
     graph's out-neighbours (edges in (source, target) order)."""
     rows, e = [], 0
-    for i in env.graph.agents:
-        k = len(env.graph.out_neighbors(i))
+    for out in out_neighbors(env.graph):
+        k = len(out)
         rows.append([float(f) for f in frac[e:e + k]])
         e += k
     return rows
@@ -315,7 +339,7 @@ def reference_validate_allocations(env, frac: np.ndarray, where: str = "") -> No
 def reference_apply_transition(env, stocks: np.ndarray, frac: np.ndarray,
                                demands: np.ndarray) -> np.ndarray:
     # edges ordered by (source, target): the production summation order
-    edges = [(i - 1, j - 1) for i in env.graph.agents for j in env.graph.out_neighbors(i)]
+    edges = [(i - 1, j - 1) for i, j in sorted(env.graph.edges)]
     e_src = np.array([e[0] for e in edges], dtype=np.intp)
     e_dst = np.array([e[1] for e in edges], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -492,8 +516,8 @@ def reference_policy_tables(policy) -> dict[str, np.ndarray]:
     RbfPolicy, filled agent by agent."""
     g = policy.graph
     n, nc = g.num_agents, policy.num_centers
-    obs_sets = [g.observation_set(i) for i in g.agents]
-    num_slots = [len(g.out_neighbors(i)) + 1 for i in g.agents]
+    obs_sets = observation_sets(g)
+    num_slots = [len(out) + 1 for out in out_neighbors(g)]
     centers_pad = np.zeros((n, nc, max(len(s) for s in obs_sets) + 1))
     for i, s in enumerate(obs_sets):
         centers_pad[i, :, :len(s) + 1] = make_centers(
@@ -513,8 +537,8 @@ def reference_env_tables(env) -> dict[str, np.ndarray]:
     retained slot and then one slot per out-neighbour."""
     g = env.graph
     n = g.num_agents
-    obs_sets = [g.observation_set(i) for i in g.agents]
-    out_slots = [g.out_neighbors(i) for i in g.agents]
+    obs_sets = observation_sets(g)
+    out_slots = out_neighbors(g)
     gather = np.full((n, max(len(s) for s in obs_sets) + 1), 2 * n, dtype=np.intp)
     for i in range(n):
         k = len(obs_sets[i])

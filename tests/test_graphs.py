@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmarl.graphs import (
-    ReachabilitySets,
     build_artifacts,
     build_graph,
     check_weak_connectivity,
@@ -13,8 +12,10 @@ from dirmarl.graphs import (
     strongly_connected_components,
 )
 from dirmarl.learner import MessageBus
+from dirmarl.validation import make_synthetic
 from helpers import (
     brute_force_learning_edges,
+    closed_reach,
     example2_expected_learning_edges,
     example2_graph,
     learning_edge_set,
@@ -42,23 +43,20 @@ def test_build_graph_rejects_duplicate():
 
 
 def test_neighbor_views_sorted():
+    # the edge array is the one neighbour view: 0-based, by source, then target
     g = build_graph(4, [(3, 1), (2, 1), (1, 4), (1, 2)])
-    assert g.in_neighbors(1) == (2, 3)
-    assert g.out_neighbors(1) == (2, 4)
-    assert g.observation_set(1) == (1, 2, 3)
-    assert g.observation_set(4) == (1, 4)
+    assert g.edge_array.tolist() == [[0, 0, 1, 2], [1, 3, 0, 0]]
+    assert not g.edge_array.flags.writeable
+    assert g.edges == {(1, 2), (1, 4), (2, 1), (3, 1)}
 
 
 def test_chain_reachability():
+    # who each agent reaches (its senders) and who reaches it (the
+    # synthetic term's dependencies), both closed with the agent itself
     g = build_graph(3, [(1, 2), (2, 3)])
-    r = ReachabilitySets(g, strongly_connected_components(g))
-    assert r.reach(1) == {2, 3}
-    assert r.reach(2) == {3}
-    assert r.reach(3) == set()
-    assert r.reach_closed(1) == {1, 2, 3}
-    assert r.reach_closed(3) == {3}
-    assert r.ancestors(1) == set()
-    assert r.ancestors(3) == {1, 2}
+    obj = make_synthetic(g, np.random.default_rng(0))
+    assert [obj.reach_closed_sorted(i) for i in g.agents] == [(1, 2, 3), (2, 3), (3,)]
+    assert obj.deps == ((1,), (1, 2), (1, 2, 3))
 
 
 def test_chain_learning_graph():
@@ -73,10 +71,6 @@ def test_two_cycle_is_single_cluster():
     g = build_graph(2, [(1, 2), (2, 1)])
     d = strongly_connected_components(g)
     assert d.clusters == ((1, 2),)
-    r = ReachabilitySets(g, d)
-    # Both agents are on a cycle, so they reach themselves.
-    assert r.reach(1) == {1, 2}
-    assert r.ancestors(2) == {1, 2}
     lg = derive_learning_graph(g, d)
     # Self-pairs are never routing edges.
     assert learning_edge_set(lg) == {(1, 2), (2, 1)}
@@ -91,17 +85,18 @@ def test_weak_connectivity_components():
 def test_nine_agent_clusters():
     d = strongly_connected_components(nine_agent_graph())
     assert d.clusters == ((1, 2), (3, 4), (5, 6), (7, 8, 9))
-    assert d.on_cycle(1) and d.on_cycle(9)
+    # every agent lies on a directed cycle
+    assert min(map(len, d.clusters)) >= 2
 
 
 def test_nine_agent_reach_closed():
-    g = nine_agent_graph()
-    r = ReachabilitySets(g, strongly_connected_components(g))
-    assert r.reach_closed(1) == {1, 2, 7, 8, 9}
-    assert r.reach_closed(1) is r.reach_closed(2)  # shared per cluster
-    assert r.reach_closed(3) == {3, 4, 7, 8, 9}
-    assert r.reach_closed(5) == {5, 6, 7, 8, 9}
-    assert r.reach_closed(8) == {7, 8, 9}
+    obj = make_synthetic(nine_agent_graph(), np.random.default_rng(0))
+    assert obj.reach_closed_sorted(1) == obj.reach_closed_sorted(2) == (1, 2, 7, 8, 9)
+    assert obj.reach_closed_sorted(3) == (3, 4, 7, 8, 9)
+    assert obj.reach_closed_sorted(5) == (5, 6, 7, 8, 9)
+    assert obj.reach_closed_sorted(8) == (7, 8, 9)
+    assert obj.deps[6] == tuple(range(1, 10))
+    assert obj.deps[0] == (1, 2)
 
 
 def test_example2_learning_graph_exact():
@@ -114,10 +109,11 @@ def test_example2_learning_graph_exact():
 
 
 def test_reach_closed_sorted_is_canonical():
-    g = nine_agent_graph()
-    r = ReachabilitySets(g, strongly_connected_components(g))
-    assert r.reach_closed_sorted(2) == (1, 2, 7, 8, 9)
-    assert r.reach_closed_sorted(7) == (7, 8, 9)
+    # one ascending tuple per agent, built once per instance
+    obj = make_synthetic(nine_agent_graph(), np.random.default_rng(0))
+    assert obj.reach_closed_sorted(2) == (1, 2, 7, 8, 9)
+    assert obj.reach_closed_sorted(7) == (7, 8, 9)
+    assert obj.reach_closed_sorted(2) is obj.reach_closed_sorted(2)
 
 
 def digraph_edges(n: int):
@@ -185,8 +181,6 @@ def test_clusters_partition_agents(g):
     assert mins == sorted(mins)
     for c in d.clusters:
         assert list(c) == sorted(c)
-    for a in g.agents:
-        assert a in d.clusters[d.cluster_of[a]]
 
 
 @given(digraphs())
@@ -194,10 +188,11 @@ def test_clusters_partition_agents(g):
 def test_clusters_match_closure_equivalence(g):
     # i and j share a cluster exactly when each reaches the other.
     d = strongly_connected_components(g)
+    cluster_of = {a: k for k, c in enumerate(d.clusters) for a in c}
     r = transitive_closure(g)
     for i in g.agents:
         for j in g.agents:
-            same = d.cluster_of[i] == d.cluster_of[j]
+            same = cluster_of[i] == cluster_of[j]
             mutual = i == j or (r[i, j] and r[j, i])
             assert same == mutual
 
@@ -209,14 +204,40 @@ def test_learning_graph_matches_brute_force(g):
     assert learning_edge_set(art.learning) == brute_force_learning_edges(g)
 
 
+@given(st.one_of(digraphs(), planted_digraphs()))
+@settings(max_examples=150, deadline=None)
+def test_synthetic_deps_match_closure_columns(g):
+    # term j reads the blocks of j and of every agent that reaches j
+    r = transitive_closure(g)
+    obj = make_synthetic(g, np.random.default_rng(0))
+    for j in g.agents:
+        assert obj.deps[j - 1] == tuple(i for i in g.agents if i == j or r[i, j])
+
+
+@given(st.one_of(digraphs(), planted_digraphs()))
+@settings(max_examples=150, deadline=None)
+def test_reach_closed_sorted_matches_closure_rows(g):
+    obj = make_synthetic(g, np.random.default_rng(0))
+    assert [obj.reach_closed_sorted(i) for i in g.agents] == closed_reach(g)
+
+
+@given(st.one_of(digraphs(), planted_digraphs()))
+@settings(max_examples=150, deadline=None)
+def test_weak_components_match_brute_force(g):
+    # components of the symmetrised graph: i's is i plus all it reaches there
+    r = transitive_closure(build_graph(g.num_agents, g.edges | {(j, i) for i, j in g.edges}))
+    expected = {tuple(j for j in g.agents if j == i or r[i, j]) for i in g.agents}
+    assert check_weak_connectivity(g) == tuple(sorted(expected))
+
+
 @given(digraphs())
 @settings(max_examples=100, deadline=None)
 def test_reach_ancestor_duality(g):
-    r = ReachabilitySets(g, strongly_connected_components(g))
+    # j is in i's closed reach exactly when i is in term j's dependencies
+    obj = make_synthetic(g, np.random.default_rng(0))
     for i in g.agents:
         for j in g.agents:
-            assert (j in r.reach(i)) == (i in r.ancestors(j))
-        assert r.reach_closed(i) == r.reach(i) | {i}
+            assert (j in obj.reach_closed_sorted(i)) == (i in obj.deps[j - 1])
 
 
 @given(digraphs())
@@ -224,9 +245,9 @@ def test_reach_ancestor_duality(g):
 def test_same_cluster_same_closed_reach(g):
     art = build_artifacts(g)
     for c in art.clusters.clusters:
-        base = art.reach.reach_closed(c[0])
+        base = set(art.learning.senders(c[0]).tolist()) | {c[0]}
         for a in c[1:]:
-            assert art.reach.reach_closed(a) is base
+            assert set(art.learning.senders(a).tolist()) | {a} == base
 
 
 @given(digraphs())
@@ -250,20 +271,6 @@ def test_cluster_cliques_and_cross_cluster_completeness(g):
                 assert len(linked) == len(ca) * len(cb)
 
 
-@given(digraphs())
-@settings(max_examples=100, deadline=None)
-def test_sink_first_orders_clusters_after_their_targets(g):
-    # The reachability folds rely on this: every cluster comes after
-    # each cluster it has a graph edge into.
-    d = strongly_connected_components(g)
-    pos = {k: p for p, k in enumerate(d.sink_first)}
-    assert sorted(d.sink_first) == list(range(d.num_clusters))
-    for i, j in g.edges:
-        a, b = d.cluster_of[i], d.cluster_of[j]
-        if a != b:
-            assert pos[b] < pos[a]
-
-
 def test_random_weakly_connected_generator_is_connected():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -279,7 +286,7 @@ def test_strongly_connected_graph_learns_globally():
     assert art.clusters.num_clusters == 1
     assert len(art.learning.edges) == n * (n - 1)
     for i in g.agents:
-        assert art.reach.reach_closed(i) == set(g.agents)
+        assert set(art.learning.senders(i).tolist()) | {i} == set(g.agents)
 
 
 def test_large_sparse_graph_scales():
@@ -297,8 +304,8 @@ def test_large_sparse_graph_scales():
     art = build_artifacts(g)
     assert art.clusters.num_clusters == n
     assert len(art.learning.edges) == len(edges)
-    assert art.reach.reach_closed(3) == {2, 3, 4}
-    assert art.reach.reach_closed(2) == {2}
+    assert art.learning.senders(3).tolist() == [2, 4]
+    assert art.learning.senders(2).tolist() == []
 
     # Set-up memory is linear in N + |E_L|: on a random recursive tree
     # of 8k agents with 6% back edges (|E_L| about 77k) the artifacts and
@@ -324,12 +331,14 @@ def test_large_sparse_graph_scales():
 
 
 def test_deep_chain_cluster_level_reachability():
-    # A long path is the worst case for per-agent expansion; the
-    # cluster-level masks stay cheap and individual queries work.
+    # A long path: Tarjan's walk is 3000 deep and the learning graph is
+    # built one cluster level at a time; agent 1 reaches everyone and
+    # everyone reaches agent n.
     n = 3000
     g = build_graph(n, [(i, i + 1) for i in range(1, n)])
-    r = ReachabilitySets(g, strongly_connected_components(g))
-    assert len(r.reach_closed(1)) == n
-    assert r.reach(n) == set()
-    assert r.ancestors(1) == set()
-    assert len(r.ancestors(n)) == n - 1
+    art = build_artifacts(g)
+    assert art.clusters.num_clusters == n
+    assert art.learning.senders(1).tolist() == list(range(2, n + 1))
+    assert art.learning.senders(n).tolist() == []
+    receivers = np.bincount(art.learning.indices, minlength=n)  # rows holding each agent
+    assert receivers[0] == 0 and receivers[n - 1] == n - 1

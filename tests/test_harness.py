@@ -871,6 +871,14 @@ def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_cli_run_bad_repeat_exits_2_and_creates_no_directory(tmp_path, capsys):
+    path = tiny_config(tmp_path, str(tmp_path / "out"))
+    out = tmp_path / "D"
+    assert main(["run", path, "--output", str(out), "--repeat", "99"]) == 2
+    assert "repeat index 99 outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_validate_json_in_missing_directory_exits_2_before_the_battery(
         tmp_path, capsys, monkeypatch):
     def battery(**kw):

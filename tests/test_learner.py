@@ -26,8 +26,9 @@ from dirmarl.policy import RbfPolicy
 from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import (SyntheticEvaluator, ascending_reach_sums, bus_links, learning_edge_set,
-                     nine_agent_graph, random_weakly_connected_digraph, tree_with_back_edges)
+from helpers import (SyntheticEvaluator, ascending_reach_sums, bus_links, closed_reach,
+                     learning_edge_set, nine_agent_graph, random_weakly_connected_digraph,
+                     tree_with_back_edges)
 
 
 def chain_artifacts():
@@ -232,9 +233,9 @@ def test_episode_message_count_and_record_shape():
     assert rec.global_value == rec.observed_values.sum()
     assert theta1.shape == theta.shape
     # local values recompute exactly from the observed ones
-    for i in range(1, 4):
+    for i, reach in enumerate(closed_reach(graph), 1):
         acc = None
-        for j in arts.reach.reach_closed_sorted(i):
+        for j in reach:
             w = rec.observed_values[j - 1]
             acc = w if acc is None else acc + w
         assert rec.local_values[i - 1] == acc
@@ -489,10 +490,9 @@ def test_local_and_global_finite_differences_agree_per_block():
     # return w.r.t. block i must match that of agent i's local return
     graph, env, policy = small_warehouse(
         demand_noise_std=0.0, fixed_initial_state=True)
-    arts = build_artifacts(graph)
     horizon = 4
     trace = env.draw_noise_trace(horizon, np.random.default_rng(0))
-    reach = [arts.reach.reach_closed_sorted(i) for i in range(1, 4)]
+    reach = closed_reach(graph)
 
     def returns(theta):
         return simulate_rollout(env, policy.bind(theta), horizon,

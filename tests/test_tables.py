@@ -18,6 +18,8 @@ from dirmarl.warehouse import WarehouseConfig, WarehouseEnv
 from helpers import (
     SPECIAL_VALUES,
     grouped_gather,
+    observation_sets,
+    out_neighbors,
     random_weakly_connected_digraph,
     reference_env_tables,
     reference_policy_tables,
@@ -64,11 +66,11 @@ def test_tables_match_the_per_agent_loops():
         for name, want in reference_env_tables(env).items():
             assert_same_array(getattr(env, name), want, name)
         for obj in (policy, env):
-            assert obj.obs_dims.tolist() == [len(g.observation_set(i)) + 1 for i in g.agents]
-            assert obj.num_slots.tolist() == [len(g.out_neighbors(i)) + 1 for i in g.agents]
+            assert obj.obs_dims.tolist() == [len(s) + 1 for s in observation_sets(g)]
+            assert obj.num_slots.tolist() == [len(out) + 1 for out in out_neighbors(g)]
             assert obj.obs_max == max(obj.obs_dims)
         assert policy.layout.dims == tuple(
-            settings["num_centers"] * (len(g.out_neighbors(i)) + 1) for i in g.agents)
+            settings["num_centers"] * (len(out) + 1) for out in out_neighbors(g))
         # act_matrix reads the flat vector as (K, num_centers): row k must
         # be valid slot k, so each block starts at its agent's first slot.
         assert np.array_equal(policy.layout.offsets,

@@ -19,6 +19,7 @@ from helpers import (
     SPECIAL_VALUES,
     FixedAllocation,
     nine_agent_graph,
+    observation_sets,
     random_weakly_connected_digraph,
     reference_apply_transition,
     reference_observation_matrix,
@@ -270,11 +271,11 @@ def test_observation_layout():
     d = np.linspace(0.1, 0.9, 9)
     obs = env.observation_matrix(stocks, d)
     # Agent 3 observes stocks of {3, 4} then its demand.
-    assert env.graph.observation_set(3) == (3, 4) and env.obs_dims[2] == 3
+    assert observation_sets(env.graph)[2] == [3, 4] and env.obs_dims[2] == 3
     assert np.array_equal(obs[2, :3], [3.0, 4.0, d[2]])
     assert np.all(obs[2, 3:] == 0.0)
     # Agent 7 has in-neighbors {2, 4, 6, 9}.
-    assert env.graph.observation_set(7) == (2, 4, 6, 7, 9) and env.obs_dims[6] == 6
+    assert observation_sets(env.graph)[6] == [2, 4, 6, 7, 9] and env.obs_dims[6] == 6
     assert np.array_equal(obs[6, :6], [2.0, 4.0, 6.0, 7.0, 9.0, d[6]])
 
 
