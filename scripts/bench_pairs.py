@@ -77,15 +77,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def existing_record(path: str, commits: dict) -> dict | None:
+    """The record already at ``path``, or None; exits when it holds
+    results for other commits."""
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    if record["commits"] != commits:
+        sys.exit(f"{path} holds results for commits {record['commits']}, not {commits}")
+    return record
+
+
 def write_json(path: str, machine: dict, commits: dict, entry: dict) -> None:
     """Add ``entry`` to the record at ``path`` for these two commits."""
     machine = {k: v for k, v in machine.items() if k != "commit"}  # exports have no .git
-    record = {"machine": machine, "commits": commits, "results": []}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-        if record["commits"] != commits:
-            sys.exit(f"{path} holds results for commits {record['commits']}, not {commits}")
+    record = (existing_record(path, commits)
+              or {"machine": machine, "commits": commits, "results": []})
     record["results"] = [r for r in record["results"]
                          if (r["workload"], r["seed"]) != (entry["workload"], entry["seed"])]
     record["results"].append(entry)
@@ -113,6 +121,8 @@ def main(argv=None) -> int:
         for label, (rev, root) in sides.items():
             commits[label] = export(rev, root)
             print(f"# {label} = {rev} ({commits[label]})", flush=True)
+        if args.json:  # before any run, so a mismatch throws no results away
+            existing_record(args.json, commits)
         with open(os.path.join(dir_b, "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)["end_to_end"]
 

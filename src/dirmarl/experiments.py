@@ -30,7 +30,6 @@ from .configio import ExperimentConfig
 from .graphs import build_artifacts
 from .learner import (
     ALGORITHMS,
-    LearnerConfig,
     MessageBus,
     TrainingDiverged,
     WarehouseEvaluator,
@@ -49,16 +48,19 @@ def run_file_name(algorithm: str, repeat: int) -> str:
     return f"{algorithm}.rep{repeat:03d}.csv"
 
 
-def write_run_csv(path: str, records, num_agents: int) -> None:
-    cols = (["epoch"]
+def _run_csv_columns(num_agents: int) -> list[str]:
+    return (["epoch"]
             + [f"value_{i}" for i in range(1, num_agents + 1)]
             + ["global_value"]
             + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
             + ["messages"])
+
+
+def write_run_csv(path: str, records, num_agents: int) -> None:
     # "%.17g" % x gives the bytes of f"{float(x):.17g}": 17 significant
     # digits, which read back to the same double
     row = "%d," + ",".join(["%.17g"] * (2 * num_agents + 1)) + ",%d"
-    lines = [CSV_MAGIC, ",".join(cols)]
+    lines = [CSV_MAGIC, ",".join(_run_csv_columns(num_agents))]
     lines += [row % (rec.epoch, *rec.observed_values.tolist(), rec.global_value,
                      *rec.gradient_norms.tolist(), rec.message_count)
               for rec in records]
@@ -78,16 +80,23 @@ class RunTable:
 
 
 def read_run_csv(path: str) -> RunTable:
-    """Read a run CSV back; a row whose cell count differs from the
-    header's or that holds a non-number is an error that names
+    """Read a run CSV back; a header other than the columns
+    ``write_run_csv`` writes, or a row whose cell count differs from the
+    header's or that holds a non-number, is an error that names
     ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     if len(lines) < 2 or lines[0] != CSV_MAGIC:
         raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
                          "and a header)")
     header = lines[1].split(",")
     n = sum(1 for c in header if c.startswith("value_"))
+    if header != _run_csv_columns(n):
+        raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
+                         "(epoch, value_i, global_value, grad_norm_i, messages)")
     rows = []
     for lineno, ln in enumerate(lines[2:], start=3):
         if not ln:
@@ -146,11 +155,24 @@ class RunSummary:
         return table
 
 
-def _stats(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    stack = np.stack(rows)
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0, ddof=1) if len(rows) > 1 else np.zeros_like(mean)
-    return mean, std
+def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
+                   aborted) -> RunSummary:
+    """Cross-repeat statistics of ``runs[alg][repeat] = (global values,
+    message total)``, one entry per completed run; an algorithm without
+    one is left out of the per-algorithm maps."""
+    mean_value, std_value, messages, executed = {}, {}, {}, {}
+    for alg in algorithms:
+        done = sorted(runs[alg])
+        if not done:
+            continue
+        stack = np.stack([runs[alg][r][0] for r in done])
+        mean_value[alg] = stack.mean(axis=0)
+        std_value[alg] = (stack.std(axis=0, ddof=1) if len(done) > 1
+                          else np.zeros_like(mean_value[alg]))
+        messages[alg] = int(sum(runs[alg][r][1] for r in done))
+        executed[alg] = tuple(done)
+    return RunSummary(tuple(algorithms), repeats, epochs, mean_value, std_value, messages,
+                      executed, tuple(tuple(a) for a in aborted))
 
 
 def _summary_payload(summary: RunSummary, window: int = 100) -> dict:
@@ -227,8 +249,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     if cfg.checkpoint_every > 0:
         os.makedirs(ckpt_dir, exist_ok=True)
 
-    rows = {alg: {} for alg in cfg.algorithms}
-    messages = {alg: 0 for alg in cfg.algorithms}
+    learners = {alg: parse_algorithm(alg, cfg.delta, cfg.eta) for alg in cfg.algorithms}
+    runs = {alg: {} for alg in cfg.algorithms}
     aborted = []
     children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.repeats)
     for r in repeats:
@@ -238,8 +260,6 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         perturbations = [sample_perturbation(layout, pert_rng) for _ in range(cfg.epochs)]
         traces = [env.draw_noise_trace(cfg.horizon, noise_rng) for _ in range(cfg.epochs)]
         for alg in cfg.algorithms:
-            lcfg = LearnerConfig(step_size=cfg.eta, num_epochs=cfg.epochs,
-                                 oracle=parse_algorithm(alg, cfg.delta))
             on_episode = None
             if cfg.checkpoint_every > 0:
                 def on_episode(k, theta, rec, alg=alg, r=r):
@@ -248,9 +268,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                             os.path.join(ckpt_dir, f"{alg}.rep{r:03d}.ep{k + 1:05d}.npz"),
                             theta, k + 1)
             try:
-                res = train(theta0, ev, lcfg, bus,
-                            perturbations=perturbations, noise_traces=traces,
-                            on_episode=on_episode)
+                records, _ = train(theta0, ev, learners[alg], bus, perturbations, traces,
+                                   on_episode=on_episode)
             except TrainingDiverged as exc:
                 aborted.append((alg, r, str(exc)))
                 continue
@@ -258,19 +277,11 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                 aborted.append((alg, r, f"{type(exc).__name__}: {exc}"))
                 continue
             write_run_csv(os.path.join(out, run_file_name(alg, r)),
-                          res.records, cfg.graph.num_agents)
-            rows[alg][r] = np.array([rec.global_value for rec in res.records])
-            messages[alg] += sum(rec.message_count for rec in res.records)
+                          records, cfg.graph.num_agents)
+            runs[alg][r] = (np.array([rec.global_value for rec in records]),
+                            sum(rec.message_count for rec in records))
 
-    mean_value, std_value, executed = {}, {}, {}
-    for alg in cfg.algorithms:
-        if not rows[alg]:
-            continue
-        done = sorted(rows[alg])
-        mean_value[alg], std_value[alg] = _stats([rows[alg][r] for r in done])
-        executed[alg] = tuple(done)
-    summary = RunSummary(cfg.algorithms, cfg.repeats, cfg.epochs, mean_value,
-                         std_value, messages, executed, tuple(aborted))
+    summary = _build_summary(cfg.algorithms, cfg.repeats, cfg.epochs, runs, aborted)
     write_summary(out, summary)
     manifest = {
         "format": "dirmarl manifest v1",
@@ -338,7 +349,7 @@ def summarize(run_dir: str) -> RunSummary:
     skip = {(a, r) for a, r, _ in aborted}
 
     missing = []
-    tables = {alg: {} for alg in algorithms}
+    runs = {alg: {} for alg in algorithms}
     for alg in algorithms:
         for r in repeats_run:
             if (alg, r) in skip:
@@ -347,21 +358,11 @@ def summarize(run_dir: str) -> RunSummary:
             if not os.path.exists(path):
                 missing.append(run_file_name(alg, r))
                 continue
-            table = tables[alg][r] = read_run_csv(path)
+            table = read_run_csv(path)
             if not np.array_equal(table.epochs, np.arange(epochs)):
                 raise ValueError(f"{path}: rows must be the manifest's epochs "
                                  f"0..{epochs - 1} in order, got {len(table.epochs)} rows")
+            runs[alg][r] = (table.global_values, table.messages.sum())
     if missing:
         raise ValueError(f"{run_dir} is incomplete; missing runs: {', '.join(missing)}")
-
-    mean_value, std_value, executed, messages = {}, {}, {}, {}
-    for alg in algorithms:
-        if not tables[alg]:
-            continue
-        done = sorted(tables[alg])
-        mean_value[alg], std_value[alg] = _stats(
-            [tables[alg][r].global_values for r in done])
-        executed[alg] = tuple(done)
-        messages[alg] = int(sum(tables[alg][r].messages.sum() for r in done))
-    return RunSummary(algorithms, repeats, epochs, mean_value, std_value, messages,
-                      executed, tuple(tuple(a) for a in aborted))
+    return _build_summary(algorithms, repeats, epochs, runs, aborted)

@@ -33,7 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import LearningGraph
-from .oracles import OracleConfig, one_point, residual, sample_perturbation, two_point
+from .oracles import FLAVORS, SCOPES, one_point, residual, two_point
+# The episode path draws nothing; perfbench/tracing.py still wraps this
+# name here, and tests/test_trace_targets.py fails on a missing target.
+from .oracles import sample_perturbation  # noqa: F401
 from .policy import BlockLayout, RbfPolicy
 from .warehouse import WarehouseEnv, simulate_rollout
 
@@ -47,13 +50,31 @@ ALGORITHMS = (
 )
 
 
-def parse_algorithm(name: str, delta: float) -> OracleConfig:
-    """Map an algorithm name like ``distributed_two_point`` onto an
-    oracle configuration."""
+@dataclass(frozen=True)
+class LearnerConfig:
+    step_size: float
+    delta: float                  # smoothing radius of the Gaussian probe
+    flavor: str = "one_point"     # gradient oracle, one of FLAVORS
+    scope: str = "distributed"    # local or global value feedback, one of SCOPES
+
+    def __post_init__(self):
+        if self.step_size < 0.0:
+            raise ValueError(f"step_size must be >= 0, got {self.step_size}")
+        if self.delta <= 0.0:
+            raise ValueError(f"smoothing radius delta must be > 0, got {self.delta}")
+        if self.flavor not in FLAVORS:
+            raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
+        if self.scope not in SCOPES:
+            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
+
+
+def parse_algorithm(name: str, delta: float, step_size: float) -> LearnerConfig:
+    """Map an algorithm name like ``distributed_two_point`` onto a
+    learner configuration."""
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
     scope, flavor = name.split("_", 1)
-    return OracleConfig(delta=delta, flavor=flavor, scope=scope)
+    return LearnerConfig(step_size, delta, flavor, scope)
 
 
 class CommunicationViolation(RuntimeError):
@@ -155,19 +176,6 @@ class MessageBus:
 
 
 @dataclass(frozen=True)
-class LearnerConfig:
-    step_size: float
-    num_epochs: int
-    oracle: OracleConfig
-
-    def __post_init__(self):
-        if self.step_size < 0.0:
-            raise ValueError(f"step_size must be >= 0, got {self.step_size}")
-        if self.num_epochs < 1:
-            raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
-
-
-@dataclass(frozen=True)
 class EpisodeRecord:
     epoch: int
     observed_values: np.ndarray   # W_i of the perturbed episode, (N,)
@@ -193,9 +201,6 @@ class WarehouseEvaluator:
         self.layout = policy.layout
         self.num_agents = env.num_agents
 
-    def draw_noise(self, rng: np.random.Generator):
-        return self.env.draw_noise_trace(self.horizon, rng)
-
     def evaluate(self, theta: np.ndarray, noise) -> np.ndarray:
         ro = simulate_rollout(self.env, self.policy.bind(theta), self.horizon,
                               self.discount, noise_trace=noise)
@@ -203,29 +208,20 @@ class WarehouseEvaluator:
 
 
 def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
-                epoch: int, rng: np.random.Generator | None = None, *,
-                perturbation: np.ndarray | None = None, noise=None,
-                residual_state: np.ndarray | None = None,
-                ) -> tuple[np.ndarray, EpisodeRecord, np.ndarray]:
-    """One full learning episode; returns the updated joint parameter,
-    the episode record, and the residual carry state: the per-agent
-    values the residual flavor subtracts next episode (zeros before the
-    first), passed through unchanged by the other flavors."""
+                epoch: int, *, perturbation: np.ndarray, noise,
+                residual_state: np.ndarray) -> tuple[np.ndarray, EpisodeRecord, np.ndarray]:
+    """One learning episode under the joint probe ``perturbation`` and the
+    realized ``noise``; returns the updated joint parameter, the episode
+    record, and the residual carry state: the per-agent values the
+    residual flavor subtracts next episode (zeros before the first),
+    passed through unchanged by the other flavors."""
     layout: BlockLayout = evaluator.layout
-    ocfg = cfg.oracle
     n = evaluator.num_agents
-
-    if rng is None and (perturbation is None or noise is None):
-        raise ValueError("run_episode needs an rng when perturbation or noise is not supplied")
-    u = perturbation if perturbation is not None else sample_perturbation(layout, rng)
-    if noise is None:
-        noise = evaluator.draw_noise(rng)
-    if residual_state is None:
-        residual_state = np.zeros(n)
+    u = perturbation
 
     try:
-        w_pert = np.asarray(evaluator.evaluate(theta + ocfg.delta * u, noise), dtype=float)
-        if ocfg.flavor == "two_point":
+        w_pert = np.asarray(evaluator.evaluate(theta + cfg.delta * u, noise), dtype=float)
+        if cfg.flavor == "two_point":
             w_base = np.asarray(evaluator.evaluate(theta, noise), dtype=float)
             payload = np.stack((w_pert, w_base), axis=1)
         else:
@@ -238,26 +234,26 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
             raise
         raise TrainingDiverged(
             f"evaluation failed at epoch {epoch} with parameter magnitude "
-            f"{np.abs(theta).max():.3g} ({ocfg.scope} {ocfg.flavor}): {exc}") from exc
+            f"{np.abs(theta).max():.3g} ({cfg.scope} {cfg.flavor}): {exc}") from exc
 
     bus.begin_episode(epoch)
     hat = bus.exchange(payload)
     count = bus.finish_episode()
     hat_pert = hat if w_base is None else hat[:, 0]
 
-    if ocfg.scope == "centralized":
+    if cfg.scope == "centralized":
         vals_pert = np.full(n, w_pert.sum())
         vals_base = np.full(n, w_base.sum()) if w_base is not None else None
     else:
         vals_pert = hat_pert
         vals_base = hat[:, 1] if w_base is not None else None
 
-    if ocfg.flavor == "one_point":
-        g = one_point(vals_pert, u, ocfg.delta, layout)
-    elif ocfg.flavor == "two_point":
-        g = two_point(vals_pert, vals_base, u, ocfg.delta, layout)
+    if cfg.flavor == "one_point":
+        g = one_point(vals_pert, u, cfg.delta, layout)
+    elif cfg.flavor == "two_point":
+        g = two_point(vals_pert, vals_base, u, cfg.delta, layout)
     else:
-        g = residual(vals_pert, residual_state, u, ocfg.delta, layout)
+        g = residual(vals_pert, residual_state, u, cfg.delta, layout)
         residual_state = vals_pert
 
     with np.errstate(over="ignore", invalid="ignore"):  # guard below turns overflow into an abort
@@ -267,7 +263,7 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
                if not np.isfinite(layout.block(theta_next, i)).all()]
         raise TrainingDiverged(
             f"non-finite parameters for agents {bad} after epoch {epoch} "
-            f"({ocfg.scope} {ocfg.flavor}, step_size {cfg.step_size})")
+            f"({cfg.scope} {cfg.flavor}, step_size {cfg.step_size})")
 
     record = EpisodeRecord(
         epoch=epoch,
@@ -280,43 +276,30 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
     return theta_next, record, residual_state
 
 
-@dataclass
-class TrainResult:
-    records: list[EpisodeRecord]
-    theta_final: np.ndarray
-    bus: MessageBus
-
-
 def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
-          rng: np.random.Generator | None = None, *,
-          perturbations: Sequence[np.ndarray] | None = None,
-          noise_traces: Sequence | None = None,
-          on_episode=None) -> TrainResult:
-    """Run ``cfg.num_epochs`` episodes.  Shared streams for
-    cross-algorithm comparisons are passed as ``perturbations`` (one
-    joint probe per epoch) and ``noise_traces``; anything not supplied
-    is drawn from ``rng``.  ``on_episode(epoch, theta, record)`` runs
-    after every update (checkpointing, progress)."""
-    if perturbations is not None and len(perturbations) < cfg.num_epochs:
-        raise ValueError(f"need {cfg.num_epochs} shared perturbations, got {len(perturbations)}")
-    if noise_traces is not None and len(noise_traces) < cfg.num_epochs:
-        raise ValueError(f"need {cfg.num_epochs} shared noise traces, got {len(noise_traces)}")
+          perturbations: Sequence[np.ndarray], noise_traces: Sequence, *,
+          on_episode=None) -> tuple[list[EpisodeRecord], np.ndarray]:
+    """Run one episode per (joint probe, noise trace) pair of the shared
+    streams and return the episode records and the final parameter.
+    ``on_episode(epoch, theta, record)`` runs after every update
+    (checkpointing, progress)."""
+    if len(perturbations) != len(noise_traces) or len(perturbations) == 0:
+        raise ValueError(f"need equally many perturbations and noise traces, at least one: "
+                         f"got {len(perturbations)} perturbations and "
+                         f"{len(noise_traces)} noise traces")
     theta = np.array(theta0, dtype=float)
     if theta.shape != (evaluator.layout.total_dim,):
         raise ValueError(f"theta0 has shape {theta.shape}, "
                          f"expected ({evaluator.layout.total_dim},)")
     state = np.zeros(evaluator.num_agents)
     records: list[EpisodeRecord] = []
-    for k in range(cfg.num_epochs):
-        theta, rec, state = run_episode(
-            theta, evaluator, cfg, bus, k, rng,
-            perturbation=None if perturbations is None else perturbations[k],
-            noise=None if noise_traces is None else noise_traces[k],
-            residual_state=state)
+    for k, (u, noise) in enumerate(zip(perturbations, noise_traces)):
+        theta, rec, state = run_episode(theta, evaluator, cfg, bus, k, perturbation=u,
+                                        noise=noise, residual_state=state)
         records.append(rec)
         if on_episode is not None:
             on_episode(k, theta, rec)
-    return TrainResult(records, theta, bus)
+    return records, theta
 
 
 # -- step-size / smoothing schedule ----------------------------------
@@ -329,11 +312,34 @@ class ScheduleResult:
     epochs_required: int | None
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _finite_or_error(formula, what: str) -> float:
+    """``formula()``, or a ValueError naming ``what`` when it overflows,
+    divides by an underflowed zero or comes out non-finite."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not a finite number")
+    return value
+
+
 def schedule_bound_constant(j_star: float, j_smoothed_init: float, lipschitz: float,
                             value_max: float, sigma_max: float) -> float:
     """Constant B entering the epoch-count requirement:
     J* - J^delta(theta^0) + L^4 (J_0^2 + sigma_0^2) / 2."""
-    return j_star - j_smoothed_init + lipschitz ** 4 * (value_max ** 2 + sigma_max ** 2) / 2.0
+    _require_finite(j_star=j_star, j_smoothed_init=j_smoothed_init, lipschitz=lipschitz,
+                    value_max=value_max, sigma_max=sigma_max)
+    return _finite_or_error(
+        lambda: j_star - j_smoothed_init
+        + lipschitz ** 4 * (value_max ** 2 + sigma_max ** 2) / 2.0,
+        f"the bound constant B for value_max {value_max} and lipschitz {lipschitz}")
 
 
 def accuracy_schedule(eps: float, lipschitz: float, total_dim: int, epochs: int,
@@ -345,6 +351,9 @@ def accuracy_schedule(eps: float, lipschitz: float, total_dim: int, epochs: int,
 
     plus, when the bound constant B is supplied, the number of epochs
     K >= d^3 B^2 / eps^5 required for the guarantee."""
+    _require_finite(eps=eps, lipschitz=lipschitz)
+    if bound_b is not None:
+        _require_finite(bound_b=bound_b)
     if eps <= 0.0 or lipschitz <= 0.0:
         raise ValueError(f"eps and lipschitz must be > 0, got {eps}, {lipschitz}")
     if total_dim < 1 or epochs < 1:
@@ -353,5 +362,7 @@ def accuracy_schedule(eps: float, lipschitz: float, total_dim: int, epochs: int,
     eta = eps ** 1.5 / (total_dim ** 1.5 * math.sqrt(epochs))
     required = None
     if bound_b is not None:
-        required = math.ceil(total_dim ** 3 * bound_b ** 2 / eps ** 5)
+        required = math.ceil(_finite_or_error(
+            lambda: total_dim ** 3 * bound_b ** 2 / eps ** 5,
+            f"the epoch requirement d^3 B^2 / eps^5 for B = {bound_b}, eps = {eps}"))
     return ScheduleResult(delta, eta, required)

@@ -28,29 +28,12 @@ two-point per-block (L_i^2 + sigma_i^2)(d_i d + 8 d_i + 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .policy import BlockLayout
 
 FLAVORS = ("one_point", "two_point", "residual")
 SCOPES = ("distributed", "centralized")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    delta: float
-    flavor: str = "one_point"
-    scope: str = "distributed"
-
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"smoothing radius delta must be > 0, got {self.delta}")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
 
 
 def sample_perturbation(layout: BlockLayout, rng: np.random.Generator) -> np.ndarray:

@@ -15,9 +15,9 @@ in-neighborhood plus its own realized same-step demand, so the
 observation has |in(i)| + 2 entries.
 
 Randomness is reified as a NoiseTrace (initial jitter plus every
-demand shock); a rollout driven by a trace instead of an rng replays
-bit-identically, which is what the learner's paired evaluations and
-the decoupling checks rely on.
+demand shock), drawn ahead of the episode and its only source of
+randomness: a rollout replays its trace bit-identically, which is what
+the learner's paired evaluations and the decoupling checks rely on.
 """
 
 from __future__ import annotations
@@ -187,25 +187,18 @@ class Rollout:
     stocks: np.ndarray        # (T+1, N); the last row is the terminal state
     rewards: np.ndarray       # (T, N)
     returns: np.ndarray       # (N,) discounted reward sums
-    noise_trace: NoiseTrace
 
 
-def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 1.0,
-                     rng: np.random.Generator | None = None,
-                     noise_trace: NoiseTrace | None = None) -> Rollout:
-    """Run one episode.  ``policy.act_matrix(padded_obs)`` returns the
-    compact (K,) allocation, each agent's retained fraction first; the
-    step reads its out-edge fractions once, in edge order.
-    Passing ``noise_trace`` replays that exact randomness; otherwise a
-    fresh trace is drawn from ``rng`` and recorded."""
+def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 1.0, *,
+                     noise_trace: NoiseTrace) -> Rollout:
+    """Run one episode under the realized randomness ``noise_trace``.
+    ``policy.act_matrix(padded_obs)`` returns the compact (K,)
+    allocation, each agent's retained fraction first; the step reads
+    its out-edge fractions once, in edge order."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0.0 < discount <= 1.0:
         raise ValueError(f"discount must lie in (0, 1], got {discount}")
-    if noise_trace is None:
-        if rng is None:
-            raise ValueError("simulate_rollout needs an rng or a noise trace")
-        noise_trace = env.draw_noise_trace(horizon, rng)
     env.check_trace(noise_trace, horizon)
 
     n = env.num_agents
@@ -230,4 +223,4 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
 
     weights = discount ** np.arange(horizon)
     returns = weights @ rewards
-    return Rollout(stocks, rewards, returns, noise_trace)
+    return Rollout(stocks, rewards, returns)

@@ -12,6 +12,8 @@ import numpy as np
 
 from dirmarl.experiments import CSV_MAGIC
 from dirmarl.graphs import CoordinationGraph, build_graph
+from dirmarl.learner import WarehouseEvaluator
+from dirmarl.oracles import sample_perturbation
 from dirmarl.policy import NonFiniteScores
 from dirmarl.validation import _MomentAccumulator
 from dirmarl.warehouse import RolloutError
@@ -460,6 +462,20 @@ class SyntheticEvaluator:
 
     def evaluate(self, theta: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return self.objective.values(theta) + noise
+
+
+def draw_streams(evaluator, epochs: int, rng: np.random.Generator) -> tuple[list, list]:
+    """``epochs`` joint probes and episode noises for ``train``, from one
+    generator: per epoch the probe first, then the noise.  A warehouse
+    evaluator's noise is a trace of its horizon; a fake evaluator's is
+    its own ``draw_noise(rng)``."""
+    probes, noises = [], []
+    for _ in range(epochs):
+        probes.append(sample_perturbation(evaluator.layout, rng))
+        noises.append(evaluator.env.draw_noise_trace(evaluator.horizon, rng)
+                      if isinstance(evaluator, WarehouseEvaluator)
+                      else evaluator.draw_noise(rng))
+    return probes, noises
 
 
 def smoothed_local_gradient(obj, i: int, theta: np.ndarray, delta: float) -> np.ndarray:

@@ -22,15 +22,15 @@ from dirmarl.experiments import read_run_csv, run_experiment, run_file_name
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import (LearnerConfig, MessageBus, WarehouseEvaluator,
                              accuracy_schedule, schedule_bound_constant, train)
-from dirmarl.oracles import (OracleConfig, one_point_second_moment_bound,
-                             two_point_second_moment_bound)
+from dirmarl.oracles import one_point_second_moment_bound, two_point_second_moment_bound
 from dirmarl.policy import RbfPolicy
 from dirmarl.validation import (finite_difference_gradient, make_synthetic,
                                 mc_smoothed_gradient, oracle_moments)
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import (brute_force_learning_edges, bus_links, closed_reach, global_noise_std,
-                     global_value_bound, learning_edge_set, random_weakly_connected_digraph)
+from helpers import (brute_force_learning_edges, bus_links, closed_reach, draw_streams,
+                     global_noise_std, global_value_bound, learning_edge_set,
+                     random_weakly_connected_digraph)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -273,10 +273,9 @@ def test_08_communication_audit(nine_agent_run):
                        kernel=cfg.policy.kernel)
     evaluator = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
     bus = MessageBus(arts.learning)
-    lcfg = LearnerConfig(step_size=cfg.eta, num_epochs=5,
-                         oracle=OracleConfig(delta=cfg.delta))
+    lcfg = LearnerConfig(step_size=cfg.eta, delta=cfg.delta)
     train(np.zeros(policy.layout.total_dim), evaluator, lcfg, bus,
-          np.random.default_rng(0))
+          *draw_streams(evaluator, 5, np.random.default_rng(0)))
     links = bus_links(bus)
     audit_ok = (links == brute_force_learning_edges(cfg.graph)
                 and bus.total_messages == 5 * expected)

@@ -24,11 +24,11 @@ from dirmarl.experiments import (CSV_MAGIC, read_run_csv, run_experiment,
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import (EpisodeRecord, LearnerConfig, MessageBus,
                              TrainingDiverged, train)
-from dirmarl.oracles import OracleConfig
 from dirmarl.policy import BlockLayout
 from dirmarl.warehouse import RolloutError, WarehouseConfig, simulate_rollout
 
-from helpers import example2_expected_learning_edges, learning_edge_set, load_parameters
+from helpers import (draw_streams, example2_expected_learning_edges, learning_edge_set,
+                     load_parameters)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -508,6 +508,11 @@ output_dir = {out}
     assert set(again.mean_value) == {"distributed_two_point"}
     np.testing.assert_allclose(again.mean_value["distributed_two_point"],
                                summary.mean_value["distributed_two_point"])
+    # the driver and the read-back build one summary: no message total
+    # for the algorithm that completed no repeat
+    assert summary.total_messages == again.total_messages == {"distributed_two_point": 0}
+    assert summary.executed == again.executed == {"distributed_two_point": (0, 1)}
+    assert summary.aborted == again.aborted
 
 
 def test_failing_rollouts_are_recorded_and_the_batch_completes(tmp_path, capsys, monkeypatch):
@@ -592,21 +597,19 @@ def test_runaway_evaluation_becomes_divergence():
     g = build_graph(2, [(1, 2), (2, 1)])
     arts = build_artifacts(g)
     ev = _OverflowingEvaluator(g, blowup=1e200)
-    cfg = LearnerConfig(step_size=1e205, num_epochs=3,
-                        oracle=OracleConfig(delta=0.5))
+    cfg = LearnerConfig(step_size=1e205, delta=0.5)
     theta0 = np.zeros(ev.layout.total_dim)
     with pytest.raises(TrainingDiverged, match="evaluation failed at epoch 1"):
         train(theta0, ev, cfg, MessageBus(arts.learning),
-              np.random.default_rng(0))
+              *draw_streams(ev, 3, np.random.default_rng(0)))
 
     # at sane parameter scales the same failure is a real bug and
     # propagates untouched
     ev_bug = _OverflowingEvaluator(g, blowup=-1.0)
-    cfg_small = LearnerConfig(step_size=0.1, num_epochs=2,
-                              oracle=OracleConfig(delta=0.5))
+    cfg_small = LearnerConfig(step_size=0.1, delta=0.5)
     with pytest.raises(ValueError) as excinfo:
         train(theta0, ev_bug, cfg_small, MessageBus(arts.learning),
-              np.random.default_rng(0))
+              *draw_streams(ev_bug, 2, np.random.default_rng(0)))
     assert not isinstance(excinfo.value, TrainingDiverged)
 
 
@@ -719,12 +722,24 @@ def test_summarize_rejects_runs_missing_their_last_row(tmp_path):
         summarize(out)
 
 
-def test_summarize_names_a_ragged_row(tmp_path):
+def test_summarize_names_a_ragged_row(tmp_path, capsys):
     out = str(tmp_path / "out")
     run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
     _damage_run_csvs(out, lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:])
     with pytest.raises(ValueError, match=r"rep000\.csv:4: 10 cells, the header has 9"):
         summarize(out)
+
+    # a header that is not the writer's columns for its agent count,
+    # with rows that match it cell for cell
+    out = str(tmp_path / "header")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    _damage_run_csvs(out, lambda lines: lines[:1] + ["epoch,value_1,value_2,global_value,messages"]
+                     + [",".join(ln.split(",")[:5]) for ln in lines[2:]])
+    with pytest.raises(ValueError, match=r"rep000\.csv:2: header is not the run csv columns "
+                                         r"for 2 agents"):
+        summarize(out)
+    assert main(["summarize", out]) == 2
+    assert "rep000.csv:2: header" in capsys.readouterr().err
 
 
 def test_summarize_names_a_non_numeric_cell(tmp_path):
@@ -732,6 +747,13 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
     run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
     _damage_run_csvs(out, lambda lines: lines[:4] + ["abc" + lines[4][1:]])
     with pytest.raises(ValueError, match=r"rep000\.csv:5: .*'abc'"):
+        summarize(out)
+
+    # a byte that is not UTF-8
+    path = os.path.join(out, run_file_name("distributed_one_point", 0))
+    with open(path, "ab") as fh:
+        fh.write(b"0,\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} is not UTF-8 text: "):
         summarize(out)
 
 
@@ -805,6 +827,21 @@ def test_cli_schedule_epoch_requirement(capsys):
     # derived bound: 0 - 0 + 1 * (1 + 0) / 2, so one epoch suffices
     assert "epochs_required = 1\n" in out
     assert "below the guarantee threshold" not in out
+
+    # non-finite input, and a requirement or bound constant that overflows
+    # or divides by an underflowed eps^5, exits 2 with a named cause
+    base = ["schedule", "--lip", "1", "--dim", "2", "--epochs", "1"]
+    for extra, cause in ((["--eps", "nan"], "eps must be finite, got nan"),
+                         (["--eps", "0.5", "--bound-b", "inf"], "bound_b must be finite"),
+                         (["--eps", "0.5", "--bound-b", "1e200"], "epoch requirement"),
+                         (["--eps", "1e-80", "--bound-b", "1"], "epoch requirement"),
+                         (["--eps", "1", "--value-max", "1e100"], "epoch requirement"),
+                         (["--eps", "1", "--value-max", "1e200"], "bound constant B"),
+                         (["--eps", "1", "--value-max", "nan"], "value_max must be finite")):
+        assert main(base + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and cause in captured.err, extra
 
 
 def test_cli_graph_describes_bundled_config(capsys):
@@ -890,6 +927,10 @@ def test_cli_validate_json_in_missing_directory_exits_2_before_the_battery(
     assert capsys.readouterr().err == (
         f"error: cannot write --json {report}: its directory does not exist\n")
     assert not report.parent.exists()
+
+    # an existing directory in place of the report file
+    assert main(["validate", "--quick", "--json", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write --json {tmp_path}: it is a directory\n"
 
 
 def test_cli_help_exits_zero():

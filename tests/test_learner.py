@@ -21,14 +21,14 @@ from dirmarl.learner import (
     schedule_bound_constant,
     train,
 )
-from dirmarl.oracles import OracleConfig, sample_perturbation
+from dirmarl.oracles import sample_perturbation
 from dirmarl.policy import RbfPolicy
 from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
 from helpers import (SyntheticEvaluator, ascending_reach_sums, bus_links, closed_reach,
-                     learning_edge_set, nine_agent_graph, random_weakly_connected_digraph,
-                     tree_with_back_edges)
+                     draw_streams, learning_edge_set, nine_agent_graph,
+                     random_weakly_connected_digraph, tree_with_back_edges)
 
 
 def chain_artifacts():
@@ -48,16 +48,17 @@ def small_warehouse(num_centers=2, **cfg_kw):
 
 def test_parse_algorithm_covers_all_names():
     for name in ALGORITHMS:
-        ocfg = parse_algorithm(name, delta=0.25)
-        assert ocfg.delta == 0.25
+        cfg = parse_algorithm(name, delta=0.25, step_size=0.5)
+        assert cfg.delta == 0.25
+        assert cfg.step_size == 0.5
         scope, flavor = name.split("_", 1)
-        assert ocfg.scope == scope
-        assert ocfg.flavor == flavor
+        assert cfg.scope == scope
+        assert cfg.flavor == flavor
 
 
 def test_parse_algorithm_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown algorithm"):
-        parse_algorithm("federated_three_point", delta=0.1)
+        parse_algorithm("federated_three_point", delta=0.1, step_size=0.01)
 
 
 # -- reward exchange --------------------------------------------------
@@ -219,12 +220,12 @@ def test_episode_message_count_and_record_shape():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.01, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1))
+    cfg = LearnerConfig(step_size=0.01, delta=0.1)
     bus = MessageBus(arts.learning)
     theta = np.zeros(policy.layout.total_dim)
-    rng = np.random.default_rng(3)
-    theta1, rec, _ = run_episode(theta, ev, cfg, bus, 0, rng)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(3))
+    theta1, rec, _ = run_episode(theta, ev, cfg, bus, 0, perturbation=u, noise=trace,
+                                 residual_state=np.zeros(3))
     assert rec.message_count == len(arts.learning.edges)
     assert rec.epoch == 0
     assert rec.observed_values.shape == (3,)
@@ -245,11 +246,11 @@ def test_zero_step_size_is_a_no_op():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.0, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1))
+    cfg = LearnerConfig(step_size=0.0, delta=0.1)
     theta = np.linspace(-0.2, 0.3, policy.layout.total_dim)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(0))
     theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 np.random.default_rng(0))
+                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
     assert np.array_equal(theta1, theta)
     assert np.any(rec.gradient_norms > 0)  # gradient computed, just not applied
 
@@ -261,16 +262,13 @@ def test_zero_rewards_leave_parameters_untouched():
         demand_amplitude=0.01, demand_noise_std=0.0, fixed_initial_state=True)
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=2)
-    rng = np.random.default_rng(5)
-    u = sample_perturbation(policy.layout, rng)
-    trace = ev.draw_noise(rng)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(5))
     theta = np.full(policy.layout.total_dim, 0.05)
-    ocfg = OracleConfig(delta=0.1)
-    ro = simulate_rollout(env, policy.bind(theta + ocfg.delta * u), 2, noise_trace=trace)
+    cfg = LearnerConfig(step_size=0.05, delta=0.1)
+    ro = simulate_rollout(env, policy.bind(theta + cfg.delta * u), 2, noise_trace=trace)
     assert np.all(ro.rewards == 0.0)  # fixture precondition
-    cfg = LearnerConfig(step_size=0.05, num_epochs=1, oracle=ocfg)
     theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace)
+                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
     assert np.array_equal(theta1, theta)
     assert np.all(rec.gradient_norms == 0.0)
 
@@ -280,18 +278,16 @@ def test_update_touches_only_own_block_direction():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.02, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1))
+    cfg = LearnerConfig(step_size=0.02, delta=0.1)
     rng = np.random.default_rng(11)
-    u = sample_perturbation(policy.layout, rng)
-    trace = ev.draw_noise(rng)
+    (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
     theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace)
+                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
     step = theta1 - theta
     for i in range(1, 4):
         sl = policy.layout.block_slice(i)
-        scale = cfg.step_size * rec.local_values[i - 1] / cfg.oracle.delta
+        scale = cfg.step_size * rec.local_values[i - 1] / cfg.delta
         np.testing.assert_allclose(step[sl], scale * u[sl], rtol=1e-12, atol=1e-15)
 
 
@@ -299,15 +295,13 @@ def test_centralized_scope_scales_every_block_by_the_global_value():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.02, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1, scope="centralized"))
+    cfg = LearnerConfig(step_size=0.02, delta=0.1, scope="centralized")
     rng = np.random.default_rng(13)
-    u = sample_perturbation(policy.layout, rng)
-    trace = ev.draw_noise(rng)
+    (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
     theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace)
-    scale = cfg.step_size * rec.global_value / cfg.oracle.delta
+                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
+    scale = cfg.step_size * rec.global_value / cfg.delta
     np.testing.assert_allclose(theta1 - theta, scale * u, rtol=1e-12, atol=1e-15)
     # the exchange still ran and was audited
     assert rec.message_count == len(arts.learning.edges)
@@ -322,9 +316,6 @@ def test_two_point_reuses_the_episode_noise():
             self.layout = inner.layout
             self.num_agents = inner.num_agents
 
-        def draw_noise(self, rng):
-            return self.inner.draw_noise(rng)
-
         def evaluate(self, theta, noise):
             calls.append(noise)
             return self.inner.evaluate(theta, noise)
@@ -332,22 +323,27 @@ def test_two_point_reuses_the_episode_noise():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = Spy(WarehouseEvaluator(env, policy, horizon=4))
-    cfg = LearnerConfig(step_size=0.01, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1, flavor="two_point"))
+    cfg = LearnerConfig(step_size=0.01, delta=0.1, flavor="two_point")
+    (u,), (trace,) = draw_streams(ev.inner, 1, np.random.default_rng(2))
     run_episode(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), 0,
-                np.random.default_rng(2))
+                perturbation=u, noise=trace, residual_state=np.zeros(3))
     assert len(calls) == 2
     assert calls[0] is calls[1]  # common randomness: the same trace object
 
 
-def test_run_episode_requires_rng_or_streams():
+def test_run_episode_requires_its_streams():
+    # no stream has a default that would draw fresh randomness
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.01, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1))
-    with pytest.raises(ValueError, match="rng"):
-        run_episode(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), 0)
+    cfg = LearnerConfig(step_size=0.01, delta=0.1)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(0))
+    streams = dict(perturbation=u, noise=trace, residual_state=np.zeros(3))
+    for name in streams:
+        kw = {k: v for k, v in streams.items() if k != name}
+        with pytest.raises(TypeError, match=name):
+            run_episode(np.zeros(policy.layout.total_dim), ev, cfg,
+                        MessageBus(arts.learning), 0, **kw)
 
 
 def test_evaluator_rejects_mismatched_graph():
@@ -372,14 +368,12 @@ def test_residual_first_episode_matches_one_point():
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
     rng = np.random.default_rng(17)
-    u = sample_perturbation(policy.layout, rng)
-    trace = ev.draw_noise(rng)
+    (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
-    kw = dict(perturbation=u, noise=trace)
+    kw = dict(perturbation=u, noise=trace, residual_state=np.zeros(3))
     got = {}
     for flavor in ("one_point", "residual"):
-        cfg = LearnerConfig(step_size=0.02, num_epochs=1,
-                            oracle=OracleConfig(delta=0.1, flavor=flavor))
+        cfg = LearnerConfig(step_size=0.02, delta=0.1, flavor=flavor)
         got[flavor], _, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0, **kw)
     assert np.array_equal(got["one_point"], got["residual"])
 
@@ -390,12 +384,10 @@ def test_residual_carries_previous_local_values():
     ev = WarehouseEvaluator(env, policy, horizon=4)
     rng = np.random.default_rng(19)
     us = [sample_perturbation(policy.layout, rng) for _ in range(2)]
-    traces = [ev.draw_noise(rng) for _ in range(2)]
-    cfg = LearnerConfig(step_size=0.0, num_epochs=2,
-                        oracle=OracleConfig(delta=0.1, flavor="residual"))
-    res = train(np.zeros(policy.layout.total_dim), ev, cfg,
-                MessageBus(arts.learning), perturbations=us, noise_traces=traces)
-    r0, r1 = res.records
+    traces = [env.draw_noise_trace(4, rng) for _ in range(2)]
+    cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual")
+    (r0, r1), _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
+                        MessageBus(arts.learning), us, traces)
     diff = r1.local_values - r0.local_values
     want = policy.layout.block_norms((policy.layout.expand(diff) / 0.1) * us[1])
     np.testing.assert_allclose(r1.gradient_norms, want, rtol=1e-12, atol=1e-15)
@@ -407,14 +399,11 @@ def test_residual_second_episode_at_same_point_and_noise_is_null():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    rng = np.random.default_rng(23)
-    u = sample_perturbation(policy.layout, rng)
-    trace = ev.draw_noise(rng)
-    cfg = LearnerConfig(step_size=0.0, num_epochs=2,
-                        oracle=OracleConfig(delta=0.1, flavor="residual"))
-    res = train(np.zeros(policy.layout.total_dim), ev, cfg,
-                MessageBus(arts.learning), perturbations=[u, u], noise_traces=[trace, trace])
-    assert np.all(res.records[1].gradient_norms == 0.0)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(23))
+    cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual")
+    records, _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
+                       MessageBus(arts.learning), [u, u], [trace, trace])
+    assert np.all(records[1].gradient_norms == 0.0)
 
 
 # -- training loop ----------------------------------------------------
@@ -424,17 +413,16 @@ def test_train_is_deterministic_given_seed():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.01, num_epochs=5,
-                        oracle=OracleConfig(delta=0.1, flavor="two_point"))
+    cfg = LearnerConfig(step_size=0.01, delta=0.1, flavor="two_point")
 
     def go():
-        return train(np.zeros(policy.layout.total_dim), ev, cfg,
-                     MessageBus(arts.learning), np.random.default_rng(123))
+        return train(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning),
+                     *draw_streams(ev, 5, np.random.default_rng(123)))
 
-    a, b = go(), go()
-    assert np.array_equal(a.theta_final, b.theta_final)
-    assert len(a.records) == 5
-    for ra, rb in zip(a.records, b.records):
+    (a, theta_a), (b, theta_b) = go(), go()
+    assert np.array_equal(theta_a, theta_b)
+    assert len(a) == 5
+    for ra, rb in zip(a, b):
         assert np.array_equal(ra.observed_values, rb.observed_values)
         assert np.array_equal(ra.local_values, rb.local_values)
         assert np.array_equal(ra.gradient_norms, rb.gradient_norms)
@@ -445,41 +433,49 @@ def test_train_validates_stream_lengths():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.01, num_epochs=3,
-                        oracle=OracleConfig(delta=0.1))
-    u = sample_perturbation(policy.layout, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="shared perturbations"):
-        train(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning),
-              np.random.default_rng(0), perturbations=[u])
+    cfg = LearnerConfig(step_size=0.01, delta=0.1)
+    us, traces = draw_streams(ev, 3, np.random.default_rng(0))
+    theta0 = np.zeros(policy.layout.total_dim)
+    for probes, noises in ((us[:1], traces), (us, traces[:2]), ([], [])):
+        bus = MessageBus(arts.learning)
+        with pytest.raises(ValueError, match=f"got {len(probes)} perturbations and "
+                                             f"{len(noises)} noise traces"):
+            train(theta0, ev, cfg, bus, probes, noises)
+        assert bus.episodes_completed == 0  # checked before the first episode
+    records, _ = train(theta0, ev, cfg, MessageBus(arts.learning), us, traces)
+    assert [rec.epoch for rec in records] == [0, 1, 2]
 
 
 def test_train_validates_theta_shape():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=4)
-    cfg = LearnerConfig(step_size=0.01, num_epochs=1,
-                        oracle=OracleConfig(delta=0.1))
+    cfg = LearnerConfig(step_size=0.01, delta=0.1)
     with pytest.raises(ValueError, match="theta0"):
-        train(np.zeros(3), ev, cfg, MessageBus(arts.learning), np.random.default_rng(0))
+        train(np.zeros(3), ev, cfg, MessageBus(arts.learning),
+              *draw_streams(ev, 1, np.random.default_rng(0)))
 
 
 def test_divergence_aborts_with_diagnostics():
     graph, env, policy = small_warehouse(demand_amplitude=0.3)
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=6)
-    cfg = LearnerConfig(step_size=1e308, num_epochs=50,
-                        oracle=OracleConfig(delta=0.1))
+    cfg = LearnerConfig(step_size=1e308, delta=0.1)
     with pytest.raises(TrainingDiverged, match="one_point"):
-        train(np.zeros(policy.layout.total_dim), ev, cfg,
-              MessageBus(arts.learning), np.random.default_rng(1))
+        train(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning),
+              *draw_streams(ev, 50, np.random.default_rng(1)))
 
 
 def test_learner_config_validation():
-    ocfg = OracleConfig(delta=0.1)
+    LearnerConfig(0.0, 0.1, "two_point", "centralized")
     with pytest.raises(ValueError, match="step_size"):
-        LearnerConfig(step_size=-0.1, num_epochs=1, oracle=ocfg)
-    with pytest.raises(ValueError, match="num_epochs"):
-        LearnerConfig(step_size=0.1, num_epochs=0, oracle=ocfg)
+        LearnerConfig(step_size=-0.1, delta=0.1)
+    with pytest.raises(ValueError, match="delta"):
+        LearnerConfig(step_size=0.1, delta=0.0)
+    with pytest.raises(ValueError, match="flavor"):
+        LearnerConfig(step_size=0.1, delta=0.1, flavor="three_point")
+    with pytest.raises(ValueError, match="scope"):
+        LearnerConfig(step_size=0.1, delta=0.1, scope="federated")
 
 
 # -- gradient correctness against the environment ---------------------
@@ -529,12 +525,12 @@ def test_training_climbs_a_concave_synthetic_objective():
 
     arts = build_artifacts(graph)
     ev = SyntheticEvaluator(obj)
-    cfg = LearnerConfig(step_size=0.02, num_epochs=2000,
-                        oracle=OracleConfig(delta=0.01, flavor="two_point"))
-    res = train(theta0, ev, cfg, MessageBus(arts.learning), np.random.default_rng(37))
-    gk = float(np.linalg.norm(obj.gradient(res.theta_final)))
+    cfg = LearnerConfig(step_size=0.02, delta=0.01, flavor="two_point")
+    bus = MessageBus(arts.learning)
+    _, theta_final = train(theta0, ev, cfg, bus, *draw_streams(ev, 2000, np.random.default_rng(37)))
+    gk = float(np.linalg.norm(obj.gradient(theta_final)))
     assert gk < 0.1 * g0
-    assert res.bus.total_messages == 2000 * len(arts.learning.edges)
+    assert bus.total_messages == 2000 * len(arts.learning.edges)
 
 
 def test_distributed_feedback_has_smaller_gradients_than_centralized():
@@ -551,13 +547,11 @@ def test_distributed_feedback_has_smaller_gradients_than_centralized():
         us = [sample_perturbation(policy.layout, pert_rng) for _ in range(epochs)]
         traces = [env.draw_noise_trace(horizon, noise_rng) for _ in range(epochs)]
         for scope in sq:
-            cfg = LearnerConfig(step_size=0.01, num_epochs=epochs,
-                                oracle=OracleConfig(delta=0.1, scope=scope))
+            cfg = LearnerConfig(step_size=0.01, delta=0.1, scope=scope)
             ev = WarehouseEvaluator(env, policy, horizon)
-            res = train(np.zeros(policy.layout.total_dim), ev, cfg,
-                        MessageBus(arts.learning),
-                        perturbations=us, noise_traces=traces)
-            sq[scope] += [float((rec.gradient_norms ** 2).sum()) for rec in res.records]
+            records, _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
+                               MessageBus(arts.learning), us, traces)
+            sq[scope] += [float((rec.gradient_norms ** 2).sum()) for rec in records]
     dist, cent = np.array(sq["distributed"]), np.array(sq["centralized"])
     se = math.sqrt(dist.var(ddof=1) / dist.size + cent.var(ddof=1) / cent.size)
     assert dist.mean() < cent.mean() - 3.0 * se

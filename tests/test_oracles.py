@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmarl.oracles import (
-    OracleConfig,
     one_point,
     one_point_second_moment_bound,
     residual,
@@ -29,16 +28,6 @@ def assert_batched_matches_columns(estimator, num_values, seed):
     want = np.stack([estimator(*(v[:, c] for v in values), u[:, c], 0.3, LAYOUT)
                      for c in range(m)], axis=1)
     assert got.tobytes() == want.tobytes()
-
-
-def test_oracle_config_validation():
-    OracleConfig(0.1, "two_point", "centralized")
-    with pytest.raises(ValueError, match="delta"):
-        OracleConfig(0.0)
-    with pytest.raises(ValueError, match="flavor"):
-        OracleConfig(0.1, flavor="three_point")
-    with pytest.raises(ValueError, match="scope"):
-        OracleConfig(0.1, scope="federated")
 
 
 def test_one_point_constant_value_scales_block():

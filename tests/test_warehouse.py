@@ -46,7 +46,7 @@ def test_demand_formula_matches_hand_value():
 def test_isolated_agent_step():
     env = make_env(build_graph(1, []), fixed_initial_state=True, demand_noise_std=0.0)
     ro = simulate_rollout(env, FixedAllocation([[1.0]]), horizon=1,
-                          rng=np.random.default_rng(0))
+                          noise_trace=env.draw_noise_trace(1, np.random.default_rng(0)))
     assert np.array_equal(ro.stocks[0], [1.0])
     assert ro.rewards[0, 0] == 0.0
     assert ro.stocks[1, 0] == pytest.approx(0.8)
@@ -127,13 +127,15 @@ def test_allocation_contract_violations():
     env = make_env(build_graph(2, [(1, 2)]))
     rng = np.random.default_rng(0)
     with pytest.raises(RolloutError, match="agent 1.*outside.*at step 0"):
-        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0]]), horizon=2, rng=rng)
+        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0]]), horizon=2,
+                         noise_trace=env.draw_noise_trace(2, rng))
     env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
     with pytest.raises(RolloutError, match="agent 1 ships more"):
         simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0], [1.0]]), horizon=2,
-                         rng=rng)
+                         noise_trace=env3.draw_noise_trace(2, rng))
     # The retained fraction is neither checked nor used: the rollout runs.
-    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0], [np.nan]]), horizon=2, rng=rng)
+    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0], [np.nan]]), horizon=2,
+                          noise_trace=env.draw_noise_trace(2, rng))
     assert np.isfinite(ro.stocks).all()
 
 
@@ -214,11 +216,11 @@ def test_non_finite_stock_aborts():
         warnings.simplefilter("error")
         with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
             simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0]]), horizon=2,
-                             rng=np.random.default_rng(0))
+                             noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
         policy = RbfPolicy(env.graph)
         with pytest.raises(ValueError, match="non-finite allocation scores for agents \\[1, 2\\]"):
             simulate_rollout(env, policy.bind(np.zeros(policy.layout.total_dim)), horizon=2,
-                             rng=np.random.default_rng(0))
+                             noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
 
 
 # allocation fractions on each contract bound and one ulp to either side
@@ -283,23 +285,23 @@ def test_rollout_replay_is_bit_identical():
     env = make_env()
     pol = RbfPolicy(env.graph)
     bound = pol.bind(np.random.default_rng(3).normal(scale=0.3, size=pol.layout.total_dim))
-    ro1 = simulate_rollout(env, bound, horizon=8, rng=np.random.default_rng(11))
-    ro2 = simulate_rollout(env, bound, horizon=8, noise_trace=ro1.noise_trace)
+    trace = env.draw_noise_trace(8, np.random.default_rng(11))
+    ro1 = simulate_rollout(env, bound, horizon=8, noise_trace=trace)
+    ro2 = simulate_rollout(env, bound, horizon=8, noise_trace=trace)
     for a, b in [(ro1.stocks, ro2.stocks), (ro1.rewards, ro2.rewards),
                  (ro1.returns, ro2.returns)]:
-        assert np.array_equal(a, b)
-    ro3 = simulate_rollout(env, bound, horizon=8, rng=np.random.default_rng(11))
-    assert np.array_equal(ro1.returns, ro3.returns)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_rollout_returns_are_nonpositive_and_discounted():
     env = make_env()
+    trace = env.draw_noise_trace(8, np.random.default_rng(0))
     ro = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, discount=1.0,
-                          rng=np.random.default_rng(0))
+                          noise_trace=trace)
     assert np.all(ro.returns <= 0.0)
     assert np.array_equal(ro.returns, ro.rewards.sum(axis=0))
     half = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, discount=0.5,
-                            noise_trace=ro.noise_trace)
+                            noise_trace=trace)
     weights = 0.5 ** np.arange(8)
     assert np.allclose(half.returns, weights @ ro.rewards)
 
@@ -307,7 +309,7 @@ def test_rollout_returns_are_nonpositive_and_discounted():
 def test_rewards_use_pre_transition_stock():
     env = make_env()
     ro = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8,
-                          rng=np.random.default_rng(7))
+                          noise_trace=env.draw_noise_trace(8, np.random.default_rng(7)))
     assert np.array_equal(ro.rewards, step_rewards(ro.stocks[:-1].reshape(8, 9)))
     assert np.all(ro.rewards[0] == 0.0)  # initial stocks are ~1
     assert np.any(ro.stocks[:-1] < 0)  # demand eventually drains someone
@@ -343,13 +345,13 @@ def test_environment_spec_validation():
     # The episode shape is checked where episodes run: in simulate_rollout.
     env = make_env()
     policy = FixedAllocation.uniform(env)
-    rng = np.random.default_rng(0)
+    trace = env.draw_noise_trace(8, np.random.default_rng(0))
     with pytest.raises(ValueError, match="horizon"):
-        simulate_rollout(env, policy, horizon=0, rng=rng)
+        simulate_rollout(env, policy, horizon=0, noise_trace=trace)
     for discount in (0.0, -0.5, 1.2):
         with pytest.raises(ValueError, match="discount"):
-            simulate_rollout(env, policy, horizon=8, discount=discount, rng=rng)
-    with pytest.raises(ValueError, match="rng or a noise trace"):
+            simulate_rollout(env, policy, horizon=8, discount=discount, noise_trace=trace)
+    with pytest.raises(TypeError, match="noise_trace"):  # no trace, no fresh draw
         simulate_rollout(env, policy, horizon=8)
 
 
