@@ -18,6 +18,7 @@ Wall-clock timing lives only in the manifest for exactly that reason.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -48,19 +49,20 @@ def run_file_name(algorithm: str, repeat: int) -> str:
     return f"{algorithm}.rep{repeat:03d}.csv"
 
 
-def _run_csv_columns(num_agents: int) -> list[str]:
-    return (["epoch"]
-            + [f"value_{i}" for i in range(1, num_agents + 1)]
-            + ["global_value"]
-            + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
-            + ["messages"])
+@functools.cache  # a batch writes and reads many runs of one agent count
+def _run_csv_header(num_agents: int) -> str:
+    return ",".join(["epoch"]
+                    + [f"value_{i}" for i in range(1, num_agents + 1)]
+                    + ["global_value"]
+                    + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
+                    + ["messages"])
 
 
 def write_run_csv(path: str, records, num_agents: int) -> None:
     # "%.17g" % x gives the bytes of f"{float(x):.17g}": 17 significant
     # digits, which read back to the same double
     row = "%d," + ",".join(["%.17g"] * (2 * num_agents + 1)) + ",%d"
-    lines = [CSV_MAGIC, ",".join(_run_csv_columns(num_agents))]
+    lines = [CSV_MAGIC, _run_csv_header(num_agents)]
     lines += [row % (rec.epoch, *rec.observed_values.tolist(), rec.global_value,
                      *rec.gradient_norms.tolist(), rec.message_count)
               for rec in records]
@@ -94,7 +96,7 @@ def read_run_csv(path: str) -> RunTable:
                          "and a header)")
     header = lines[1].split(",")
     n = sum(1 for c in header if c.startswith("value_"))
-    if header != _run_csv_columns(n):
+    if lines[1] != _run_csv_header(n):
         raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
                          "(epoch, value_i, global_value, grad_norm_i, messages)")
     rows = []

@@ -358,7 +358,8 @@ def accuracy_schedule(eps: float, lipschitz: float, total_dim: int, epochs: int,
         raise ValueError(f"eps and lipschitz must be > 0, got {eps}, {lipschitz}")
     if total_dim < 1 or epochs < 1:
         raise ValueError(f"total_dim and epochs must be >= 1, got {total_dim}, {epochs}")
-    delta = eps / (lipschitz * math.sqrt(total_dim))
+    delta = _finite_or_error(lambda: eps / (lipschitz * math.sqrt(total_dim)),
+                             f"delta for eps {eps} and lipschitz {lipschitz}")
     eta = eps ** 1.5 / (total_dim ** 1.5 * math.sqrt(epochs))
     required = None
     if bound_b is not None:

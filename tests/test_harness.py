@@ -830,14 +830,21 @@ def test_cli_schedule_epoch_requirement(capsys):
 
     # non-finite input, and a requirement or bound constant that overflows
     # or divides by an underflowed eps^5, exits 2 with a named cause
-    base = ["schedule", "--lip", "1", "--dim", "2", "--epochs", "1"]
-    for extra, cause in ((["--eps", "nan"], "eps must be finite, got nan"),
-                         (["--eps", "0.5", "--bound-b", "inf"], "bound_b must be finite"),
-                         (["--eps", "0.5", "--bound-b", "1e200"], "epoch requirement"),
-                         (["--eps", "1e-80", "--bound-b", "1"], "epoch requirement"),
-                         (["--eps", "1", "--value-max", "1e100"], "epoch requirement"),
-                         (["--eps", "1", "--value-max", "1e200"], "bound constant B"),
-                         (["--eps", "1", "--value-max", "nan"], "value_max must be finite")):
+    base = ["schedule", "--dim", "2", "--epochs", "1"]
+    for extra, cause in ((["--eps", "nan", "--lip", "1"], "eps must be finite, got nan"),
+                         (["--eps", "1", "--lip", "1e-320"], "delta for eps 1.0"),
+                         (["--eps", "0.5", "--lip", "1", "--bound-b", "inf"],
+                          "bound_b must be finite"),
+                         (["--eps", "0.5", "--lip", "1", "--bound-b", "1e200"],
+                          "epoch requirement"),
+                         (["--eps", "1e-80", "--lip", "1", "--bound-b", "1"],
+                          "epoch requirement"),
+                         (["--eps", "1", "--lip", "1", "--value-max", "1e100"],
+                          "epoch requirement"),
+                         (["--eps", "1", "--lip", "1", "--value-max", "1e200"],
+                          "bound constant B"),
+                         (["--eps", "1", "--lip", "1", "--value-max", "nan"],
+                          "value_max must be finite")):
         assert main(base + extra) == 2, extra
         captured = capsys.readouterr()
         assert captured.out == ""
