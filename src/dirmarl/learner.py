@@ -58,9 +58,9 @@ class LearnerConfig:
     scope: str = "distributed"    # local or global value feedback, one of SCOPES
 
     def __post_init__(self):
-        if self.step_size < 0.0:
+        if not self.step_size >= 0.0:  # NaN fails every comparison
             raise ValueError(f"step_size must be >= 0, got {self.step_size}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError(f"smoothing radius delta must be > 0, got {self.delta}")
         if self.flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")

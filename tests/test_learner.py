@@ -468,10 +468,12 @@ def test_divergence_aborts_with_diagnostics():
 
 def test_learner_config_validation():
     LearnerConfig(0.0, 0.1, "two_point", "centralized")
-    with pytest.raises(ValueError, match="step_size"):
-        LearnerConfig(step_size=-0.1, delta=0.1)
-    with pytest.raises(ValueError, match="delta"):
-        LearnerConfig(step_size=0.1, delta=0.0)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="step_size"):
+            LearnerConfig(step_size=bad, delta=0.1)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            LearnerConfig(step_size=0.1, delta=bad)
     with pytest.raises(ValueError, match="flavor"):
         LearnerConfig(step_size=0.1, delta=0.1, flavor="three_point")
     with pytest.raises(ValueError, match="scope"):
