@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirmarl.learner import LearnerConfig, parse_algorithm
 from dirmarl.oracles import (
     one_point,
     one_point_second_moment_bound,
@@ -28,6 +29,20 @@ def assert_batched_matches_columns(estimator, num_values, seed):
     want = np.stack([estimator(*(v[:, c] for v in values), u[:, c], 0.3, LAYOUT)
                      for c in range(m)], axis=1)
     assert got.tobytes() == want.tobytes()
+
+
+def test_oracle_config_validation():
+    # the oracle settings (delta, flavor, scope) live on LearnerConfig
+    cfg = parse_algorithm("centralized_two_point", delta=0.1, step_size=0.0)
+    assert (cfg.delta, cfg.flavor, cfg.scope) == (0.1, "two_point", "centralized")
+    with pytest.raises(ValueError, match="delta"):
+        LearnerConfig(step_size=0.1, delta=0.0)
+    with pytest.raises(ValueError, match="flavor"):
+        LearnerConfig(step_size=0.1, delta=0.1, flavor="three_point")
+    with pytest.raises(ValueError, match="scope"):
+        LearnerConfig(step_size=0.1, delta=0.1, scope="federated")
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        parse_algorithm("federated_two_point", delta=0.1, step_size=0.0)
 
 
 def test_one_point_constant_value_scales_block():
