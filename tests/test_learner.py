@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dirmarl.learner
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import (
     ALGORITHMS,
@@ -22,7 +23,7 @@ from dirmarl.learner import (
     train,
 )
 from dirmarl.oracles import sample_perturbation
-from dirmarl.policy import RbfPolicy
+from dirmarl.policy import BlockLayout, RbfPolicy
 from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
@@ -329,6 +330,48 @@ def test_two_point_reuses_the_episode_noise():
                 perturbation=u, noise=trace, residual_state=np.zeros(3))
     assert len(calls) == 2
     assert calls[0] is calls[1]  # common randomness: the same trace object
+
+
+def test_centralized_two_point_feeds_the_one_dimensional_global_sums(monkeypatch):
+    # Each value column's global sum must be the 1-D pairwise sum of its
+    # (N,) values: an axis-0 sum over the stacked (N, 2) payload rounds
+    # differently from N = 8 on, and example1 (N = 9) runs this variant.
+    seen = []
+    original = dirmarl.learner.two_point
+
+    def spy(values_perturbed, values_base, u, delta, layout):
+        seen.append((np.array(values_perturbed), np.array(values_base)))
+        return original(values_perturbed, values_base, u, delta, layout)
+
+    class Values:
+        def __init__(self, n, rng):
+            self.layout = BlockLayout((1,) * n)
+            self.num_agents = n
+            self.rng = rng
+            self.returned = []
+
+        def evaluate(self, theta, noise):
+            n = self.num_agents
+            w = self.rng.standard_normal(n) * 10.0 ** self.rng.uniform(-3.0, 3.0, size=n)
+            self.returned.append(w)
+            return w
+
+    monkeypatch.setattr(dirmarl.learner, "two_point", spy)
+    cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="two_point", scope="centralized")
+    for n in (9, 100):
+        rng = np.random.default_rng(n)
+        ev = Values(n, rng)
+        bus = MessageBus(build_artifacts(build_graph(n, [(i, i + 1) for i in range(1, n)]))
+                         .learning)
+        for epoch in range(40):
+            seen.clear()
+            ev.returned.clear()
+            run_episode(np.zeros(n), ev, cfg, bus, epoch, perturbation=rng.standard_normal(n),
+                        noise=None, residual_state=np.zeros(n))
+            (got_pert, got_base), = seen
+            w_pert, w_base = ev.returned
+            assert got_pert.tobytes() == np.full(n, w_pert.sum()).tobytes()
+            assert got_base.tobytes() == np.full(n, w_base.sum()).tobytes()
 
 
 def test_run_episode_requires_its_streams():

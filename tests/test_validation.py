@@ -1,5 +1,7 @@
 """Synthetic objectives, Monte-Carlo estimators, and the claim battery."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirmarl.oracles
+import dirmarl.validation
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import MessageBus
 from dirmarl.oracles import _scaled
@@ -515,6 +518,38 @@ def test_validation_battery_passes_quickly():
     ]
     failed = [r for r in results if not r.passed]
     assert failed == []
+
+
+# Pinned bits of the quick battery at seed 0: every array and scalar that
+# oracle_moments, mc_smoothed_gradient and check_smoothing_gap return,
+# then each check's name, verdict and detail.  A refactor of the battery
+# or of the estimation step it runs must leave this digest unchanged.
+QUICK_BATTERY_SHA256 = "fafd9ea6c4b66eeb0aff5bb77e46a7b5d556e73274ecc0840678cb39b8f2226c"
+
+
+def test_quick_battery_bits_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    calls = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name] = calls.get(name, 0) + 1
+            for field in dataclasses.fields(out):
+                value = getattr(out, field.name)
+                digest.update(b"-" if value is None
+                              else np.asarray(value, dtype=np.float64).tobytes())
+            return out
+        return wrapped
+
+    for name in ("oracle_moments", "mc_smoothed_gradient", "check_smoothing_gap"):
+        monkeypatch.setattr(dirmarl.validation, name,
+                            spy(name, getattr(dirmarl.validation, name)))
+    for r in run_validation(seed=0, quick=True):
+        digest.update(f"{r.name}|{r.passed}|{r.detail}\n".encode())
+    assert calls == {"oracle_moments": 21, "mc_smoothed_gradient": 8,
+                     "check_smoothing_gap": 1}
+    assert digest.hexdigest() == QUICK_BATTERY_SHA256
 
 
 # -- the battery runs the production estimators and exchange ----------
