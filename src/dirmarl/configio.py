@@ -209,15 +209,6 @@ def _as_float(text, what: str) -> float:
     return value
 
 
-def _as_bool(text, what: str) -> bool:
-    val = str(text).strip().lower()
-    if val in ("true", "yes", "on", "1"):
-        return True
-    if val in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{what} must be a boolean, got {text!r}")
-
-
 def _as_pair(text, what: str) -> tuple[float, float]:
     parts = str(text).replace(",", " ").split()
     if len(parts) != 2:
@@ -249,9 +240,7 @@ def _as_names(text, what: str) -> tuple[str, ...]:
 _KEYS = {
     "graph": {"num_agents": _as_int, "edges": parse_edge_list, "file": _as_text},
     "environment": {"initial_stock_mean": _as_float, "initial_stock_jitter": _as_float,
-                    "demand_amplitude": _as_amplitude, "demand_noise_std": _as_float,
-                    "fixed_initial_state": _as_bool, "clip_demand_noise": _as_bool,
-                    "shared_demand_noise": _as_bool},
+                    "demand_amplitude": _as_amplitude, "demand_noise_std": _as_float},
     "policy": {"num_centers": _as_int, "kernel": _as_text, "stock_range": _as_pair,
                "demand_range": _as_pair},
     "learner": {"delta": _as_float, "eta": _as_float, "epochs": _as_int,

@@ -84,8 +84,9 @@ class RunTable:
 def read_run_csv(path: str) -> RunTable:
     """Read a run CSV back; a header other than the columns
     ``write_run_csv`` writes, or a row whose cell count differs from the
-    header's or that holds a non-number, is an error that names
-    ``path:line``."""
+    header's, that holds a non-number or a non-finite number, or whose
+    epoch or message count is not a whole number, is an error that
+    names ``path:line``."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -99,7 +100,7 @@ def read_run_csv(path: str) -> RunTable:
     if lines[1] != _run_csv_header(n):
         raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
                          "(epoch, value_i, global_value, grad_norm_i, messages)")
-    rows = []
+    rows, linenos = [], []
     for lineno, ln in enumerate(lines[2:], start=3):
         if not ln:
             continue
@@ -110,7 +111,16 @@ def read_run_csv(path: str) -> RunTable:
             rows.append([float(cell) for cell in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        linenos.append(lineno)
     data = np.array(rows, dtype=float).reshape(-1, len(header))
+    whole = np.zeros(len(header), dtype=bool)
+    whole[[0, -1]] = True  # epoch and messages
+    bad = ~np.isfinite(data) | (whole & (data != np.round(data)))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        what = "a whole number" if np.isfinite(data[r, c]) else "finite"
+        raise ValueError(f"{path}:{linenos[r]}: {header[c]} must be {what}, "
+                         f"got {float(data[r, c])!r}")
     return RunTable(
         epochs=data[:, 0].astype(int),
         values=data[:, 1:1 + n],

@@ -22,6 +22,10 @@ instead of the local ones; they exist as the comparison baseline.
 The two-point flavor re-evaluates the unperturbed policy under the
 episode's exact noise trace and ships both values in the same single
 message per edge, so the communication contract is flavor-independent.
+
+The estimation step exists once: ``feedback`` applies the scope rule
+and ``estimate`` the flavor's estimator.  The claim battery in
+``validation`` runs the same two functions on its batched draws.
 """
 
 from __future__ import annotations
@@ -207,6 +211,27 @@ class WarehouseEvaluator:
         return ro.returns
 
 
+def feedback(scope: str, observed: np.ndarray, assembled: np.ndarray) -> np.ndarray:
+    """The values the agents scale their probes by, agent-first: the
+    assembled local values (distributed), or for every agent the sum of
+    all observed values (centralized).  Trailing axes ride along."""
+    if scope == "centralized":
+        return np.broadcast_to(observed.sum(axis=0), observed.shape)
+    return assembled
+
+
+def estimate(cfg: LearnerConfig, values: np.ndarray, reference, u: np.ndarray,
+             layout: BlockLayout) -> np.ndarray:
+    """The flavor's gradient estimate from the episode's feedback
+    ``values``.  ``reference`` is the baseline feedback (two-point) or
+    the previous episode's feedback (residual); one-point ignores it."""
+    if cfg.flavor == "two_point":
+        return two_point(values, reference, u, cfg.delta, layout)
+    if cfg.flavor == "residual":
+        return residual(values, reference, u, cfg.delta, layout)
+    return one_point(values, u, cfg.delta, layout)
+
+
 def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
                 epoch: int, *, perturbation: np.ndarray, noise,
                 residual_state: np.ndarray) -> tuple[np.ndarray, EpisodeRecord, np.ndarray]:
@@ -241,20 +266,13 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
     count = bus.finish_episode()
     hat_pert = hat if w_base is None else hat[:, 0]
 
-    if cfg.scope == "centralized":
-        vals_pert = np.full(n, w_pert.sum())
-        vals_base = np.full(n, w_base.sum()) if w_base is not None else None
-    else:
-        vals_pert = hat_pert
-        vals_base = hat[:, 1] if w_base is not None else None
-
-    if cfg.flavor == "one_point":
-        g = one_point(vals_pert, u, cfg.delta, layout)
-    elif cfg.flavor == "two_point":
-        g = two_point(vals_pert, vals_base, u, cfg.delta, layout)
-    else:
-        g = residual(vals_pert, residual_state, u, cfg.delta, layout)
-        residual_state = vals_pert
+    # one (N,) column at a time: a centralized sum over the stacked
+    # (N, 2) payload would round differently from N = 8 on
+    values = feedback(cfg.scope, w_pert, hat_pert)
+    reference = residual_state if w_base is None else feedback(cfg.scope, w_base, hat[:, 1])
+    g = estimate(cfg, values, reference, u, layout)
+    if cfg.flavor == "residual":
+        residual_state = values
 
     with np.errstate(over="ignore", invalid="ignore"):  # guard below turns overflow into an abort
         theta_next = theta + cfg.step_size * g
@@ -360,7 +378,11 @@ def accuracy_schedule(eps: float, lipschitz: float, total_dim: int, epochs: int,
         raise ValueError(f"total_dim and epochs must be >= 1, got {total_dim}, {epochs}")
     delta = _finite_or_error(lambda: eps / (lipschitz * math.sqrt(total_dim)),
                              f"delta for eps {eps} and lipschitz {lipschitz}")
-    eta = eps ** 1.5 / (total_dim ** 1.5 * math.sqrt(epochs))
+    eta = _finite_or_error(lambda: eps ** 1.5 / (total_dim ** 1.5 * math.sqrt(epochs)),
+                           f"eta for eps {eps}, dimension {total_dim} and {epochs} epochs")
+    if eta == 0.0:
+        raise ValueError(f"eta for eps {eps}, dimension {total_dim} and {epochs} epochs "
+                         "underflows to zero")
     required = None
     if bound_b is not None:
         required = math.ceil(_finite_or_error(

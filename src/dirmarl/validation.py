@@ -6,8 +6,9 @@ coordination graph and whose gradients and Gaussian-smoothed gradients
 are closed form, Monte-Carlo smoothed-gradient estimators and central
 finite differences.  What is checked against them is the production
 code: ``oracle_moments`` assembles local values with the learner's
-``MessageBus`` routing plan and scales the probe with the ``oracles``
-estimators, so the claim battery tests the code that trains.
+``MessageBus`` routing plan and runs the learner's estimation step,
+``feedback`` (the scope rule) and ``estimate`` (the flavor's
+estimator), so the claim battery tests the code that trains.
 
 Statistical checks report estimated standard errors and compare at a
 z-multiple instead of hard-coded tolerances.
@@ -22,16 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import CoordinationGraph, LearningGraph, build_artifacts, build_graph
-from .learner import MessageBus
-from .oracles import (
-    FLAVORS,
-    SCOPES,
-    one_point,
-    one_point_second_moment_bound,
-    residual,
-    two_point,
-    two_point_second_moment_bound,
-)
+from .learner import LearnerConfig, MessageBus, estimate, feedback
+from .oracles import one_point_second_moment_bound, two_point_second_moment_bound
 from .policy import BlockLayout
 
 FAMILIES = ("quadratic", "cosine", "abs")
@@ -88,6 +81,9 @@ class SyntheticObjective:
         terms its local sum collects."""
         return self._reach_closed[i - 1]
 
+    def _reach_rows(self, i: int) -> np.ndarray:
+        return np.asarray(self.reach_closed_sorted(i), dtype=np.intp) - 1
+
     @cached_property
     def _reach_closed(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(self.learning.senders(i).tolist() + [i]))
@@ -122,15 +118,11 @@ class SyntheticObjective:
     def values(self, theta: np.ndarray) -> np.ndarray:
         return self.term_values(theta)[0]
 
-    def totals(self, thetas: np.ndarray) -> np.ndarray:
-        return self._term_rows(_coordinate_major(thetas)).sum(axis=0)
-
-    def total(self, theta: np.ndarray) -> float:
-        return float(self.values(theta).sum())
-
-    def local_totals(self, i: int, thetas: np.ndarray) -> np.ndarray:
-        cols = np.asarray(self.reach_closed_sorted(i), dtype=np.intp) - 1
-        return self._term_rows(_coordinate_major(thetas))[cols].sum(axis=0)
+    def totals(self, thetas: np.ndarray, i: int | None = None) -> np.ndarray:
+        """Noise-free sums over a (M, d) batch, shape (M,): the global
+        sum, or agent i's local sum over ``reach_closed_sorted(i)``."""
+        rows = self._term_rows(_coordinate_major(thetas))
+        return (rows if i is None else rows[self._reach_rows(i)]).sum(axis=0)
 
     # -- gradients ----------------------------------------------------
 
@@ -157,52 +149,40 @@ class SyntheticObjective:
                 g[self.gather[j - 1]] = -w * _erf(y / (delta * math.sqrt(2.0)))
         return g
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.total_dim)
-        for j in range(1, self.num_agents + 1):
-            g += self.term_gradient(j, theta)
-        return g
-
-    def local_gradient(self, i: int, theta: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.total_dim)
-        for j in self.reach_closed_sorted(i):
-            g += self.term_gradient(j, theta)
-        return g
-
-    def smoothed_gradient(self, theta: np.ndarray, delta: float) -> np.ndarray:
-        """Analytic gradient of E[J(theta + delta u)], u standard normal."""
+    def gradient(self, theta: np.ndarray, delta: float = 0.0,
+                 i: int | None = None) -> np.ndarray:
+        """Analytic gradient of E[J(theta + delta u)], u standard normal,
+        where J is the global sum or agent i's local sum; at ``delta = 0``
+        the plain gradient."""
         if delta < 0.0:
             raise ValueError(f"delta must be >= 0, got {delta}")
+        terms = range(1, self.num_agents + 1) if i is None else self.reach_closed_sorted(i)
         g = np.zeros(self.total_dim)
-        for j in range(1, self.num_agents + 1):
+        for j in terms:
             g += self.term_gradient(j, theta, delta)
         return g
 
     # -- known constants ----------------------------------------------
 
-    def term_value_bound(self, j: int) -> float:
-        """sup |J_j| over the whole space; infinite outside the cosine
-        family."""
+    @cached_property
+    def term_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per term, sup |J_j| over the whole space (infinite outside the
+        cosine family) and the Lipschitz constant (infinite for the
+        quadratic family)."""
+        norms = np.array([np.linalg.norm(w) for w in self.weights])
         if self.family == "cosine":
-            return float(self.amplitudes[j - 1])
-        return math.inf
-
-    def term_lipschitz(self, j: int) -> float:
-        if self.family == "cosine":
-            return float(self.amplitudes[j - 1]) * float(np.linalg.norm(self.weights[j - 1]))
-        if self.family == "abs":
-            return float(np.linalg.norm(self.weights[j - 1]))
-        return math.inf
+            return self.amplitudes, self.amplitudes * norms
+        unbounded = np.full(self.num_agents, math.inf)
+        return unbounded, norms if self.family == "abs" else unbounded
 
     def local_value_bound(self, i: int) -> float:
-        return sum(self.term_value_bound(j) for j in self.reach_closed_sorted(i))
+        return float(self.term_bounds[0][self._reach_rows(i)].sum())
 
     def local_lipschitz(self, i: int) -> float:
-        return sum(self.term_lipschitz(j) for j in self.reach_closed_sorted(i))
+        return float(self.term_bounds[1][self._reach_rows(i)].sum())
 
     def local_noise_std(self, i: int) -> float:
-        cols = np.asarray(self.reach_closed_sorted(i), dtype=np.intp) - 1
-        return float(np.sqrt((self.noise_std[cols] ** 2).sum()))
+        return float(np.sqrt((self.noise_std[self._reach_rows(i)] ** 2).sum()))
 
 def _coordinate_major(thetas: np.ndarray) -> np.ndarray:
     """A (M, d) batch of points as a (d, M) view.  No copy: each term's
@@ -246,18 +226,14 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
     amplitudes = np.empty(n) if family == "cosine" else None
     for j in range(n):
         m = gather[j].size
-        if family == "quadratic":
-            weights.append(rng.uniform(0.5, 1.5, size=m))
-            targets.append(rng.uniform(-1.0, 1.0, size=m))
-            offsets[j] = rng.uniform(0.0, 1.0)
-        elif family == "cosine":
+        if family == "cosine":
             w = rng.standard_normal(m)
             w *= rng.uniform(0.5, 1.5) / np.linalg.norm(w)
             weights.append(w)
             targets.append(np.zeros(m))
             offsets[j] = rng.uniform(0.0, 2.0 * math.pi)
             amplitudes[j] = rng.uniform(0.5, 1.5)
-        else:
+        else:  # quadratic and abs draw alike
             weights.append(rng.uniform(0.5, 1.5, size=m))
             targets.append(rng.uniform(-1.0, 1.0, size=m))
             offsets[j] = rng.uniform(0.0, 1.0)
@@ -354,6 +330,29 @@ def _check_batch_size(batch_size: int) -> None:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
+def _checked_values(f, points: np.ndarray) -> np.ndarray:
+    """``f`` on an (m, d) batch of points: (m,) finite values or a
+    ValueError."""
+    vals = np.asarray(f(points), dtype=float)
+    if vals.shape != (len(points),):
+        raise ValueError(f"objective returned shape {vals.shape} for a ({len(points)}, d) batch")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("objective produced non-finite values")
+    return vals
+
+
+def _mc_batches(f, theta: np.ndarray, delta: float, num_samples: int,
+                rng: np.random.Generator, batch_size: int):
+    """``num_samples`` standard-normal probes in (m, d) batches of at
+    most ``batch_size``, each yielded as (u, f(theta + delta u))."""
+    if num_samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {num_samples}")
+    _check_batch_size(batch_size)
+    for start in range(0, num_samples, batch_size):
+        u = rng.standard_normal((min(batch_size, num_samples - start), theta.size))
+        yield u, _checked_values(f, theta + delta * u)
+
+
 def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
                          rng: np.random.Generator, *, batch_size: int = 16384,
                          ) -> MomentEstimate:
@@ -363,26 +362,14 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
     ``f`` must map an (m, d) batch of points to (m,) values.  At least
     10^3 samples; non-finite values abort.
     """
-    if num_samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {num_samples}")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    _check_batch_size(batch_size)
     theta = np.asarray(theta, dtype=float)
     acc = _MomentAccumulator(theta.size, None)
-    done = 0
-    while done < num_samples:
-        m = min(batch_size, num_samples - done)
-        u = rng.standard_normal((m, theta.size))
-        vals = np.asarray(f(theta[None, :] + delta * u), dtype=float)
-        if vals.shape != (m,):
-            raise ValueError(f"objective returned shape {vals.shape} for a ({m}, d) batch")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("objective produced non-finite values")
+    for u, vals in _mc_batches(f, theta, delta, num_samples, rng, batch_size):
         g = np.ascontiguousarray(u.T)
         g *= vals / delta
         acc.add(g, g * g, None)
-        done += m
     return acc.finish()
 
 
@@ -397,11 +384,7 @@ def finite_difference_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
     idx = np.arange(d)
     pts[idx, idx] += h
     pts[d + idx, idx] -= h
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (2 * d,):
-        raise ValueError(f"objective returned shape {vals.shape} for a ({2 * d}, d) batch")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("objective produced non-finite values")
+    vals = _checked_values(f, pts)
     return (vals[:d] - vals[d:]) / (2.0 * h)
 
 
@@ -431,27 +414,17 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
         raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if num_samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {num_samples}")
-    _check_batch_size(batch_size)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     d = thetas.shape[1]
     gaps = np.empty(thetas.shape[0])
     stderrs = np.empty(thetas.shape[0])
     for t, theta in enumerate(thetas):
-        exact = float(np.asarray(f(theta[None, :]), dtype=float)[0])
+        exact = float(_checked_values(f, theta[None, :])[0])
         total = 0.0
         totalsq = 0.0
-        done = 0
-        while done < num_samples:
-            m = min(batch_size, num_samples - done)
-            vals = np.asarray(f(theta[None, :] + delta * rng.standard_normal((m, d))),
-                              dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("objective produced non-finite values")
+        for _, vals in _mc_batches(f, theta, delta, num_samples, rng, batch_size):
             total += float(vals.sum())
             totalsq += float((vals * vals).sum())
-            done += m
         mean = total / num_samples
         var = max(totalsq / num_samples - mean ** 2, 0.0) * num_samples / (num_samples - 1)
         gaps[t] = abs(mean - exact)
@@ -467,30 +440,25 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
     estimators on a synthetic instance, noise included.  Semantically
     one draw is one learning episode: perturb, evaluate per-term values
     plus per-agent noise, assemble each agent's feedback value per the
-    scope (the ``MessageBus`` plan, or the global sum), then run the
-    flavor's estimator from ``oracles``.  Residual draws an independent
+    scope (the learner's ``feedback`` on the ``MessageBus`` plan), then
+    run the learner's ``estimate``.  Residual draws an independent
     previous episode at the same theta, which is its stationary-point
     distribution."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    cfg = LearnerConfig(0.0, delta, flavor, scope)  # checks delta, flavor and scope
     if num_samples < 2:
         raise ValueError(f"num_samples must be >= 2, got {num_samples}")
     _check_batch_size(batch_size)
     theta = np.asarray(theta, dtype=float)
     n, d = obj.num_agents, obj.total_dim
+    gather = MessageBus(obj.learning).gather
+
+    def values(observed):
+        return feedback(scope, observed, gather(observed))
+
     # Coordinate-major throughout: each batch's draws are transposed once
     # to (d, m), so every array below is agent- or coordinate-first with
     # rows m long.  ``members`` sums squared coordinates into squared
     # block norms.
-    if scope == "centralized":
-        def assemble(tv):
-            return np.broadcast_to(tv.sum(axis=0), tv.shape)
-    else:
-        assemble = MessageBus(obj.learning).gather
     owner = np.repeat(np.arange(n), obj.layout.dims)
     members = (owner == np.arange(n)[:, None]).astype(float)
     center = theta[:, None]
@@ -502,16 +470,15 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
         m = min(batch_size, num_samples - done)
         uT = np.ascontiguousarray(rng.standard_normal((m, d)).T)
         noise = rng.standard_normal((m, n)).T * sigma
-        v = assemble(obj._term_rows(center + delta * uT) + noise)
+        v = values(obj._term_rows(center + delta * uT) + noise)
+        reference = None
         if flavor == "two_point":
-            g = two_point(v, assemble(base + noise), uT, delta, obj.layout)  # common randomness
+            reference = values(base + noise)  # common randomness
         elif flavor == "residual":
             u_prev = rng.standard_normal((m, d)).T
             noise_prev = rng.standard_normal((m, n)).T * sigma
-            v_prev = assemble(obj._term_rows(center + delta * u_prev) + noise_prev)
-            g = residual(v, v_prev, uT, delta, obj.layout)
-        else:
-            g = one_point(v, uT, delta, obj.layout)
+            reference = values(obj._term_rows(center + delta * u_prev) + noise_prev)
+        g = estimate(cfg, v, reference, uT, obj.layout)
         gg = g * g
         acc.add(g, gg, members @ gg)
         done += m
@@ -545,7 +512,7 @@ def _check_block_gradients(rng: np.random.Generator) -> CheckResult:
                 g = obj.gradient(theta)
                 for i in range(1, obj.num_agents + 1):
                     sl = obj.layout.block_slice(i)
-                    gi = obj.local_gradient(i, theta)[sl]
+                    gi = obj.gradient(theta, i=i)[sl]
                     if not np.array_equal(g[sl], gi):
                         return CheckResult(
                             "block_gradient_identity", False,
@@ -574,7 +541,7 @@ def _check_smoothed_block_agreement(rng: np.random.Generator, num_samples: int) 
             est_g = mc_smoothed_gradient(obj.totals, theta, delta, num_samples, rng)
             i = int(rng.integers(1, obj.num_agents + 1))
             est_l = mc_smoothed_gradient(
-                lambda t: obj.local_totals(i, t), theta, delta, num_samples, rng)
+                lambda t: obj.totals(t, i), theta, delta, num_samples, rng)
             sl = obj.layout.block_slice(i)
             diff = est_g.mean[sl] - est_l.mean[sl]
             se = np.sqrt(est_g.standard_errors[sl] ** 2 + est_l.standard_errors[sl] ** 2)
@@ -595,7 +562,7 @@ def _check_oracle_means(rng: np.random.Generator, num_samples: int) -> CheckResu
     obj = make_synthetic(graph, rng, family="quadratic", noise_std=0.1)
     theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
     delta = 0.4
-    target = obj.smoothed_gradient(theta, delta)  # equals the plain gradient here
+    target = obj.gradient(theta, delta)  # equals the plain gradient here
     worst = 0.0
     d = obj.total_dim
     limit = d + 3.0 * math.sqrt(2.0 * d)  # joint 3-sigma across coordinates

@@ -41,9 +41,6 @@ class WarehouseConfig:
     initial_stock_jitter: float = 0.01
     demand_amplitude: float | Sequence[float] = 0.2
     demand_noise_std: float = 0.1
-    fixed_initial_state: bool = False
-    clip_demand_noise: bool = False
-    shared_demand_noise: bool = False
 
 
 @dataclass(frozen=True)
@@ -112,19 +109,14 @@ class WarehouseEnv:
     def draw_noise_trace(self, horizon: int, rng: np.random.Generator) -> NoiseTrace:
         cfg = self.config
         n = self.num_agents
-        if cfg.fixed_initial_state or cfg.initial_stock_jitter == 0.0:
+        if cfg.initial_stock_jitter == 0.0:
             jitter = np.zeros(n)
         else:
             jitter = rng.uniform(-cfg.initial_stock_jitter, cfg.initial_stock_jitter, size=n)
         if cfg.demand_noise_std == 0.0:
             w = np.zeros((horizon, n))
-        elif cfg.shared_demand_noise:
-            w = np.repeat(rng.normal(0.0, cfg.demand_noise_std, size=(horizon, 1)), n, axis=1)
         else:
             w = rng.normal(0.0, cfg.demand_noise_std, size=(horizon, n))
-        if cfg.clip_demand_noise and cfg.demand_noise_std > 0.0:
-            lim = 3.0 * cfg.demand_noise_std
-            w = np.clip(w, -lim, lim)
         return NoiseTrace(jitter, w)
 
     def check_trace(self, trace: NoiseTrace, horizon: int) -> None:

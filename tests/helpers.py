@@ -488,7 +488,7 @@ def smoothed_local_gradient(obj, i: int, theta: np.ndarray, delta: float) -> np.
 
 def global_value_bound(obj) -> float:
     """sup |J| of the global sum, from the per-term bounds."""
-    return sum(obj.term_value_bound(j) for j in range(1, obj.num_agents + 1))
+    return float(obj.term_bounds[0].sum())
 
 
 def global_noise_std(obj) -> float:

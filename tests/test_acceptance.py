@@ -127,7 +127,7 @@ def test_03_local_gradient_equivalence():
         grad = obj.gradient(theta)
         for i in range(1, obj.num_agents + 1):
             sl = obj.layout.block_slice(i)
-            exact_ok &= np.array_equal(grad[sl], obj.local_gradient(i, theta)[sl])
+            exact_ok &= np.array_equal(grad[sl], obj.gradient(theta, i=i)[sl])
         fd = finite_difference_gradient(obj.totals, theta, 1e-5)
         worst_fd = max(worst_fd, float(np.max(
             np.abs(fd - grad) / np.maximum(np.abs(grad), 1e-3))))
@@ -135,7 +135,7 @@ def test_03_local_gradient_equivalence():
         i = int(rng.integers(1, obj.num_agents + 1))
         delta = float(rng.uniform(0.2, 0.6))
         est_g = mc_smoothed_gradient(obj.totals, theta, delta, 100_000, rng)
-        est_l = mc_smoothed_gradient(lambda t: obj.local_totals(i, t),
+        est_l = mc_smoothed_gradient(lambda t: obj.totals(t, i),
                                      theta, delta, 100_000, rng)
         sl = obj.layout.block_slice(i)
         se = np.sqrt(est_g.standard_errors[sl] ** 2 + est_l.standard_errors[sl] ** 2)
@@ -154,7 +154,7 @@ def test_04_oracle_unbiasedness():
     obj = make_synthetic(g, rng, family="quadratic", noise_std=0.2)
     theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
     delta = 0.4
-    target = obj.smoothed_gradient(theta, delta)
+    target = obj.gradient(theta, delta)
     worst = 0.0
     for flavor in ("one_point", "two_point", "residual"):
         est = oracle_moments(obj, theta, delta, 1_000_000, rng, flavor=flavor)

@@ -177,6 +177,12 @@ def test_unknown_key_is_named(tmp_path):
                         "[learner]\nalpha = 3\n")
     with pytest.raises(ConfigError, match="unknown key 'alpha'"):
         load_config(path)
+    # a key the environment no longer has is unknown, not ignored
+    path = write_config(tmp_path,
+                        "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                        "[environment]\nshared_demand_noise = false\n")
+    with pytest.raises(ConfigError, match="unknown key 'shared_demand_noise'"):
+        load_config(path)
 
 
 def test_unknown_section_is_named(tmp_path):
@@ -749,6 +755,26 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
     with pytest.raises(ValueError, match=r"rep000\.csv:5: .*'abc'"):
         summarize(out)
 
+    # a non-finite value and a fractional message count, both of which
+    # float() parses
+    def set_cell(col, text):
+        def damage(lines):
+            cells = lines[3].split(",")
+            cells[col] = text
+            return lines[:3] + [",".join(cells)] + lines[4:]
+        return damage
+
+    cases = ((4, "nan", "global_value must be finite, got nan"),
+             (1, "-inf", "value_1 must be finite, got -inf"),
+             (-1, "2.5", "messages must be a whole number, got 2.5"),
+             (0, "1.5", "epoch must be a whole number, got 1.5"))
+    for k, (col, text, want) in enumerate(cases):
+        out = str(tmp_path / f"cell{k}")
+        run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+        _damage_run_csvs(out, set_cell(col, text))
+        with pytest.raises(ValueError, match=r"rep000\.csv:4: " + re.escape(want) + "$"):
+            summarize(out)
+
     # a byte that is not UTF-8
     path = os.path.join(out, run_file_name("distributed_one_point", 0))
     with open(path, "ab") as fh:
@@ -828,8 +854,9 @@ def test_cli_schedule_epoch_requirement(capsys):
     assert "epochs_required = 1\n" in out
     assert "below the guarantee threshold" not in out
 
-    # non-finite input, and a requirement or bound constant that overflows
-    # or divides by an underflowed eps^5, exits 2 with a named cause
+    # non-finite input, a requirement or bound constant that overflows or
+    # divides by an underflowed eps^5, and a step size that overflows or
+    # underflows to zero, exits 2 with a named cause
     base = ["schedule", "--dim", "2", "--epochs", "1"]
     for extra, cause in ((["--eps", "nan", "--lip", "1"], "eps must be finite, got nan"),
                          (["--eps", "1", "--lip", "1e-320"], "delta for eps 1.0"),
@@ -844,7 +871,11 @@ def test_cli_schedule_epoch_requirement(capsys):
                          (["--eps", "1", "--lip", "1", "--value-max", "1e200"],
                           "bound constant B"),
                          (["--eps", "1", "--lip", "1", "--value-max", "nan"],
-                          "value_max must be finite")):
+                          "value_max must be finite"),
+                         (["--eps", "1e-250", "--lip", "1"],
+                          "eta for eps 1e-250, dimension 2 and 1 epochs underflows to zero"),
+                         (["--eps", "1e250", "--lip", "1"],
+                          "eta for eps 1e+250, dimension 2 and 1 epochs is not a finite")):
         assert main(base + extra) == 2, extra
         captured = capsys.readouterr()
         assert captured.out == ""

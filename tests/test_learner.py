@@ -17,12 +17,14 @@ from dirmarl.learner import (
     TrainingDiverged,
     WarehouseEvaluator,
     accuracy_schedule,
+    estimate,
+    feedback,
     parse_algorithm,
     run_episode,
     schedule_bound_constant,
     train,
 )
-from dirmarl.oracles import sample_perturbation
+from dirmarl.oracles import one_point, residual, sample_perturbation, two_point
 from dirmarl.policy import BlockLayout, RbfPolicy
 from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
@@ -214,6 +216,39 @@ def test_bus_counts_one_message_per_edge_per_episode():
     assert bus.episodes_completed == 2
 
 
+# -- the estimation step ----------------------------------------------
+
+
+def test_feedback_is_the_scope_rule():
+    rng = np.random.default_rng(41)
+    for shape in ((9,), (9, 5)):
+        observed = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+        assembled = rng.standard_normal(shape)
+        assert feedback("distributed", observed, assembled) is assembled
+        got = feedback("centralized", observed, assembled)
+        assert got.shape == shape
+        # every agent gets the column's sum over all agents, bit for bit
+        for col in range(got[0].size):
+            column = observed.reshape(9, -1)[:, col]
+            assert got.reshape(9, -1)[:, col].tobytes() == np.full(9, column.sum()).tobytes()
+
+
+def test_estimate_dispatches_by_flavor():
+    rng = np.random.default_rng(43)
+    layout = BlockLayout((2, 1, 3))
+    values, reference = rng.standard_normal(3), rng.standard_normal(3)
+    u = rng.standard_normal(layout.total_dim)
+    want = {"one_point": one_point(values, u, 0.2, layout),
+            "two_point": two_point(values, reference, u, 0.2, layout),
+            "residual": residual(values, reference, u, 0.2, layout)}
+    for flavor, g in want.items():
+        cfg = LearnerConfig(0.0, 0.2, flavor)
+        assert estimate(cfg, values, reference, u, layout).tobytes() == g.tobytes()
+    # one-point ignores the reference, even a missing one
+    cfg = LearnerConfig(0.0, 0.2, "one_point")
+    assert estimate(cfg, values, None, u, layout).tobytes() == want["one_point"].tobytes()
+
+
 # -- single episodes on the warehouse ---------------------------------
 
 
@@ -260,7 +295,7 @@ def test_zero_rewards_leave_parameters_untouched():
     # demand far below stock on a short horizon keeps every stock
     # nonnegative, so every reward is exactly zero
     graph, env, policy = small_warehouse(
-        demand_amplitude=0.01, demand_noise_std=0.0, fixed_initial_state=True)
+        demand_amplitude=0.01, demand_noise_std=0.0, initial_stock_jitter=0.0)
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy, horizon=2)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(5))
@@ -530,7 +565,7 @@ def test_local_and_global_finite_differences_agree_per_block():
     # noise-free warehouse: the finite-difference gradient of the total
     # return w.r.t. block i must match that of agent i's local return
     graph, env, policy = small_warehouse(
-        demand_noise_std=0.0, fixed_initial_state=True)
+        demand_noise_std=0.0, initial_stock_jitter=0.0)
     horizon = 4
     trace = env.draw_noise_trace(horizon, np.random.default_rng(0))
     reach = closed_reach(graph)
@@ -638,3 +673,8 @@ def test_schedule_rejects_bad_inputs():
         accuracy_schedule(eps=1.0, lipschitz=-1.0, total_dim=1, epochs=1)
     with pytest.raises(ValueError):
         accuracy_schedule(eps=1.0, lipschitz=1.0, total_dim=0, epochs=1)
+    # a step size that underflows to zero or overflows is named
+    with pytest.raises(ValueError, match="eta .* underflows to zero"):
+        accuracy_schedule(eps=1e-250, lipschitz=1.0, total_dim=1, epochs=1)
+    with pytest.raises(ValueError, match="eta .* is not a finite number"):
+        accuracy_schedule(eps=1e250, lipschitz=1.0, total_dim=1, epochs=1)

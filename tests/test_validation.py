@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dirmarl.learner
 import dirmarl.oracles
 import dirmarl.validation
 from dirmarl.graphs import build_artifacts, build_graph
@@ -63,7 +64,7 @@ def test_edgeless_graph_terms_are_private():
     g = obj.gradient(theta)
     for i in (1, 2, 3):
         sl = obj.layout.block_slice(i)
-        assert np.array_equal(g[sl], obj.local_gradient(i, theta)[sl])
+        assert np.array_equal(g[sl], obj.gradient(theta, i=i)[sl])
         assert np.array_equal(g[sl], obj.term_gradient(i, theta)[sl])
 
 
@@ -102,6 +103,18 @@ def test_dependency_inspection_catches_a_tampered_instance():
     assert dependency_violations(obj, np.random.default_rng(0)) == [(2, 1)]
 
 
+def test_quadratic_and_abs_instances_draw_alike():
+    # the two families differ only in how a term reads its draws
+    graph = random_weakly_connected_digraph(np.random.default_rng(4), 2, 8)
+    quad = make_synthetic(graph, np.random.default_rng(5), family="quadratic")
+    kinks = make_synthetic(graph, np.random.default_rng(5), family="abs")
+    for field in ("weights", "targets"):
+        for a, b in zip(getattr(quad, field), getattr(kinks, field)):
+            assert a.tobytes() == b.tobytes()
+    assert quad.offsets.tobytes() == kinks.offsets.tobytes()
+    assert quad.amplitudes is None and kinks.amplitudes is None
+
+
 def test_make_synthetic_validates_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="family"):
@@ -124,10 +137,11 @@ def test_block_gradients_of_global_and_local_sums_coincide(seed, family):
     g = obj.gradient(theta)
     for i in range(1, obj.num_agents + 1):
         sl = obj.layout.block_slice(i)
-        assert np.array_equal(g[sl], obj.local_gradient(i, theta)[sl])
-        sg = obj.smoothed_gradient(theta, 0.3)
+        assert np.array_equal(g[sl], obj.gradient(theta, i=i)[sl])
+        sg = obj.gradient(theta, 0.3)
         sgl = smoothed_local_gradient(obj, i, theta, 0.3)
         assert np.array_equal(sg[sl], sgl[sl])
+        assert np.array_equal(obj.gradient(theta, 0.3, i), sgl)
 
 
 # -- values, gradients, smoothing -------------------------------------
@@ -138,11 +152,11 @@ def test_local_totals_sum_the_assembly_terms():
     obj = make_synthetic(chain(), rng, family="cosine")
     theta = rng.normal(size=obj.total_dim)
     v = obj.values(theta)
-    assert obj.local_totals(1, theta)[0] == pytest.approx(v.sum(), rel=1e-15)
-    assert obj.local_totals(3, theta)[0] == v[2]
-    assert obj.total(theta) == pytest.approx(float(v.sum()), rel=1e-15)
+    assert obj.totals(theta, 1)[0] == pytest.approx(v.sum(), rel=1e-15)
+    assert obj.totals(theta, 3)[0] == v[2]
+    assert obj.totals(theta)[0] == pytest.approx(float(v.sum()), rel=1e-15)
     batch = rng.normal(size=(4, obj.total_dim))
-    np.testing.assert_allclose(obj.local_totals(2, batch),
+    np.testing.assert_allclose(obj.totals(batch, 2),
                                obj.term_values(batch)[:, 1:].sum(axis=1), rtol=1e-15)
 
 
@@ -168,7 +182,7 @@ def test_quadratic_smoothing_shifts_values_but_not_gradients():
     obj = make_synthetic(chain(), rng, family="quadratic")
     theta = rng.normal(size=obj.total_dim)
     for delta in (0.0, 0.1, 0.7):
-        assert np.array_equal(obj.smoothed_gradient(theta, delta), obj.gradient(theta))
+        assert np.array_equal(obj.gradient(theta, delta), obj.gradient(theta))
 
 
 def test_smoothed_gradients_match_monte_carlo():
@@ -178,7 +192,7 @@ def test_smoothed_gradients_match_monte_carlo():
         theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
         delta = 0.4
         est = mc_smoothed_gradient(obj.totals, theta, delta, 200_000, rng)
-        z = (est.mean - obj.smoothed_gradient(theta, delta)) / est.standard_errors
+        z = (est.mean - obj.gradient(theta, delta)) / est.standard_errors
         stat = float((z * z).sum())
         d = obj.total_dim
         assert stat < d + 3.0 * math.sqrt(2.0 * d)
@@ -189,10 +203,10 @@ def test_smoothing_at_zero_radius_is_the_plain_objective():
     for family in FAMILIES:
         obj = make_synthetic(chain(), rng, family=family)
         theta = rng.uniform(1.2, 1.8, size=obj.total_dim)  # off the abs kinks
-        np.testing.assert_allclose(obj.smoothed_gradient(theta, 0.0),
+        np.testing.assert_allclose(obj.gradient(theta, 0.0),
                                    obj.gradient(theta), rtol=1e-12)
     with pytest.raises(ValueError, match="delta"):
-        obj.smoothed_gradient(theta, -0.1)
+        obj.gradient(theta, -0.1)
 
 
 def test_bound_constants_for_the_cosine_family():
@@ -205,12 +219,12 @@ def test_bound_constants_for_the_cosine_family():
         assert cap == pytest.approx(sum(amps), rel=1e-15)
         for _ in range(20):
             theta = rng.uniform(-3.0, 3.0, size=obj.total_dim)
-            assert abs(obj.local_totals(i, theta)[0]) <= cap + 1e-12
+            assert abs(obj.totals(theta, i)[0]) <= cap + 1e-12
     # Lipschitz bound: local sums never move faster than the constant
     for _ in range(20):
         a = rng.uniform(-2.0, 2.0, size=obj.total_dim)
         b = rng.uniform(-2.0, 2.0, size=obj.total_dim)
-        move = abs(obj.local_totals(1, a)[0] - obj.local_totals(1, b)[0])
+        move = abs(obj.totals(a, 1)[0] - obj.totals(b, 1)[0])
         assert move <= obj.local_lipschitz(1) * np.linalg.norm(a - b) + 1e-12
     assert global_value_bound(obj) == pytest.approx(obj.local_value_bound(1), rel=1e-15)
     assert obj.local_noise_std(3) == pytest.approx(0.3, rel=1e-12)
@@ -219,6 +233,32 @@ def test_bound_constants_for_the_cosine_family():
     quad = make_synthetic(chain(), rng, family="quadratic")
     assert quad.local_value_bound(1) == math.inf
     assert quad.local_lipschitz(1) == math.inf
+    # abs terms are unbounded with Lipschitz constant ||w_j||
+    kinks = make_synthetic(chain(), rng, family="abs")
+    assert kinks.local_value_bound(2) == math.inf
+    assert kinks.local_lipschitz(2) == pytest.approx(
+        sum(float(np.linalg.norm(kinks.weights[j - 1])) for j in (2, 3)), rel=1e-15)
+
+
+def test_term_bounds_per_family():
+    rng = np.random.default_rng(22)
+    graph = random_weakly_connected_digraph(rng, 2, 8)
+    for family in FAMILIES:
+        obj = make_synthetic(graph, rng, family=family)
+        values, lipschitz = obj.term_bounds
+        assert obj.term_bounds is obj.term_bounds  # computed once
+        for j in range(obj.num_agents):
+            norm = float(np.linalg.norm(obj.weights[j]))
+            if family == "cosine":
+                assert values[j] == obj.amplitudes[j]
+                assert lipschitz[j] == obj.amplitudes[j] * norm
+            else:
+                assert values[j] == math.inf
+                assert lipschitz[j] == (norm if family == "abs" else math.inf)
+        for i in range(1, obj.num_agents + 1):
+            rows = np.asarray(obj.reach_closed_sorted(i)) - 1
+            assert obj.local_value_bound(i) == values[rows].sum()
+            assert obj.local_lipschitz(i) == lipschitz[rows].sum()
 
 
 def test_synthetic_evaluator_replays_noise():
@@ -263,6 +303,30 @@ def test_mc_recovers_a_linear_gradient_at_any_radius():
         est = mc_smoothed_gradient(lambda t: t @ c, np.array([0.3, -1.0, 2.0]), delta,
                                    300_000, np.random.default_rng(2))
         assert np.all(np.abs(est.mean - c) <= 3.0 * est.standard_errors)
+
+
+def test_monte_carlo_checks_draw_one_stream_in_any_batch_size():
+    # mc_smoothed_gradient and check_smoothing_gap evaluate theta + delta u
+    # for the same probes as one (num_samples, d) draw, batch by batch
+    theta, delta, samples = np.array([0.5, -1.0, 2.0]), 0.3, 7001
+    want = theta + delta * np.random.default_rng(6).standard_normal((samples, 3))
+    for batch_size in (1000, 3000, 16384):
+        seen = []
+
+        def f(points):
+            seen.append(points.copy())
+            return points.sum(axis=1)
+
+        mc_smoothed_gradient(f, theta, delta, samples, np.random.default_rng(6),
+                             batch_size=batch_size)
+        assert np.concatenate(seen).tobytes() == want.tobytes()
+        assert max(len(b) for b in seen) == min(batch_size, samples)
+        seen.clear()
+        check_smoothing_gap(f, 1.0, delta, theta[None, :], samples,
+                            np.random.default_rng(6), batch_size=batch_size)
+        exact, *draws = seen
+        assert exact.tobytes() == theta[None, :].tobytes()
+        assert np.concatenate(draws).tobytes() == want.tobytes()
 
 
 def test_mc_input_validation():
@@ -490,7 +554,7 @@ def test_mc_smoothed_gradient_matches_the_row_major_reference():
     theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
     ref_rng = np.random.default_rng()
     ref_rng.bit_generator.state = rng.bit_generator.state
-    got = mc_smoothed_gradient(lambda t: obj.local_totals(1, t), theta, 0.3, 10_001, rng,
+    got = mc_smoothed_gradient(lambda t: obj.totals(t, 1), theta, 0.3, 10_001, rng,
                                batch_size=3000)
     want = reference_mc_smoothed_gradient(
         lambda t: reference_term_values(obj, t)[:, np.asarray(obj.reach_closed_sorted(1)) - 1]
@@ -550,6 +614,29 @@ def test_quick_battery_bits_are_pinned(monkeypatch):
     assert calls == {"oracle_moments": 21, "mc_smoothed_gradient": 8,
                      "check_smoothing_gap": 1}
     assert digest.hexdigest() == QUICK_BATTERY_SHA256
+
+
+def test_oracle_moments_reach_the_estimators_through_the_learner(monkeypatch):
+    # The benchmark's tracer wraps the estimators at dirmarl.learner, so
+    # the battery's estimates must look them up there, one call a batch.
+    rng = np.random.default_rng(12)
+    obj = make_synthetic(chain(), rng, family="cosine", noise_std=0.1)
+    theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
+    calls = []
+    for name in ("one_point", "two_point", "residual"):
+        original = getattr(dirmarl.learner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(dirmarl.learner, name, counted)
+    for flavor in ("one_point", "two_point", "residual"):
+        for scope in ("distributed", "centralized"):
+            calls.clear()
+            oracle_moments(obj, theta, 0.3, 2500, rng, flavor=flavor, scope=scope,
+                           batch_size=1000)
+            assert calls == [flavor] * 3
 
 
 # -- the battery runs the production estimators and exchange ----------

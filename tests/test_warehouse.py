@@ -44,7 +44,7 @@ def test_demand_formula_matches_hand_value():
 
 
 def test_isolated_agent_step():
-    env = make_env(build_graph(1, []), fixed_initial_state=True, demand_noise_std=0.0)
+    env = make_env(build_graph(1, []), initial_stock_jitter=0.0, demand_noise_std=0.0)
     ro = simulate_rollout(env, FixedAllocation([[1.0]]), horizon=1,
                           noise_trace=env.draw_noise_trace(1, np.random.default_rng(0)))
     assert np.array_equal(ro.stocks[0], [1.0])
@@ -90,28 +90,13 @@ def test_initial_state_jitter_and_fixed_mode():
     traces = [env.draw_noise_trace(8, rng) for _ in range(20)]
     for tr in traces:
         assert np.all(np.abs(tr.initial_jitter) <= 0.01)
-    fixed = make_env(fixed_initial_state=True)
-    tr = fixed.draw_noise_trace(8, np.random.default_rng(5))
-    assert np.array_equal(fixed.initial_stocks(tr), np.ones(9))
     zero = make_env(initial_stock_jitter=0.0)
-    tr = zero.draw_noise_trace(8, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    tr = zero.draw_noise_trace(8, rng)
     assert np.array_equal(zero.initial_stocks(tr), np.ones(9))
-
-
-def test_demand_noise_clipping_flag():
-    env = make_env(clip_demand_noise=True)
-    tr = env.draw_noise_trace(2000, np.random.default_rng(0))
-    assert np.max(np.abs(tr.demand_noise)) <= 0.3 + 1e-15
-    raw = make_env().draw_noise_trace(2000, np.random.default_rng(0))
-    assert np.max(np.abs(raw.demand_noise)) > 0.3  # clipping actually bites
-
-
-def test_shared_demand_noise_flag():
-    env = make_env(shared_demand_noise=True)
-    tr = env.draw_noise_trace(6, np.random.default_rng(2))
-    assert np.all(tr.demand_noise == tr.demand_noise[:, :1])
-    solo = make_env().draw_noise_trace(6, np.random.default_rng(2))
-    assert not np.all(solo.demand_noise == solo.demand_noise[:, :1])
+    # a zero jitter draws nothing: the generator moves only for the shocks
+    shocks = np.random.default_rng(5).normal(0.0, 0.1, size=(8, 9))
+    assert np.array_equal(tr.demand_noise, shocks)
 
 
 def test_env_rejects_bad_amplitude():
@@ -211,7 +196,7 @@ def test_non_finite_stock_aborts():
     # Overflow is named by the guard, and the rollout emits no
     # RuntimeWarning on the way there, with a stub or the real policy.
     env = make_env(build_graph(2, [(1, 2)]), initial_stock_mean=1.7e308,
-                   fixed_initial_state=True)
+                   initial_stock_jitter=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
