@@ -100,7 +100,7 @@ def read_run_csv(path: str) -> RunTable:
     if lines[1] != _run_csv_header(n):
         raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
                          "(epoch, value_i, global_value, grad_norm_i, messages)")
-    rows, linenos = [], []
+    rows = []
     for lineno, ln in enumerate(lines[2:], start=3):
         if not ln:
             continue
@@ -111,15 +111,15 @@ def read_run_csv(path: str) -> RunTable:
             rows.append([float(cell) for cell in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        linenos.append(lineno)
     data = np.array(rows, dtype=float).reshape(-1, len(header))
-    whole = np.zeros(len(header), dtype=bool)
-    whole[[0, -1]] = True  # epoch and messages
-    bad = ~np.isfinite(data) | (whole & (data != np.round(data)))
-    if bad.any():
+    ends = data[:, [0, -1]]  # epoch and messages
+    if not (np.isfinite(data).all() and (ends == np.round(ends)).all()):
+        bad = ~np.isfinite(data)
+        bad[:, [0, -1]] |= ends != np.round(ends)
         r, c = np.argwhere(bad)[0]
+        lineno = [k for k, ln in enumerate(lines[2:], start=3) if ln][r]
         what = "a whole number" if np.isfinite(data[r, c]) else "finite"
-        raise ValueError(f"{path}:{linenos[r]}: {header[c]} must be {what}, "
+        raise ValueError(f"{path}:{lineno}: {header[c]} must be {what}, "
                          f"got {float(data[r, c])!r}")
     return RunTable(
         epochs=data[:, 0].astype(int),

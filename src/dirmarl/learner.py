@@ -378,11 +378,10 @@ def accuracy_schedule(eps: float, lipschitz: float, total_dim: int, epochs: int,
         raise ValueError(f"total_dim and epochs must be >= 1, got {total_dim}, {epochs}")
     delta = _finite_or_error(lambda: eps / (lipschitz * math.sqrt(total_dim)),
                              f"delta for eps {eps} and lipschitz {lipschitz}")
-    eta = _finite_or_error(lambda: eps ** 1.5 / (total_dim ** 1.5 * math.sqrt(epochs)),
-                           f"eta for eps {eps}, dimension {total_dim} and {epochs} epochs")
+    what = f"eta for eps {eps}, dimension {total_dim} and {epochs} epochs"
+    eta = _finite_or_error(lambda: eps ** 1.5 / (total_dim ** 1.5 * math.sqrt(epochs)), what)
     if eta == 0.0:
-        raise ValueError(f"eta for eps {eps}, dimension {total_dim} and {epochs} epochs "
-                         "underflows to zero")
+        raise ValueError(f"{what} underflows to zero")
     required = None
     if bound_b is not None:
         required = math.ceil(_finite_or_error(

@@ -325,7 +325,9 @@ class _MomentAccumulator:
         return MomentEstimate(m, mean, np.sqrt(var / m), sm, math.sqrt(sm_var / m), bm, bse)
 
 
-def _check_batch_size(batch_size: int) -> None:
+def _check_sizes(num_samples: int, minimum: int, batch_size: int) -> None:
+    if num_samples < minimum:
+        raise ValueError(f"num_samples must be >= {minimum}, got {num_samples}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
@@ -343,14 +345,13 @@ def _checked_values(f, points: np.ndarray) -> np.ndarray:
 
 def _mc_batches(f, theta: np.ndarray, delta: float, num_samples: int,
                 rng: np.random.Generator, batch_size: int):
-    """``num_samples`` standard-normal probes in (m, d) batches of at
-    most ``batch_size``, each yielded as (u, f(theta + delta u))."""
-    if num_samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {num_samples}")
-    _check_batch_size(batch_size)
+    """``num_samples`` standard-normal probes u, drawn as (m, d) batches
+    of at most ``batch_size``; each batch is yielded as a fresh
+    coordinate-major (d, m) copy of u with the values f(theta + delta u)."""
     for start in range(0, num_samples, batch_size):
         u = rng.standard_normal((min(batch_size, num_samples - start), theta.size))
-        yield u, _checked_values(f, theta + delta * u)
+        vals = _checked_values(f, theta + delta * u)
+        yield np.ascontiguousarray(u.T), vals
 
 
 def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
@@ -362,12 +363,12 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
     ``f`` must map an (m, d) batch of points to (m,) values.  At least
     10^3 samples; non-finite values abort.
     """
+    _check_sizes(num_samples, 1000, batch_size)
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     theta = np.asarray(theta, dtype=float)
     acc = _MomentAccumulator(theta.size, None)
-    for u, vals in _mc_batches(f, theta, delta, num_samples, rng, batch_size):
-        g = np.ascontiguousarray(u.T)
+    for g, vals in _mc_batches(f, theta, delta, num_samples, rng, batch_size):
         g *= vals / delta
         acc.add(g, g * g, None)
     return acc.finish()
@@ -414,6 +415,7 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
         raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_sizes(num_samples, 1000, batch_size)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     d = thetas.shape[1]
     gaps = np.empty(thetas.shape[0])
@@ -445,9 +447,7 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
     previous episode at the same theta, which is its stationary-point
     distribution."""
     cfg = LearnerConfig(0.0, delta, flavor, scope)  # checks delta, flavor and scope
-    if num_samples < 2:
-        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
-    _check_batch_size(batch_size)
+    _check_sizes(num_samples, 2, batch_size)
     theta = np.asarray(theta, dtype=float)
     n, d = obj.num_agents, obj.total_dim
     gather = MessageBus(obj.learning).gather
