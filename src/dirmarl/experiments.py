@@ -111,15 +111,15 @@ def read_run_csv(path: str) -> RunTable:
             rows.append([float(cell) for cell in cells])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not (cells[0].isdigit() and cells[-1].isdigit()):  # epoch and messages
+            col = -1 if cells[0].isdigit() else 0
+            raise ValueError(f"{path}:{lineno}: {header[col]} must be a whole number, "
+                             f"got {cells[col]!r}")
     data = np.array(rows, dtype=float).reshape(-1, len(header))
-    ends = data[:, [0, -1]]  # epoch and messages
-    if not (np.isfinite(data).all() and (ends == np.round(ends)).all()):
-        bad = ~np.isfinite(data)
-        bad[:, [0, -1]] |= ends != np.round(ends)
-        r, c = np.argwhere(bad)[0]
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
         lineno = [k for k, ln in enumerate(lines[2:], start=3) if ln][r]
-        what = "a whole number" if np.isfinite(data[r, c]) else "finite"
-        raise ValueError(f"{path}:{lineno}: {header[c]} must be {what}, "
+        raise ValueError(f"{path}:{lineno}: {header[c]} must be finite, "
                          f"got {float(data[r, c])!r}")
     return RunTable(
         epochs=data[:, 0].astype(int),

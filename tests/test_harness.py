@@ -766,8 +766,8 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
 
     cases = ((4, "nan", "global_value must be finite, got nan"),
              (1, "-inf", "value_1 must be finite, got -inf"),
-             (-1, "2.5", "messages must be a whole number, got 2.5"),
-             (0, "1.5", "epoch must be a whole number, got 1.5"))
+             (-1, "2.5", "messages must be a whole number, got '2.5'"),
+             (0, "1.5", "epoch must be a whole number, got '1.5'"))
     for k, (col, text, want) in enumerate(cases):
         out = str(tmp_path / f"cell{k}")
         run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
