@@ -46,7 +46,8 @@ class CoordinationGraph:
     def edge_array(self) -> np.ndarray:
         """Read-only (2, E) array of the edges' 0-based sources (row 0)
         and targets (row 1), sorted by source, then target."""
-        edges = (np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2) - 1).T.copy()
+        pairs = np.fromiter(chain.from_iterable(self.edges), np.intp).reshape(-1, 2) - 1
+        edges = pairs[np.lexsort(pairs.T[::-1])].T.copy()
         edges.flags.writeable = False
         return edges
 

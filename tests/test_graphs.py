@@ -48,6 +48,12 @@ def test_neighbor_views_sorted():
     assert g.edge_array.tolist() == [[0, 0, 1, 2], [1, 3, 0, 0]]
     assert not g.edge_array.flags.writeable
     assert g.edges == {(1, 2), (1, 4), (2, 1), (3, 1)}
+    rng = np.random.default_rng(8)
+    for g in [random_weakly_connected_digraph(rng, 1, 40) for _ in range(50)] + [
+            build_graph(1, [])]:
+        want = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2) - 1
+        assert (g.edge_array.dtype, g.edge_array.shape) == (want.dtype, want.T.shape)
+        assert g.edge_array.tobytes() == want.T.tobytes()
 
 
 def test_chain_reachability():
