@@ -417,6 +417,8 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
         raise ValueError(f"delta must be >= 0, got {delta}")
     _check_sizes(num_samples, 1000, batch_size)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.shape[0] == 0:
+        raise ValueError(f"thetas must hold at least one point, got shape {thetas.shape}")
     d = thetas.shape[1]
     gaps = np.empty(thetas.shape[0])
     stderrs = np.empty(thetas.shape[0])

@@ -413,6 +413,8 @@ def test_smoothing_gap_validation():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="batch_size"):
             check_smoothing_gap(f, 1.0, 0.1, np.zeros((1, 2)), 2000, rng, batch_size=bad)
+    with pytest.raises(ValueError, match="thetas"):
+        check_smoothing_gap(f, 1.0, 0.1, np.zeros((0, 3)), 2000, rng)
 
 
 # -- second moments ---------------------------------------------------
