@@ -16,9 +16,11 @@ The joint parameter is a flat vector cut into per-agent blocks by a
 BlockLayout; all learning updates and perturbations act on the flat
 view, and block views always alias it.
 
-``act_matrix`` works on the K valid (agent, slot) pairs only, the rows
-of the flat vector read as (K, n_c).  Each agent's softmax denominator is
-the left fold of its own weights in slot order, whatever the widest agent.
+``act_matrix`` reads the compact (S,) observation, each agent's own
+entries agent after agent, and scores the K valid (agent, slot) pairs
+only, the rows of the flat vector read as (K, n_c).  Each agent's
+features and softmax denominator are left folds of its own entries and
+weights, whatever the widest agent.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class RbfPolicy:
     Holds per-agent centers, the slot structure (self + sorted
     out-neighbors), and the block layout.  ``bind`` attaches a concrete
     flat parameter vector and yields a policy whose ``act_matrix`` maps
-    the padded observations of the whole population to allocations.
+    the compact observation of the whole population to allocations.
     """
 
     def __init__(self, graph: CoordinationGraph, num_centers: int = 4,
@@ -114,15 +116,12 @@ class RbfPolicy:
         diag = lo + (np.arange(1, nc + 1, dtype=float) / (nc + 1))[:, None] * (hi - lo)
         self.layout = BlockLayout(tuple((nc * self.num_slots).tolist()))
 
-        # Observations and centers are padded to obs_max, so every agent's
-        # features come from one pass.
-        self.obs_max = int(self.obs_dims.max())
-        col = np.arange(self.obs_max)
-        last = (self.obs_dims - 1)[:, None, None]
-        self.centers_pad = np.where(col < last, diag[:, :1],
-                                    np.where(col == last, diag[:, 1:], 0.0))
-        # (nc, N, obs_max) copy: the difference keeps the observation axis innermost
-        self._centers_t = np.ascontiguousarray(self.centers_pad.transpose(1, 0, 2))
+        # Per (center, entry) of the compact (S,) observation: the center,
+        # the demand one at each agent's last entry, and the bincount key.
+        entry_agent = np.repeat(np.arange(n), self.obs_dims)
+        self._centers = np.repeat(diag[:, :1], entry_agent.size, axis=1)  # (nc, S)
+        self._centers[:, np.cumsum(self.obs_dims) - 1] = diag[:, 1:]
+        self._feat_key = (np.arange(nc)[:, None] * n + entry_agent).ravel()
         # The K valid (agent, slot) pairs in flat-parameter order: the
         # agent of each, and each agent's first.
         self.slot_agent = np.repeat(np.arange(n), self.num_slots)
@@ -146,15 +145,17 @@ class BoundRbfPolicy:
         # strided loop rounds differently.
         self._theta = np.ascontiguousarray(flat).reshape(-1, policy.num_centers)
 
-    def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
+    def act_matrix(self, obs: np.ndarray) -> np.ndarray:
         """Allocations for all agents at once.
 
-        obs_pad is (N, obs_max) zero-padded; returns the compact (K,)
+        obs is the compact (S,) observation; returns the compact (K,)
         allocation in slot order, each agent's retained fraction first.
         """
         p = self.policy
-        diff = obs_pad - p._centers_t
-        sqd = np.einsum("lid,lid->il", diff, diff)
+        diff = obs - p._centers
+        diff *= diff
+        # bincount adds each agent's squared distances in entry order: a left fold
+        sqd = np.bincount(p._feat_key, weights=diff.ravel()).reshape(p.num_centers, -1).T
         feats = sqd if p.kernel == "squared" else np.exp(-sqd)
         z = np.einsum("kl,kl->k", self._theta, feats.take(p.slot_agent, axis=0))
         finite = np.isfinite(z)

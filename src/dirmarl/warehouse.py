@@ -82,22 +82,13 @@ class WarehouseEnv:
 
         # Edges ordered by (source, target): fixed summation order.
         src, dst = self._e_src, self._e_dst = g.edge_array
-        self.obs_dims = np.bincount(dst, minlength=n) + 2
-        self.num_slots = np.bincount(src, minlength=n) + 1
-        self.obs_max = int(self.obs_dims.max())
-
-        # Gather index filling the padded observation matrix from
-        # concatenate((stocks, demands, (0.0,))): observed stocks
-        # (in-neighbours and the agent itself, ascending), then the
-        # agent's own demand, then zero padding.
+        # Gather index of the compact (S,) observation, S = 2N + E, from
+        # concatenate((stocks, demands)): agent by agent, the observed stocks
+        # (in-neighbours and the agent itself, ascending), then its demand.
         agents = np.arange(n)
-        who, seen = np.concatenate((dst, agents)), np.concatenate((src, agents))
-        order = np.lexsort((seen, who))
-        who, seen = who[order], seen[order]
-        row_start = np.cumsum(self.obs_dims - 1) - (self.obs_dims - 1)
-        self._obs_gather = np.full((n, self.obs_max), 2 * n, dtype=np.intp)
-        self._obs_gather[who, np.arange(who.size) - row_start[who]] = seen
-        self._obs_gather[agents, self.obs_dims - 1] = n + agents
+        who = np.concatenate((dst, agents, agents))
+        seen = np.concatenate((src, agents, n + agents))
+        self._obs_gather = seen[np.lexsort((seen, who))]
 
         # Edge e of source s is slot e + s + 1 of the compact allocation:
         # each agent's slots are its retained fraction, then its out-edges,
@@ -136,7 +127,8 @@ class WarehouseEnv:
         return self.amplitude * (1.0 - np.sin(w_row * t)) + w_row
 
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-        return np.concatenate((stocks, demands, (0.0,)))[self._obs_gather]
+        """The compact (S,) observation: each agent's observed stocks, then its demand."""
+        return np.concatenate((stocks, demands)).take(self._obs_gather)
 
     def validate_allocations(self, frac: np.ndarray, where: str = "") -> None:
         # (E,) out-edge fractions.  Fast accept; a graph without edges has
@@ -184,9 +176,9 @@ class Rollout:
 def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 1.0, *,
                      noise_trace: NoiseTrace) -> Rollout:
     """Run one episode under the realized randomness ``noise_trace``.
-    ``policy.act_matrix(padded_obs)`` returns the compact (K,)
-    allocation, each agent's retained fraction first; the step reads
-    its out-edge fractions once, in edge order."""
+    ``policy.act_matrix(obs)`` maps the compact (S,) observation to
+    the compact (K,) allocation, each agent's retained fraction first;
+    the step reads its out-edge fractions once, in edge order."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0.0 < discount <= 1.0:

@@ -239,13 +239,14 @@ class FixedAllocation:
     def __init__(self, rows):
         self.alloc = np.concatenate([np.asarray(r, dtype=float) for r in rows])
 
-    def act_matrix(self, obs_pad: np.ndarray) -> np.ndarray:
+    def act_matrix(self, obs: np.ndarray) -> np.ndarray:
         return self.alloc
 
     @classmethod
     def uniform(cls, env) -> "FixedAllocation":
         """Stock split evenly over self and every out-edge."""
-        return cls([np.full(k, 1.0 / k) for k in env.num_slots])
+        return cls([np.full(len(out) + 1, 1.0 / (len(out) + 1))
+                    for out in out_neighbors(env.graph)])
 
 
 # Values that stress bitwise agreement: non-finite, signed zero, near
@@ -285,13 +286,20 @@ def left_fold(values) -> float:
     return functools.reduce(operator.add, (float(v) for v in values), 0.0)
 
 
-def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
-    """The softmax agent by agent, on that agent's own slots only: each
-    denominator is the left fold of its exp-weights in slot order.
+def reference_act_matrix(bound, obs: np.ndarray) -> np.ndarray:
+    """The policy agent by agent, on that agent's own entries of the
+    compact observation and its own slots only: each squared distance to
+    a center is the left fold of d * d over the agent's entries, and each
+    softmax denominator the left fold of its exp-weights in slot order.
     Returns the compact (K,) allocation."""
     p = bound.policy
-    diff = obs_pad[:, None, :] - p.centers_pad
-    sqd = np.einsum("ild,ild->il", diff, diff)
+    sqd, start = [], 0
+    for s in observation_sets(p.graph):
+        own = obs[start:start + len(s) + 1]
+        start += len(s) + 1
+        centers = make_centers([p.stock_range] * len(s) + [p.demand_range], p.num_centers)
+        sqd.append([left_fold((own - c) * (own - c)) for c in centers])
+    sqd = np.array(sqd)
     feats = sqd if p.kernel == "squared" else np.exp(-sqd)
     z = np.einsum("isl,il->is", theta_padded(p, bound.flat), feats)
     bad = [i + 1 for i, k in enumerate(p.num_slots) if not np.all(np.isfinite(z[i, :k]))]
@@ -304,15 +312,13 @@ def reference_act_matrix(bound, obs_pad: np.ndarray) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def reference_observation_matrix(env, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    obs_sets = observation_sets(env.graph)
-    rows = [i for i, s in enumerate(obs_sets) for _ in s]
-    cols = [k for s in obs_sets for k in range(len(s))]
-    srcs = [j - 1 for s in obs_sets for j in s]
-    obs = np.zeros((env.num_agents, env.obs_max))
-    obs[rows, cols] = stocks[srcs]
-    obs[np.arange(env.num_agents), [len(s) for s in obs_sets]] = demands
-    return obs
+def reference_observation_matrix(g: CoordinationGraph, stocks: np.ndarray,
+                                 demands: np.ndarray) -> np.ndarray:
+    """The compact observation agent by agent: the stocks of agent i's
+    observation set, ascending, then its own demand."""
+    rows = [np.append(stocks[np.array(s) - 1], demands[i])
+            for i, s in enumerate(observation_sets(g))]
+    return np.concatenate(rows)
 
 
 def out_fractions(env, frac: np.ndarray) -> list[list[float]]:
@@ -528,21 +534,22 @@ def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
 
 
 def reference_policy_tables(policy) -> dict[str, np.ndarray]:
-    """``centers_pad``, ``slot_agent`` and ``slot_start`` of an
-    RbfPolicy, filled agent by agent."""
+    """``_centers``, ``_feat_key``, ``slot_agent`` and ``slot_start`` of
+    an RbfPolicy, filled agent by agent."""
     g = policy.graph
-    n, nc = g.num_agents, policy.num_centers
-    obs_sets = observation_sets(g)
+    n = g.num_agents
     num_slots = [len(out) + 1 for out in out_neighbors(g)]
-    centers_pad = np.zeros((n, nc, max(len(s) for s in obs_sets) + 1))
-    for i, s in enumerate(obs_sets):
-        centers_pad[i, :, :len(s) + 1] = make_centers(
-            [policy.stock_range] * len(s) + [policy.demand_range], nc)
+    obs_sets = observation_sets(g)
+    centers = np.concatenate([make_centers([policy.stock_range] * len(s) + [policy.demand_range],
+                                           policy.num_centers) for s in obs_sets], axis=1)
+    entry_agent = [i for i, s in enumerate(obs_sets) for _ in range(len(s) + 1)]
+    feat_key = [l * n + i for l in range(policy.num_centers) for i in entry_agent]
     agent, start = [], []
     for i in range(n):
         start.append(len(agent))
         agent.extend([i] * num_slots[i])
-    return {"centers_pad": centers_pad, "slot_agent": np.array(agent, dtype=np.intp),
+    return {"_centers": centers, "_feat_key": np.array(feat_key, dtype=np.intp),
+            "slot_agent": np.array(agent, dtype=np.intp),
             "slot_start": np.array(start, dtype=np.intp)}
 
 
@@ -553,13 +560,11 @@ def reference_env_tables(env) -> dict[str, np.ndarray]:
     retained slot and then one slot per out-neighbour."""
     g = env.graph
     n = g.num_agents
-    obs_sets = observation_sets(g)
     out_slots = out_neighbors(g)
-    gather = np.full((n, max(len(s) for s in obs_sets) + 1), 2 * n, dtype=np.intp)
-    for i in range(n):
-        k = len(obs_sets[i])
-        gather[i, :k] = [j - 1 for j in obs_sets[i]]
-        gather[i, k] = n + i
+    gather = []
+    for i, s in enumerate(observation_sets(g)):
+        gather.extend(j - 1 for j in s)
+        gather.append(n + i)
     e_src, e_dst, e_slot, first = [], [], [], 0
     for i in range(n):
         for k, j in enumerate(out_slots[i]):
@@ -567,7 +572,8 @@ def reference_env_tables(env) -> dict[str, np.ndarray]:
             e_dst.append(j - 1)
             e_slot.append(first + 1 + k)
         first += len(out_slots[i]) + 1
-    return {"_obs_gather": gather, "_e_src": np.array(e_src, dtype=np.intp),
+    return {"_obs_gather": np.array(gather, dtype=np.intp),
+            "_e_src": np.array(e_src, dtype=np.intp),
             "_e_dst": np.array(e_dst, dtype=np.intp),
             "_e_slot": np.array(e_slot, dtype=np.intp)}
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
 from dirmarl.policy import BlockLayout, NonFiniteScores, RbfPolicy
@@ -9,11 +9,14 @@ from helpers import (
     agent_centers,
     make_centers,
     nine_agent_graph,
+    observation_sets,
+    out_neighbors,
     per_agent_allocation,
     random_weakly_connected_digraph,
     rbf_features,
     rbf_scores,
     reference_act_matrix,
+    reference_observation_matrix,
     softmax_allocation,
     sprinkle,
 )
@@ -85,7 +88,7 @@ def agent_rows(pol: RbfPolicy, alloc: np.ndarray) -> list[np.ndarray]:
 def test_zero_params_give_uniform_allocation():
     g = nine_agent_graph()
     pol = RbfPolicy(g, num_centers=4)
-    alloc = pol.bind(np.zeros(pol.layout.total_dim)).act_matrix(np.zeros((9, pol.obs_max)))
+    alloc = pol.bind(np.zeros(pol.layout.total_dim)).act_matrix(np.zeros(pol.obs_dims.sum()))
     rows = agent_rows(pol, alloc)
     assert np.allclose(rows[1], [1.0 / 3] * 3)  # two out-neighbors + self
     assert np.allclose(rows[0], [0.5, 0.5])
@@ -157,13 +160,8 @@ def test_act_matrix_matches_per_agent_path():
         pol = RbfPolicy(g, num_centers=4, kernel=kernel)
         rng = np.random.default_rng(3)
         bound = pol.bind(rng.normal(scale=0.4, size=pol.layout.total_dim))
-        obs_pad = np.zeros((9, pol.obs_max))
-        obs = []
-        for i in g.agents:
-            o = rng.uniform(-1, 2, size=pol.obs_dims[i - 1])
-            obs.append(o)
-            obs_pad[i - 1, :o.size] = o
-        rows = agent_rows(pol, bound.act_matrix(obs_pad))
+        obs = [rng.uniform(-1, 2, size=d) for d in pol.obs_dims]
+        rows = agent_rows(pol, bound.act_matrix(np.concatenate(obs)))
         for i in g.agents:
             row = rows[i - 1]
             assert np.allclose(row, per_agent_allocation(pol, bound.flat, i, obs[i - 1]),
@@ -181,10 +179,8 @@ def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
     g = random_weakly_connected_digraph(rng, 1, 10)
     pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
     bound = pol.bind(10.0 ** log_scale * rng.normal(size=pol.layout.total_dim))
-    obs_pad = np.zeros((g.num_agents, pol.obs_max))
-    for i in range(g.num_agents):
-        obs_pad[i, :pol.obs_dims[i]] = rng.uniform(-1.5, 2.5, size=pol.obs_dims[i])
-    for row in agent_rows(pol, bound.act_matrix(obs_pad)):
+    obs = rng.uniform(-1.5, 2.5, size=pol.obs_dims.sum())
+    for row in agent_rows(pol, bound.act_matrix(obs)):
         assert np.all(row >= 0.0)
         assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -205,7 +201,7 @@ def graph_with_hub(rng: np.random.Generator):
        st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, hub):
-    # Same bits as the per-agent left-fold softmax, and a raise
+    # Same bits as the per-agent left-fold features and softmax, and a raise
     # with the same message (agent list included) on exactly the inputs
     # it rejects, including non-finite, signed-zero and overflowing
     # observations and parameters, on small graphs and on graphs with a
@@ -219,14 +215,11 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, 
     flat = sprinkle(rng, flat, SPECIAL_VALUES, special / 4)
     # half the time a strided view: einsum's strided loop rounds differently
     bound = pol.bind(flat if rng.random() < 0.5 else np.repeat(flat, 2)[::2])
-    obs_pad = np.zeros((g.num_agents, pol.obs_max))
-    for i in range(g.num_agents):
-        obs_pad[i, :pol.obs_dims[i]] = sprinkle(
-            rng, rng.uniform(-1.5, 2.5, size=pol.obs_dims[i]), SPECIAL_VALUES, special)
+    obs = sprinkle(rng, rng.uniform(-1.5, 2.5, size=pol.obs_dims.sum()), SPECIAL_VALUES, special)
 
     def outcome(act):
         try:
-            return act(obs_pad).tobytes()
+            return act(obs).tobytes()
         except NonFiniteScores as exc:
             return str(exc)
 
@@ -234,14 +227,19 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, 
         assert outcome(bound.act_matrix) == outcome(lambda o: reference_act_matrix(bound, o))
 
 
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")))
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")), st.booleans())
+# graphs on which features summed over a width padded to the widest
+# observation moved an untouched agent's bits: one per mode
+@example(20, "squared", True)
+@example(35, "squared", False)
 @settings(max_examples=60, deadline=None)
-def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel):
-    # A base graph whose agents have 2-7 slots gains a new agent with 8 or
-    # more out-edges.  Every agent whose observation set and slot set did
-    # not change must get the same allocation bits: its denominator is
-    # its own left fold, whatever the widest row.  The hub's targets are
-    # chosen so that the padded observation width stays the same.
+def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel, hub):
+    # A base graph whose agents have 2-7 slots either gains a new agent
+    # with 8 or more out-edges to any agents, or gains in-edges between
+    # its own agents, into the widest observation half the time.  Every
+    # agent whose observation set and slot set did not change must get
+    # the same allocation bits: its features and its softmax denominator
+    # are left folds of its own entries, whatever the widest agent.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(12, 19))
     edges = set()
@@ -249,26 +247,36 @@ def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel):
         others = [j for j in range(1, n + 1) if j != i]
         edges |= {(i, int(j)) for j in rng.choice(others, size=int(rng.integers(1, 7)),
                                                   replace=False)}
-    base = RbfPolicy(build_graph(n, edges), num_centers=int(rng.integers(1, 5)), kernel=kernel)
-    eligible = np.flatnonzero(base.obs_dims < base.obs_max) + 1
-    assume(eligible.size >= 8)
-    targets = rng.choice(eligible, size=int(rng.integers(8, eligible.size + 1)), replace=False)
-    # rows of 4 or more slots are where a padded 8-accumulator sum differs
-    assume(any(base.num_slots[j - 1] >= 4 for j in base.graph.agents if j not in targets))
-    wide = RbfPolicy(build_graph(n + 1, edges | {(n + 1, int(j)) for j in targets}),
-                     num_centers=base.num_centers, kernel=kernel)
-    assert wide.obs_max == base.obs_max and wide.num_slots.max() >= 9
-    assert base.num_slots.max() <= 7
+    base = build_graph(n, edges)
+    if hub:
+        targets = rng.choice(np.arange(1, n + 1), size=int(rng.integers(8, n)), replace=False)
+        wide = build_graph(n + 1, edges | {(n + 1, int(j)) for j in targets})
+    else:
+        sizes = [len(s) for s in observation_sets(base)]
+        b = int(np.argmax(sizes)) + 1 if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+        unseen = [a for a in base.agents if a not in observation_sets(base)[b - 1]]
+        assume(unseen)
+        sources = rng.choice(unseen, size=int(rng.integers(1, min(len(unseen), 4) + 1)),
+                             replace=False)
+        wide = build_graph(n, edges | {(int(a), b) for a in sources})
+    nc = int(rng.integers(1, 5))
+    pols = [RbfPolicy(g, num_centers=nc, kernel=kernel) for g in (base, wide)]
+    if hub:
+        assert pols[1].num_slots.max() >= 9 > 7 >= pols[0].num_slots.max()
 
-    flat = rng.normal(scale=0.5, size=wide.layout.total_dim)  # the hub's block is last
-    obs = [rng.uniform(-1.5, 2.5, size=d) for d in wide.obs_dims]
+    # one parameter block per agent, cut to its slot count in each graph
+    blocks = [rng.normal(scale=0.5, size=d) for d in pols[1].layout.dims]
+    stocks, demands = rng.uniform(-1.5, 2.5, size=(2, wide.num_agents))
     allocs = []
-    for pol in (base, wide):
-        obs_pad = np.zeros((pol.graph.num_agents, pol.obs_max))
-        for i, d in enumerate(pol.obs_dims):
-            obs_pad[i, :d] = obs[i][:d]
-        allocs.append(agent_rows(pol, pol.bind(flat[:pol.layout.total_dim]).act_matrix(obs_pad)))
-    untouched = [i for i in range(n) if i + 1 not in targets]
+    for pol in pols:
+        k = pol.graph.num_agents
+        flat = np.concatenate([b[:d] for b, d in zip(blocks, pol.layout.dims)])
+        obs = reference_observation_matrix(pol.graph, stocks[:k], demands[:k])
+        allocs.append(agent_rows(pol, pol.bind(flat).act_matrix(obs)))
+    untouched = [i for i in range(n)
+                 if observation_sets(base)[i] == observation_sets(wide)[i]
+                 and out_neighbors(base)[i] == out_neighbors(wide)[i]]
+    assert untouched
     for i in untouched:
         assert allocs[0][i].tobytes() == allocs[1][i].tobytes(), f"agent {i + 1}"
 

@@ -65,10 +65,8 @@ def test_tables_match_the_per_agent_loops():
         env = WarehouseEnv(wcfg)
         for name, want in reference_env_tables(env).items():
             assert_same_array(getattr(env, name), want, name)
-        for obj in (policy, env):
-            assert obj.obs_dims.tolist() == [len(s) + 1 for s in observation_sets(g)]
-            assert obj.num_slots.tolist() == [len(out) + 1 for out in out_neighbors(g)]
-            assert obj.obs_max == max(obj.obs_dims)
+        assert policy.obs_dims.tolist() == [len(s) + 1 for s in observation_sets(g)]
+        assert policy.num_slots.tolist() == [len(out) + 1 for out in out_neighbors(g)]
         assert policy.layout.dims == tuple(
             settings["num_centers"] * (len(out) + 1) for out in out_neighbors(g))
         # act_matrix reads the flat vector as (K, num_centers): row k must

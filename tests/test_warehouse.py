@@ -20,6 +20,7 @@ from helpers import (
     FixedAllocation,
     nine_agent_graph,
     observation_sets,
+    out_neighbors,
     random_weakly_connected_digraph,
     reference_apply_transition,
     reference_observation_matrix,
@@ -60,7 +61,8 @@ def test_step_rewards_quadratic_backlog():
 def out_edge_fractions(env, rng: np.random.Generator) -> np.ndarray:
     """A random valid allocation's (E,) out-edge fractions: each agent's
     Dirichlet draw over its slots without the retained fraction."""
-    return np.concatenate([rng.dirichlet(np.ones(k))[1:] for k in env.num_slots])
+    return np.concatenate([rng.dirichlet(np.ones(len(out) + 1))[1:]
+                           for out in out_neighbors(env.graph)])
 
 
 def test_transition_conserves_stock_without_demand():
@@ -223,7 +225,7 @@ def test_step_functions_match_reference_bitwise(seed, special, near):
     stocks = sprinkle(rng, rng.uniform(-2.0, 2.0, n), SPECIAL_VALUES, special)
     demands = sprinkle(rng, rng.uniform(0.0, 0.5, n), SPECIAL_VALUES, special)
     rows = []
-    for k in env.num_slots:
+    for k in [len(out) + 1 for out in out_neighbors(env.graph)]:
         row = rng.dirichlet(np.ones(k))[1:]
         if k > 1 and rng.random() < near:  # out-fractions summing to ~1 + 1e-12
             row[:] = rng.choice([1.0, 1.0 + 1e-12, 1.0 + 2e-12]) / (k - 1)
@@ -233,7 +235,7 @@ def test_step_functions_match_reference_bitwise(seed, special, near):
 
     with np.errstate(all="ignore"):
         pairs = [(env.observation_matrix(stocks, demands),
-                  reference_observation_matrix(env, stocks, demands)),
+                  reference_observation_matrix(env.graph, stocks, demands)),
                  (step_rewards(stocks), reference_step_rewards(stocks)),
                  (env.apply_transition(stocks, frac, demands),
                   reference_apply_transition(env, stocks, frac, demands))]
@@ -257,13 +259,16 @@ def test_observation_layout():
     stocks = np.arange(1.0, 10.0)
     d = np.linspace(0.1, 0.9, 9)
     obs = env.observation_matrix(stocks, d)
+    # S = 2N + E entries: each agent's observed stocks, then its demand
+    obs_sets = observation_sets(env.graph)
+    assert obs.shape == (2 * 9 + len(env.graph.edges),)
+    start = np.cumsum([0] + [len(s) + 1 for s in obs_sets])
     # Agent 3 observes stocks of {3, 4} then its demand.
-    assert observation_sets(env.graph)[2] == [3, 4] and env.obs_dims[2] == 3
-    assert np.array_equal(obs[2, :3], [3.0, 4.0, d[2]])
-    assert np.all(obs[2, 3:] == 0.0)
+    assert obs_sets[2] == [3, 4]
+    assert np.array_equal(obs[start[2]:start[3]], [3.0, 4.0, d[2]])
     # Agent 7 has in-neighbors {2, 4, 6, 9}.
-    assert observation_sets(env.graph)[6] == [2, 4, 6, 7, 9] and env.obs_dims[6] == 6
-    assert np.array_equal(obs[6, :6], [2.0, 4.0, 6.0, 7.0, 9.0, d[6]])
+    assert obs_sets[6] == [2, 4, 6, 7, 9]
+    assert np.array_equal(obs[start[6]:start[7]], [2.0, 4.0, 6.0, 7.0, 9.0, d[6]])
 
 
 def test_rollout_replay_is_bit_identical():
