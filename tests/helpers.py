@@ -200,7 +200,7 @@ def agent_centers(policy, i: int) -> np.ndarray:
 
 
 def rbf_features(policy, i: int, obs: np.ndarray) -> np.ndarray:
-    """Radial features of agent i's (unpadded) observation, one per center."""
+    """Radial features of agent i's own observation entries, one per center."""
     d = np.asarray(obs, dtype=float) - agent_centers(policy, i)
     sqd = np.einsum("ld,ld->l", d, d)
     return sqd if policy.kernel == "squared" else np.exp(-sqd)
@@ -298,7 +298,7 @@ def reference_act_matrix(bound, obs: np.ndarray) -> np.ndarray:
         own = obs[start:start + len(s) + 1]
         start += len(s) + 1
         centers = make_centers([p.stock_range] * len(s) + [p.demand_range], p.num_centers)
-        sqd.append([left_fold((own - c) * (own - c)) for c in centers])
+        sqd.append([left_fold(d * d) for d in own - centers])
     sqd = np.array(sqd)
     feats = sqd if p.kernel == "squared" else np.exp(-sqd)
     z = np.einsum("isl,il->is", theta_padded(p, bound.flat), feats)
