@@ -86,7 +86,14 @@ def read_run_csv(path: str) -> RunTable:
     ``write_run_csv`` writes, or a row whose cell count differs from the
     header's, that holds a non-number or a non-finite number, or whose
     epoch or message count is not a whole number, is an error that
-    names ``path:line``."""
+    names ``path:line``.
+
+    The body is parsed in one pass by numpy's C reader, which converts
+    each cell with the routine ``float()`` uses, so the doubles are
+    bit-equal.  When that parse fails or a row fails a check, the rows
+    are parsed again one at a time with ``float()``: that loop alone
+    names ``path:line``, and it still accepts the cells only ``float()``
+    reads (underscores, non-ASCII digits)."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -96,10 +103,52 @@ def read_run_csv(path: str) -> RunTable:
         raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
                          "and a header)")
     header = lines[1].split(",")
-    n = sum(1 for c in header if c.startswith("value_"))
+    n = lines[1].count(",value_") + lines[1].startswith("value_")  # cells named value_*
     if lines[1] != _run_csv_header(n):
         raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
                          "(epoch, value_i, global_value, grad_norm_i, messages)")
+    data = _parse_body([ln for ln in lines[2:] if ln], len(header))
+    if data is None:
+        data = _parse_rows(path, lines, header)
+    return RunTable(
+        epochs=data[:, 0].astype(int),
+        values=data[:, 1:1 + n],
+        global_values=data[:, 1 + n],
+        grad_norms=data[:, 2 + n:2 + 2 * n],
+        messages=data[:, 2 + 2 * n].astype(int),
+    )
+
+
+# The characters that numpy's reader strips around a number as
+# whitespace and float() rejects (str.isspace() counts them, float()
+# strips only ASCII blanks)
+_NOT_FLOAT_BLANKS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_body(body: list[str], columns: int) -> np.ndarray | None:
+    """The non-empty body rows as one (rows, columns) array, or None
+    when some row might fail a check: an epoch or message cell that is
+    not digits, a cell the C reader rejects, a cell count other than
+    ``columns`` or a non-finite cell."""
+    if not body:
+        return np.empty((0, columns))
+    for ln in body:  # the epoch and message tests of the row loop, per row
+        if not (ln.partition(",")[0].isdigit() and ln.rpartition(",")[2].isdigit()):
+            return None
+        if any(c in ln for c in _NOT_FLOAT_BLANKS):
+            return None
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(body), columns) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _parse_rows(path: str, lines: list[str], header: list[str]) -> np.ndarray:
+    """The body parsed row by row with ``float()``; the first row that
+    fails a check is an error that names ``path:line``."""
     rows = []
     for lineno, ln in enumerate(lines[2:], start=3):
         if not ln:
@@ -121,13 +170,7 @@ def read_run_csv(path: str) -> RunTable:
         lineno = [k for k, ln in enumerate(lines[2:], start=3) if ln][r]
         raise ValueError(f"{path}:{lineno}: {header[c]} must be finite, "
                          f"got {float(data[r, c])!r}")
-    return RunTable(
-        epochs=data[:, 0].astype(int),
-        values=data[:, 1:1 + n],
-        global_values=data[:, 1 + n],
-        grad_norms=data[:, 2 + n:2 + 2 * n],
-        messages=data[:, 2 + 2 * n].astype(int),
-    )
+    return data
 
 
 @dataclass(frozen=True)
@@ -367,10 +410,11 @@ def summarize(run_dir: str) -> RunSummary:
             if (alg, r) in skip:
                 continue
             path = os.path.join(run_dir, run_file_name(alg, r))
-            if not os.path.exists(path):
+            try:
+                table = read_run_csv(path)
+            except FileNotFoundError:
                 missing.append(run_file_name(alg, r))
                 continue
-            table = read_run_csv(path)
             if not np.array_equal(table.epochs, np.arange(epochs)):
                 raise ValueError(f"{path}: rows must be the manifest's epochs "
                                  f"0..{epochs - 1} in order, got {len(table.epochs)} rows")

@@ -10,7 +10,7 @@ import operator
 
 import numpy as np
 
-from dirmarl.experiments import CSV_MAGIC
+from dirmarl.experiments import CSV_MAGIC, RunTable
 from dirmarl.graphs import CoordinationGraph, build_graph
 from dirmarl.learner import WarehouseEvaluator
 from dirmarl.oracles import sample_perturbation
@@ -609,14 +609,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _reference_header(num_agents: int) -> str:
+    return ",".join(["epoch"]
+                    + [f"value_{i}" for i in range(1, num_agents + 1)]
+                    + ["global_value"]
+                    + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
+                    + ["messages"])
+
+
 def reference_write_run_csv(path: str, records, num_agents: int) -> None:
     """``experiments.write_run_csv`` formatting one cell at a time."""
-    cols = (["epoch"]
-            + [f"value_{i}" for i in range(1, num_agents + 1)]
-            + ["global_value"]
-            + [f"grad_norm_{i}" for i in range(1, num_agents + 1)]
-            + ["messages"])
-    lines = [CSV_MAGIC, ",".join(cols)]
+    lines = [CSV_MAGIC, _reference_header(num_agents)]
     for rec in records:
         row = ([str(rec.epoch)]
                + [_fmt(v) for v in rec.observed_values]
@@ -626,3 +629,49 @@ def reference_write_run_csv(path: str, records, num_agents: int) -> None:
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reference_read_run_csv(path: str) -> RunTable:
+    """``experiments.read_run_csv`` as one ``float()`` per cell, row by
+    row: the oracle for its one-pass parse, doubles and error text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+    if len(lines) < 2 or lines[0] != CSV_MAGIC:
+        raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
+                         "and a header)")
+    header = lines[1].split(",")
+    n = sum(1 for c in header if c.startswith("value_"))
+    if lines[1] != _reference_header(n):
+        raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
+                         "(epoch, value_i, global_value, grad_norm_i, messages)")
+    rows = []
+    for lineno, ln in enumerate(lines[2:], start=3):
+        if not ln:
+            continue
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not (cells[0].isdigit() and cells[-1].isdigit()):  # epoch and messages
+            col = -1 if cells[0].isdigit() else 0
+            raise ValueError(f"{path}:{lineno}: {header[col]} must be a whole number, "
+                             f"got {cells[col]!r}")
+    data = np.array(rows, dtype=float).reshape(-1, len(header))
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        lineno = [k for k, ln in enumerate(lines[2:], start=3) if ln][r]
+        raise ValueError(f"{path}:{lineno}: {header[c]} must be finite, "
+                         f"got {float(data[r, c])!r}")
+    return RunTable(
+        epochs=data[:, 0].astype(int),
+        values=data[:, 1:1 + n],
+        global_values=data[:, 1 + n],
+        grad_norms=data[:, 2 + n:2 + 2 * n],
+        messages=data[:, 2 + 2 * n].astype(int),
+    )

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dirmarl.experiments
 import dirmarl.learner
@@ -28,7 +29,7 @@ from dirmarl.policy import BlockLayout
 from dirmarl.warehouse import RolloutError, WarehouseConfig, simulate_rollout
 
 from helpers import (draw_streams, example2_expected_learning_edges, learning_edge_set,
-                     load_parameters)
+                     load_parameters, reference_read_run_csv)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -643,7 +644,12 @@ def test_summarize_reports_missing_pieces(tmp_path):
     run_experiment(cfg)
     victim = run_file_name("distributed_one_point", 1)
     os.remove(os.path.join(out, victim))
-    with pytest.raises(ValueError, match=f"missing runs: {victim}"):
+    with pytest.raises(ValueError, match=f"missing runs: {victim}$"):
+        summarize(out)
+    # every absent run is listed, not only the first
+    first = run_file_name("distributed_one_point", 0)
+    os.remove(os.path.join(out, first))
+    with pytest.raises(ValueError, match=f"missing runs: {first}, {victim}$"):
         summarize(out)
 
     empty = tmp_path / "empty"
@@ -782,6 +788,28 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(path)} is not UTF-8 text: "):
         summarize(out)
 
+    # the one-pass parse against the row loop it stands in for: the same
+    # doubles, or the same error text (True: the file is accepted)
+    out = str(tmp_path / "grammar")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    path = os.path.join(out, run_file_name("distributed_one_point", 0))
+    with open(path, encoding="utf-8") as fh:
+        clean = fh.read().splitlines()
+    cases = [(set_cell(col, text)(clean), accepted) for col, text, accepted in (
+        (1, " 1.5", True), (1, "1.5 2", False), (4, "", False), (1, "1_0", True),
+        (1, "\uff11", True), (1, "0x10", False), (4, "1e999", False), (1, "1\x1c", False),
+        (0, "+3", False), (0, "\u0663", True))]
+    cases += [(clean[:3] + [" \t "] + clean[3:], False),
+              (clean[:3] + ["# a note"] + clean[3:], False),
+              (clean[:2] + [ln + ",0" for ln in clean[2:]], False)]
+    for lines, accepted in cases:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert _assert_reads_like_the_row_loop(path) == accepted, lines[3]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(clean) + "\r\n")
+    assert _assert_reads_like_the_row_loop(path)
+
 
 def test_summary_statistics_hand_check(tmp_path):
     out = str(tmp_path / "out")
@@ -809,23 +837,95 @@ def test_summary_statistics_hand_check(tmp_path):
     assert summary.total_messages[alg] == 24
 
 
-def test_run_csv_round_trip_is_exact(tmp_path):
-    path = str(tmp_path / "run.csv")
-    values = np.array([1.0 / 3.0, -0.0, 5.0e-324])
-    rec = EpisodeRecord(epoch=0, observed_values=values,
-                        local_values=values, global_value=float(values.sum()),
-                        gradient_norms=np.array([np.pi, 1e17, 2.0 / 7.0]),
-                        message_count=4)
-    write_run_csv(path, [rec], 3)
-    table = read_run_csv(path)
-    assert table.values[0].tolist() == values.tolist()
-    assert table.grad_norms[0].tolist() == rec.gradient_norms.tolist()
-    assert table.global_values[0] == rec.global_value
+_EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308)
 
+
+@st.composite
+def run_records(draw):
+    """(N, records) with N in 1..40, 1..6 rows and any finite doubles."""
+    n = draw(st.integers(1, 40))
+    cell = st.one_of(st.sampled_from(_EDGE_DOUBLES),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    records = []
+    for epoch in range(draw(st.integers(1, 6))):
+        row = np.array(draw(st.lists(cell, min_size=2 * n + 1, max_size=2 * n + 1)))
+        records.append(EpisodeRecord(epoch=epoch, observed_values=row[:n],
+                                     local_values=row[:n], global_value=float(row[n]),
+                                     gradient_norms=row[n + 1:],
+                                     message_count=draw(st.integers(0, 10 ** 9))))
+    return n, records
+
+
+@given(run_records())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_csv_round_trip_is_exact(tmp_path, run):
+    n, records = run
+    path = str(tmp_path / "run.csv")
+    write_run_csv(path, records, n)
+    table = read_run_csv(path)
+    assert table.epochs.tolist() == [rec.epoch for rec in records]
+    assert table.messages.tolist() == [rec.message_count for rec in records]
+    for got, want in ((table.values, [rec.observed_values for rec in records]),
+                      (table.global_values, [rec.global_value for rec in records]),
+                      (table.grad_norms, [rec.gradient_norms for rec in records])):
+        want = np.array(want, dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_read_run_csv_wants_its_magic_line(tmp_path):
+    path = str(tmp_path / "run.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,value\n0,1\n")
     with pytest.raises(ValueError, match="not a dirmarl run csv"):
         read_run_csv(path)
+
+
+def _assert_reads_like_the_row_loop(path) -> bool:
+    """``read_run_csv`` gives ``reference_read_run_csv``'s arrays bit for
+    bit, or its error text; True when the file was accepted."""
+    try:
+        want = reference_read_run_csv(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_run_csv(path)
+        assert str(got.value) == str(exc)
+        return False
+    got = read_run_csv(path)
+    for name in ("epochs", "values", "global_values", "grad_norms", "messages"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return True
+
+
+# cell texts around float()'s grammar: blanks, underscores, non-ASCII
+# digits and blanks, the separators str.isspace() counts, signs, hex,
+# overflow, and commas that change the cell count
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e999", "1_0", "+3", " 1.5", "1\x1c", "", "0x10"]),
+    st.text(alphabet="0123456789+-.eE_x ,\t\x1c\x1f\u00a0\u2003\u0663\uff11#nafi",
+            max_size=8))
+
+
+@given(col=st.integers(0, 8), text=_CELL_TEXT, row=st.integers(3, 6))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_run_csv_agrees_with_the_row_loop(tmp_path, col, text, row):
+    path = str(tmp_path / "run.csv")
+    rng = np.random.default_rng(row)
+    write_run_csv(path, [EpisodeRecord(epoch=k, observed_values=rng.standard_normal(3),
+                                       local_values=np.zeros(3), global_value=rng.random(),
+                                       gradient_norms=rng.random(3), message_count=6)
+                         for k in range(4)], 3)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[col] = text
+    lines[row - 1] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    _assert_reads_like_the_row_loop(path)
 
 
 # -- command line --------------------------------------------------------

@@ -618,6 +618,20 @@ def test_quick_battery_bits_are_pinned(monkeypatch):
     assert digest.hexdigest() == QUICK_BATTERY_SHA256
 
 
+def test_quick_battery_builds_each_demo_graph_once(monkeypatch):
+    built = []
+
+    def counted(graph):
+        built.append(graph)
+        return build_artifacts(graph)
+
+    dirmarl.validation._learning_graph.cache_clear()
+    monkeypatch.setattr(dirmarl.validation, "build_artifacts", counted)
+    run_validation(seed=0, quick=True)
+    assert len(built) <= 3
+    assert len(set(built)) == len(built)
+
+
 def test_oracle_moments_reach_the_estimators_through_the_learner(monkeypatch):
     # The benchmark's tracer wraps the estimators at dirmarl.learner, so
     # the battery's estimates must look them up there, one call a batch.
