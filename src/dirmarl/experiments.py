@@ -43,6 +43,7 @@ from .warehouse import RolloutError, WarehouseEnv
 
 CSV_MAGIC = "# dirmarl run csv v1"
 MANIFEST_NAME = "manifest.json"
+TAIL_WINDOW = 100  # epochs that a summary's tail std averages over
 
 
 def run_file_name(algorithm: str, repeat: int) -> str:
@@ -85,8 +86,8 @@ def read_run_csv(path: str) -> RunTable:
     """Read a run CSV back; a header other than the columns
     ``write_run_csv`` writes, or a row whose cell count differs from the
     header's, that holds a non-number or a non-finite number, or whose
-    epoch or message count is not a whole number, is an error that
-    names ``path:line``.
+    epoch or message count is not a whole number below 2**63, is an
+    error that names ``path:line``.
 
     The body is parsed in one pass by numpy's C reader, which converts
     each cell with the routine ``float()`` uses, so the doubles are
@@ -96,9 +97,10 @@ def read_run_csv(path: str) -> RunTable:
     reads (underscores, non-ASCII digits)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            text = fh.read()  # one decode: an error's position is the file's
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+    lines = text.removesuffix("\n").split("\n")
     if len(lines) < 2 or lines[0] != CSV_MAGIC:
         raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
                          "and a header)")
@@ -107,15 +109,17 @@ def read_run_csv(path: str) -> RunTable:
     if lines[1] != _run_csv_header(n):
         raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
                          "(epoch, value_i, global_value, grad_norm_i, messages)")
-    data = _parse_body([ln for ln in lines[2:] if ln], len(header))
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[2:], start=3) if ln]
+    data = _parse_body([ln for _, ln in body], len(header))
     if data is None:
-        data = _parse_rows(path, lines, header)
+        data = _parse_rows(path, body, header)
+    counts = _read_counts(path, body)
     return RunTable(
-        epochs=data[:, 0].astype(int),
+        epochs=counts[:, 0],
         values=data[:, 1:1 + n],
         global_values=data[:, 1 + n],
         grad_norms=data[:, 2 + n:2 + 2 * n],
-        messages=data[:, 2 + 2 * n].astype(int),
+        messages=counts[:, 1],
     )
 
 
@@ -146,13 +150,11 @@ def _parse_body(body: list[str], columns: int) -> np.ndarray | None:
     return data
 
 
-def _parse_rows(path: str, lines: list[str], header: list[str]) -> np.ndarray:
-    """The body parsed row by row with ``float()``; the first row that
-    fails a check is an error that names ``path:line``."""
+def _parse_rows(path: str, body: list[tuple[int, str]], header: list[str]) -> np.ndarray:
+    """The numbered body rows parsed one by one with ``float()``; the
+    first row that fails a check is an error that names ``path:line``."""
     rows = []
-    for lineno, ln in enumerate(lines[2:], start=3):
-        if not ln:
-            continue
+    for lineno, ln in body:
         cells = ln.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
@@ -167,10 +169,21 @@ def _parse_rows(path: str, lines: list[str], header: list[str]) -> np.ndarray:
     data = np.array(rows, dtype=float).reshape(-1, len(header))
     if not np.isfinite(data).all():
         r, c = np.argwhere(~np.isfinite(data))[0]
-        lineno = [k for k, ln in enumerate(lines[2:], start=3) if ln][r]
-        raise ValueError(f"{path}:{lineno}: {header[c]} must be finite, "
+        raise ValueError(f"{path}:{body[r][0]}: {header[c]} must be finite, "
                          f"got {float(data[r, c])!r}")
     return data
+
+
+def _read_counts(path: str, body: list[tuple[int, str]]) -> np.ndarray:
+    """The accepted rows' epoch and message counts, exactly, from their
+    digit text; 2**63 or more is an error that names ``path:line``."""
+    counts = []
+    for lineno, ln in body:
+        for name, cell in (("epoch", ln.partition(",")[0]), ("messages", ln.rpartition(",")[2])):
+            counts.append(int(cell))
+            if counts[-1] >= 2 ** 63:
+                raise ValueError(f"{path}:{lineno}: {name} must be below 2**63, got {cell!r}")
+    return np.array(counts, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -192,21 +205,21 @@ class RunSummary:
     def final_std(self, algorithm: str) -> float:
         return float(self.std_value[algorithm][-1])
 
-    def tail_std(self, algorithm: str, window: int = 100) -> float:
+    def tail_std(self, algorithm: str) -> float:
         """Cross-repeat std of the global value averaged over the last
-        ``window`` epochs."""
-        w = min(window, self.num_epochs)
+        ``TAIL_WINDOW`` epochs."""
+        w = min(TAIL_WINDOW, self.num_epochs)
         return float(self.std_value[algorithm][-w:].mean())
 
-    def variance_table(self, window: int = 100) -> dict:
+    def variance_table(self) -> dict:
         """Distributed versus centralized tail std per oracle flavor,
         for the flavors where both scopes were run."""
         table = {}
         for flavor in ("one_point", "two_point", "residual"):
             dist, cent = f"distributed_{flavor}", f"centralized_{flavor}"
             if dist in self.mean_value and cent in self.mean_value:
-                table[flavor] = {"distributed": self.tail_std(dist, window),
-                                 "centralized": self.tail_std(cent, window)}
+                table[flavor] = {"distributed": self.tail_std(dist),
+                                 "centralized": self.tail_std(cent)}
         return table
 
 
@@ -224,13 +237,13 @@ def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
         mean_value[alg] = stack.mean(axis=0)
         std_value[alg] = (stack.std(axis=0, ddof=1) if len(done) > 1
                           else np.zeros_like(mean_value[alg]))
-        messages[alg] = int(sum(runs[alg][r][1] for r in done))
+        messages[alg] = sum(runs[alg][r][1] for r in done)
         executed[alg] = tuple(done)
     return RunSummary(tuple(algorithms), repeats, epochs, mean_value, std_value, messages,
                       executed, tuple(tuple(a) for a in aborted))
 
 
-def _summary_payload(summary: RunSummary, window: int = 100) -> dict:
+def _summary_payload(summary: RunSummary) -> dict:
     per_alg = {}
     for alg in summary.algorithms:
         if alg not in summary.mean_value:
@@ -238,7 +251,7 @@ def _summary_payload(summary: RunSummary, window: int = 100) -> dict:
         per_alg[alg] = {
             "final_mean": summary.final_mean(alg),
             "final_std": summary.final_std(alg),
-            "tail_std": summary.tail_std(alg, window),
+            "tail_std": summary.tail_std(alg),
             "initial_mean": float(summary.mean_value[alg][0]),
             "total_messages": summary.total_messages[alg],
             "repeats": list(summary.executed[alg]),
@@ -246,7 +259,7 @@ def _summary_payload(summary: RunSummary, window: int = 100) -> dict:
     return {"format": "dirmarl summary v1",
             "num_epochs": summary.num_epochs,
             "algorithms": per_alg,
-            "variance_table": summary.variance_table(window),
+            "variance_table": summary.variance_table(),
             "aborted": [list(a) for a in summary.aborted]}
 
 
@@ -418,7 +431,7 @@ def summarize(run_dir: str) -> RunSummary:
             if not np.array_equal(table.epochs, np.arange(epochs)):
                 raise ValueError(f"{path}: rows must be the manifest's epochs "
                                  f"0..{epochs - 1} in order, got {len(table.epochs)} rows")
-            runs[alg][r] = (table.global_values, table.messages.sum())
+            runs[alg][r] = (table.global_values, sum(table.messages.tolist()))
     if missing:
         raise ValueError(f"{run_dir} is incomplete; missing runs: {', '.join(missing)}")
     return _build_summary(algorithms, repeats, epochs, runs, aborted)

@@ -15,8 +15,8 @@ From the graph we derive:
 The sorted edge array (``CoordinationGraph.edge_array``) and the
 learning graph's CSR arrays are the only graph representations: both
 component passes walk the edge array, and every reach fact is a
-learning-graph row (agent i reaches ``senders(i)``; the agents that
-reach i are the rows that contain it).
+learning-graph row (agent i reaches the senders in its row; the agents
+that reach i are the rows that contain it).
 
 Agent indices are 1-based in every public structure but the 0-based
 arrays (``edge_array``, the learning graph's CSR).  Cluster indices
@@ -165,10 +165,6 @@ class LearningGraph:
     num_agents: int
     indptr: np.ndarray
     indices: np.ndarray
-
-    def senders(self, i: int) -> np.ndarray:
-        """Agent i's reward senders, 1-based and ascending."""
-        return self.indices[self.indptr[i - 1]:self.indptr[i]] + 1
 
     @property
     def edges(self) -> np.ndarray:

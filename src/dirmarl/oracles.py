@@ -64,24 +64,25 @@ def two_point(values_perturbed: np.ndarray, values_base: np.ndarray, u: np.ndarr
               delta: float, layout: BlockLayout) -> np.ndarray:
     """g_i = ((V_i(theta+delta u) - V_i(theta)) / delta) u_i, both
     evaluations under the same realized noise."""
-    vp = np.asarray(values_perturbed, dtype=float)
-    vb = np.asarray(values_base, dtype=float)
-    if vp.shape != vb.shape:
-        raise ValueError(f"perturbed and baseline values have mismatched shapes "
-                         f"{vp.shape} vs {vb.shape}")
-    return _scaled(vp - vb, u, delta, layout)
+    return _difference(values_perturbed, values_base, u, delta, layout,
+                       "perturbed and baseline values")
 
 
 def residual(values_perturbed: np.ndarray, values_previous: np.ndarray, u: np.ndarray,
              delta: float, layout: BlockLayout) -> np.ndarray:
     """g_i = ((V_i^k - V_i^{k-1}) / delta) u_i^k where V^{k-1} is the
     previous episode's perturbed value (zeros before the first)."""
-    vp = np.asarray(values_perturbed, dtype=float)
-    prev = np.asarray(values_previous, dtype=float)
-    if vp.shape != prev.shape:
-        raise ValueError(f"values and previous values have mismatched shapes "
-                         f"{vp.shape} vs {prev.shape}")
-    return _scaled(vp - prev, u, delta, layout)
+    return _difference(values_perturbed, values_previous, u, delta, layout,
+                       "values and previous values")
+
+
+def _difference(values: np.ndarray, reference: np.ndarray, u: np.ndarray, delta: float,
+                layout: BlockLayout, what: str) -> np.ndarray:
+    """Two-point and residual: ``_scaled`` on values minus reference."""
+    values, reference = np.asarray(values, dtype=float), np.asarray(reference, dtype=float)
+    if values.shape != reference.shape:
+        raise ValueError(f"{what} have mismatched shapes {values.shape} vs {reference.shape}")
+    return _scaled(values - reference, u, delta, layout)
 
 
 def one_point_second_moment_bound(value_bound: float, sigma_hat: float,

@@ -41,8 +41,8 @@ class SyntheticObjective:
     Consequently the block-i gradient of the global sum equals the
     block-i gradient of agent i's local sum over its reachable set,
     which is the structural fact the learner relies on.  ``learning``
-    is the graph's reward-routing graph; agent i's local sum collects
-    the terms of ``reach_closed_sorted(i)``.
+    is the graph's reward-routing graph; every local sum is the
+    ``gather`` of ``bus``, the learner's routing plan on it.
 
     Families:
       quadratic  strictly concave; smoothing only shifts the value by
@@ -76,18 +76,9 @@ class SyntheticObjective:
     def total_dim(self) -> int:
         return self.layout.total_dim
 
-    def reach_closed_sorted(self, i: int) -> tuple[int, ...]:
-        """Agents that agent i reaches, itself included, ascending: the
-        terms its local sum collects."""
-        return self._reach_closed[i - 1]
-
-    def _reach_rows(self, i: int) -> np.ndarray:
-        return np.asarray(self.reach_closed_sorted(i), dtype=np.intp) - 1
-
     @cached_property
-    def _reach_closed(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(self.learning.senders(i).tolist() + [i]))
-                     for i in range(1, self.num_agents + 1))
+    def bus(self) -> MessageBus:
+        return MessageBus(self.learning)
 
     # -- values -------------------------------------------------------
 
@@ -120,9 +111,9 @@ class SyntheticObjective:
 
     def totals(self, thetas: np.ndarray, i: int | None = None) -> np.ndarray:
         """Noise-free sums over a (M, d) batch, shape (M,): the global
-        sum, or agent i's local sum over ``reach_closed_sorted(i)``."""
+        sum, or agent i's local sum."""
         rows = self._term_rows(_coordinate_major(thetas))
-        return (rows if i is None else rows[self._reach_rows(i)]).sum(axis=0)
+        return rows.sum(axis=0) if i is None else self.bus.gather(rows)[i - 1]
 
     # -- gradients ----------------------------------------------------
 
@@ -156,11 +147,9 @@ class SyntheticObjective:
         the plain gradient."""
         if delta < 0.0:
             raise ValueError(f"delta must be >= 0, got {delta}")
-        terms = range(1, self.num_agents + 1) if i is None else self.reach_closed_sorted(i)
-        g = np.zeros(self.total_dim)
-        for j in terms:
-            g += self.term_gradient(j, theta, delta)
-        return g
+        terms = np.stack([self.term_gradient(j, theta, delta)
+                          for j in range(1, self.num_agents + 1)])
+        return terms.sum(axis=0) if i is None else self.bus.gather(terms)[i - 1]
 
     # -- known constants ----------------------------------------------
 
@@ -176,13 +165,13 @@ class SyntheticObjective:
         return unbounded, norms if self.family == "abs" else unbounded
 
     def local_value_bound(self, i: int) -> float:
-        return float(self.term_bounds[0][self._reach_rows(i)].sum())
+        return float(self.bus.gather(self.term_bounds[0])[i - 1])
 
     def local_lipschitz(self, i: int) -> float:
-        return float(self.term_bounds[1][self._reach_rows(i)].sum())
+        return float(self.bus.gather(self.term_bounds[1])[i - 1])
 
     def local_noise_std(self, i: int) -> float:
-        return float(np.sqrt((self.noise_std[self._reach_rows(i)] ** 2).sum()))
+        return float(np.sqrt(self.bus.gather(self.noise_std ** 2)[i - 1]))
 
 def _coordinate_major(thetas: np.ndarray) -> np.ndarray:
     """A (M, d) batch of points as a (d, M) view.  No copy: each term's
@@ -460,10 +449,8 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
     _check_sizes(num_samples, 2, batch_size)
     theta = np.asarray(theta, dtype=float)
     n, d = obj.num_agents, obj.total_dim
-    gather = MessageBus(obj.learning).gather
-
     def values(observed):
-        return feedback(scope, observed, gather(observed))
+        return feedback(scope, observed, obj.bus.gather(observed))
 
     # Coordinate-major throughout: each batch's draws are transposed once
     # to (d, m), so every array below is agent- or coordinate-first with

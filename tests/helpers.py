@@ -39,6 +39,12 @@ def closed_reach(g: CoordinationGraph) -> list[tuple[int, ...]]:
     return [tuple(j for j in g.agents if j == i or closure[i, j]) for i in g.agents]
 
 
+def senders(learning, i: int) -> np.ndarray:
+    """Agent i's reward senders in a learning graph, 1-based and
+    ascending: row i of its CSR arrays."""
+    return learning.indices[learning.indptr[i - 1]:learning.indptr[i]] + 1
+
+
 def out_neighbors(g: CoordinationGraph) -> list[list[int]]:
     """Entry i - 1: agent i's out-neighbours, ascending, from ``g.edges``."""
     out: list[list[int]] = [[] for _ in g.agents]
@@ -60,16 +66,35 @@ def ascending_reach_sums(g: CoordinationGraph, values: np.ndarray) -> np.ndarray
     """Reference local values for a (k, N) payload: column i - 1 is the
     running sum, in ascending agent order, of the payload columns of
     agent i and of every agent i reaches."""
-    closure = transitive_closure(g)
     out = np.empty_like(values)
-    for i in g.agents:
-        closure[i, i] = True
-        sources = np.flatnonzero(closure[i]) - 1
-        acc = values[:, sources[0]]
-        for j in sources[1:]:
-            acc = acc + values[:, j]
-        out[:, i - 1] = acc
+    for i, reach in enumerate(closed_reach(g), 1):
+        out[:, i - 1] = ascending_column_sum(values, reach)
     return out
+
+
+def ascending_column_sum(values: np.ndarray, agents) -> np.ndarray:
+    """The running sum, in the order given, of the 1-based columns
+    ``agents`` of a (k, N) array."""
+    acc = values[:, agents[0] - 1]
+    for j in agents[1:]:
+        acc = acc + values[:, j - 1]
+    return acc
+
+
+def collected_terms(obj, i: int) -> tuple[int, ...]:
+    """The terms agent i's local sum collects, ascending: every term
+    whose dependencies hold i (the transpose of ``obj.deps``)."""
+    return tuple(j for j, deps in enumerate(obj.deps, 1) if i in deps)
+
+
+def assert_local_sums_are_reach_sums(obj, g: CoordinationGraph,
+                                     rng: np.random.Generator) -> None:
+    """Every agent's ``obj.totals`` on a random batch is bit-identical to
+    the ascending sum of the terms of the agents it reaches."""
+    batch = rng.uniform(-2.0, 2.0, size=(5, obj.total_dim))
+    want = ascending_reach_sums(g, obj.term_values(batch))
+    for i in g.agents:
+        assert obj.totals(batch, i).tobytes() == want[:, i - 1].tobytes(), i
 
 
 def brute_force_learning_edges(g: CoordinationGraph) -> set[tuple[int, int]]:
@@ -438,7 +463,7 @@ def reference_oracle_moments(obj, theta: np.ndarray, delta: float, num_samples: 
                 v = tv.sum(axis=1)
                 v_ref = tv_ref.sum(axis=1) if tv_ref is not None else 0.0
             else:
-                cols = np.asarray(obj.reach_closed_sorted(i), dtype=np.intp) - 1
+                cols = np.asarray(collected_terms(obj, i), dtype=np.intp) - 1
                 v = tv[:, cols].sum(axis=1)
                 v_ref = tv_ref[:, cols].sum(axis=1) if tv_ref is not None else 0.0
             sl = obj.layout.block_slice(i)
@@ -487,7 +512,7 @@ def draw_streams(evaluator, epochs: int, rng: np.random.Generator) -> tuple[list
 def smoothed_local_gradient(obj, i: int, theta: np.ndarray, delta: float) -> np.ndarray:
     """Closed-form smoothed gradient of agent i's local sum."""
     g = np.zeros(obj.total_dim)
-    for j in obj.reach_closed_sorted(i):
+    for j in collected_terms(obj, i):
         g += obj.term_gradient(j, theta, delta)
     return g
 
@@ -584,7 +609,7 @@ def grouped_gather(learning, values: np.ndarray) -> np.ndarray:
     twice the shortest, each group one gather padded with -0.0 and
     summed by ``np.add.accumulate`` in ascending source order."""
     n = learning.num_agents
-    sources = [sorted(learning.senders(i).tolist() + [i]) for i in range(1, n + 1)]
+    sources = [sorted(senders(learning, i).tolist() + [i]) for i in range(1, n + 1)]
     order = sorted(range(n), key=lambda a: -len(sources[a]))
     groups, start = [], 0
     while start < n:

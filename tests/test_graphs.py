@@ -14,6 +14,8 @@ from dirmarl.graphs import (
 from dirmarl.learner import MessageBus
 from dirmarl.validation import make_synthetic
 from helpers import (
+    ascending_column_sum,
+    assert_local_sums_are_reach_sums,
     brute_force_learning_edges,
     closed_reach,
     example2_expected_learning_edges,
@@ -21,6 +23,7 @@ from helpers import (
     learning_edge_set,
     nine_agent_graph,
     random_weakly_connected_digraph,
+    senders,
     transitive_closure,
 )
 
@@ -61,7 +64,10 @@ def test_chain_reachability():
     # synthetic term's dependencies), both closed with the agent itself
     g = build_graph(3, [(1, 2), (2, 3)])
     obj = make_synthetic(g, np.random.default_rng(0))
-    assert [obj.reach_closed_sorted(i) for i in g.agents] == [(1, 2, 3), (2, 3), (3,)]
+    batch = np.random.default_rng(1).uniform(-2.0, 2.0, size=(5, obj.total_dim))
+    terms = obj.term_values(batch)
+    for i, reach in zip(g.agents, [(1, 2, 3), (2, 3), (3,)]):
+        assert obj.totals(batch, i).tobytes() == ascending_column_sum(terms, reach).tobytes()
     assert obj.deps == ((1,), (1, 2), (1, 2, 3))
 
 
@@ -69,8 +75,8 @@ def test_chain_learning_graph():
     g = build_graph(3, [(1, 2), (2, 3)])
     lg = derive_learning_graph(g, strongly_connected_components(g))
     assert lg.edges.tolist() == [[2, 1], [3, 1], [3, 2]]
-    assert lg.senders(1).tolist() == [2, 3]
-    assert lg.senders(3).tolist() == []
+    assert senders(lg, 1).tolist() == [2, 3]
+    assert senders(lg, 3).tolist() == []
 
 
 def test_two_cycle_is_single_cluster():
@@ -97,10 +103,11 @@ def test_nine_agent_clusters():
 
 def test_nine_agent_reach_closed():
     obj = make_synthetic(nine_agent_graph(), np.random.default_rng(0))
-    assert obj.reach_closed_sorted(1) == obj.reach_closed_sorted(2) == (1, 2, 7, 8, 9)
-    assert obj.reach_closed_sorted(3) == (3, 4, 7, 8, 9)
-    assert obj.reach_closed_sorted(5) == (5, 6, 7, 8, 9)
-    assert obj.reach_closed_sorted(8) == (7, 8, 9)
+    batch = np.random.default_rng(1).uniform(-2.0, 2.0, size=(5, obj.total_dim))
+    terms = obj.term_values(batch)
+    for i, reach in ((1, (1, 2, 7, 8, 9)), (2, (1, 2, 7, 8, 9)), (3, (3, 4, 7, 8, 9)),
+                     (5, (5, 6, 7, 8, 9)), (8, (7, 8, 9))):
+        assert obj.totals(batch, i).tobytes() == ascending_column_sum(terms, reach).tobytes()
     assert obj.deps[6] == tuple(range(1, 10))
     assert obj.deps[0] == (1, 2)
 
@@ -112,14 +119,6 @@ def test_example2_learning_graph_exact():
     assert art.clusters.num_clusters == 100  # no cycles anywhere
     assert learning_edge_set(art.learning) == example2_expected_learning_edges()
     assert len(art.learning.edges) == 100
-
-
-def test_reach_closed_sorted_is_canonical():
-    # one ascending tuple per agent, built once per instance
-    obj = make_synthetic(nine_agent_graph(), np.random.default_rng(0))
-    assert obj.reach_closed_sorted(2) == (1, 2, 7, 8, 9)
-    assert obj.reach_closed_sorted(7) == (7, 8, 9)
-    assert obj.reach_closed_sorted(2) is obj.reach_closed_sorted(2)
 
 
 def digraph_edges(n: int):
@@ -156,7 +155,7 @@ def test_csr_senders_and_bus_plan_match_brute_force(g):
     assert lg.indptr.shape == (g.num_agents + 1,)
     pairs = set()
     for i in g.agents:
-        row = lg.senders(i).tolist()
+        row = senders(lg, i).tolist()
         assert all(u < v for u, v in zip(row, row[1:])), row  # strictly ascending
         assert i not in row
         pairs |= {(j, i) for j in row}
@@ -222,9 +221,9 @@ def test_synthetic_deps_match_closure_columns(g):
 
 @given(st.one_of(digraphs(), planted_digraphs()))
 @settings(max_examples=150, deadline=None)
-def test_reach_closed_sorted_matches_closure_rows(g):
+def test_local_sums_match_closure_rows(g):
     obj = make_synthetic(g, np.random.default_rng(0))
-    assert [obj.reach_closed_sorted(i) for i in g.agents] == closed_reach(g)
+    assert_local_sums_are_reach_sums(obj, g, np.random.default_rng(1))
 
 
 @given(st.one_of(digraphs(), planted_digraphs()))
@@ -241,9 +240,9 @@ def test_weak_components_match_brute_force(g):
 def test_reach_ancestor_duality(g):
     # j is in i's closed reach exactly when i is in term j's dependencies
     obj = make_synthetic(g, np.random.default_rng(0))
-    for i in g.agents:
+    for i, reach in enumerate(closed_reach(g), 1):
         for j in g.agents:
-            assert (j in obj.reach_closed_sorted(i)) == (i in obj.deps[j - 1])
+            assert (j in reach) == (i in obj.deps[j - 1])
 
 
 @given(digraphs())
@@ -251,9 +250,9 @@ def test_reach_ancestor_duality(g):
 def test_same_cluster_same_closed_reach(g):
     art = build_artifacts(g)
     for c in art.clusters.clusters:
-        base = set(art.learning.senders(c[0]).tolist()) | {c[0]}
+        base = set(senders(art.learning, c[0]).tolist()) | {c[0]}
         for a in c[1:]:
-            assert set(art.learning.senders(a).tolist()) | {a} == base
+            assert set(senders(art.learning, a).tolist()) | {a} == base
 
 
 @given(digraphs())
@@ -292,7 +291,7 @@ def test_strongly_connected_graph_learns_globally():
     assert art.clusters.num_clusters == 1
     assert len(art.learning.edges) == n * (n - 1)
     for i in g.agents:
-        assert set(art.learning.senders(i).tolist()) | {i} == set(g.agents)
+        assert set(senders(art.learning, i).tolist()) | {i} == set(g.agents)
 
 
 def test_large_sparse_graph_scales():
@@ -310,8 +309,8 @@ def test_large_sparse_graph_scales():
     art = build_artifacts(g)
     assert art.clusters.num_clusters == n
     assert len(art.learning.edges) == len(edges)
-    assert art.learning.senders(3).tolist() == [2, 4]
-    assert art.learning.senders(2).tolist() == []
+    assert senders(art.learning, 3).tolist() == [2, 4]
+    assert senders(art.learning, 2).tolist() == []
 
     # Set-up memory is linear in N + |E_L|: on a random recursive tree
     # of 8k agents with 6% back edges (|E_L| about 77k) the artifacts and
@@ -344,7 +343,7 @@ def test_deep_chain_cluster_level_reachability():
     g = build_graph(n, [(i, i + 1) for i in range(1, n)])
     art = build_artifacts(g)
     assert art.clusters.num_clusters == n
-    assert art.learning.senders(1).tolist() == list(range(2, n + 1))
-    assert art.learning.senders(n).tolist() == []
+    assert senders(art.learning, 1).tolist() == list(range(2, n + 1))
+    assert senders(art.learning, n).tolist() == []
     receivers = np.bincount(art.learning.indices, minlength=n)  # rows holding each agent
     assert receivers[0] == 0 and receivers[n - 1] == n - 1

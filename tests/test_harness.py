@@ -882,6 +882,65 @@ def test_read_run_csv_wants_its_magic_line(tmp_path):
         read_run_csv(path)
 
 
+def test_read_run_csv_reads_counts_exactly(tmp_path):
+    # epoch and message counts come from their digit text, not through
+    # doubles: 2**53 + 1 keeps its low bit, and 2**63 or more is an error
+    def rewrite(path, row, col, text):
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        cells = lines[row - 1].split(",")
+        cells[col] = text
+        lines[row - 1] = ",".join(cells)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    path = str(tmp_path / "run.csv")
+    write_run_csv(path, [EpisodeRecord(epoch=k, observed_values=np.ones(2),
+                                       local_values=np.ones(2), global_value=2.0,
+                                       gradient_norms=np.zeros(2), message_count=2)
+                         for k in range(3)], 2)
+    rewrite(path, 4, -1, "9007199254740993")
+    rewrite(path, 5, 0, "9007199254740993")
+    table = read_run_csv(path)
+    assert table.messages.tolist() == [2, 9007199254740993, 2]
+    assert table.epochs.tolist() == [0, 1, 9007199254740993]
+    assert table.messages.dtype == table.epochs.dtype == np.int64
+    for row, col, name in ((4, -1, "messages"), (3, 0, "epoch")):
+        rewrite(path, row, col, "99999999999999999999")
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}:{row}: {name} must be "
+                                             r"below 2\*\*63, got '99999999999999999999'$"):
+            read_run_csv(path)
+    rewrite(path, 4, -1, "9223372036854775807")  # 2**63 - 1, the largest count
+    with pytest.raises(ValueError, match=r":3: epoch must be below 2\*\*63, got "):
+        read_run_csv(path)  # rows are read in file order
+
+    # summarize's message total is an exact int past 2**63
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    _damage_run_csvs(out, lambda lines: lines[:2] + [ln.rpartition(",")[0] + f",{2 ** 62 + 1}"
+                                                     for ln in lines[2:]])
+    assert summarize(out).total_messages["distributed_one_point"] == 6 * (2 ** 62 + 1)
+
+
+def test_read_run_csv_names_a_bad_byte_by_its_file_offset(tmp_path):
+    path = str(tmp_path / "run.csv")
+    rng = np.random.default_rng(3)
+    write_run_csv(path, [EpisodeRecord(epoch=k, observed_values=rng.standard_normal(3),
+                                       local_values=np.zeros(3), global_value=rng.random(),
+                                       gradient_norms=rng.random(3), message_count=6)
+                         for k in range(120)], 3)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    offset = 17278  # past two 8 KB decode chunks
+    assert len(data) > offset
+    data[offset] = 0xff
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} is not UTF-8 text: .* "
+                                         rf"in position {offset}: "):
+        read_run_csv(path)
+
+
 def _assert_reads_like_the_row_loop(path) -> bool:
     """``read_run_csv`` gives ``reference_read_run_csv``'s arrays bit for
     bit, or its error text; True when the file was accepted."""

@@ -31,7 +31,10 @@ from dirmarl.validation import (
 )
 from helpers import (
     SyntheticEvaluator,
+    ascending_reach_sums,
+    assert_local_sums_are_reach_sums,
     bus_links,
+    closed_reach,
     global_noise_std,
     global_value_bound,
     random_weakly_connected_digraph,
@@ -53,13 +56,14 @@ def chain():
 def test_chain_dependency_sets():
     obj = make_synthetic(chain(), np.random.default_rng(0))
     assert obj.deps == ((1,), (1, 2), (1, 2, 3))
-    assert [obj.reach_closed_sorted(i) for i in (1, 2, 3)] == [(1, 2, 3), (2, 3), (3,)]
+    assert_local_sums_are_reach_sums(obj, chain(), np.random.default_rng(1))
 
 
 def test_edgeless_graph_terms_are_private():
-    obj = make_synthetic(build_graph(3, []), np.random.default_rng(0))
+    graph = build_graph(3, [])
+    obj = make_synthetic(graph, np.random.default_rng(0))
     assert obj.deps == ((1,), (2,), (3,))
-    assert [obj.reach_closed_sorted(i) for i in (1, 2, 3)] == [(1,), (2,), (3,)]
+    assert_local_sums_are_reach_sums(obj, graph, np.random.default_rng(2))
     theta = np.random.default_rng(1).normal(size=obj.total_dim)
     g = obj.gradient(theta)
     for i in (1, 2, 3):
@@ -215,7 +219,7 @@ def test_bound_constants_for_the_cosine_family():
     # value bound: local sums stay inside the amplitude budget
     for i in (1, 2, 3):
         cap = obj.local_value_bound(i)
-        amps = [float(obj.amplitudes[j - 1]) for j in obj.reach_closed_sorted(i)]
+        amps = [float(obj.amplitudes[j - 1]) for j in closed_reach(chain())[i - 1]]
         assert cap == pytest.approx(sum(amps), rel=1e-15)
         for _ in range(20):
             theta = rng.uniform(-3.0, 3.0, size=obj.total_dim)
@@ -255,10 +259,10 @@ def test_term_bounds_per_family():
             else:
                 assert values[j] == math.inf
                 assert lipschitz[j] == (norm if family == "abs" else math.inf)
+        want = ascending_reach_sums(graph, np.stack((values, lipschitz)))
         for i in range(1, obj.num_agents + 1):
-            rows = np.asarray(obj.reach_closed_sorted(i)) - 1
-            assert obj.local_value_bound(i) == values[rows].sum()
-            assert obj.local_lipschitz(i) == lipschitz[rows].sum()
+            assert obj.local_value_bound(i) == want[0, i - 1]
+            assert obj.local_lipschitz(i) == want[1, i - 1]
 
 
 def test_synthetic_evaluator_replays_noise():
@@ -552,14 +556,15 @@ def test_oracle_moments_match_the_row_major_reference(family, flavor, scope):
 
 def test_mc_smoothed_gradient_matches_the_row_major_reference():
     rng = np.random.default_rng(33)
-    obj = make_synthetic(random_weakly_connected_digraph(rng, 3, 8), rng, family="cosine")
+    graph = random_weakly_connected_digraph(rng, 3, 8)
+    obj = make_synthetic(graph, rng, family="cosine")
     theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
     ref_rng = np.random.default_rng()
     ref_rng.bit_generator.state = rng.bit_generator.state
     got = mc_smoothed_gradient(lambda t: obj.totals(t, 1), theta, 0.3, 10_001, rng,
                                batch_size=3000)
     want = reference_mc_smoothed_gradient(
-        lambda t: reference_term_values(obj, t)[:, np.asarray(obj.reach_closed_sorted(1)) - 1]
+        lambda t: reference_term_values(obj, t)[:, np.asarray(closed_reach(graph)[0]) - 1]
         .sum(axis=1),
         theta, 0.3, 10_001, ref_rng, batch_size=3000)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
