@@ -113,7 +113,13 @@ def read_run_csv(path: str) -> RunTable:
     data = _parse_body([ln for _, ln in body], len(header))
     if data is None:
         data = _parse_rows(path, body, header)
-    counts = _read_counts(path, body)
+    counts = []  # epoch and messages exactly, from their digit text
+    for lineno, ln in body:
+        for name, cell in (("epoch", ln.partition(",")[0]), ("messages", ln.rpartition(",")[2])):
+            counts.append(int(cell))
+            if counts[-1] >= 2 ** 63:
+                raise ValueError(f"{path}:{lineno}: {name} must be below 2**63, got {cell!r}")
+    counts = np.array(counts, dtype=np.int64).reshape(-1, 2)
     return RunTable(
         epochs=counts[:, 0],
         values=data[:, 1:1 + n],
@@ -172,18 +178,6 @@ def _parse_rows(path: str, body: list[tuple[int, str]], header: list[str]) -> np
         raise ValueError(f"{path}:{body[r][0]}: {header[c]} must be finite, "
                          f"got {float(data[r, c])!r}")
     return data
-
-
-def _read_counts(path: str, body: list[tuple[int, str]]) -> np.ndarray:
-    """The accepted rows' epoch and message counts, exactly, from their
-    digit text; 2**63 or more is an error that names ``path:line``."""
-    counts = []
-    for lineno, ln in body:
-        for name, cell in (("epoch", ln.partition(",")[0]), ("messages", ln.rpartition(",")[2])):
-            counts.append(int(cell))
-            if counts[-1] >= 2 ** 63:
-                raise ValueError(f"{path}:{lineno}: {name} must be below 2**63, got {cell!r}")
-    return np.array(counts, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

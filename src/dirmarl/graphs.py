@@ -51,10 +51,6 @@ class CoordinationGraph:
         edges.flags.writeable = False
         return edges
 
-    @property
-    def agents(self) -> range:
-        return range(1, self.num_agents + 1)
-
 
 def build_graph(num_agents: int, edges: Iterable[tuple[int, int]]) -> CoordinationGraph:
     """Validate and normalize an edge list into a CoordinationGraph.

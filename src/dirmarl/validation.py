@@ -145,11 +145,19 @@ class SyntheticObjective:
         """Analytic gradient of E[J(theta + delta u)], u standard normal,
         where J is the global sum or agent i's local sum; at ``delta = 0``
         the plain gradient."""
+        if i is not None:
+            return self.local_gradients(theta, delta)[i - 1]
+        return self._term_gradients(theta, delta).sum(axis=0)
+
+    def local_gradients(self, theta: np.ndarray, delta: float = 0.0) -> np.ndarray:
+        """Row i - 1 is ``gradient(theta, delta, i)``, for every agent."""
+        return self.bus.gather(self._term_gradients(theta, delta))
+
+    def _term_gradients(self, theta: np.ndarray, delta: float) -> np.ndarray:
         if delta < 0.0:
             raise ValueError(f"delta must be >= 0, got {delta}")
-        terms = np.stack([self.term_gradient(j, theta, delta)
-                          for j in range(1, self.num_agents + 1)])
-        return terms.sum(axis=0) if i is None else self.bus.gather(terms)[i - 1]
+        return np.stack([self.term_gradient(j, theta, delta)
+                         for j in range(1, self.num_agents + 1)])
 
     # -- known constants ----------------------------------------------
 
@@ -449,6 +457,7 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
     _check_sizes(num_samples, 2, batch_size)
     theta = np.asarray(theta, dtype=float)
     n, d = obj.num_agents, obj.total_dim
+
     def values(observed):
         return feedback(scope, observed, obj.bus.gather(observed))
 
@@ -507,10 +516,10 @@ def _check_block_gradients(rng: np.random.Generator) -> CheckResult:
             for _ in range(20):
                 theta = rng.uniform(-2.0, 2.0, size=obj.total_dim)
                 g = obj.gradient(theta)
+                local = obj.local_gradients(theta)
                 for i in range(1, obj.num_agents + 1):
                     sl = obj.layout.block_slice(i)
-                    gi = obj.gradient(theta, i=i)[sl]
-                    if not np.array_equal(g[sl], gi):
+                    if not np.array_equal(g[sl], local[i - 1, sl]):
                         return CheckResult(
                             "block_gradient_identity", False,
                             f"block {i} of {family} instance differs")

@@ -32,11 +32,16 @@ def transitive_closure(g: CoordinationGraph) -> np.ndarray:
     return r
 
 
+def agents(g: CoordinationGraph) -> range:
+    """The agents of ``g``, 1-based."""
+    return range(1, g.num_agents + 1)
+
+
 def closed_reach(g: CoordinationGraph) -> list[tuple[int, ...]]:
     """Entry i - 1: the agents agent i reaches, itself included,
     ascending, from ``transitive_closure``."""
     closure = transitive_closure(g)
-    return [tuple(j for j in g.agents if j == i or closure[i, j]) for i in g.agents]
+    return [tuple(j for j in agents(g) if j == i or closure[i, j]) for i in agents(g)]
 
 
 def senders(learning, i: int) -> np.ndarray:
@@ -47,7 +52,7 @@ def senders(learning, i: int) -> np.ndarray:
 
 def out_neighbors(g: CoordinationGraph) -> list[list[int]]:
     """Entry i - 1: agent i's out-neighbours, ascending, from ``g.edges``."""
-    out: list[list[int]] = [[] for _ in g.agents]
+    out: list[list[int]] = [[] for _ in agents(g)]
     for i, j in sorted(g.edges):
         out[i - 1].append(j)
     return out
@@ -56,7 +61,7 @@ def out_neighbors(g: CoordinationGraph) -> list[list[int]]:
 def observation_sets(g: CoordinationGraph) -> list[list[int]]:
     """Entry i - 1: agent i's in-neighbours and i itself, ascending,
     from ``g.edges``: the agents whose stock agent i observes."""
-    obs = [[i] for i in g.agents]
+    obs = [[i] for i in agents(g)]
     for i, j in g.edges:
         obs[j - 1].append(i)
     return [sorted(s) for s in obs]
@@ -72,11 +77,11 @@ def ascending_reach_sums(g: CoordinationGraph, values: np.ndarray) -> np.ndarray
     return out
 
 
-def ascending_column_sum(values: np.ndarray, agents) -> np.ndarray:
-    """The running sum, in the order given, of the 1-based columns
-    ``agents`` of a (k, N) array."""
-    acc = values[:, agents[0] - 1]
-    for j in agents[1:]:
+def ascending_column_sum(values: np.ndarray, columns) -> np.ndarray:
+    """The running sum, in the order given, of the 1-based ``columns``
+    of a (k, N) array."""
+    acc = values[:, columns[0] - 1]
+    for j in columns[1:]:
         acc = acc + values[:, j - 1]
     return acc
 
@@ -93,7 +98,7 @@ def assert_local_sums_are_reach_sums(obj, g: CoordinationGraph,
     the ascending sum of the terms of the agents it reaches."""
     batch = rng.uniform(-2.0, 2.0, size=(5, obj.total_dim))
     want = ascending_reach_sums(g, obj.term_values(batch))
-    for i in g.agents:
+    for i in agents(g):
         assert obj.totals(batch, i).tobytes() == want[:, i - 1].tobytes(), i
 
 
@@ -101,7 +106,7 @@ def brute_force_learning_edges(g: CoordinationGraph) -> set[tuple[int, int]]:
     """Expected reward-routing edges: (j, i) for every ordered pair of
     distinct agents with i reaching j."""
     r = transitive_closure(g)
-    return {(j, i) for i in g.agents for j in g.agents if i != j and r[i, j]}
+    return {(j, i) for i in agents(g) for j in agents(g) if i != j and r[i, j]}
 
 
 def learning_edge_set(learning) -> set[tuple[int, int]]:

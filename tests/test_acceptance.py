@@ -28,7 +28,7 @@ from dirmarl.validation import (finite_difference_gradient, make_synthetic,
                                 mc_smoothed_gradient, oracle_moments)
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
-from helpers import (brute_force_learning_edges, bus_links, closed_reach, draw_streams,
+from helpers import (agents, brute_force_learning_edges, bus_links, closed_reach, draw_streams,
                      global_noise_std, global_value_bound, learning_edge_set,
                      random_weakly_connected_digraph)
 
@@ -307,7 +307,7 @@ def test_09_influence_decoupling():
         moved = simulate_rollout(env, policy.bind(bumped), horizon, 1.0,
                                  noise_trace=trace)
         reached = closed_reach(g)[i - 1]
-        for m in g.agents:
+        for m in agents(g):
             if m in reached:
                 continue
             col = m - 1

@@ -14,6 +14,7 @@ from dirmarl.graphs import (
 from dirmarl.learner import MessageBus
 from dirmarl.validation import make_synthetic
 from helpers import (
+    agents,
     ascending_column_sum,
     assert_local_sums_are_reach_sums,
     brute_force_learning_edges,
@@ -66,7 +67,7 @@ def test_chain_reachability():
     obj = make_synthetic(g, np.random.default_rng(0))
     batch = np.random.default_rng(1).uniform(-2.0, 2.0, size=(5, obj.total_dim))
     terms = obj.term_values(batch)
-    for i, reach in zip(g.agents, [(1, 2, 3), (2, 3), (3,)]):
+    for i, reach in zip(agents(g), [(1, 2, 3), (2, 3), (3,)]):
         assert obj.totals(batch, i).tobytes() == ascending_column_sum(terms, reach).tobytes()
     assert obj.deps == ((1,), (1, 2), (1, 2, 3))
 
@@ -154,7 +155,7 @@ def test_csr_senders_and_bus_plan_match_brute_force(g):
     expected = brute_force_learning_edges(g)
     assert lg.indptr.shape == (g.num_agents + 1,)
     pairs = set()
-    for i in g.agents:
+    for i in agents(g):
         row = senders(lg, i).tolist()
         assert all(u < v for u, v in zip(row, row[1:])), row  # strictly ascending
         assert i not in row
@@ -163,7 +164,7 @@ def test_csr_senders_and_bus_plan_match_brute_force(g):
     # the bus plan against one built from the brute-force pairs: each
     # agent's ascending sources (itself included), the first apart
     first, dst, src = [], [], []
-    for i in g.agents:
+    for i in agents(g):
         sources = sorted({j for j, t in expected if t == i} | {i})
         first.append(sources[0] - 1)
         dst += [i - 1] * (len(sources) - 1)
@@ -179,7 +180,7 @@ def test_csr_senders_and_bus_plan_match_brute_force(g):
 def test_clusters_partition_agents(g):
     d = strongly_connected_components(g)
     seen = [a for c in d.clusters for a in c]
-    assert sorted(seen) == list(g.agents)
+    assert sorted(seen) == list(agents(g))
     assert len(seen) == len(set(seen))
     # Ordered by smallest member, members ascending.
     mins = [c[0] for c in d.clusters]
@@ -195,8 +196,8 @@ def test_clusters_match_closure_equivalence(g):
     d = strongly_connected_components(g)
     cluster_of = {a: k for k, c in enumerate(d.clusters) for a in c}
     r = transitive_closure(g)
-    for i in g.agents:
-        for j in g.agents:
+    for i in agents(g):
+        for j in agents(g):
             same = cluster_of[i] == cluster_of[j]
             mutual = i == j or (r[i, j] and r[j, i])
             assert same == mutual
@@ -215,8 +216,8 @@ def test_synthetic_deps_match_closure_columns(g):
     # term j reads the blocks of j and of every agent that reaches j
     r = transitive_closure(g)
     obj = make_synthetic(g, np.random.default_rng(0))
-    for j in g.agents:
-        assert obj.deps[j - 1] == tuple(i for i in g.agents if i == j or r[i, j])
+    for j in agents(g):
+        assert obj.deps[j - 1] == tuple(i for i in agents(g) if i == j or r[i, j])
 
 
 @given(st.one_of(digraphs(), planted_digraphs()))
@@ -231,7 +232,7 @@ def test_local_sums_match_closure_rows(g):
 def test_weak_components_match_brute_force(g):
     # components of the symmetrised graph: i's is i plus all it reaches there
     r = transitive_closure(build_graph(g.num_agents, g.edges | {(j, i) for i, j in g.edges}))
-    expected = {tuple(j for j in g.agents if j == i or r[i, j]) for i in g.agents}
+    expected = {tuple(j for j in agents(g) if j == i or r[i, j]) for i in agents(g)}
     assert check_weak_connectivity(g) == tuple(sorted(expected))
 
 
@@ -241,7 +242,7 @@ def test_reach_ancestor_duality(g):
     # j is in i's closed reach exactly when i is in term j's dependencies
     obj = make_synthetic(g, np.random.default_rng(0))
     for i, reach in enumerate(closed_reach(g), 1):
-        for j in g.agents:
+        for j in agents(g):
             assert (j in reach) == (i in obj.deps[j - 1])
 
 
@@ -290,8 +291,8 @@ def test_strongly_connected_graph_learns_globally():
     art = build_artifacts(g)
     assert art.clusters.num_clusters == 1
     assert len(art.learning.edges) == n * (n - 1)
-    for i in g.agents:
-        assert set(senders(art.learning, i).tolist()) | {i} == set(g.agents)
+    for i in agents(g):
+        assert set(senders(art.learning, i).tolist()) | {i} == set(agents(g))
 
 
 def test_large_sparse_graph_scales():

@@ -7,6 +7,7 @@ from dirmarl.policy import BlockLayout, NonFiniteScores, RbfPolicy
 from helpers import (
     SPECIAL_VALUES,
     agent_centers,
+    agents,
     make_centers,
     nine_agent_graph,
     observation_sets,
@@ -162,7 +163,7 @@ def test_act_matrix_matches_per_agent_path():
         bound = pol.bind(rng.normal(scale=0.4, size=pol.layout.total_dim))
         obs = [rng.uniform(-1, 2, size=d) for d in pol.obs_dims]
         rows = agent_rows(pol, bound.act_matrix(np.concatenate(obs)))
-        for i in g.agents:
+        for i in agents(g):
             row = rows[i - 1]
             assert np.allclose(row, per_agent_allocation(pol, bound.flat, i, obs[i - 1]),
                                rtol=1e-12, atol=1e-14)
@@ -191,7 +192,7 @@ def graph_with_hub(rng: np.random.Generator):
     sums would add with 8 interleaved accumulators, not as a left fold."""
     g = random_weakly_connected_digraph(rng, 9, 14)
     hub = int(rng.integers(1, g.num_agents + 1))
-    others = [j for j in g.agents if j != hub]
+    others = [j for j in agents(g) if j != hub]
     picked = rng.choice(others, size=int(rng.integers(8, len(others) + 1)), replace=False)
     return build_graph(g.num_agents, set(g.edges) | {(hub, int(j)) for j in picked})
 
@@ -254,7 +255,7 @@ def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel, hub):
     else:
         sizes = [len(s) for s in observation_sets(base)]
         b = int(np.argmax(sizes)) + 1 if rng.random() < 0.5 else int(rng.integers(1, n + 1))
-        unseen = [a for a in base.agents if a not in observation_sets(base)[b - 1]]
+        unseen = [a for a in agents(base) if a not in observation_sets(base)[b - 1]]
         assume(unseen)
         sources = rng.choice(unseen, size=int(rng.integers(1, min(len(unseen), 4) + 1)),
                              replace=False)

@@ -139,6 +139,7 @@ def test_block_gradients_of_global_and_local_sums_coincide(seed, family):
     obj = make_synthetic(graph, rng, family=family)
     theta = rng.uniform(-2.0, 2.0, size=obj.total_dim)
     g = obj.gradient(theta)
+    local = obj.local_gradients(theta, 0.3)
     for i in range(1, obj.num_agents + 1):
         sl = obj.layout.block_slice(i)
         assert np.array_equal(g[sl], obj.gradient(theta, i=i)[sl])
@@ -146,6 +147,7 @@ def test_block_gradients_of_global_and_local_sums_coincide(seed, family):
         sgl = smoothed_local_gradient(obj, i, theta, 0.3)
         assert np.array_equal(sg[sl], sgl[sl])
         assert np.array_equal(obj.gradient(theta, 0.3, i), sgl)
+        assert np.array_equal(local[i - 1], sgl)
 
 
 # -- values, gradients, smoothing -------------------------------------
