@@ -201,9 +201,8 @@ class RunSummary:
 
     def tail_std(self, algorithm: str) -> float:
         """Cross-repeat std of the global value averaged over the last
-        ``TAIL_WINDOW`` epochs."""
-        w = min(TAIL_WINDOW, self.num_epochs)
-        return float(self.std_value[algorithm][-w:].mean())
+        ``TAIL_WINDOW`` epochs (all of them in a shorter run)."""
+        return float(self.std_value[algorithm][-TAIL_WINDOW:].mean())
 
     def variance_table(self) -> dict:
         """Distributed versus centralized tail std per oracle flavor,

@@ -41,7 +41,9 @@ def sample_perturbation(layout: BlockLayout, rng: np.random.Generator) -> np.nda
     return rng.standard_normal(layout.total_dim)
 
 
-def _scaled(values: np.ndarray, u: np.ndarray, delta: float, layout: BlockLayout) -> np.ndarray:
+def one_point(values: np.ndarray, u: np.ndarray, delta: float,
+              layout: BlockLayout) -> np.ndarray:
+    """g_i = (V_i / delta) u_i from a single perturbed evaluation."""
     values = np.asarray(values, dtype=float)
     u = np.asarray(u, dtype=float)
     if delta == 0.0:
@@ -52,12 +54,6 @@ def _scaled(values: np.ndarray, u: np.ndarray, delta: float, layout: BlockLayout
         raise ValueError(f"perturbation has shape {u.shape}, layout and values expect "
                          f"{(layout.total_dim,) + values.shape[1:]}")
     return layout.expand(values / delta) * u
-
-
-def one_point(values: np.ndarray, u: np.ndarray, delta: float,
-              layout: BlockLayout) -> np.ndarray:
-    """g_i = (V_i / delta) u_i from a single perturbed evaluation."""
-    return _scaled(values, u, delta, layout)
 
 
 def two_point(values_perturbed: np.ndarray, values_base: np.ndarray, u: np.ndarray,
@@ -78,11 +74,11 @@ def residual(values_perturbed: np.ndarray, values_previous: np.ndarray, u: np.nd
 
 def _difference(values: np.ndarray, reference: np.ndarray, u: np.ndarray, delta: float,
                 layout: BlockLayout, what: str) -> np.ndarray:
-    """Two-point and residual: ``_scaled`` on values minus reference."""
+    """Two-point and residual: ``one_point`` on values minus reference."""
     values, reference = np.asarray(values, dtype=float), np.asarray(reference, dtype=float)
     if values.shape != reference.shape:
         raise ValueError(f"{what} have mismatched shapes {values.shape} vs {reference.shape}")
-    return _scaled(values - reference, u, delta, layout)
+    return one_point(values - reference, u, delta, layout)
 
 
 def one_point_second_moment_bound(value_bound: float, sigma_hat: float,

@@ -106,9 +106,6 @@ class SyntheticObjective:
                 out[j] = self.offsets[j] - w @ np.abs(x, out=x)
         return out
 
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        return self.term_values(theta)[0]
-
     def totals(self, thetas: np.ndarray, i: int | None = None) -> np.ndarray:
         """Noise-free sums over a (M, d) batch, shape (M,): the global
         sum, or agent i's local sum."""
@@ -262,11 +259,11 @@ def dependency_violations(obj: SyntheticObjective, rng: np.random.Generator,
     bad = []
     for _ in range(trials):
         theta = rng.uniform(-2.0, 2.0, size=obj.total_dim)
-        base = obj.values(theta)
+        base = obj.term_values(theta)[0]
         for k in range(1, obj.num_agents + 1):
             shifted = theta.copy()
             shifted[obj.layout.block_slice(k)] += rng.uniform(0.5, 1.5)
-            moved = obj.values(shifted) != base
+            moved = obj.term_values(shifted)[0] != base
             for i in range(1, obj.num_agents + 1):
                 if moved[i - 1] and k not in obj.deps[i - 1]:
                     bad.append((i, k))

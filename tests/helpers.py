@@ -497,7 +497,7 @@ class SyntheticEvaluator:
         return rng.standard_normal(self.num_agents) * self.objective.noise_std
 
     def evaluate(self, theta: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return self.objective.values(theta) + noise
+        return self.objective.term_values(theta)[0] + noise
 
 
 def draw_streams(evaluator, epochs: int, rng: np.random.Generator) -> tuple[list, list]:

@@ -128,6 +128,13 @@ def test_exchange_values_recompute_exactly():
         want = np.stack([ascending_reach_sums(graph, values[:, c][None])[0]
                          for c in range(values.shape[1])], axis=1)
         assert hat.tobytes() == want.tobytes()
+        # wide payloads, just below and at the width where gather adds whole rows
+        for shape in ((graph.num_agents, bus.ROW_ADD_WIDTH - 1),
+                      (graph.num_agents, 2, bus.ROW_ADD_WIDTH // 2)):
+            values = rng.standard_normal(shape)
+            values[rng.random(shape) < 0.1] = -0.0
+            want = ascending_reach_sums(graph, values.reshape(graph.num_agents, -1).T).T
+            assert bus.gather(values).tobytes() == want.reshape(shape).tobytes()
         assert bus.episodes_completed == 2  # gather runs no exchange
 
 

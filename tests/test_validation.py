@@ -13,7 +13,7 @@ import dirmarl.oracles
 import dirmarl.validation
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import MessageBus
-from dirmarl.oracles import _scaled
+from dirmarl.oracles import one_point
 from dirmarl.policy import BlockLayout
 from dirmarl.validation import (
     FAMILIES,
@@ -157,7 +157,7 @@ def test_local_totals_sum_the_assembly_terms():
     rng = np.random.default_rng(5)
     obj = make_synthetic(chain(), rng, family="cosine")
     theta = rng.normal(size=obj.total_dim)
-    v = obj.values(theta)
+    v = obj.term_values(theta)[0]
     assert obj.totals(theta, 1)[0] == pytest.approx(v.sum(), rel=1e-15)
     assert obj.totals(theta, 3)[0] == v[2]
     assert obj.totals(theta)[0] == pytest.approx(float(v.sum()), rel=1e-15)
@@ -277,7 +277,7 @@ def test_synthetic_evaluator_replays_noise():
     a = ev.evaluate(theta, noise)
     b = ev.evaluate(theta, noise)
     assert np.array_equal(a, b)
-    np.testing.assert_allclose(a - obj.values(theta), noise, rtol=1e-12)
+    np.testing.assert_allclose(a - obj.term_values(theta)[0], noise, rtol=1e-12)
     silent = SyntheticEvaluator(make_synthetic(chain(), rng))
     assert np.all(silent.draw_noise(rng) == 0.0)
 
@@ -510,7 +510,7 @@ def test_term_values_match_the_row_major_reference():
             np.testing.assert_allclose(obj.term_values(batch),
                                        reference_term_values(obj, batch),
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(obj.values(batch[0]),
+            np.testing.assert_allclose(obj.term_values(batch[0])[0],
                                        reference_term_values(obj, batch[0])[0],
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(obj.totals(batch),
@@ -666,13 +666,13 @@ def test_oracle_moments_reach_the_estimators_through_the_learner(monkeypatch):
 
 
 def _reversed_difference(values_perturbed, values_base, u, delta, layout):
-    return _scaled(np.asarray(values_base, dtype=float)
-                   - np.asarray(values_perturbed, dtype=float), u, delta, layout)
+    return one_point(np.asarray(values_base, dtype=float)
+                     - np.asarray(values_perturbed, dtype=float), u, delta, layout)
 
 
 def _added_baseline(values_perturbed, values_base, u, delta, layout):
-    return _scaled(np.asarray(values_perturbed, dtype=float)
-                   + np.asarray(values_base, dtype=float), u, delta, layout)
+    return one_point(np.asarray(values_perturbed, dtype=float)
+                     + np.asarray(values_base, dtype=float), u, delta, layout)
 
 
 def _check(results, name):
