@@ -145,8 +145,9 @@ def _parse_body(body: list[str], columns: int) -> np.ndarray | None:
     for ln in body:  # the epoch and message tests of the row loop, per row
         if not (ln.partition(",")[0].isdigit() and ln.rpartition(",")[2].isdigit()):
             return None
-        if any(c in ln for c in _NOT_FLOAT_BLANKS):
-            return None
+    joined = "".join(body)
+    if any(c in joined for c in _NOT_FLOAT_BLANKS):
+        return None
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:

@@ -119,6 +119,8 @@ class SyntheticObjective:
         ``delta`` in closed form, embedded in the flat space.  At
         ``delta = 0`` it is the plain gradient; for the abs family that
         is the sign subgradient (zero at kinks)."""
+        if delta < 0.0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
         theta = np.asarray(theta, dtype=float)
         g = np.zeros(self.total_dim)
         x = theta[self.gather[j - 1]]
@@ -151,8 +153,6 @@ class SyntheticObjective:
         return self.bus.gather(self._term_gradients(theta, delta))
 
     def _term_gradients(self, theta: np.ndarray, delta: float) -> np.ndarray:
-        if delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
         return np.stack([self.term_gradient(j, theta, delta)
                          for j in range(1, self.num_agents + 1)])
 

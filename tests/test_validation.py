@@ -213,6 +213,8 @@ def test_smoothing_at_zero_radius_is_the_plain_objective():
                                    obj.gradient(theta), rtol=1e-12)
     with pytest.raises(ValueError, match="delta"):
         obj.gradient(theta, -0.1)
+    with pytest.raises(ValueError, match="delta"):
+        obj.term_gradient(1, theta, -0.1)  # a negative radius would flip the abs slope
 
 
 def test_bound_constants_for_the_cosine_family():
