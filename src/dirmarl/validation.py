@@ -110,7 +110,8 @@ class SyntheticObjective:
         """Noise-free sums over a (M, d) batch, shape (M,): the global
         sum, or agent i's local sum."""
         rows = self._term_rows(_coordinate_major(thetas))
-        return rows.sum(axis=0) if i is None else self.bus.gather(rows)[i - 1]
+        # a copy of agent i's row: a view would keep every agent's sums alive
+        return rows.sum(axis=0) if i is None else self.bus.gather(rows)[i - 1].copy()
 
     # -- gradients ----------------------------------------------------
 
