@@ -97,10 +97,14 @@ def read_run_csv(path: str) -> RunTable:
     reads (underscores, non-ASCII digits)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()  # one decode: an error's position is the file's
+            lines = [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # whole, to name the offset in the file, not the chunk
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
-    lines = text.removesuffix("\n").split("\n")
     if len(lines) < 2 or lines[0] != CSV_MAGIC:
         raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
                          "and a header)")

@@ -74,7 +74,6 @@ def residual(values_perturbed: np.ndarray, values_previous: np.ndarray, u: np.nd
 
 def _difference(values: np.ndarray, reference: np.ndarray, u: np.ndarray, delta: float,
                 layout: BlockLayout, what: str) -> np.ndarray:
-    """Two-point and residual: ``one_point`` on values minus reference."""
     values, reference = np.asarray(values, dtype=float), np.asarray(reference, dtype=float)
     if values.shape != reference.shape:
         raise ValueError(f"{what} have mismatched shapes {values.shape} vs {reference.shape}")

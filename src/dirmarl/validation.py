@@ -108,9 +108,8 @@ class SyntheticObjective:
 
     def totals(self, thetas: np.ndarray, i: int | None = None) -> np.ndarray:
         """Noise-free sums over a (M, d) batch, shape (M,): the global
-        sum, or agent i's local sum."""
+        sum, or agent i's local sum (a copy: a view keeps all N alive)."""
         rows = self._term_rows(_coordinate_major(thetas))
-        # a copy of agent i's row: a view would keep every agent's sums alive
         return rows.sum(axis=0) if i is None else self.bus.gather(rows)[i - 1].copy()
 
     # -- gradients ----------------------------------------------------
@@ -145,9 +144,8 @@ class SyntheticObjective:
         """Analytic gradient of E[J(theta + delta u)], u standard normal,
         where J is the global sum or agent i's local sum; at ``delta = 0``
         the plain gradient."""
-        if i is not None:
-            return self.local_gradients(theta, delta)[i - 1]
-        return self._term_gradients(theta, delta).sum(axis=0)
+        terms = self._term_gradients(theta, delta)
+        return terms.sum(axis=0) if i is None else self.bus.gather(terms)[i - 1]
 
     def local_gradients(self, theta: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """Row i - 1 is ``gradient(theta, delta, i)``, for every agent."""
