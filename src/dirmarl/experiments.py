@@ -99,7 +99,7 @@ def read_run_csv(path: str) -> RunTable:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:  # whole, to name the offset in the file, not the chunk
+        with open(path, "rb") as fh:  # decoded whole, its error gives the file offset
             try:
                 fh.read().decode("utf-8")
             except UnicodeDecodeError as whole:
