@@ -22,6 +22,9 @@ ids, and one entry per (workload, seed) holding, per end-to-end metric,
 each side's median, quartiles, IQR and pair wins.  An existing file for
 the same two commits gains the entry (replacing one for the same
 workload and seed), so one file can hold several workloads.
+
+Stopped with SIGTERM or Ctrl-C, it kills the running benchmark and
+removes both exports before it exits.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -102,6 +106,10 @@ def write_json(path: str, machine: dict, commits: dict, entry: dict) -> None:
         fh.write("\n")
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev_a")
@@ -114,6 +122,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
+    # SIGTERM unwinds like an exception: subprocess.run kills the running
+    # benchmark child and both exports are removed on the way out.
+    signal.signal(signal.SIGTERM, _terminate)
     machine: dict = {}
     commits = {}
     with tempfile.TemporaryDirectory() as dir_a, tempfile.TemporaryDirectory() as dir_b:

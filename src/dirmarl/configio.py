@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 
 from .graphs import CoordinationGraph, build_graph, check_weak_connectivity
-from .learner import ALGORITHMS
+from .oracles import ALGORITHMS
 from .policy import KERNELS
 from .warehouse import WarehouseConfig, WarehouseEnv
 

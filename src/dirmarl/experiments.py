@@ -30,14 +30,13 @@ import numpy as np
 from .configio import ExperimentConfig
 from .graphs import build_artifacts
 from .learner import (
-    ALGORITHMS,
     MessageBus,
     TrainingDiverged,
     WarehouseEvaluator,
     parse_algorithm,
     train,
 )
-from .oracles import sample_perturbation
+from .oracles import ALGORITHMS, sample_perturbation
 from .policy import NonFiniteScores, RbfPolicy
 from .warehouse import RolloutError, WarehouseEnv
 

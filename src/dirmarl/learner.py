@@ -37,21 +37,12 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import LearningGraph
-from .oracles import FLAVORS, SCOPES, one_point, residual, two_point
+from .oracles import ALGORITHMS, FLAVORS, SCOPES, one_point, residual, two_point
 # The episode path draws nothing; perfbench/tracing.py still wraps this
 # name here, and tests/test_trace_targets.py fails on a missing target.
 from .oracles import sample_perturbation  # noqa: F401
 from .policy import BlockLayout, RbfPolicy
 from .warehouse import WarehouseEnv, simulate_rollout
-
-ALGORITHMS = (
-    "distributed_one_point",
-    "centralized_one_point",
-    "distributed_two_point",
-    "centralized_two_point",
-    "distributed_residual",
-    "centralized_residual",
-)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from .policy import BlockLayout
 
 FLAVORS = ("one_point", "two_point", "residual")
 SCOPES = ("distributed", "centralized")
+# Every (scope, flavor) pair as "<scope>_<flavor>", flavor-major.
+ALGORITHMS = tuple(f"{s}_{f}" for f in FLAVORS for s in SCOPES)
 
 
 def sample_perturbation(layout: BlockLayout, rng: np.random.Generator) -> np.ndarray:

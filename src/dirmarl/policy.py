@@ -42,6 +42,14 @@ class BlockLayout:
 
     dims: tuple[int, ...]
 
+    def __post_init__(self):
+        # A block below 1 would make ``block_norms`` (np.add.reduceat)
+        # hand the empty block its successor's first entry.
+        if min(self.dims, default=1) < 1:
+            i = next(i for i, d in enumerate(self.dims, 1) if d < 1)
+            raise ValueError(f"block {i} has dimension {self.dims[i - 1]}; "
+                             "every block needs at least 1")
+
     @cached_property
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.dims)]).astype(np.intp)

@@ -80,6 +80,15 @@ def test_block_norms_match_per_block():
     assert np.allclose(norms, [5.0, 3.0, 7.0])
 
 
+def test_block_below_one_is_rejected():
+    # np.add.reduceat would hand an empty block its successor's entry:
+    # block_norms([3, 4, 0]) read [3, 4, 4] for dims (1, 0, 2).
+    for dims, bad in (((1, 0, 2), "block 2 has dimension 0"),
+                      ((-1, 3), "block 1 has dimension -1")):
+        with pytest.raises(ValueError, match=bad):
+            BlockLayout(dims)
+
+
 def agent_rows(pol: RbfPolicy, alloc: np.ndarray) -> list[np.ndarray]:
     """The compact (K,) allocation cut into one row per agent."""
     assert alloc.shape == pol.slot_agent.shape

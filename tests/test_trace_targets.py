@@ -13,6 +13,7 @@ import os
 import sys
 
 import dirmarl
+import dirmarl.experiments
 import dirmarl.learner
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -23,14 +24,17 @@ import tracing  # noqa: E402
 
 def test_every_trace_target_exists():
     original = dirmarl.learner.simulate_rollout
+    entry = dirmarl.experiments.run_experiment  # dirmarl.run_experiment loads lazily
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert tracer.absent == []
         assert dirmarl.learner.simulate_rollout is not original
+        assert dirmarl.run_experiment is not entry
     finally:
         tracer.uninstall()
     assert dirmarl.learner.simulate_rollout is original
+    assert dirmarl.run_experiment is entry
 
 
 def test_battery_trace_self_check_passes():

@@ -125,6 +125,8 @@ def test_make_synthetic_validates_inputs():
         make_synthetic(chain(), rng, family="cubic")
     with pytest.raises(ValueError, match="block dims"):
         make_synthetic(chain(), rng, block_dims=(1, 2))
+    with pytest.raises(ValueError, match="block 2 has dimension 0"):
+        make_synthetic(chain(), rng, block_dims=(1, 0, 2))
     with pytest.raises(ValueError, match="noise_std"):
         make_synthetic(chain(), rng, noise_std=(0.1, 0.1))
     with pytest.raises(ValueError, match="noise_std"):
