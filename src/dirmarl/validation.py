@@ -276,14 +276,13 @@ def dependency_violations(obj: SyntheticObjective, rng: np.random.Generator,
 class MomentEstimate:
     """Sample moments of a vector estimator.  ``mean`` carries the
     per-coordinate sample mean with its standard errors; the second
-    moment is E||g||^2 overall and per block when a layout was given.
-    Standard errors come from the sample variance, never assumptions."""
+    moment E||g_i||^2 is given per block when a layout was, and the
+    overall one is their sum.  Standard errors come from the sample
+    variance, never assumptions."""
 
     sample_count: int
     mean: np.ndarray
     standard_errors: np.ndarray
-    second_moment: float
-    second_moment_stderr: float
     block_second_moments: np.ndarray | None = None
     block_second_moment_stderrs: np.ndarray | None = None
 
@@ -293,8 +292,6 @@ class _MomentAccumulator:
         self.count = 0
         self.sum = np.zeros(dim)
         self.sumsq = np.zeros(dim)
-        self.n2_sum = 0.0
-        self.n4_sum = 0.0
         self.blocks = None if num_blocks is None else np.zeros(num_blocks)
         self.blocks_sq = None if num_blocks is None else np.zeros(num_blocks)
 
@@ -305,9 +302,6 @@ class _MomentAccumulator:
         self.count += g.shape[1]
         self.sum += g.sum(axis=1)
         self.sumsq += gg.sum(axis=1)
-        n2 = gg.sum(axis=0)
-        self.n2_sum += float(n2.sum())
-        self.n4_sum += float(n2 @ n2)
         if self.blocks is not None:
             self.blocks += block_sq.sum(axis=1)
             self.blocks_sq += (block_sq * block_sq).sum(axis=1)
@@ -316,14 +310,12 @@ class _MomentAccumulator:
         m = self.count
         mean = self.sum / m
         var = np.maximum(self.sumsq / m - mean ** 2, 0.0) * (m / (m - 1))
-        sm = self.n2_sum / m
-        sm_var = max(self.n4_sum / m - sm ** 2, 0.0) * (m / (m - 1))
         bm = bse = None
         if self.blocks is not None:
             bm = self.blocks / m
             bvar = np.maximum(self.blocks_sq / m - bm ** 2, 0.0) * (m / (m - 1))
             bse = np.sqrt(bvar / m)
-        return MomentEstimate(m, mean, np.sqrt(var / m), sm, math.sqrt(sm_var / m), bm, bse)
+        return MomentEstimate(m, mean, np.sqrt(var / m), bm, bse)
 
 
 def _check_sizes(num_samples: int, minimum: int, batch_size: int) -> None:
@@ -348,10 +340,16 @@ def _mc_batches(f, theta: np.ndarray, delta: float, num_samples: int,
                 rng: np.random.Generator, batch_size: int):
     """``num_samples`` standard-normal probes u, drawn as (m, d) batches
     of at most ``batch_size``; each batch is yielded as a fresh
-    coordinate-major (d, m) copy of u with the values f(theta + delta u)."""
+    coordinate-major (d, m) copy of u with the values f(theta + delta u).
+    The points are built coordinate-major too, and ``f`` gets their
+    (m, d) transpose view, so each coordinate's m values lie in one row."""
+    center = theta[:, None]
     for start in range(0, num_samples, batch_size):
         u = rng.standard_normal((min(batch_size, num_samples - start), theta.size))
-        vals = _checked_values(f, theta + delta * u)
+        points = np.multiply(u.T, delta, out=np.empty(u.shape[::-1]))
+        points += center
+        vals = _checked_values(f, points.T)
+        del points  # not held across the yield
         yield np.ascontiguousarray(u.T), vals
 
 
@@ -458,28 +456,44 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
         return feedback(scope, observed, obj.bus.gather(observed))
 
     # Coordinate-major throughout: each batch's draws are transposed once
-    # to (d, m), so every array below is agent- or coordinate-first with
-    # rows m long.  ``members`` sums squared coordinates into squared
-    # block norms.
+    # to contiguous (d, m) or (n, m) arrays, so every array below is
+    # agent- or coordinate-first with rows m long, and the points and
+    # noisy term values are built in place.  ``members`` sums squared
+    # coordinates into squared block norms.
     owner = np.repeat(np.arange(n), obj.layout.dims)
     members = (owner == np.arange(n)[:, None]).astype(float)
     center = theta[:, None]
     sigma = obj.noise_std[:, None]
     base = obj._term_rows(center) if flavor == "two_point" else None
+
+    def draw(m, rows):
+        # a row-major (m, rows) normal draw as a contiguous (rows, m) array
+        return np.ascontiguousarray(rng.standard_normal((m, rows)).T)
+
+    def noisy_terms(points, noise):
+        # ``points`` holds delta u and ``noise`` the scaled noise
+        points += center
+        tv = obj._term_rows(points)
+        tv += noise
+        return tv
+
     acc = _MomentAccumulator(d, n)
     done = 0
     while done < num_samples:
         m = min(batch_size, num_samples - done)
-        uT = np.ascontiguousarray(rng.standard_normal((m, d)).T)
-        noise = rng.standard_normal((m, n)).T * sigma
-        v = values(obj._term_rows(center + delta * uT) + noise)
+        uT = draw(m, d)
+        noise = draw(m, n)
+        noise *= sigma
+        v = values(noisy_terms(uT * delta, noise))
         reference = None
         if flavor == "two_point":
             reference = values(base + noise)  # common randomness
         elif flavor == "residual":
-            u_prev = rng.standard_normal((m, d)).T
-            noise_prev = rng.standard_normal((m, n)).T * sigma
-            reference = values(obj._term_rows(center + delta * u_prev) + noise_prev)
+            u_prev = draw(m, d)
+            u_prev *= delta
+            noise_prev = draw(m, n)
+            noise_prev *= sigma
+            reference = values(noisy_terms(u_prev, noise_prev))
         g = estimate(cfg, v, reference, uT, obj.layout)
         gg = g * g
         acc.add(g, gg, members @ gg)

@@ -418,9 +418,6 @@ def reference_moment_add(acc, g: np.ndarray, block_sq: np.ndarray | None) -> Non
     acc.count += g.shape[0]
     acc.sum += g.sum(axis=0)
     acc.sumsq += (g * g).sum(axis=0)
-    n2 = (g * g).sum(axis=1)
-    acc.n2_sum += float(n2.sum())
-    acc.n4_sum += float((n2 * n2).sum())
     if acc.blocks is not None:
         acc.blocks += block_sq.sum(axis=0)
         acc.blocks_sq += (block_sq * block_sq).sum(axis=0)
