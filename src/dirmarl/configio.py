@@ -26,12 +26,8 @@ from .oracles import ALGORITHMS
 from .policy import KERNELS
 from .warehouse import WarehouseConfig, WarehouseEnv
 
-DEFAULT_ALGORITHMS = (
-    "distributed_one_point",
-    "centralized_one_point",
-    "distributed_two_point",
-    "centralized_two_point",
-)
+# Every scope's one-point and two-point algorithm, in ALGORITHMS' order.
+DEFAULT_ALGORITHMS = tuple(a for a in ALGORITHMS if not a.endswith("_residual"))
 
 
 class ConfigError(ValueError):

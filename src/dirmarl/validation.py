@@ -336,21 +336,25 @@ def _checked_values(f, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _mc_batches(f, theta: np.ndarray, delta: float, num_samples: int,
-                rng: np.random.Generator, batch_size: int):
-    """``num_samples`` standard-normal probes u, drawn as (m, d) batches
-    of at most ``batch_size``; each batch is yielded as a fresh
-    coordinate-major (d, m) copy of u with the values f(theta + delta u).
-    The points are built coordinate-major too, and ``f`` gets their
-    (m, d) transpose view, so each coordinate's m values lie in one row."""
-    center = theta[:, None]
+def _normal_batches(rng: np.random.Generator, num_samples: int, batch_size: int,
+                    widths: tuple[int, ...]):
+    """The one Monte-Carlo draw rule of the battery: ``num_samples``
+    samples in batches of at most ``batch_size``.  For a batch of m it
+    makes one row-major (m, r) standard-normal draw per width r of
+    ``widths``, in that order, and yields them as a list of C-contiguous
+    coordinate-major (r, m) arrays, fresh and free to overwrite."""
     for start in range(0, num_samples, batch_size):
-        u = rng.standard_normal((min(batch_size, num_samples - start), theta.size))
-        points = np.multiply(u.T, delta, out=np.empty(u.shape[::-1]))
-        points += center
-        vals = _checked_values(f, points.T)
-        del points  # not held across the yield
-        yield np.ascontiguousarray(u.T), vals
+        m = min(batch_size, num_samples - start)
+        yield [np.ascontiguousarray(rng.standard_normal((m, r)).T) for r in widths]
+
+
+def _perturbed(theta: np.ndarray, delta: float, uT: np.ndarray) -> np.ndarray:
+    """The points theta + delta u for (d, m) probes ``uT``, as a fresh
+    C-contiguous (d, m) array; an objective gets its (m, d) transpose
+    view, so each coordinate's m values lie in one row."""
+    points = uT * delta
+    points += theta[:, None]
+    return points
 
 
 def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
@@ -367,9 +371,9 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
         raise ValueError(f"delta must be > 0, got {delta}")
     theta = np.asarray(theta, dtype=float)
     acc = _MomentAccumulator(theta.size, None)
-    for g, vals in _mc_batches(f, theta, delta, num_samples, rng, batch_size):
-        g *= vals / delta
-        acc.add(g, g * g, None)
+    for uT, in _normal_batches(rng, num_samples, batch_size, (theta.size,)):
+        uT *= _checked_values(f, _perturbed(theta, delta, uT).T) / delta
+        acc.add(uT, uT * uT, None)
     return acc.finish()
 
 
@@ -425,7 +429,8 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
         exact = float(_checked_values(f, theta[None, :])[0])
         total = 0.0
         totalsq = 0.0
-        for _, vals in _mc_batches(f, theta, delta, num_samples, rng, batch_size):
+        for uT, in _normal_batches(rng, num_samples, batch_size, (d,)):
+            vals = _checked_values(f, _perturbed(theta, delta, uT).T)
             total += float(vals.sum())
             totalsq += float((vals * vals).sum())
         mean = total / num_samples
@@ -455,49 +460,33 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
     def values(observed):
         return feedback(scope, observed, obj.bus.gather(observed))
 
-    # Coordinate-major throughout: each batch's draws are transposed once
-    # to contiguous (d, m) or (n, m) arrays, so every array below is
-    # agent- or coordinate-first with rows m long, and the points and
-    # noisy term values are built in place.  ``members`` sums squared
-    # coordinates into squared block norms.
+    # Coordinate-major throughout: every array below is agent- or
+    # coordinate-first with rows as long as the batch.  ``members`` sums
+    # squared coordinates into squared block norms.
     owner = np.repeat(np.arange(n), obj.layout.dims)
     members = (owner == np.arange(n)[:, None]).astype(float)
-    center = theta[:, None]
     sigma = obj.noise_std[:, None]
-    base = obj._term_rows(center) if flavor == "two_point" else None
+    base = obj._term_rows(theta[:, None]) if flavor == "two_point" else None
 
-    def draw(m, rows):
-        # a row-major (m, rows) normal draw as a contiguous (rows, m) array
-        return np.ascontiguousarray(rng.standard_normal((m, rows)).T)
-
-    def noisy_terms(points, noise):
-        # ``points`` holds delta u and ``noise`` the scaled noise
-        points += center
-        tv = obj._term_rows(points)
+    def noisy_terms(uT, noise):
+        # term values at theta + delta u plus the noise, scaled in place
+        noise *= sigma
+        tv = obj._term_rows(_perturbed(theta, delta, uT))
         tv += noise
         return tv
 
     acc = _MomentAccumulator(d, n)
-    done = 0
-    while done < num_samples:
-        m = min(batch_size, num_samples - done)
-        uT = draw(m, d)
-        noise = draw(m, n)
-        noise *= sigma
-        v = values(noisy_terms(uT * delta, noise))
+    widths = (d, n, d, n) if flavor == "residual" else (d, n)
+    for uT, noise, *previous in _normal_batches(rng, num_samples, batch_size, widths):
+        v = values(noisy_terms(uT, noise))
         reference = None
         if flavor == "two_point":
             reference = values(base + noise)  # common randomness
         elif flavor == "residual":
-            u_prev = draw(m, d)
-            u_prev *= delta
-            noise_prev = draw(m, n)
-            noise_prev *= sigma
-            reference = values(noisy_terms(u_prev, noise_prev))
+            reference = values(noisy_terms(*previous))
         g = estimate(cfg, v, reference, uT, obj.layout)
         gg = g * g
         acc.add(g, gg, members @ gg)
-        done += m
     return acc.finish()
 
 

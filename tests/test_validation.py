@@ -1,5 +1,6 @@
 """Synthetic objectives, Monte-Carlo estimators, and the claim battery."""
 
+import ast
 import dataclasses
 import hashlib
 import math
@@ -653,6 +654,62 @@ def test_monte_carlo_points_reach_the_terms_coordinate_major(monkeypatch):
         [(obj.total_dim, 1000)] * 2 + [(obj.total_dim, 500)]
         + ([(obj.total_dim, 1000)] * 4 + [(obj.total_dim, 500)] * 2))
     assert all(contiguous for _, contiguous in layouts)
+
+
+class _RecordingGenerator:
+    """Forwards ``standard_normal`` to a real generator and logs each
+    requested shape."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.requests = []
+
+    def standard_normal(self, size):
+        self.requests.append(size)
+        return self.rng.standard_normal(size)
+
+
+def test_every_monte_carlo_loop_draws_in_one_order():
+    # 2,500 samples in batches of 1,000: per batch, the probes u then the
+    # noise, then the previous episode's probes and noise for residual
+    rng = np.random.default_rng(14)
+    obj = make_synthetic(chain(), rng, family="cosine", noise_std=0.1)
+    theta = rng.uniform(-1.0, 1.0, size=obj.total_dim)
+    d, n = obj.total_dim, obj.num_agents
+
+    def requests(run):
+        recorder = _RecordingGenerator(15)
+        run(recorder)
+        return recorder.requests
+
+    def expected(*widths):
+        return [(m, r) for m in (1000, 1000, 500) for r in widths]
+
+    for flavor, widths in (("one_point", (d, n)), ("two_point", (d, n)),
+                           ("residual", (d, n, d, n))):
+        assert requests(lambda g: oracle_moments(
+            obj, theta, 0.3, 2500, g, flavor=flavor, batch_size=1000)) == expected(*widths)
+    assert requests(lambda g: mc_smoothed_gradient(
+        obj.totals, theta, 0.3, 2500, g, batch_size=1000)) == expected(d)
+    assert requests(lambda g: check_smoothing_gap(
+        obj.totals, 1.0, 0.3, theta, 2500, g, batch_size=1000)) == expected(d)
+
+
+def test_validation_has_one_monte_carlo_draw_loop():
+    # Only the draw generator and make_synthetic may call standard_normal;
+    # a call in a nested function counts for its enclosing top-level one.
+    with open(dirmarl.validation.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+
+    def draws(node):
+        return sum(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr == "standard_normal" for call in ast.walk(node))
+
+    tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert {fn.name for fn in tops if draws(fn)} == {"_normal_batches", "make_synthetic"}
+    assert draws(tree) == sum(draws(fn) for fn in tops)  # none outside a function
 
 
 def test_quick_battery_builds_each_demo_graph_once(monkeypatch):
