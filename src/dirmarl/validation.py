@@ -481,7 +481,7 @@ def oracle_moments(obj: SyntheticObjective, theta: np.ndarray, delta: float,
         v = values(noisy_terms(uT, noise))
         reference = None
         if flavor == "two_point":
-            reference = values(base + noise)  # common randomness
+            reference = values(base + noise)  # common randomness: the same scaled noise
         elif flavor == "residual":
             reference = values(noisy_terms(*previous))
         g = estimate(cfg, v, reference, uT, obj.layout)
