@@ -3,9 +3,10 @@
 A config is INI-style text with the sections [graph], [environment],
 [policy], [learner] and [experiment]; ``_KEYS`` lists the keys each may
 hold, with their parsers, and README.md shows them all.  Only [graph]
-is required.  An absent key takes the default of the field it fills on
-``WarehouseConfig``, ``PolicySettings`` or ``ExperimentConfig``, and
-the resolved values are echoed into the run manifest.
+is required.  [environment] fills ``warehouse.WarehouseConfig``,
+[policy] ``policy.PolicySettings``, the rest ``ExperimentConfig``: each
+settings object holds its defaults, which absent keys take, and checks
+itself; this module only parses.  Resolved values go to the manifest.
 
 [graph] holds ``num_agents`` and ``edges`` (``1->2, 2->3``), or
 ``file``: a graph file, relative to the config.  A graph file is
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .graphs import CoordinationGraph, build_graph, check_weak_connectivity
 from .oracles import ALGORITHMS
-from .policy import KERNELS
-from .warehouse import WarehouseConfig, WarehouseEnv
+from .policy import PolicySettings
+from .warehouse import WarehouseConfig
 
 # Every scope's one-point and two-point algorithm, in ALGORITHMS' order.
 DEFAULT_ALGORITHMS = tuple(a for a in ALGORITHMS if not a.endswith("_residual"))
@@ -35,28 +36,9 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class PolicySettings:
-    num_centers: int = 4
-    kernel: str = "squared"
-    stock_range: tuple[float, float] = (-1.0, 2.0)
-    demand_range: tuple[float, float] = (0.0, 0.5)
-
-    def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ConfigError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.num_centers < 1:
-            raise ConfigError(f"num_centers must be >= 1, got {self.num_centers}")
-        for key in ("stock_range", "demand_range"):
-            lo, hi = getattr(self, key)
-            if not lo < hi:
-                raise ConfigError(f"{key} must be an increasing pair lo hi, got {lo} {hi}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs, defaults resolved."""
 
-    graph: CoordinationGraph
     warehouse: WarehouseConfig
     policy: PolicySettings = field(default_factory=PolicySettings)
     delta: float = 0.1
@@ -71,8 +53,6 @@ class ExperimentConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.warehouse.graph is not self.graph:
-            raise ConfigError("graph and warehouse.graph must be the same object")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if not self.algorithms:
@@ -85,9 +65,9 @@ class ExperimentConfig:
             raise ConfigError("algorithms listed twice")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:  # NaN fails every comparison
             raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
         if self.epochs < 1 or self.horizon < 1:
             raise ConfigError(f"epochs and horizon must be >= 1, "
@@ -96,6 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"discount must lie in (0, 1], got {self.discount}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+
+    @property
+    def graph(self) -> CoordinationGraph:
+        return self.warehouse.graph
 
     def echo(self) -> dict:
         """Resolved values as plain data for the run manifest."""
@@ -284,9 +268,7 @@ def load_config(path: str) -> ExperimentConfig:
                                [(f"{path}: edges", e) for e in gkeys["edges"]],
                                f"{path}: [graph]")
     try:
-        warehouse = WarehouseConfig(graph=graph, **values["environment"])
-        WarehouseEnv(warehouse)  # surface range violations here, not mid-run
-        return ExperimentConfig(graph=graph, warehouse=warehouse,
+        return ExperimentConfig(warehouse=WarehouseConfig(graph=graph, **values["environment"]),
                                 policy=PolicySettings(**values["policy"]),
                                 **values["learner"], **values["experiment"])
     except ValueError as exc:

@@ -23,7 +23,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .learner import (
     parse_algorithm,
     train,
 )
-from .oracles import ALGORITHMS, sample_perturbation
+from .oracles import ALGORITHMS, FLAVORS, sample_perturbation
 from .policy import NonFiniteScores, RbfPolicy
 from .warehouse import RolloutError, WarehouseEnv
 
@@ -212,7 +212,7 @@ class RunSummary:
         """Distributed versus centralized tail std per oracle flavor,
         for the flavors where both scopes were run."""
         table = {}
-        for flavor in ("one_point", "two_point", "residual"):
+        for flavor in FLAVORS:
             dist, cent = f"distributed_{flavor}", f"centralized_{flavor}"
             if dist in self.mean_value and cent in self.mean_value:
                 table[flavor] = {"distributed": self.tail_std(dist),
@@ -301,10 +301,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     except OSError as exc:  # a file in the way, or no permission
         raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
     env = WarehouseEnv(cfg.warehouse)
-    policy = RbfPolicy(cfg.graph, num_centers=cfg.policy.num_centers,
-                       stock_range=cfg.policy.stock_range,
-                       demand_range=cfg.policy.demand_range,
-                       kernel=cfg.policy.kernel)
+    policy = RbfPolicy(cfg.graph, **asdict(cfg.policy))
     bus = MessageBus(build_artifacts(cfg.graph).learning)
     ev = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
     layout = policy.layout

@@ -84,6 +84,28 @@ class NonFiniteScores(ValueError):
     parameters are too large for the policy to act on."""
 
 
+@dataclass(frozen=True)
+class PolicySettings:
+    """Centers per slot, their kernel, and the observation box they sit
+    on: ``stock_range`` on each stock coordinate, ``demand_range``."""
+
+    num_centers: int = 4
+    kernel: str = "squared"
+    stock_range: tuple[float, float] = (-1.0, 2.0)
+    demand_range: tuple[float, float] = (0.0, 0.5)
+
+    def __post_init__(self):
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+        if self.num_centers < 1:
+            raise ValueError(f"num_centers must be >= 1, got {self.num_centers}")
+        for key in ("stock_range", "demand_range"):
+            lo, hi = (float(x) for x in getattr(self, key))
+            if not lo < hi:  # NaN fails every comparison
+                raise ValueError(f"{key} must be an increasing pair lo hi, got {lo} {hi}")
+            object.__setattr__(self, key, (lo, hi))
+
+
 class RbfPolicy:
     """Policy family bound to one coordination graph.
 
@@ -91,36 +113,25 @@ class RbfPolicy:
     out-neighbors), and the block layout.  ``bind`` attaches a concrete
     flat parameter vector and yields a policy whose ``act_matrix`` maps
     the compact observation of the whole population to allocations.
+    ``settings`` are keywords of ``PolicySettings``, which checks them.
     """
 
-    def __init__(self, graph: CoordinationGraph, num_centers: int = 4,
-                 stock_range=(-1.0, 2.0), demand_range=(0.0, 0.5),
-                 kernel: str = "squared"):
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    def __init__(self, graph: CoordinationGraph, **settings):
+        s = PolicySettings(**settings)
         self.graph = graph
-        self.num_centers = int(num_centers)
-        self.kernel = kernel
-        self.stock_range = (float(stock_range[0]), float(stock_range[1]))
-        self.demand_range = (float(demand_range[0]), float(demand_range[1]))
+        self.num_centers, self.kernel = s.num_centers, s.kernel
+        self.stock_range, self.demand_range = s.stock_range, s.demand_range
 
         src, dst = graph.edge_array
         n = graph.num_agents
         nc = self.num_centers
         self.obs_dims = np.bincount(dst, minlength=n) + 2
         self.num_slots = np.bincount(src, minlength=n) + 1
-        if nc < 1:
-            raise ValueError(f"num_centers must be >= 1, got {nc}")
         # Centers sit on the diagonal of the observation box, at fractions
         # k/(nc+1), k = 1..nc: column 0 of ``diag`` is every stock
         # coordinate, column 1 the last (demand) coordinate.
         lo = np.array([self.stock_range[0], self.demand_range[0]])
         hi = np.array([self.stock_range[1], self.demand_range[1]])
-        if not np.all(hi > lo):
-            bad = int(np.argmax(~(hi > lo)))
-            dim = 0 if bad == 0 else int(self.obs_dims[0]) - 1  # agent 1's dimension
-            raise ValueError(f"observation range {(lo[bad], hi[bad])} for dimension {dim} "
-                             "is degenerate")
         diag = lo + (np.arange(1, nc + 1, dtype=float) / (nc + 1))[:, None] * (hi - lo)
         self.layout = BlockLayout(tuple((nc * self.num_slots).tolist()))
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .graphs import CoordinationGraph, LearningGraph, build_artifacts, build_graph
 from .learner import LearnerConfig, MessageBus, estimate, feedback
-from .oracles import one_point_second_moment_bound, two_point_second_moment_bound
+from .oracles import FLAVORS, one_point_second_moment_bound, two_point_second_moment_bound
 from .policy import BlockLayout
 
 FAMILIES = ("quadratic", "cosine", "abs")
@@ -571,7 +571,7 @@ def _check_oracle_means(rng: np.random.Generator, num_samples: int) -> CheckResu
     worst = 0.0
     d = obj.total_dim
     limit = d + 3.0 * math.sqrt(2.0 * d)  # joint 3-sigma across coordinates
-    for flavor in ("one_point", "two_point", "residual"):
+    for flavor in FLAVORS:
         est = oracle_moments(obj, theta, delta, num_samples, rng, flavor=flavor)
         z = (est.mean - target) / est.standard_errors
         stat = float((z * z).sum())

@@ -22,7 +22,9 @@ the learner's paired evaluations and the decoupling checks rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +44,34 @@ class WarehouseConfig:
     demand_amplitude: float | Sequence[float] = 0.2
     demand_noise_std: float = 0.1
 
+    def __post_init__(self):
+        if not math.isfinite(self.initial_stock_mean):
+            raise ValueError(f"initial_stock_mean must be finite, got {self.initial_stock_mean}")
+        if not self.initial_stock_jitter >= 0.0:  # NaN fails every comparison
+            raise ValueError(f"initial_stock_jitter must be >= 0, got {self.initial_stock_jitter}")
+        if not math.isfinite(2.0 * self.initial_stock_jitter):  # the span of its uniform draw
+            raise ValueError(f"initial_stock_jitter {self.initial_stock_jitter} is too large: "
+                             "its span 2 * initial_stock_jitter is not a finite number")
+        if not self.demand_noise_std >= 0.0:
+            raise ValueError(f"demand_noise_std must be >= 0, got {self.demand_noise_std}")
+        n, amp = self.graph.num_agents, self.amplitude
+        if amp.shape != (n,):
+            raise ValueError(f"demand_amplitude must be scalar or length {n}, got shape {amp.shape}")
+        floor = self.initial_stock_mean - self.initial_stock_jitter
+        inside = (amp > 0.0) & (amp < floor)
+        if not inside.all():
+            bad = int(np.argmin(inside)) + 1
+            raise ValueError(
+                f"demand amplitude {amp[bad - 1]} for agent {bad} must lie in (0, {floor}): "
+                "demand_amplitude must stay below initial_stock_mean - initial_stock_jitter "
+                "so demand never exceeds the worst-case initial stock")
+
+    @cached_property
+    def amplitude(self) -> np.ndarray:
+        """``demand_amplitude`` as one float per agent."""
+        amp = np.asarray(self.demand_amplitude, dtype=float)
+        return np.full(self.graph.num_agents, float(amp)) if amp.ndim == 0 else amp
+
 
 @dataclass(frozen=True)
 class NoiseTrace:
@@ -56,32 +86,11 @@ class WarehouseEnv:
     """WarehouseConfig plus everything precomputed for fast stepping."""
 
     def __init__(self, config: WarehouseConfig):
-        g = config.graph
-        n = g.num_agents
-        amp = np.asarray(config.demand_amplitude, dtype=float)
-        if amp.ndim == 0:
-            amp = np.full(n, float(amp))
-        if amp.shape != (n,):
-            raise ValueError(f"demand_amplitude must be scalar or length {n}, got shape {amp.shape}")
-        floor = config.initial_stock_mean - config.initial_stock_jitter
-        if np.any(amp <= 0.0) or np.any(amp >= floor):
-            bad = int(np.argmax((amp <= 0.0) | (amp >= floor))) + 1
-            raise ValueError(
-                f"demand amplitude {amp[bad - 1]} for agent {bad} must lie in (0, {floor}): "
-                "demand_amplitude must stay below initial_stock_mean - initial_stock_jitter "
-                "so demand never exceeds the worst-case initial stock")
-        if config.demand_noise_std < 0.0:
-            raise ValueError(f"demand_noise_std must be >= 0, got {config.demand_noise_std}")
-        if config.initial_stock_jitter < 0.0:
-            raise ValueError(f"initial_stock_jitter must be >= 0, got {config.initial_stock_jitter}")
-
-        self.config = config
-        self.graph = g
-        self.num_agents = n
-        self.amplitude = amp
+        self.config, self.graph = config, config.graph
+        n = self.num_agents = config.graph.num_agents
 
         # Edges ordered by (source, target): fixed summation order.
-        src, dst = self._e_src, self._e_dst = g.edge_array
+        src, dst = self._e_src, self._e_dst = config.graph.edge_array
         # Gather index of the compact (S,) observation, S = 2N + E, from
         # concatenate((stocks, demands)): agent by agent, the observed stocks
         # (in-neighbours and the agent itself, ascending), then its demand.
@@ -124,7 +133,7 @@ class WarehouseEnv:
         return self.config.initial_stock_mean + trace.initial_jitter
 
     def demand_row(self, t: int, w_row: np.ndarray) -> np.ndarray:
-        return self.amplitude * (1.0 - np.sin(w_row * t)) + w_row
+        return self.config.amplitude * (1.0 - np.sin(w_row * t)) + w_row
 
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
         """The compact (S,) observation: each agent's observed stocks, then its demand."""

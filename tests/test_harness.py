@@ -4,6 +4,7 @@ layout and determinism, summary statistics, and the command line."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import dirmarl.experiments
 import dirmarl.learner
 from dirmarl.cli import main
-from dirmarl.configio import (_KEYS, ConfigError, ExperimentConfig, PolicySettings,
-                              load_config, load_graph_file, parse_edge_list)
+from dirmarl.configio import (_KEYS, ConfigError, ExperimentConfig, load_config,
+                              load_graph_file, parse_edge_list)
 from dirmarl.experiments import (CSV_MAGIC, read_run_csv, run_experiment,
                                  run_file_name, summarize, write_run_csv)
 from dirmarl.graphs import build_artifacts, build_graph
@@ -222,6 +223,19 @@ def test_inverted_policy_range_is_named(tmp_path, key):
         load_config(equal)
 
 
+@pytest.mark.parametrize("key", ["initial_stock_mean", "initial_stock_jitter",
+                                 "demand_amplitude", "demand_noise_std", "delta", "eta"])
+def test_settings_built_in_code_reject_nan_by_name(key):
+    # NaN fails every comparison, so each check is written to fail on it
+    # too; a file cannot hold NaN, code can
+    warehouse = WarehouseConfig(graph=build_graph(2, [(1, 2)]))
+    with pytest.raises(ValueError, match=key):
+        if key in ("delta", "eta"):
+            ExperimentConfig(warehouse=warehouse, **{key: math.nan})
+        else:
+            replace(warehouse, **{key: math.nan})
+
+
 _FLOAT_KEYS = [("environment", key) for key in (
     "initial_stock_mean", "initial_stock_jitter", "demand_amplitude", "demand_noise_std")] + [
     ("learner", key) for key in ("delta", "eta", "discount")]
@@ -348,14 +362,6 @@ def test_graph_file_resolved_relative_to_config(tmp_path):
     path = write_config(sub, "[graph]\nfile = g.txt\n")
     cfg = load_config(path)
     assert cfg.graph.num_agents == 2
-
-
-def test_config_rejects_mismatched_graph_objects():
-    g1 = build_graph(2, [(1, 2), (2, 1)])
-    g2 = build_graph(2, [(1, 2), (2, 1)])
-    with pytest.raises(ConfigError, match="same object"):
-        ExperimentConfig(graph=g1, warehouse=WarehouseConfig(graph=g2),
-                         policy=PolicySettings())
 
 
 # -- run driver ---------------------------------------------------------
@@ -1103,6 +1109,19 @@ def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {taken}: ")
     assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_run_rejects_a_jitter_whose_span_overflows(tmp_path, capsys):
+    # Each value is finite, but the jitter's uniform draw spans
+    # 2 * initial_stock_jitter, which is not: the config fails at load,
+    # before the run makes its directory
+    out = tmp_path / "out"
+    path = tiny_config(tmp_path, str(out), extra="[environment]\n"
+                       "initial_stock_mean = 1.7e308\ninitial_stock_jitter = 1e308\n")
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: initial_stock_jitter 1e+308 is too large")
+    assert not out.exists()
 
 
 def test_cli_run_bad_repeat_exits_2_and_creates_no_directory(tmp_path, capsys):

@@ -41,6 +41,17 @@ def test_setup_loads_only_the_layers_it_uses():
                                   "dirmarl.policy", "dirmarl.warehouse"]
 
 
+def test_benchmark_setup_runs_on_example1():
+    # The benchmark's own set-up snippet, not a copy: a change to the
+    # calls it makes (load_config, WarehouseEnv, RbfPolicy, cfg.policy)
+    # fails here
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import run as bench
+
+    seconds, scale = bench.measure_setup(os.path.join(ROOT, "configs", "example1.cfg"))
+    assert seconds > 0.0 and scale > 0.0
+
+
 def test_lazy_entry_points_are_the_submodule_functions():
     from dirmarl import run_validation
 

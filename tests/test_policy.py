@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
-from dirmarl.policy import BlockLayout, NonFiniteScores, RbfPolicy
+from dirmarl.policy import BlockLayout, NonFiniteScores, PolicySettings, RbfPolicy
 from helpers import (
     SPECIAL_VALUES,
     agent_centers,
@@ -41,18 +41,22 @@ def test_make_centers_rejects_degenerate_range():
         make_centers([(0.0, 1.0), (1.0, 1.0)], 3)
     with pytest.raises(ValueError, match="num_centers"):
         make_centers([(0.0, 1.0)], 0)
-    # RbfPolicy builds every agent's centers at once and rejects the
-    # same inputs with the message make_centers gives for agent 1
+    # RbfPolicy rejects the same inputs with the message of its
+    # settings, which names the setting
     g = build_graph(3, [(2, 1), (3, 1), (1, 2)])  # agent 1 observes {1, 2, 3}
-    for num_centers, stock, demand in ((0, (-1.0, 2.0), (0.0, 0.5)),
-                                       (3, (1.0, 1.0), (0.0, 0.5)),
-                                       (3, (-1.0, 2.0), (0.5, 0.0)),
-                                       (3, (2.0, -1.0), (0.5, 0.5))):
-        with pytest.raises(ValueError) as want:
+    for num_centers, stock, demand, name in ((0, (-1.0, 2.0), (0.0, 0.5), "num_centers"),
+                                             (3, (1.0, 1.0), (0.0, 0.5), "stock_range"),
+                                             (3, (-1.0, 2.0), (0.5, 0.0), "demand_range"),
+                                             (3, (2.0, -1.0), (0.5, 0.5), "stock_range")):
+        kw = dict(num_centers=num_centers, stock_range=stock, demand_range=demand)
+        with pytest.raises(ValueError):
             make_centers([stock] * 3 + [demand], num_centers)
+        with pytest.raises(ValueError) as want:
+            PolicySettings(**kw)
         with pytest.raises(ValueError) as got:
-            RbfPolicy(g, num_centers=num_centers, stock_range=stock, demand_range=demand)
+            RbfPolicy(g, **kw)
         assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{name} must")
 
 
 def test_block_dimensions_follow_out_degree():
