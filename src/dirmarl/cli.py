@@ -40,6 +40,25 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _print_report(summary) -> None:
+    """The run's report, as ``summary.json`` holds it, one fact a line."""
+    report = summary.report()
+    print(f"epochs: {report['num_epochs']}")
+    for alg in summary.algorithms:
+        row = report["algorithms"].get(alg)
+        if row is None:
+            print(f"{alg}: no completed runs")
+            continue
+        print(f"{alg}: final value {row['final_mean']:.6g} +- {row['final_std']:.3g} "
+              f"over {len(row['repeats'])} repeats, tail std {row['tail_std']:.3g}, "
+              f"{row['total_messages']} messages")
+    for flavor, row in report["variance_table"].items():
+        print(f"variance {flavor}: distributed {row['distributed']:.4g} "
+              f"vs centralized {row['centralized']:.4g}")
+    for alg, r, reason in report["aborted"]:
+        print(f"aborted: {alg} repeat {r}: {reason}")
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -49,31 +68,12 @@ def _cmd_run(args) -> int:
     repeat_indices = args.repeat if args.repeat else None
     summary = run_experiment(cfg, repeat_indices=repeat_indices)
     print(f"wrote {cfg.output_dir}")
-    for alg in summary.algorithms:
-        if alg not in summary.mean_value:
-            print(f"{alg}: no completed runs")
-            continue
-        print(f"{alg}: final value {summary.final_mean(alg):.6g} "
-              f"+- {summary.final_std(alg):.3g} over {len(summary.executed[alg])} repeats, "
-              f"{summary.total_messages[alg]} messages")
-    for alg, r, reason in summary.aborted:
-        print(f"aborted: {alg} repeat {r}: {reason}")
+    _print_report(summary)
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    summary = summarize(args.run_dir)
-    print(f"epochs: {summary.num_epochs}")
-    for alg in summary.algorithms:
-        if alg not in summary.mean_value:
-            print(f"{alg}: no completed runs")
-            continue
-        print(f"{alg}: final value {summary.final_mean(alg):.6g} "
-              f"+- {summary.final_std(alg):.3g}, tail std {summary.tail_std(alg):.3g}")
-    table = summary.variance_table()
-    for flavor, row in table.items():
-        print(f"variance {flavor}: distributed {row['distributed']:.4g} "
-              f"vs centralized {row['centralized']:.4g}")
+    _print_report(summarize(args.run_dir))
     return 0
 
 

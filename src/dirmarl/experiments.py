@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from .configio import ExperimentConfig
 from .graphs import build_artifacts
 from .learner import (
@@ -200,9 +201,6 @@ class RunSummary:
     def final_mean(self, algorithm: str) -> float:
         return float(self.mean_value[algorithm][-1])
 
-    def final_std(self, algorithm: str) -> float:
-        return float(self.std_value[algorithm][-1])
-
     def tail_std(self, algorithm: str) -> float:
         """Cross-repeat std of the global value averaged over the last
         ``TAIL_WINDOW`` epochs (all of them in a shorter run)."""
@@ -218,6 +216,22 @@ class RunSummary:
                 table[flavor] = {"distributed": self.tail_std(dist),
                                  "centralized": self.tail_std(cent)}
         return table
+
+    def report(self) -> dict:
+        """What the run reports, per algorithm with a completed repeat and
+        overall: ``summary.json`` holds it, ``run`` and ``summarize`` print it."""
+        per_alg = {alg: {"final_mean": self.final_mean(alg),
+                         "final_std": float(self.std_value[alg][-1]),
+                         "tail_std": self.tail_std(alg),
+                         "initial_mean": float(self.mean_value[alg][0]),
+                         "total_messages": self.total_messages[alg],
+                         "repeats": list(self.executed[alg])}
+                   for alg in self.algorithms if alg in self.mean_value}
+        return {"format": "dirmarl summary v1",
+                "num_epochs": self.num_epochs,
+                "algorithms": per_alg,
+                "variance_table": self.variance_table(),
+                "aborted": [list(a) for a in self.aborted]}
 
 
 def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
@@ -240,26 +254,6 @@ def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
                       executed, tuple(tuple(a) for a in aborted))
 
 
-def _summary_payload(summary: RunSummary) -> dict:
-    per_alg = {}
-    for alg in summary.algorithms:
-        if alg not in summary.mean_value:
-            continue
-        per_alg[alg] = {
-            "final_mean": summary.final_mean(alg),
-            "final_std": summary.final_std(alg),
-            "tail_std": summary.tail_std(alg),
-            "initial_mean": float(summary.mean_value[alg][0]),
-            "total_messages": summary.total_messages[alg],
-            "repeats": list(summary.executed[alg]),
-        }
-    return {"format": "dirmarl summary v1",
-            "num_epochs": summary.num_epochs,
-            "algorithms": per_alg,
-            "variance_table": summary.variance_table(),
-            "aborted": [list(a) for a in summary.aborted]}
-
-
 def write_summary(out_dir: str, summary: RunSummary) -> None:
     lines = ["algorithm,epoch,mean_value,std_value"]
     for alg in summary.algorithms:
@@ -271,7 +265,7 @@ def write_summary(out_dir: str, summary: RunSummary) -> None:
               newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(_summary_payload(summary), fh, indent=2, sort_keys=True)
+        json.dump(summary.report(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -319,8 +313,13 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         pert_seq, noise_seq = children[r].spawn(2)
         pert_rng = np.random.default_rng(pert_seq)
         noise_rng = np.random.default_rng(noise_seq)
-        perturbations = [sample_perturbation(layout, pert_rng) for _ in range(cfg.epochs)]
-        traces = [env.draw_noise_trace(cfg.horizon, noise_rng) for _ in range(cfg.epochs)]
+        try:
+            perturbations = [sample_perturbation(layout, pert_rng) for _ in range(cfg.epochs)]
+            traces = [env.draw_noise_trace(cfg.horizon, noise_rng) for _ in range(cfg.epochs)]
+        except MemoryError as exc:
+            raise ValueError(f"one repeat's streams do not fit in memory ({exc}): horizon "
+                             f"{cfg.horizon} x epochs {cfg.epochs} x {cfg.graph.num_agents} "
+                             "agents") from exc
         for alg in cfg.algorithms:
             on_episode = None
             if cfg.checkpoint_every > 0:
@@ -352,18 +351,13 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         "aborted": [list(a) for a in aborted],
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
-                     "dirmarl": _package_version()},
+                     "dirmarl": __version__},
         "wall_clock_seconds": time.perf_counter() - started,
     }
     with open(os.path.join(out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
-
-
-def _package_version() -> str:
-    from . import __version__
-    return __version__
 
 
 def summarize(run_dir: str) -> RunSummary:
@@ -395,8 +389,9 @@ def summarize(run_dir: str) -> RunSummary:
 
     algorithms = tuple(field(
         "config.experiment.algorithms",
-        lambda v: isinstance(v, list) and v and all(a in ALGORITHMS for a in v),
-        f"a non-empty list of names from {ALGORITHMS}"))
+        lambda v: (isinstance(v, list) and v and all(a in ALGORITHMS for a in v)
+                   and len(set(v)) == len(v)),
+        f"a non-empty list of names from {ALGORITHMS}, each once"))
     repeats = field("config.experiment.repeats", count, "an integer >= 1")
     epochs = field("config.learner.epochs", count, "an integer >= 1")
 

@@ -243,11 +243,10 @@ def check_weak_connectivity(g: CoordinationGraph) -> tuple[tuple[int, ...], ...]
 class GraphArtifacts:
     """Everything derived from one coordination graph."""
 
-    graph: CoordinationGraph
     clusters: ClusterDecomposition
     learning: LearningGraph
 
 
 def build_artifacts(g: CoordinationGraph) -> GraphArtifacts:
     d = strongly_connected_components(g)
-    return GraphArtifacts(g, d, derive_learning_graph(g, d))
+    return GraphArtifacts(d, derive_learning_graph(g, d))

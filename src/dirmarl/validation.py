@@ -139,16 +139,14 @@ class SyntheticObjective:
                 g[self.gather[j - 1]] = -w * _erf(y / (delta * math.sqrt(2.0)))
         return g
 
-    def gradient(self, theta: np.ndarray, delta: float = 0.0,
-                 i: int | None = None) -> np.ndarray:
+    def gradient(self, theta: np.ndarray, delta: float = 0.0) -> np.ndarray:
         """Analytic gradient of E[J(theta + delta u)], u standard normal,
-        where J is the global sum or agent i's local sum; at ``delta = 0``
-        the plain gradient."""
-        terms = self._term_gradients(theta, delta)
-        return terms.sum(axis=0) if i is None else self.bus.gather(terms)[i - 1]
+        where J is the global sum; at ``delta = 0`` the plain gradient."""
+        return self._term_gradients(theta, delta).sum(axis=0)
 
     def local_gradients(self, theta: np.ndarray, delta: float = 0.0) -> np.ndarray:
-        """Row i - 1 is ``gradient(theta, delta, i)``, for every agent."""
+        """Row i - 1 is the same gradient of agent i's local sum instead,
+        for every agent."""
         return self.bus.gather(self._term_gradients(theta, delta))
 
     def _term_gradients(self, theta: np.ndarray, delta: float) -> np.ndarray:
@@ -251,12 +249,13 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
         offsets=offsets, amplitudes=amplitudes, noise_std=sigma)
 
 
-def dependency_violations(obj: SyntheticObjective, rng: np.random.Generator,
-                          trials: int = 3) -> list[tuple[int, int]]:
-    """Structural inspection: perturb block k and report every term i
-    whose value moved although k cannot influence i."""
+def dependency_violations(obj: SyntheticObjective,
+                          rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Structural inspection: at three random points, perturb block k
+    and report every term i whose value moved although k cannot
+    influence i."""
     bad = []
-    for _ in range(trials):
+    for _ in range(3):
         theta = rng.uniform(-2.0, 2.0, size=obj.total_dim)
         base = obj.term_values(theta)[0]
         for k in range(1, obj.num_agents + 1):

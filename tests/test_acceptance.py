@@ -127,7 +127,7 @@ def test_03_local_gradient_equivalence():
         grad = obj.gradient(theta)
         for i in range(1, obj.num_agents + 1):
             sl = obj.layout.block_slice(i)
-            exact_ok &= np.array_equal(grad[sl], obj.gradient(theta, i=i)[sl])
+            exact_ok &= np.array_equal(grad[sl], obj.local_gradients(theta)[i - 1][sl])
         fd = finite_difference_gradient(obj.totals, theta, 1e-5)
         worst_fd = max(worst_fd, float(np.max(
             np.abs(fd - grad) / np.maximum(np.abs(grad), 1e-3))))

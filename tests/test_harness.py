@@ -693,6 +693,18 @@ def test_summarize_names_a_string_algorithm_list(tmp_path):
         summarize(out)
 
 
+def test_summarize_rejects_a_repeated_algorithm(tmp_path):
+    # the config loader refuses an algorithm listed twice; a manifest
+    # that lists one twice would report it twice
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out)))
+    path = _rewrite_manifest(out, lambda m: m["config"]["experiment"].update(
+        algorithms=["distributed_one_point", "distributed_one_point"]))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: config.experiment.algorithms "
+                                         "must be a non-empty list of names .*, each once"):
+        summarize(out)
+
+
 def test_summarize_checks_every_manifest_key_it_reads(tmp_path):
     out = str(tmp_path / "out")
     run_experiment(load_config(tiny_config(tmp_path, out)))
@@ -1122,6 +1134,70 @@ def test_cli_run_rejects_a_jitter_whose_span_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: initial_stock_jitter 1e+308 is too large")
     assert not out.exists()
+
+
+def test_cli_run_names_a_horizon_too_large_to_draw(tmp_path):
+    # numpy refuses the (horizon, agents) noise draw at once, so nothing
+    # is allocated; the run stops with a named cause before any manifest
+    out = tmp_path / "out"
+    path = tiny_config(tmp_path, str(out))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("horizon = 8", "horizon = 1000000000000000")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    src = os.path.dirname(os.path.dirname(dirmarl.experiments.__file__))
+    done = subprocess.run([sys.executable, "-m", "dirmarl", "run", path],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "horizon 1000000000000000" in done.stderr
+    assert "epochs 2 x 3 agents" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (out / "manifest.json").exists()
+
+
+ALL_ABORTING = """
+[graph]
+num_agents = 2
+edges = 1->2, 2->1
+
+[environment]
+initial_stock_mean = 1e308
+
+[learner]
+epochs = 2
+horizon = 4
+
+[experiment]
+algorithms = distributed_one_point centralized_two_point
+repeats = 2
+output_dir = {out}
+"""
+
+
+@pytest.mark.parametrize("aborting", [True, False])
+def test_cli_run_and_summarize_print_the_same_report(tmp_path, capsys, aborting):
+    out = str(tmp_path / "out")
+    path = (write_config(tmp_path, ALL_ABORTING.format(out=out)) if aborting else
+            tiny_config(tmp_path, out, algorithms="distributed_one_point centralized_one_point"))
+    assert main(["run", path]) == 0
+    ran = capsys.readouterr().out.splitlines()
+    assert ran[0] == f"wrote {out}"
+    assert main(["summarize", out]) == 0
+    assert capsys.readouterr().out.splitlines() == ran[1:]
+    aborted = [ln for ln in ran if ln.startswith("aborted: ")]
+    if aborting:
+        assert ran[1:4] == ["epochs: 2", "distributed_one_point: no completed runs",
+                            "centralized_two_point: no completed runs"]
+        assert sorted(aborted) == [
+            f"aborted: {a} repeat {r}: NonFiniteScores: non-finite allocation scores "
+            "for agents [1, 2]" for a in ("centralized_two_point", "distributed_one_point")
+            for r in (0, 1)]
+    else:
+        assert not aborted
+        assert re.fullmatch(r"distributed_one_point: final value \S+ \+- \S+ over 2 repeats, "
+                            r"tail std \S+, \d+ messages", ran[2])
+        assert ran[-1].startswith("variance one_point: distributed ")
 
 
 def test_cli_run_bad_repeat_exits_2_and_creates_no_directory(tmp_path, capsys):

@@ -69,7 +69,7 @@ def test_edgeless_graph_terms_are_private():
     g = obj.gradient(theta)
     for i in (1, 2, 3):
         sl = obj.layout.block_slice(i)
-        assert np.array_equal(g[sl], obj.gradient(theta, i=i)[sl])
+        assert np.array_equal(g[sl], obj.local_gradients(theta)[i - 1][sl])
         assert np.array_equal(g[sl], obj.term_gradient(i, theta)[sl])
 
 
@@ -145,11 +145,11 @@ def test_block_gradients_of_global_and_local_sums_coincide(seed, family):
     local = obj.local_gradients(theta, 0.3)
     for i in range(1, obj.num_agents + 1):
         sl = obj.layout.block_slice(i)
-        assert np.array_equal(g[sl], obj.gradient(theta, i=i)[sl])
+        assert np.array_equal(g[sl], obj.local_gradients(theta)[i - 1][sl])
         sg = obj.gradient(theta, 0.3)
         sgl = smoothed_local_gradient(obj, i, theta, 0.3)
         assert np.array_equal(sg[sl], sgl[sl])
-        assert np.array_equal(obj.gradient(theta, 0.3, i), sgl)
+        assert np.array_equal(obj.local_gradients(theta, 0.3)[i - 1], sgl)
         assert np.array_equal(local[i - 1], sgl)
 
 
