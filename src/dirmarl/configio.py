@@ -31,6 +31,12 @@ from .warehouse import WarehouseConfig
 DEFAULT_ALGORITHMS = tuple(a for a in ALGORITHMS if not a.endswith("_residual"))
 
 
+# The most doubles one repeat may hold in its pre-drawn streams and
+# policy tables (1 GiB): a run draws all of a repeat's streams before its
+# first episode, so a larger one would fill memory instead of failing.
+MAX_REPEAT_DOUBLES = 2 ** 27
+
+
 class ConfigError(ValueError):
     """Unusable config or graph file; the message names the offender."""
 
@@ -76,6 +82,30 @@ class ExperimentConfig:
             raise ConfigError(f"discount must lie in (0, 1], got {self.discount}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        self._check_repeat_size()
+
+    def _check_repeat_size(self) -> None:
+        """One repeat's probes (epochs x d), noise traces (epochs x (horizon
+        + 1) x N) and policy tables (2 num_centers x (2N + |E|) plus d),
+        d = num_centers x (N + |E|), against ``MAX_REPEAT_DOUBLES``.  The
+        error names the key whose value 1 would shrink the size most."""
+        n, e = self.graph.num_agents, len(self.graph.edges)
+
+        def doubles(epochs, horizon, num_centers):
+            d = num_centers * (n + e)
+            return epochs * (d + (horizon + 1) * n) + 2 * num_centers * (2 * n + e) + d
+
+        keys = {"epochs": self.epochs, "horizon": self.horizon,
+                "num_centers": self.policy.num_centers}
+        total = doubles(**keys)
+        if total > MAX_REPEAT_DOUBLES:
+            key = min(keys, key=lambda k: doubles(**{**keys, k: 1}))
+            raise ConfigError(
+                f"{key} {keys[key]} is too large: one repeat would hold {total} doubles, above "
+                f"the {MAX_REPEAT_DOUBLES} a run may hold (probes of epochs {self.epochs} x "
+                f"{keys['num_centers'] * (n + e)} parameters, noise traces of (horizon "
+                f"{self.horizon} + 1) x epochs {self.epochs} x {n} agents, policy tables of "
+                f"num_centers {keys['num_centers']})")
 
     @property
     def graph(self) -> CoordinationGraph:

@@ -130,6 +130,7 @@ class MessageBus:
         src = np.insert(senders, starts + np.bincount(dst[senders < dst], minlength=n), agents)
         head = starts + agents
         self._first, self._src, self._dst = src[head], np.delete(src, head), dst
+        self._flat_dst: dict[int, np.ndarray] = {}  # ``_dst`` per trailing width, built once
 
     def begin_episode(self, epoch: int) -> None:
         if self._epoch is not None:
@@ -152,7 +153,9 @@ class MessageBus:
             return hat
         idx = self._dst
         if hat.ndim > 1:  # one flat index per (pair, trailing entry): add.at's fast 1-D path
-            idx = (idx[:, None] * width + np.arange(width)).ravel()
+            if width not in self._flat_dst:
+                self._flat_dst[width] = (idx[:, None] * width + np.arange(width)).ravel()
+            idx = self._flat_dst[width]
         np.add.at(hat.reshape(-1), idx, values[self._src].reshape(-1))
         return hat
 
@@ -247,7 +250,8 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
         w_pert = np.asarray(evaluator.evaluate(theta + cfg.delta * u, noise), dtype=float)
         if cfg.flavor == "two_point":
             w_base = np.asarray(evaluator.evaluate(theta, noise), dtype=float)
-            payload = np.stack((w_pert, w_base), axis=1)
+            payload = np.empty((n, 2))
+            payload[:, 0], payload[:, 1] = w_pert, w_base
         else:
             w_base = None
             payload = w_pert
@@ -275,7 +279,7 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
 
     with np.errstate(over="ignore", invalid="ignore"):  # guard below turns overflow into an abort
         theta_next = theta + cfg.step_size * g
-    if not np.isfinite(theta_next).all():
+    if np.count_nonzero(np.isfinite(theta_next)) < theta_next.size:
         bad = [i for i in range(1, n + 1)
                if not np.isfinite(layout.block(theta_next, i)).all()]
         raise TrainingDiverged(

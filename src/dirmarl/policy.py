@@ -68,15 +68,21 @@ class BlockLayout:
     def block(self, flat: np.ndarray, i: int) -> np.ndarray:
         return flat[self.block_slice(i)]
 
+    @cached_property
+    def _dims(self) -> np.ndarray:
+        """``dims`` as an array, converted once rather than per call."""
+        return np.array(self.dims, dtype=np.intp)
+
     def block_norms(self, flat: np.ndarray) -> np.ndarray:
         """Euclidean norm of every block of ``flat``, shape (N,)."""
         sq = flat * flat
-        return np.sqrt(np.add.reduceat(sq, self.offsets[:-1]))
+        norms = np.add.reduceat(sq, self.offsets[:-1])
+        return np.sqrt(norms, out=norms)
 
     def expand(self, per_agent: np.ndarray) -> np.ndarray:
         """Repeat each agent's entry (axis 0, trailing axes kept) across
         its block coordinates."""
-        return np.repeat(np.asarray(per_agent, dtype=float), self.dims, axis=0)
+        return np.asarray(per_agent, dtype=float).repeat(self._dims, axis=0)
 
 
 class NonFiniteScores(ValueError):
@@ -145,6 +151,9 @@ class RbfPolicy:
         # agent of each, and each agent's first.
         self.slot_agent = np.repeat(np.arange(n), self.num_slots)
         self.slot_start = np.cumsum(self.num_slots) - self.num_slots
+        # Index of slot k's agent's features into the flat (nc * n,)
+        # bincount result, whose entry c * n + i is agent i's center c.
+        self._feat_index = np.arange(nc) * n + self.slot_agent[:, None]  # (K, nc)
 
     def bind(self, flat: np.ndarray) -> "BoundRbfPolicy":
         flat = np.asarray(flat, dtype=float)
@@ -174,17 +183,16 @@ class BoundRbfPolicy:
         diff = obs - p._centers
         diff *= diff
         # bincount adds each agent's squared distances in entry order: a left fold
-        sqd = np.bincount(p._feat_key, weights=diff.ravel()).reshape(p.num_centers, -1).T
+        sqd = np.bincount(p._feat_key, weights=diff.ravel())
         feats = sqd if p.kernel == "squared" else np.exp(-sqd)
-        z = np.einsum("kl,kl->k", self._theta, feats.take(p.slot_agent, axis=0))
-        finite = np.isfinite(z)
-        if not finite.all():
-            bad = (np.flatnonzero(np.bincount(p.slot_agent[~finite])) + 1).tolist()
+        z = np.einsum("kl,kl->k", self._theta, feats[p._feat_index])
+        if np.count_nonzero(np.isfinite(z)) < z.size:
+            bad = (np.flatnonzero(np.bincount(p.slot_agent[~np.isfinite(z)])) + 1).tolist()
             raise NonFiniteScores(f"non-finite allocation scores for agents {bad}")
         # zmin - z is bitwise -(z - zmin)
-        w = np.minimum.reduceat(z, p.slot_start).take(p.slot_agent)
+        w = np.minimum.reduceat(z, p.slot_start)[p.slot_agent]
         w -= z
         np.exp(w, out=w)
         # bincount adds each agent's weights in slot order: a left fold
-        w /= np.bincount(p.slot_agent, weights=w).take(p.slot_agent)
+        w /= np.bincount(p.slot_agent, weights=w)[p.slot_agent]
         return w

@@ -133,19 +133,26 @@ class WarehouseEnv:
         return self.config.initial_stock_mean + trace.initial_jitter
 
     def demand_row(self, t: int, w_row: np.ndarray) -> np.ndarray:
-        return self.config.amplitude * (1.0 - np.sin(w_row * t)) + w_row
+        # A (1 - sin(w t)) + w, each operation in place on one fresh array
+        d = w_row * t
+        np.sin(d, out=d)
+        np.subtract(1.0, d, out=d)
+        d *= self.config.amplitude
+        d += w_row
+        return d
 
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
         """The compact (S,) observation: each agent's observed stocks, then its demand."""
-        return np.concatenate((stocks, demands)).take(self._obs_gather)
+        return np.concatenate((stocks, demands))[self._obs_gather]
 
     def validate_allocations(self, frac: np.ndarray, where: str = "") -> None:
         # (E,) out-edge fractions.  Fast accept; a graph without edges has
         # none.  NaN fails every comparison, so it counts as outside [0, 1];
         # the left-fold sums are taken only when every fraction lies inside.
-        if frac.min(initial=0.0) >= -1e-12 and frac.max(initial=0.0) <= 1.0 + 1e-12:
+        if (np.minimum.reduce(frac, initial=0.0) >= -1e-12
+                and np.maximum.reduce(frac, initial=0.0) <= 1.0 + 1e-12):
             sums = np.bincount(self._e_src, weights=frac, minlength=self.num_agents)
-            if sums.max() <= 1.0 + 1e-12:
+            if np.maximum.reduce(sums) <= 1.0 + 1e-12:
                 return
             bad = int(np.argmax(sums > 1.0 + 1e-12)) + 1
             raise RolloutError(f"agent {bad} ships more than its whole stock "
@@ -163,7 +170,12 @@ class WarehouseEnv:
         shipped = frac * stocks[self._e_src]
         outflow = np.bincount(self._e_src, weights=shipped, minlength=self.num_agents)
         inflow = np.bincount(self._e_dst, weights=shipped, minlength=self.num_agents)
-        return stocks - outflow + inflow - demands
+        # ((stocks - outflow) + inflow) - demands; the first difference is a
+        # fresh float array whatever the dtype of ``stocks``
+        nxt = stocks - outflow
+        nxt += inflow
+        nxt -= demands
+        return nxt
 
 
 def step_rewards(stocks: np.ndarray) -> np.ndarray:
@@ -200,16 +212,21 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
 
     m = env.initial_stocks(noise_trace)
     stocks[0] = m
+    # The step functions, looked up once per rollout (and at call time,
+    # so that a wrapper installed on the class or module is the one used).
+    demand_row, observe, act = env.demand_row, env.observation_matrix, policy.act_matrix
+    transition, reward = env.apply_transition, step_rewards
+    e_slot = env._e_slot
     # Overflow may surface as inf in rewards and stocks; the guard below
     # turns a non-finite stock into a named abort instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            d = env.demand_row(t, noise_trace.demand_noise[t])
-            frac = policy.act_matrix(env.observation_matrix(m, d)).take(env._e_slot)
+        for t, w_row in enumerate(noise_trace.demand_noise):
+            d = demand_row(t, w_row)
+            frac = act(observe(m, d))[e_slot]
             env.validate_allocations(frac, where=f" at step {t}")
-            rewards[t] = step_rewards(m)
-            m = env.apply_transition(m, frac, d)
-            if not np.isfinite(m).all():
+            rewards[t] = reward(m)
+            m = transition(m, frac, d)
+            if np.count_nonzero(np.isfinite(m)) < n:
                 bad = np.flatnonzero(~np.isfinite(m)) + 1
                 raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {t}")
             stocks[t + 1] = m

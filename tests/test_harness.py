@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import dirmarl.experiments
 import dirmarl.learner
 from dirmarl.cli import main
-from dirmarl.configio import (_KEYS, ConfigError, ExperimentConfig, load_config,
-                              load_graph_file, parse_edge_list)
+from dirmarl.configio import (_KEYS, MAX_REPEAT_DOUBLES, ConfigError, ExperimentConfig,
+                              load_config, load_graph_file, parse_edge_list)
 from dirmarl.experiments import (CSV_MAGIC, read_run_csv, run_experiment,
                                  run_file_name, summarize, write_run_csv)
 from dirmarl.graphs import build_artifacts, build_graph
@@ -1154,6 +1155,44 @@ def test_cli_run_names_a_horizon_too_large_to_draw(tmp_path):
     assert "epochs 2 x 3 agents" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("key", ["epochs", "num_centers"])
+def test_cli_run_refuses_a_repeat_too_large_to_hold(tmp_path, capsys, key):
+    # One repeat's pre-drawn streams and policy tables are sized when the
+    # config loads, so the run fails there, before it allocates anything
+    # or makes its directory, and names the key that makes it too large
+    out, big = tmp_path / "out", 10 ** 12
+    path = (tiny_config(tmp_path, str(out), epochs=big) if key == "epochs"
+            else tiny_config(tmp_path, str(out), extra=f"[policy]\nnum_centers = {big}\n"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {key} {big} is too large"):
+            load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {key} {big} is too large")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_repeat_size_limit_counts_streams_and_policy_tables(tmp_path):
+    # 3-cycle, 4 centers: d = 4 (3 + 3) parameters; an epoch draws d probe
+    # entries plus (horizon + 1) x 3 noise entries; the policy tables are
+    # two (4, 2 x 3 + 3) tables plus the (K, 4) feature index, K x 4 = d
+    cfg = load_config(tiny_config(tmp_path, str(tmp_path / "out")))
+    d = 4 * (3 + 3)
+    tables = 2 * 4 * (2 * 3 + 3) + d
+    most = (MAX_REPEAT_DOUBLES - tables) // (d + 9 * 3)
+    assert replace(cfg, epochs=most).epochs == most
+    with pytest.raises(ConfigError, match=r"^epochs \d+ is too large"):
+        replace(cfg, epochs=most + 1)
+    with pytest.raises(ConfigError, match=r"^horizon \d+ is too large"):
+        replace(cfg, horizon=MAX_REPEAT_DOUBLES)
 
 
 ALL_ABORTING = """

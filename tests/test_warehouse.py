@@ -1,10 +1,14 @@
 import math
+import os
+import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirmarl.configio import load_config
 from dirmarl.graphs import build_graph
 from dirmarl.policy import RbfPolicy
 from dirmarl.warehouse import (
@@ -28,6 +32,10 @@ from helpers import (
     reference_validate_allocations,
     sprinkle,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
 
 
 def make_env(graph=None, **kw) -> WarehouseEnv:
@@ -350,3 +358,46 @@ def test_trace_shape_mismatch_rejected():
     tr = NoiseTrace(np.zeros(9), np.zeros((4, 9)))
     with pytest.raises(ValueError, match="demand shocks"):
         simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, noise_trace=tr)
+
+
+def _workload_env(name, tmp_path):
+    """The environment and policy of a benchmark workload's config."""
+    if name == "tree1k":
+        path = workloads.write_tree1k(str(tmp_path), 0, 2)
+    else:
+        path = os.path.join(ROOT, "configs", f"{name}.cfg")
+    cfg = load_config(path)
+    return WarehouseEnv(cfg.warehouse), RbfPolicy(cfg.graph, **asdict(cfg.policy))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "tree1k"])
+def test_step_functions_neither_mutate_nor_alias_their_inputs(name, tmp_path):
+    # Each step function returns a fresh array and leaves every input
+    # byte-equal, so a rollout's stored rows and its trace stay as written.
+    env, policy = _workload_env(name, tmp_path)
+    rng = np.random.default_rng(3)
+    n = env.num_agents
+    theta = rng.normal(0.0, 0.3, policy.layout.total_dim)
+    bound = policy.bind(theta)
+    w_row = rng.normal(0.0, 0.1, n)
+    stocks = rng.uniform(-0.5, 2.0, n)  # some backlogged, so rewards are non-zero
+    demands = env.demand_row(5, w_row)
+    obs = env.observation_matrix(stocks, demands)
+    frac = bound.act_matrix(obs)[env._e_slot]
+    calls = {
+        "demand_row": (lambda: env.demand_row(5, w_row), [w_row, env.config.amplitude]),
+        "observation_matrix": (lambda: env.observation_matrix(stocks, demands),
+                               [stocks, demands]),
+        "act_matrix": (lambda: bound.act_matrix(obs), [obs, theta, bound.flat]),
+        "step_rewards": (lambda: step_rewards(stocks), [stocks]),
+        "apply_transition": (lambda: env.apply_transition(stocks, frac, demands),
+                             [stocks, frac, demands]),
+        "validate_allocations": (lambda: env.validate_allocations(frac), [frac]),
+    }
+    for what, (call, inputs) in calls.items():
+        before = [x.tobytes() for x in inputs]
+        out = call()
+        assert [x.tobytes() for x in inputs] == before, f"{what} changed an input"
+        if out is not None:
+            shared = [k for k, x in enumerate(inputs) if np.shares_memory(out, x)]
+            assert shared == [], f"{what} returns memory of its input(s) {shared}"
