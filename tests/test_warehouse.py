@@ -388,7 +388,7 @@ def test_step_functions_neither_mutate_nor_alias_their_inputs(name, tmp_path):
         "demand_row": (lambda: env.demand_row(5, w_row), [w_row, env.config.amplitude]),
         "observation_matrix": (lambda: env.observation_matrix(stocks, demands),
                                [stocks, demands]),
-        "act_matrix": (lambda: bound.act_matrix(obs), [obs, theta, bound.flat]),
+        "act_matrix": (lambda: bound.act_matrix(obs), [obs, theta]),
         "step_rewards": (lambda: step_rewards(stocks), [stocks]),
         "apply_transition": (lambda: env.apply_transition(stocks, frac, demands),
                              [stocks, frac, demands]),
