@@ -18,7 +18,9 @@ Wall-clock timing lives only in the manifest for exactly that reason.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import os
 import platform
@@ -32,13 +34,14 @@ from .configio import ExperimentConfig
 from .graphs import build_artifacts
 from .learner import (
     MessageBus,
+    RunTable,
     TrainingDiverged,
     WarehouseEvaluator,
     parse_algorithm,
     train,
 )
 from .oracles import ALGORITHMS, FLAVORS, sample_perturbation
-from .policy import NonFiniteScores, RbfPolicy
+from .policy import BlockLayout, NonFiniteScores, RbfPolicy
 from .warehouse import RolloutError, WarehouseEnv
 
 CSV_MAGIC = "# dirmarl run csv v1"
@@ -59,27 +62,31 @@ def _run_csv_header(num_agents: int) -> str:
                     + ["messages"])
 
 
-def write_run_csv(path: str, records, num_agents: int) -> None:
+def _write_whole(path: str, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) so that ``path`` only ever holds it
+    whole: under a temporary name in the same directory, then moved over
+    ``path``; a failed or interrupted write removes the temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_run_csv(path: str, table: RunTable) -> None:
+    n = table.values.shape[1]
     # "%.17g" % x gives the bytes of f"{float(x):.17g}": 17 significant
     # digits, which read back to the same double
-    row = "%d," + ",".join(["%.17g"] * (2 * num_agents + 1)) + ",%d"
-    lines = [CSV_MAGIC, _run_csv_header(num_agents)]
-    lines += [row % (rec.epoch, *rec.observed_values.tolist(), rec.global_value,
-                     *rec.gradient_norms.tolist(), rec.message_count)
-              for rec in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-@dataclass(frozen=True)
-class RunTable:
-    """One run CSV read back into arrays."""
-
-    epochs: np.ndarray        # (K,)
-    values: np.ndarray        # (K, N) per-agent observed values
-    global_values: np.ndarray  # (K,)
-    grad_norms: np.ndarray    # (K, N)
-    messages: np.ndarray      # (K,)
+    row = "%d," + ",".join(["%.17g"] * (2 * n + 1)) + ",%d"
+    lines = [CSV_MAGIC, _run_csv_header(n)]
+    cols = (table.epochs, table.values, table.global_values, table.grad_norms, table.messages)
+    lines += [row % (k, *values, total, *norms, messages)
+              for k, values, total, norms, messages in zip(*(c.tolist() for c in cols))]
+    _write_whole(path, "\n".join(lines) + "\n")
 
 
 def read_run_csv(path: str) -> RunTable:
@@ -234,11 +241,16 @@ class RunSummary:
                 "aborted": [list(a) for a in self.aborted]}
 
 
+def _summary_inputs(table: RunTable) -> tuple[np.ndarray, int]:
+    """A run's global values, apart from its table, and exact message total."""
+    return table.global_values.copy(), sum(table.messages.tolist())
+
+
 def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
                    aborted) -> RunSummary:
-    """Cross-repeat statistics of ``runs[alg][repeat] = (global values,
-    message total)``, one entry per completed run; an algorithm without
-    one is left out of the per-algorithm maps."""
+    """Cross-repeat statistics of ``runs[alg][repeat] =
+    _summary_inputs(table)``, one entry per completed run; an algorithm
+    without one is left out of the per-algorithm maps."""
     mean_value, std_value, messages, executed = {}, {}, {}, {}
     for alg in algorithms:
         done = sorted(runs[alg])
@@ -261,16 +273,35 @@ def write_summary(out_dir: str, summary: RunSummary) -> None:
             continue
         mean, std = summary.mean_value[alg].tolist(), summary.std_value[alg].tolist()
         lines += [f"{alg},{k},{mean[k]:.17g},{std[k]:.17g}" for k in range(summary.num_epochs)]
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary.report(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_whole(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    _write_whole(os.path.join(out_dir, "summary.json"),
+                 json.dumps(summary.report(), indent=2, sort_keys=True) + "\n")
 
 
 def save_parameters(path: str, theta: np.ndarray, epoch: int) -> None:
-    np.savez(path, theta=np.asarray(theta, dtype=float), epoch=np.int64(epoch))
+    buf = io.BytesIO()  # np.savez appends .npz to a bare path
+    np.savez(buf, theta=np.asarray(theta, dtype=float), epoch=np.int64(epoch))
+    _write_whole(path, buf.getvalue())
+
+
+def _repeat_streams(cfg: ExperimentConfig, env: WarehouseEnv, layout: BlockLayout,
+                    repeat: int) -> tuple[np.ndarray, np.ndarray]:
+    """Repeat ``repeat``'s shared streams, the (epochs, d) joint probes and
+    the (epochs, horizon + 1, N) noise traces, drawn epoch by epoch from
+    the repeat's two spawned children of the master seed sequence."""
+    pert_rng, noise_rng = (np.random.default_rng(np.random.SeedSequence(
+        cfg.master_seed, spawn_key=(repeat, stream))) for stream in (0, 1))
+    try:
+        probes = np.empty((cfg.epochs, layout.total_dim))
+        traces = np.empty((cfg.epochs, cfg.horizon + 1, cfg.graph.num_agents))
+    except MemoryError as exc:
+        raise ValueError(f"one repeat's streams do not fit in memory ({exc}): horizon "
+                         f"{cfg.horizon} x epochs {cfg.epochs} x {cfg.graph.num_agents} "
+                         "agents") from exc
+    for k in range(cfg.epochs):  # one generator per stream: interleaving moves no draw
+        probes[k] = sample_perturbation(layout, pert_rng)
+        traces[k] = env.draw_noise_trace(cfg.horizon, noise_rng)
+    return probes, traces
 
 
 def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
@@ -297,7 +328,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     env = WarehouseEnv(cfg.warehouse)
     policy = RbfPolicy(cfg.graph, **asdict(cfg.policy))
     bus = MessageBus(build_artifacts(cfg.graph).learning)
-    ev = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
+    ev = WarehouseEvaluator(env, policy, cfg.discount)
     layout = policy.layout
     theta0 = np.zeros(layout.total_dim)
 
@@ -308,18 +339,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     learners = {alg: parse_algorithm(alg, cfg.delta, cfg.eta) for alg in cfg.algorithms}
     runs = {alg: {} for alg in cfg.algorithms}
     aborted = []
-    children = np.random.SeedSequence(cfg.master_seed).spawn(cfg.repeats)
     for r in repeats:
-        pert_seq, noise_seq = children[r].spawn(2)
-        pert_rng = np.random.default_rng(pert_seq)
-        noise_rng = np.random.default_rng(noise_seq)
-        try:
-            perturbations = [sample_perturbation(layout, pert_rng) for _ in range(cfg.epochs)]
-            traces = [env.draw_noise_trace(cfg.horizon, noise_rng) for _ in range(cfg.epochs)]
-        except MemoryError as exc:
-            raise ValueError(f"one repeat's streams do not fit in memory ({exc}): horizon "
-                             f"{cfg.horizon} x epochs {cfg.epochs} x {cfg.graph.num_agents} "
-                             "agents") from exc
+        probes, traces = _repeat_streams(cfg, env, layout, r)
         for alg in cfg.algorithms:
             on_episode = None
             if cfg.checkpoint_every > 0:
@@ -329,18 +350,16 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                             os.path.join(ckpt_dir, f"{alg}.rep{r:03d}.ep{k + 1:05d}.npz"),
                             theta, k + 1)
             try:
-                records, _ = train(theta0, ev, learners[alg], bus, perturbations, traces,
-                                   on_episode=on_episode)
+                table, _ = train(theta0, ev, learners[alg], bus, probes, traces,
+                                 on_episode=on_episode)
             except TrainingDiverged as exc:
                 aborted.append((alg, r, str(exc)))
                 continue
             except (RolloutError, NonFiniteScores) as exc:
                 aborted.append((alg, r, f"{type(exc).__name__}: {exc}"))
                 continue
-            write_run_csv(os.path.join(out, run_file_name(alg, r)),
-                          records, cfg.graph.num_agents)
-            runs[alg][r] = (np.array([rec.global_value for rec in records]),
-                            sum(rec.message_count for rec in records))
+            write_run_csv(os.path.join(out, run_file_name(alg, r)), table)
+            runs[alg][r] = _summary_inputs(table)
 
     summary = _build_summary(cfg.algorithms, cfg.repeats, cfg.epochs, runs, aborted)
     write_summary(out, summary)
@@ -354,9 +373,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                      "dirmarl": __version__},
         "wall_clock_seconds": time.perf_counter() - started,
     }
-    with open(os.path.join(out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_whole(os.path.join(out, MANIFEST_NAME),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -420,7 +438,7 @@ def summarize(run_dir: str) -> RunSummary:
             if not np.array_equal(table.epochs, np.arange(epochs)):
                 raise ValueError(f"{path}: rows must be the manifest's epochs "
                                  f"0..{epochs - 1} in order, got {len(table.epochs)} rows")
-            runs[alg][r] = (table.global_values, sum(table.messages.tolist()))
+            runs[alg][r] = _summary_inputs(table)
     if missing:
         raise ValueError(f"{run_dir} is incomplete; missing runs: {', '.join(missing)}")
     return _build_summary(algorithms, repeats, epochs, runs, aborted)

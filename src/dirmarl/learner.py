@@ -183,12 +183,24 @@ class MessageBus:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    epoch: int
+    """What one episode yields: one row of a run's table, plus the
+    assembled local values that the table leaves out."""
+
     observed_values: np.ndarray   # W_i of the perturbed episode, (N,)
     local_values: np.ndarray      # assembled hat-W_i, (N,)
-    global_value: float           # sum of observed values
     gradient_norms: np.ndarray    # per-agent ||g_i||, (N,)
     message_count: int
+
+
+@dataclass(frozen=True)
+class RunTable:
+    """One run, one row per episode: the columns of its CSV."""
+
+    epochs: np.ndarray         # (K,)
+    values: np.ndarray         # (K, N) per-agent observed values
+    global_values: np.ndarray  # (K,) sums of the observed values
+    grad_norms: np.ndarray     # (K, N)
+    messages: np.ndarray       # (K,)
 
 
 class WarehouseEvaluator:
@@ -196,21 +208,15 @@ class WarehouseEvaluator:
     warehouse rollouts.  Two evaluations with the same noise trace see
     the same realized randomness."""
 
-    def __init__(self, env: WarehouseEnv, policy: RbfPolicy, horizon: int,
-                 discount: float = 1.0):
+    def __init__(self, env: WarehouseEnv, policy: RbfPolicy, discount: float = 1.0):
         if policy.graph != env.graph:
             raise ValueError("policy and environment are built on different graphs")
-        self.env = env
-        self.policy = policy
-        self.horizon = horizon
-        self.discount = discount
-        self.layout = policy.layout
-        self.num_agents = env.num_agents
+        self.env, self.policy, self.discount = env, policy, discount
+        self.layout, self.num_agents = policy.layout, env.num_agents
 
     def evaluate(self, theta: np.ndarray, noise) -> np.ndarray:
-        ro = simulate_rollout(self.env, self.policy.bind(theta), self.horizon,
-                              self.discount, noise_trace=noise)
-        return ro.returns
+        return simulate_rollout(self.env, self.policy.bind(theta), self.discount,
+                                noise_trace=noise).returns
 
 
 def feedback(scope: str, observed: np.ndarray, assembled: np.ndarray) -> np.ndarray:
@@ -286,41 +292,39 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
             f"non-finite parameters for agents {bad} after epoch {epoch} "
             f"({cfg.scope} {cfg.flavor}, step_size {cfg.step_size})")
 
-    record = EpisodeRecord(
-        epoch=epoch,
-        observed_values=w_pert,
-        local_values=hat_pert,
-        global_value=float(w_pert.sum()),
-        gradient_norms=layout.block_norms(g),
-        message_count=count,
-    )
+    record = EpisodeRecord(observed_values=w_pert, local_values=hat_pert,
+                           gradient_norms=layout.block_norms(g), message_count=count)
     return theta_next, record, residual_state
 
 
 def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
           perturbations: Sequence[np.ndarray], noise_traces: Sequence, *,
-          on_episode=None) -> tuple[list[EpisodeRecord], np.ndarray]:
+          on_episode=None) -> tuple[RunTable, np.ndarray]:
     """Run one episode per (joint probe, noise trace) pair of the shared
-    streams and return the episode records and the final parameter.
-    ``on_episode(epoch, theta, record)`` runs after every update
-    (checkpointing, progress)."""
-    if len(perturbations) != len(noise_traces) or len(perturbations) == 0:
+    streams, an (E, d) probe array and E noises, and return the run's
+    table and the final parameter.  ``on_episode(epoch, theta, record)``
+    runs after every update (checkpointing, progress)."""
+    epochs = len(perturbations)
+    if epochs != len(noise_traces) or epochs == 0:
         raise ValueError(f"need equally many perturbations and noise traces, at least one: "
-                         f"got {len(perturbations)} perturbations and "
-                         f"{len(noise_traces)} noise traces")
+                         f"got {epochs} perturbations and {len(noise_traces)} noise traces")
     theta = np.array(theta0, dtype=float)
     if theta.shape != (evaluator.layout.total_dim,):
         raise ValueError(f"theta0 has shape {theta.shape}, "
                          f"expected ({evaluator.layout.total_dim},)")
-    state = np.zeros(evaluator.num_agents)
-    records: list[EpisodeRecord] = []
+    n = evaluator.num_agents
+    state = np.zeros(n)
+    table = RunTable(epochs=np.arange(epochs, dtype=np.int64), values=np.empty((epochs, n)),
+                     global_values=np.empty(epochs), grad_norms=np.empty((epochs, n)),
+                     messages=np.empty(epochs, dtype=np.int64))
     for k, (u, noise) in enumerate(zip(perturbations, noise_traces)):
         theta, rec, state = run_episode(theta, evaluator, cfg, bus, k, perturbation=u,
                                         noise=noise, residual_state=state)
-        records.append(rec)
+        table.values[k], table.grad_norms[k] = rec.observed_values, rec.gradient_norms
+        table.global_values[k], table.messages[k] = rec.observed_values.sum(), rec.message_count
         if on_episode is not None:
             on_episode(k, theta, rec)
-    return records, theta
+    return table, theta
 
 
 # -- step-size / smoothing schedule ----------------------------------

@@ -14,10 +14,11 @@ Reward is 0 while the pre-transition stock is non-negative and
 in-neighborhood plus its own realized same-step demand, so the
 observation has |in(i)| + 2 entries.
 
-Randomness is reified as a NoiseTrace (initial jitter plus every
-demand shock), drawn ahead of the episode and its only source of
-randomness: a rollout replays its trace bit-identically, which is what
-the learner's paired evaluations and the decoupling checks rely on.
+Randomness is reified as a noise trace, one (T+1, N) array drawn ahead
+of the episode and its only source of randomness: row 0 is the initial
+stock jitter and rows 1..T the demand shocks.  A rollout replays its
+trace bit-identically, which is what the learner's paired evaluations
+and the decoupling checks rely on.
 """
 
 from __future__ import annotations
@@ -73,15 +74,6 @@ class WarehouseConfig:
         return np.full(self.graph.num_agents, float(amp)) if amp.ndim == 0 else amp
 
 
-@dataclass(frozen=True)
-class NoiseTrace:
-    """Realized randomness of one episode: initial stock jitter (N,)
-    and demand shocks (T, N).  Replayable."""
-
-    initial_jitter: np.ndarray
-    demand_noise: np.ndarray
-
-
 class WarehouseEnv:
     """WarehouseConfig plus everything precomputed for fast stepping."""
 
@@ -106,31 +98,21 @@ class WarehouseEnv:
 
     # -- randomness -------------------------------------------------
 
-    def draw_noise_trace(self, horizon: int, rng: np.random.Generator) -> NoiseTrace:
-        cfg = self.config
-        n = self.num_agents
-        if cfg.initial_stock_jitter == 0.0:
-            jitter = np.zeros(n)
-        else:
-            jitter = rng.uniform(-cfg.initial_stock_jitter, cfg.initial_stock_jitter, size=n)
-        if cfg.demand_noise_std == 0.0:
-            w = np.zeros((horizon, n))
-        else:
-            w = rng.normal(0.0, cfg.demand_noise_std, size=(horizon, n))
-        return NoiseTrace(jitter, w)
-
-    def check_trace(self, trace: NoiseTrace, horizon: int) -> None:
-        if trace.initial_jitter.shape != (self.num_agents,):
-            raise ValueError(f"noise trace jitter has shape {trace.initial_jitter.shape}, "
-                             f"expected ({self.num_agents},)")
-        if trace.demand_noise.shape != (horizon, self.num_agents):
-            raise ValueError(f"noise trace demand shocks have shape {trace.demand_noise.shape}, "
-                             f"expected ({horizon}, {self.num_agents})")
+    def draw_noise_trace(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
+        """One episode's (horizon + 1, N) noise trace: the initial stock
+        jitter, then the demand shocks of every step."""
+        jitter, std = self.config.initial_stock_jitter, self.config.demand_noise_std
+        trace = np.zeros((horizon + 1, self.num_agents))
+        if jitter != 0.0:
+            trace[0] = rng.uniform(-jitter, jitter, size=self.num_agents)
+        if std != 0.0:
+            trace[1:] = rng.normal(0.0, std, size=(horizon, self.num_agents))
+        return trace
 
     # -- dynamics ---------------------------------------------------
 
-    def initial_stocks(self, trace: NoiseTrace) -> np.ndarray:
-        return self.config.initial_stock_mean + trace.initial_jitter
+    def initial_stocks(self, trace: np.ndarray) -> np.ndarray:
+        return self.config.initial_stock_mean + trace[0]
 
     def demand_row(self, t: int, w_row: np.ndarray) -> np.ndarray:
         # A (1 - sin(w t)) + w, each operation in place on one fresh array
@@ -194,24 +176,21 @@ class Rollout:
     returns: np.ndarray       # (N,) discounted reward sums
 
 
-def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 1.0, *,
-                     noise_trace: NoiseTrace) -> Rollout:
-    """Run one episode under the realized randomness ``noise_trace``.
+def simulate_rollout(env: WarehouseEnv, policy, discount: float = 1.0, *,
+                     noise_trace: np.ndarray) -> Rollout:
+    """Run one episode under the realized randomness ``noise_trace``, a
+    (T+1, N) trace whose length sets the horizon T.
     ``policy.act_matrix(obs)`` maps the compact (S,) observation to
     the compact (K,) allocation, each agent's retained fraction first;
     the step reads its out-edge fractions once, in edge order."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    n, horizon = env.num_agents, len(noise_trace) - 1
     if not 0.0 < discount <= 1.0:
         raise ValueError(f"discount must lie in (0, 1], got {discount}")
-    env.check_trace(noise_trace, horizon)
-
-    n = env.num_agents
-    stocks = np.empty((horizon + 1, n))
-    rewards = np.empty((horizon, n))
-
-    m = env.initial_stocks(noise_trace)
-    stocks[0] = m
+    if noise_trace.ndim != 2 or horizon < 1 or noise_trace.shape[1] != n:
+        raise ValueError(f"noise trace has shape {noise_trace.shape}, expected (T + 1, {n}) "
+                         "with horizon T >= 1")
+    stocks, rewards = np.empty((horizon + 1, n)), np.empty((horizon, n))
+    stocks[0] = m = env.initial_stocks(noise_trace)
     # The step functions, looked up once per rollout (and at call time,
     # so that a wrapper installed on the class or module is the one used).
     demand_row, observe, act = env.demand_row, env.observation_matrix, policy.act_matrix
@@ -220,7 +199,7 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
     # Overflow may surface as inf in rewards and stocks; the guard below
     # turns a non-finite stock into a named abort instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, w_row in enumerate(noise_trace.demand_noise):
+        for t, w_row in enumerate(noise_trace[1:]):
             d = demand_row(t, w_row)
             frac = act(observe(m, d))[e_slot]
             env.validate_allocations(frac, where=f" at step {t}")
@@ -231,6 +210,4 @@ def simulate_rollout(env: WarehouseEnv, policy, horizon: int, discount: float = 
                 raise RolloutError(f"non-finite stock for agents {bad.tolist()} after step {t}")
             stocks[t + 1] = m
 
-    weights = discount ** np.arange(horizon)
-    returns = weights @ rewards
-    return Rollout(stocks, rewards, returns)
+    return Rollout(stocks, rewards, discount ** np.arange(horizon) @ rewards)

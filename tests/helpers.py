@@ -10,9 +10,9 @@ import operator
 
 import numpy as np
 
-from dirmarl.experiments import CSV_MAGIC, RunTable
+from dirmarl.experiments import CSV_MAGIC
 from dirmarl.graphs import CoordinationGraph, build_graph
-from dirmarl.learner import WarehouseEvaluator
+from dirmarl.learner import RunTable, WarehouseEvaluator
 from dirmarl.oracles import sample_perturbation
 from dirmarl.policy import NonFiniteScores
 from dirmarl.validation import _MomentAccumulator
@@ -497,18 +497,20 @@ class SyntheticEvaluator:
         return self.objective.term_values(theta)[0] + noise
 
 
-def draw_streams(evaluator, epochs: int, rng: np.random.Generator) -> tuple[list, list]:
-    """``epochs`` joint probes and episode noises for ``train``, from one
-    generator: per epoch the probe first, then the noise.  A warehouse
-    evaluator's noise is a trace of its horizon; a fake evaluator's is
-    its own ``draw_noise(rng)``."""
-    probes, noises = [], []
-    for _ in range(epochs):
-        probes.append(sample_perturbation(evaluator.layout, rng))
-        noises.append(evaluator.env.draw_noise_trace(evaluator.horizon, rng)
-                      if isinstance(evaluator, WarehouseEvaluator)
-                      else evaluator.draw_noise(rng))
-    return probes, noises
+def draw_streams(evaluator, epochs: int, rng: np.random.Generator,
+                 horizon: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """``epochs`` joint probes, an (epochs, d) array, and episode noises
+    for ``train``, from one generator: per epoch the probe first, then
+    the noise.  A warehouse evaluator's noise is a (horizon + 1, N)
+    trace; a fake evaluator's is its own ``draw_noise(rng)``."""
+    probes = np.empty((epochs, evaluator.layout.total_dim))
+    noises = [None] * epochs
+    for k in range(epochs):
+        probes[k] = sample_perturbation(evaluator.layout, rng)
+        noises[k] = (evaluator.env.draw_noise_trace(horizon, rng)
+                     if isinstance(evaluator, WarehouseEvaluator)
+                     else evaluator.draw_noise(rng))
+    return probes, np.array(noises)
 
 
 def smoothed_local_gradient(obj, i: int, theta: np.ndarray, delta: float) -> np.ndarray:
@@ -644,15 +646,27 @@ def _reference_header(num_agents: int) -> str:
                     + ["messages"])
 
 
-def reference_write_run_csv(path: str, records, num_agents: int) -> None:
+def run_table(values, global_values, grad_norms, messages, epochs=None) -> RunTable:
+    """A run table from its columns, the (K, N) ones given as 2-D; the
+    epochs default to 0..K-1."""
+    global_values = np.array(global_values, dtype=float)
+    epochs = range(global_values.size) if epochs is None else epochs
+    return RunTable(epochs=np.array(epochs, dtype=np.int64),
+                    values=np.array(values, dtype=float), global_values=global_values,
+                    grad_norms=np.array(grad_norms, dtype=float),
+                    messages=np.array(messages, dtype=np.int64))
+
+
+def reference_write_run_csv(path: str, table: RunTable) -> None:
     """``experiments.write_run_csv`` formatting one cell at a time."""
-    lines = [CSV_MAGIC, _reference_header(num_agents)]
-    for rec in records:
-        row = ([str(rec.epoch)]
-               + [_fmt(v) for v in rec.observed_values]
-               + [_fmt(rec.global_value)]
-               + [_fmt(g) for g in rec.gradient_norms]
-               + [str(rec.message_count)])
+    k, n = table.values.shape
+    lines = [CSV_MAGIC, _reference_header(n)]
+    for r in range(k):
+        row = ([str(int(table.epochs[r]))]
+               + [_fmt(v) for v in table.values[r]]
+               + [_fmt(table.global_values[r])]
+               + [_fmt(g) for g in table.grad_norms[r]]
+               + [str(int(table.messages[r]))])
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -271,11 +271,11 @@ def test_08_communication_audit(nine_agent_run):
                        stock_range=cfg.policy.stock_range,
                        demand_range=cfg.policy.demand_range,
                        kernel=cfg.policy.kernel)
-    evaluator = WarehouseEvaluator(env, policy, cfg.horizon, cfg.discount)
+    evaluator = WarehouseEvaluator(env, policy, cfg.discount)
     bus = MessageBus(arts.learning)
     lcfg = LearnerConfig(step_size=cfg.eta, delta=cfg.delta)
     train(np.zeros(policy.layout.total_dim), evaluator, lcfg, bus,
-          *draw_streams(evaluator, 5, np.random.default_rng(0)))
+          *draw_streams(evaluator, 5, np.random.default_rng(0), cfg.horizon))
     links = bus_links(bus)
     audit_ok = (links == brute_force_learning_edges(cfg.graph)
                 and bus.total_messages == 5 * expected)
@@ -302,10 +302,8 @@ def test_09_influence_decoupling():
         sl = layout.block_slice(i)
         bumped[sl] += rng.normal(0.0, 0.5, size=layout.dims[i - 1])
 
-        base = simulate_rollout(env, policy.bind(theta), horizon, 1.0,
-                                noise_trace=trace)
-        moved = simulate_rollout(env, policy.bind(bumped), horizon, 1.0,
-                                 noise_trace=trace)
+        base = simulate_rollout(env, policy.bind(theta), 1.0, noise_trace=trace)
+        moved = simulate_rollout(env, policy.bind(bumped), 1.0, noise_trace=trace)
         reached = closed_reach(g)[i - 1]
         for m in agents(g):
             if m in reached:

@@ -13,8 +13,11 @@ every checkpoint's parameter vector and epoch with
 not from the zip bytes, which carry timestamps.
 Any change to the arithmetic of the rollout, the policy, the exchange,
 the oracles or the CSV format moves a digest.  The digests were recorded
-on x86-64 Linux with Python 3.11.7 and numpy 2.4.6; einsum and BLAS
-reductions may round differently on other platforms or numpy builds.
+on x86-64 Linux with Python 3.11.7 and numpy 2.4.6.  They hold only
+where both of these are true: numpy dispatches float64 ``exp`` and
+``power`` to AVX-512, and OpenBLAS picks a SkylakeX-class kernel.  With
+either dispatch lowered, as on an AVX2-only x86-64 CPU with the same
+wheel, digests move.
 After a change that is meant to move bits, re-record them with
 ``PYTHONPATH=src python tests/test_golden_csv.py > tests/golden_csv_sha256.json``.
 """

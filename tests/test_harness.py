@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,16 +22,16 @@ import dirmarl.learner
 from dirmarl.cli import main
 from dirmarl.configio import (_KEYS, MAX_REPEAT_DOUBLES, ConfigError, ExperimentConfig,
                               load_config, load_graph_file, parse_edge_list)
-from dirmarl.experiments import (CSV_MAGIC, read_run_csv, run_experiment,
+from dirmarl.experiments import (CSV_MAGIC, _repeat_streams, read_run_csv, run_experiment,
                                  run_file_name, summarize, write_run_csv)
 from dirmarl.graphs import build_artifacts, build_graph
-from dirmarl.learner import (EpisodeRecord, LearnerConfig, MessageBus,
-                             TrainingDiverged, train)
-from dirmarl.policy import BlockLayout
-from dirmarl.warehouse import RolloutError, WarehouseConfig, simulate_rollout
+from dirmarl.learner import LearnerConfig, MessageBus, TrainingDiverged, train
+from dirmarl.oracles import sample_perturbation
+from dirmarl.policy import BlockLayout, RbfPolicy
+from dirmarl.warehouse import RolloutError, WarehouseConfig, WarehouseEnv, simulate_rollout
 
 from helpers import (draw_streams, example2_expected_learning_edges, learning_edge_set,
-                     load_parameters, reference_read_run_csv)
+                     load_parameters, reference_read_run_csv, run_table)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -484,6 +484,97 @@ def test_checkpoints_written_and_loadable(tmp_path):
     assert not np.array_equal(theta, earlier)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_an_interrupted_batch_leaves_only_whole_run_csvs(tmp_path, monkeypatch, k):
+    # KeyboardInterrupt half-way through the k-th lane's CSV write: the
+    # lanes before it are on disk under their final names, byte-equal to
+    # an uninterrupted run's, and nothing else is (no torn file, no
+    # temporary, no summary or manifest)
+    cfg = load_config(tiny_config(tmp_path, str(tmp_path / "whole"), epochs=3,
+                                  algorithms="distributed_one_point centralized_one_point"))
+    run_experiment(cfg)
+    real_open, csv_writes = open, []
+
+    class Torn:
+        """A file that takes half of its first write and is then interrupted."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise KeyboardInterrupt
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and ".rep" in os.path.basename(path) and ".csv" in path:
+            csv_writes.append(path)
+            if len(csv_writes) == k + 1:
+                return Torn(fh)
+        return fh
+
+    out = tmp_path / "torn"
+    monkeypatch.setattr(dirmarl.experiments, "open", torn_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(replace(cfg, output_dir=str(out)))
+    monkeypatch.undo()
+    lanes = [run_file_name(alg, r) for r in range(cfg.repeats) for alg in cfg.algorithms]
+    assert sorted(os.listdir(out)) == sorted(lanes[:k])
+    for name in lanes[:k]:
+        assert np.array_equal(read_run_csv(str(out / name)).epochs, np.arange(cfg.epochs))
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_a_repeats_streams_hold_only_their_doubles(tmp_path):
+    # 3-agent chain, horizon 8, 4 centers, 10,000 epochs: one repeat's
+    # probes and noise traces are two arrays of epochs x (d + (horizon +
+    # 1) N) doubles, the streams that the config load sizes, drawn epoch
+    # by epoch from the repeat's two spawned generators
+    cfg = load_config(write_config(tmp_path, """
+[graph]
+num_agents = 3
+edges = 1->2, 2->3
+
+[policy]
+num_centers = 4
+
+[learner]
+epochs = 10000
+horizon = 8
+
+[experiment]
+master_seed = 3
+output_dir = out
+"""))
+    env = WarehouseEnv(cfg.warehouse)
+    layout = RbfPolicy(cfg.graph, **asdict(cfg.policy)).layout
+    d = 4 * (3 + 2)
+    assert layout.total_dim == d
+    _repeat_streams(replace(cfg, epochs=1), env, layout, 1)  # one-time imports, not held
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        probes, traces = _repeat_streams(cfg, env, layout, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert probes.shape == (10_000, d) and traces.shape == (10_000, 9, 3)
+    assert held <= 1.05 * 8 * 10_000 * (d + 9 * 3) + 4096
+    pert_seq, noise_seq = np.random.SeedSequence(3).spawn(2)[1].spawn(2)
+    pert_rng, noise_rng = np.random.default_rng(pert_seq), np.random.default_rng(noise_seq)
+    probe_rows = [sample_perturbation(layout, pert_rng) for _ in range(10_000)]
+    trace_rows = [env.draw_noise_trace(8, noise_rng) for _ in range(10_000)]
+    assert probes.tobytes() == np.array(probe_rows).tobytes()
+    assert traces.tobytes() == np.array(trace_rows).tobytes()
+
+
 def test_aborted_runs_recorded_and_rest_continue(tmp_path):
     # A single agent routes everything to itself, so its trajectory is
     # parameter-independent: the two-point difference is exactly zero
@@ -582,7 +673,7 @@ output_dir = {out}
 
     # Any other error is a bug and stops the batch.
     def broken_rollout(*args, **kwargs):
-        raise ValueError("noise trace demand shocks have shape (3, 2)")
+        raise ValueError("noise trace has shape (3, 2), expected (T + 1, 3)")
 
     monkeypatch.setattr(dirmarl.learner, "simulate_rollout", broken_rollout)
     with pytest.raises(ValueError, match="noise trace"):
@@ -836,17 +927,11 @@ def test_summary_statistics_hand_check(tmp_path):
     run_experiment(cfg)
 
     def rows(value):
-        return [EpisodeRecord(epoch=k,
-                              observed_values=np.full(3, value / 3.0),
-                              local_values=np.full(3, value),
-                              global_value=value,
-                              gradient_norms=np.zeros(3),
-                              message_count=6) for k in range(2)]
+        return run_table(values=np.full((2, 3), value / 3.0), global_values=[value] * 2,
+                         grad_norms=np.zeros((2, 3)), messages=[6, 6])
 
-    write_run_csv(os.path.join(out, run_file_name("distributed_one_point", 0)),
-                  rows(0.0), 3)
-    write_run_csv(os.path.join(out, run_file_name("distributed_one_point", 1)),
-                  rows(2.0), 3)
+    write_run_csv(os.path.join(out, run_file_name("distributed_one_point", 0)), rows(0.0))
+    write_run_csv(os.path.join(out, run_file_name("distributed_one_point", 1)), rows(2.0))
     summary = summarize(out)
     alg = "distributed_one_point"
     np.testing.assert_allclose(summary.mean_value[alg], [1.0, 1.0])
@@ -856,41 +941,37 @@ def test_summary_statistics_hand_check(tmp_path):
     assert summary.total_messages[alg] == 24
 
 
-_EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+_EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1e300, 2.0 ** 53 + 1, 1.7976931348623157e308,
                  -1.7976931348623157e308)
+_EDGE_COUNTS = (0, 2 ** 53 + 1, 2 ** 63 - 1)
 
 
 @st.composite
-def run_records(draw):
-    """(N, records) with N in 1..40, 1..6 rows and any finite doubles."""
-    n = draw(st.integers(1, 40))
+def run_tables(draw):
+    """Run tables with N in 1..40, 1..6 rows, any finite doubles and any
+    counts below 2**63."""
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 6))
     cell = st.one_of(st.sampled_from(_EDGE_DOUBLES),
                      st.floats(allow_nan=False, allow_infinity=False))
-    records = []
-    for epoch in range(draw(st.integers(1, 6))):
-        row = np.array(draw(st.lists(cell, min_size=2 * n + 1, max_size=2 * n + 1)))
-        records.append(EpisodeRecord(epoch=epoch, observed_values=row[:n],
-                                     local_values=row[:n], global_value=float(row[n]),
-                                     gradient_norms=row[n + 1:],
-                                     message_count=draw(st.integers(0, 10 ** 9))))
-    return n, records
+    count = st.one_of(st.sampled_from(_EDGE_COUNTS), st.integers(0, 2 ** 63 - 1))
+    rows = np.array(draw(st.lists(cell, min_size=k * (2 * n + 1),
+                                  max_size=k * (2 * n + 1)))).reshape(k, 2 * n + 1)
+    return run_table(values=rows[:, :n], global_values=rows[:, n], grad_norms=rows[:, n + 1:],
+                     messages=draw(st.lists(count, min_size=k, max_size=k)),
+                     epochs=draw(st.lists(count, min_size=k, max_size=k)))
 
 
-@given(run_records())
+@given(run_tables())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_run_csv_round_trip_is_exact(tmp_path, run):
-    n, records = run
+def test_run_csv_round_trip_is_exact(tmp_path, table):
     path = str(tmp_path / "run.csv")
-    write_run_csv(path, records, n)
-    table = read_run_csv(path)
-    assert table.epochs.tolist() == [rec.epoch for rec in records]
-    assert table.messages.tolist() == [rec.message_count for rec in records]
-    for got, want in ((table.values, [rec.observed_values for rec in records]),
-                      (table.global_values, [rec.global_value for rec in records]),
-                      (table.grad_norms, [rec.gradient_norms for rec in records])):
-        want = np.array(want, dtype=float)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    write_run_csv(path, table)
+    back = read_run_csv(path)
+    for name in ("epochs", "values", "global_values", "grad_norms", "messages"):
+        got, want = getattr(back, name), getattr(table, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_read_run_csv_wants_its_magic_line(tmp_path):
@@ -914,10 +995,8 @@ def test_read_run_csv_reads_counts_exactly(tmp_path):
             fh.write("\n".join(lines) + "\n")
 
     path = str(tmp_path / "run.csv")
-    write_run_csv(path, [EpisodeRecord(epoch=k, observed_values=np.ones(2),
-                                       local_values=np.ones(2), global_value=2.0,
-                                       gradient_norms=np.zeros(2), message_count=2)
-                         for k in range(3)], 2)
+    write_run_csv(path, run_table(values=np.ones((3, 2)), global_values=[2.0] * 3,
+                                  grad_norms=np.zeros((3, 2)), messages=[2] * 3))
     rewrite(path, 4, -1, "9007199254740993")
     rewrite(path, 5, 0, "9007199254740993")
     table = read_run_csv(path)
@@ -941,13 +1020,21 @@ def test_read_run_csv_reads_counts_exactly(tmp_path):
     assert summarize(out).total_messages["distributed_one_point"] == 6 * (2 ** 62 + 1)
 
 
+def random_table(rng, rows: int):
+    """A 3-agent run table of ``rows`` rows drawn row by row, at 6
+    messages per episode."""
+    values, global_values, grad_norms = [], [], []
+    for _ in range(rows):
+        values.append(rng.standard_normal(3))
+        global_values.append(rng.random())
+        grad_norms.append(rng.random(3))
+    return run_table(values, global_values, grad_norms, [6] * rows)
+
+
 def test_read_run_csv_names_a_bad_byte_by_its_file_offset(tmp_path):
     path = str(tmp_path / "run.csv")
     rng = np.random.default_rng(3)
-    write_run_csv(path, [EpisodeRecord(epoch=k, observed_values=rng.standard_normal(3),
-                                       local_values=np.zeros(3), global_value=rng.random(),
-                                       gradient_norms=rng.random(3), message_count=6)
-                         for k in range(120)], 3)
+    write_run_csv(path, random_table(rng, 120))
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
     offset = 17278  # past two 8 KB decode chunks
@@ -992,10 +1079,7 @@ _CELL_TEXT = st.one_of(
 def test_read_run_csv_agrees_with_the_row_loop(tmp_path, col, text, row):
     path = str(tmp_path / "run.csv")
     rng = np.random.default_rng(row)
-    write_run_csv(path, [EpisodeRecord(epoch=k, observed_values=rng.standard_normal(3),
-                                       local_values=np.zeros(3), global_value=rng.random(),
-                                       gradient_norms=rng.random(3), message_count=6)
-                         for k in range(4)], 3)
+    write_run_csv(path, random_table(rng, 4))
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     cells = lines[row - 1].split(",")
@@ -1138,8 +1222,9 @@ def test_cli_run_rejects_a_jitter_whose_span_overflows(tmp_path, capsys):
 
 
 def test_cli_run_names_a_horizon_too_large_to_draw(tmp_path):
-    # numpy refuses the (horizon, agents) noise draw at once, so nothing
-    # is allocated; the run stops with a named cause before any manifest
+    # the config load sizes one repeat's noise traces and refuses them,
+    # so nothing is allocated; the run stops with a named cause before
+    # any manifest
     out = tmp_path / "out"
     path = tiny_config(tmp_path, str(out))
     with open(path, encoding="utf-8") as fh:

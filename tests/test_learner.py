@@ -262,7 +262,7 @@ def test_estimate_dispatches_by_flavor():
 def test_episode_message_count_and_record_shape():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.01, delta=0.1)
     bus = MessageBus(arts.learning)
     theta = np.zeros(policy.layout.total_dim)
@@ -270,11 +270,9 @@ def test_episode_message_count_and_record_shape():
     theta1, rec, _ = run_episode(theta, ev, cfg, bus, 0, perturbation=u, noise=trace,
                                  residual_state=np.zeros(3))
     assert rec.message_count == len(arts.learning.edges)
-    assert rec.epoch == 0
     assert rec.observed_values.shape == (3,)
     assert rec.local_values.shape == (3,)
     assert rec.gradient_norms.shape == (3,)
-    assert rec.global_value == rec.observed_values.sum()
     assert theta1.shape == theta.shape
     # local values recompute exactly from the observed ones
     for i, reach in enumerate(closed_reach(graph), 1):
@@ -288,7 +286,7 @@ def test_episode_message_count_and_record_shape():
 def test_zero_step_size_is_a_no_op():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.0, delta=0.1)
     theta = np.linspace(-0.2, 0.3, policy.layout.total_dim)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(0))
@@ -304,11 +302,11 @@ def test_zero_rewards_leave_parameters_untouched():
     graph, env, policy = small_warehouse(
         demand_amplitude=0.01, demand_noise_std=0.0, initial_stock_jitter=0.0)
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=2)
-    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(5))
+    ev = WarehouseEvaluator(env, policy)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(5), horizon=2)
     theta = np.full(policy.layout.total_dim, 0.05)
     cfg = LearnerConfig(step_size=0.05, delta=0.1)
-    ro = simulate_rollout(env, policy.bind(theta + cfg.delta * u), 2, noise_trace=trace)
+    ro = simulate_rollout(env, policy.bind(theta + cfg.delta * u), noise_trace=trace)
     assert np.all(ro.rewards == 0.0)  # fixture precondition
     theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
                                  perturbation=u, noise=trace, residual_state=np.zeros(3))
@@ -320,7 +318,7 @@ def test_update_touches_only_own_block_direction():
     # theta'_i - theta_i must be collinear with the block of u
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.02, delta=0.1)
     rng = np.random.default_rng(11)
     (u,), (trace,) = draw_streams(ev, 1, rng)
@@ -337,14 +335,14 @@ def test_update_touches_only_own_block_direction():
 def test_centralized_scope_scales_every_block_by_the_global_value():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.02, delta=0.1, scope="centralized")
     rng = np.random.default_rng(13)
     (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
     theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
                                  perturbation=u, noise=trace, residual_state=np.zeros(3))
-    scale = cfg.step_size * rec.global_value / cfg.delta
+    scale = cfg.step_size * rec.observed_values.sum() / cfg.delta
     np.testing.assert_allclose(theta1 - theta, scale * u, rtol=1e-12, atol=1e-15)
     # the exchange still ran and was audited
     assert rec.message_count == len(arts.learning.edges)
@@ -365,7 +363,7 @@ def test_two_point_reuses_the_episode_noise():
 
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = Spy(WarehouseEvaluator(env, policy, horizon=4))
+    ev = Spy(WarehouseEvaluator(env, policy))
     cfg = LearnerConfig(step_size=0.01, delta=0.1, flavor="two_point")
     (u,), (trace,) = draw_streams(ev.inner, 1, np.random.default_rng(2))
     run_episode(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), 0,
@@ -420,7 +418,7 @@ def test_run_episode_requires_its_streams():
     # no stream has a default that would draw fresh randomness
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.01, delta=0.1)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(0))
     streams = dict(perturbation=u, noise=trace, residual_state=np.zeros(3))
@@ -436,13 +434,13 @@ def test_evaluator_rejects_mismatched_graph():
     other = build_graph(3, [(1, 2), (1, 3)])
     policy = RbfPolicy(other, num_centers=2)
     with pytest.raises(ValueError, match="different graphs"):
-        WarehouseEvaluator(env, policy, horizon=4)
+        WarehouseEvaluator(env, policy)
     # same edges, one more (isolated) agent on the policy side
     env2 = WarehouseEnv(WarehouseConfig(build_graph(2, [(1, 2)])))
     with pytest.raises(ValueError, match="different graphs"):
-        WarehouseEvaluator(env2, RbfPolicy(build_graph(3, [(1, 2)])), horizon=4)
+        WarehouseEvaluator(env2, RbfPolicy(build_graph(3, [(1, 2)])))
     # an equal graph built separately is accepted
-    WarehouseEvaluator(env, RbfPolicy(build_graph(3, [(1, 2), (2, 3)])), horizon=4)
+    WarehouseEvaluator(env, RbfPolicy(build_graph(3, [(1, 2), (2, 3)])))
 
 
 # -- residual feedback ------------------------------------------------
@@ -451,7 +449,7 @@ def test_evaluator_rejects_mismatched_graph():
 def test_residual_first_episode_matches_one_point():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     rng = np.random.default_rng(17)
     (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
@@ -466,13 +464,15 @@ def test_residual_first_episode_matches_one_point():
 def test_residual_carries_previous_local_values():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     rng = np.random.default_rng(19)
     us = [sample_perturbation(policy.layout, rng) for _ in range(2)]
     traces = [env.draw_noise_trace(4, rng) for _ in range(2)]
     cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual")
-    (r0, r1), _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
-                        MessageBus(arts.learning), us, traces)
+    records = []
+    train(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), us, traces,
+          on_episode=lambda k, theta, rec: records.append(rec))
+    r0, r1 = records
     diff = r1.local_values - r0.local_values
     want = policy.layout.block_norms((policy.layout.expand(diff) / 0.1) * us[1])
     np.testing.assert_allclose(r1.gradient_norms, want, rtol=1e-12, atol=1e-15)
@@ -483,12 +483,12 @@ def test_residual_second_episode_at_same_point_and_noise_is_null():
     # values, so the residual difference vanishes
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(23))
     cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual")
-    records, _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
-                       MessageBus(arts.learning), [u, u], [trace, trace])
-    assert np.all(records[1].gradient_norms == 0.0)
+    table, _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
+                     MessageBus(arts.learning), [u, u], [trace, trace])
+    assert np.all(table.grad_norms[1] == 0.0)
 
 
 # -- training loop ----------------------------------------------------
@@ -497,7 +497,7 @@ def test_residual_second_episode_at_same_point_and_noise_is_null():
 def test_train_is_deterministic_given_seed():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.01, delta=0.1, flavor="two_point")
 
     def go():
@@ -506,18 +506,15 @@ def test_train_is_deterministic_given_seed():
 
     (a, theta_a), (b, theta_b) = go(), go()
     assert np.array_equal(theta_a, theta_b)
-    assert len(a) == 5
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.observed_values, rb.observed_values)
-        assert np.array_equal(ra.local_values, rb.local_values)
-        assert np.array_equal(ra.gradient_norms, rb.gradient_norms)
-        assert ra.message_count == rb.message_count
+    assert a.values.shape == (5, 3)
+    for name in ("epochs", "values", "global_values", "grad_norms", "messages"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_train_validates_stream_lengths():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.01, delta=0.1)
     us, traces = draw_streams(ev, 3, np.random.default_rng(0))
     theta0 = np.zeros(policy.layout.total_dim)
@@ -527,14 +524,17 @@ def test_train_validates_stream_lengths():
                                              f"{len(noises)} noise traces"):
             train(theta0, ev, cfg, bus, probes, noises)
         assert bus.episodes_completed == 0  # checked before the first episode
-    records, _ = train(theta0, ev, cfg, MessageBus(arts.learning), us, traces)
-    assert [rec.epoch for rec in records] == [0, 1, 2]
+    table, _ = train(theta0, ev, cfg, MessageBus(arts.learning), us, traces)
+    assert table.epochs.tolist() == [0, 1, 2]
+    # each global value is the 1-D sum of its row's observed values
+    assert table.global_values.tobytes() == np.array([row.sum() for row in table.values]).tobytes()
+    assert table.messages.tolist() == [len(arts.learning.edges)] * 3
 
 
 def test_train_validates_theta_shape():
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=4)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.01, delta=0.1)
     with pytest.raises(ValueError, match="theta0"):
         train(np.zeros(3), ev, cfg, MessageBus(arts.learning),
@@ -544,11 +544,11 @@ def test_train_validates_theta_shape():
 def test_divergence_aborts_with_diagnostics():
     graph, env, policy = small_warehouse(demand_amplitude=0.3)
     arts = build_artifacts(graph)
-    ev = WarehouseEvaluator(env, policy, horizon=6)
+    ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=1e308, delta=0.1)
     with pytest.raises(TrainingDiverged, match="one_point"):
         train(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning),
-              *draw_streams(ev, 50, np.random.default_rng(1)))
+              *draw_streams(ev, 50, np.random.default_rng(1), horizon=6))
 
 
 def test_learner_config_validation():
@@ -573,13 +573,11 @@ def test_local_and_global_finite_differences_agree_per_block():
     # return w.r.t. block i must match that of agent i's local return
     graph, env, policy = small_warehouse(
         demand_noise_std=0.0, initial_stock_jitter=0.0)
-    horizon = 4
-    trace = env.draw_noise_trace(horizon, np.random.default_rng(0))
+    trace = env.draw_noise_trace(4, np.random.default_rng(0))
     reach = closed_reach(graph)
 
     def returns(theta):
-        return simulate_rollout(env, policy.bind(theta), horizon,
-                                noise_trace=trace).returns
+        return simulate_rollout(env, policy.bind(theta), noise_trace=trace).returns
 
     rng = np.random.default_rng(29)
     theta = rng.normal(scale=0.3, size=policy.layout.total_dim)
@@ -635,10 +633,10 @@ def test_distributed_feedback_has_smaller_gradients_than_centralized():
         traces = [env.draw_noise_trace(horizon, noise_rng) for _ in range(epochs)]
         for scope in sq:
             cfg = LearnerConfig(step_size=0.01, delta=0.1, scope=scope)
-            ev = WarehouseEvaluator(env, policy, horizon)
-            records, _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
-                               MessageBus(arts.learning), us, traces)
-            sq[scope] += [float((rec.gradient_norms ** 2).sum()) for rec in records]
+            ev = WarehouseEvaluator(env, policy)
+            table, _ = train(np.zeros(policy.layout.total_dim), ev, cfg,
+                             MessageBus(arts.learning), us, traces)
+            sq[scope] += (table.grad_norms ** 2).sum(axis=1).tolist()
     dist, cent = np.array(sq["distributed"]), np.array(sq["centralized"])
     se = math.sqrt(dist.var(ddof=1) / dist.size + cent.var(ddof=1) / cent.size)
     assert dist.mean() < cent.mean() - 3.0 * se

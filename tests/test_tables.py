@@ -1,6 +1,7 @@
 """The array-built set-up tables, exchange plan and run-CSV writer give
 the bytes of the per-agent, per-group and per-cell loops they replaced
-(``helpers.reference_*``, ``helpers.grouped_gather``)."""
+(``helpers.reference_*``, ``helpers.grouped_gather``), and a run table
+reads back from its CSV bit for bit."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import os
 import numpy as np
 
 from dirmarl.configio import load_config
-from dirmarl.experiments import write_run_csv
+from dirmarl.experiments import read_run_csv, write_run_csv
 from dirmarl.graphs import build_artifacts
-from dirmarl.learner import EpisodeRecord, MessageBus
+from dirmarl.learner import MessageBus
 from dirmarl.policy import RbfPolicy
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv
 
@@ -24,6 +25,7 @@ from helpers import (
     reference_env_tables,
     reference_policy_tables,
     reference_write_run_csv,
+    run_table,
     sprinkle,
     tree_with_back_edges,
 )
@@ -106,16 +108,33 @@ def test_run_csv_matches_the_per_cell_writer(tmp_path):
     n = 1000
     cells = np.array([-0.0, 5e-324, 1e300, 1 / 3, 2.0 ** 53 + 1, -1e-300, np.nan, np.inf,
                       -np.inf, 0.0, 123456789.0, -2.5])
+    k = len(cells)
     rng = np.random.default_rng(14)
-    records = [EpisodeRecord(epoch=k,
-                             observed_values=rng.choice(cells, n),
-                             local_values=np.zeros(n),
-                             global_value=float(cells[k]),
-                             gradient_norms=np.abs(rng.choice(cells, n)),
-                             message_count=8662 + k)
-               for k in range(len(cells))]
-    for num_agents, recs in ((n, records), (n, records[:1]), (n, [])):
-        write_run_csv(str(tmp_path / "got.csv"), recs, num_agents)
-        reference_write_run_csv(str(tmp_path / "want.csv"), recs, num_agents)
+    table = run_table(values=rng.choice(cells, (k, n)), global_values=cells,
+                      grad_norms=np.abs(rng.choice(cells, (k, n))),
+                      messages=[8662 + r for r in range(k - 1)] + [2 ** 63 - 1],
+                      epochs=[2 ** 53 + 1] + list(range(1, k)))
+    empty = run_table(np.empty((0, n)), [], np.empty((0, n)), [])
+    for case in (table, run_table(table.values[:1], table.global_values[:1],
+                                  table.grad_norms[:1], table.messages[:1]), empty):
+        write_run_csv(str(tmp_path / "got.csv"), case)
+        reference_write_run_csv(str(tmp_path / "want.csv"), case)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
+
+
+def test_run_csv_round_trip_keeps_every_bit(tmp_path):
+    # the finite special cells, a double past 2**53, a largest count and
+    # a count whose low bit a double would lose
+    cells = np.array([-0.0, 5e-324, 1e300, 2.0 ** 53 + 1, -1e-300, 1 / 3, 0.0, -2.5])
+    rng = np.random.default_rng(15)
+    k, n = len(cells), 7
+    table = run_table(values=rng.choice(cells, (k, n)), global_values=cells,
+                      grad_norms=np.abs(rng.choice(cells, (k, n))),
+                      messages=[2 ** 63 - 1, 2 ** 53 + 1] + [6] * (k - 2),
+                      epochs=[2 ** 53 + 1, 2 ** 63 - 1] + list(range(2, k)))
+    path = str(tmp_path / "run.csv")
+    write_run_csv(path, table)
+    back = read_run_csv(path)
+    for name in ("epochs", "values", "global_values", "grad_norms", "messages"):
+        assert_same_array(getattr(back, name), getattr(table, name), name)

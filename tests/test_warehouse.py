@@ -12,7 +12,6 @@ from dirmarl.configio import load_config
 from dirmarl.graphs import build_graph
 from dirmarl.policy import RbfPolicy
 from dirmarl.warehouse import (
-    NoiseTrace,
     RolloutError,
     WarehouseConfig,
     WarehouseEnv,
@@ -54,7 +53,7 @@ def test_demand_formula_matches_hand_value():
 
 def test_isolated_agent_step():
     env = make_env(build_graph(1, []), initial_stock_jitter=0.0, demand_noise_std=0.0)
-    ro = simulate_rollout(env, FixedAllocation([[1.0]]), horizon=1,
+    ro = simulate_rollout(env, FixedAllocation([[1.0]]), 
                           noise_trace=env.draw_noise_trace(1, np.random.default_rng(0)))
     assert np.array_equal(ro.stocks[0], [1.0])
     assert ro.rewards[0, 0] == 0.0
@@ -99,14 +98,14 @@ def test_initial_state_jitter_and_fixed_mode():
     rng = np.random.default_rng(5)
     traces = [env.draw_noise_trace(8, rng) for _ in range(20)]
     for tr in traces:
-        assert np.all(np.abs(tr.initial_jitter) <= 0.01)
+        assert np.all(np.abs(tr[0]) <= 0.01)
     zero = make_env(initial_stock_jitter=0.0)
     rng = np.random.default_rng(5)
     tr = zero.draw_noise_trace(8, rng)
     assert np.array_equal(zero.initial_stocks(tr), np.ones(9))
     # a zero jitter draws nothing: the generator moves only for the shocks
     shocks = np.random.default_rng(5).normal(0.0, 0.1, size=(8, 9))
-    assert np.array_equal(tr.demand_noise, shocks)
+    assert np.array_equal(tr[1:], shocks)
 
 
 def test_env_rejects_bad_amplitude():
@@ -122,14 +121,14 @@ def test_allocation_contract_violations():
     env = make_env(build_graph(2, [(1, 2)]))
     rng = np.random.default_rng(0)
     with pytest.raises(RolloutError, match="agent 1.*outside.*at step 0"):
-        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0]]), horizon=2,
+        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0]]), 
                          noise_trace=env.draw_noise_trace(2, rng))
     env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
     with pytest.raises(RolloutError, match="agent 1 ships more"):
-        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0], [1.0]]), horizon=2,
+        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0], [1.0]]), 
                          noise_trace=env3.draw_noise_trace(2, rng))
     # The retained fraction is neither checked nor used: the rollout runs.
-    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0], [np.nan]]), horizon=2,
+    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0], [np.nan]]), 
                           noise_trace=env.draw_noise_trace(2, rng))
     assert np.isfinite(ro.stocks).all()
 
@@ -210,11 +209,11 @@ def test_non_finite_stock_aborts():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
-            simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0]]), horizon=2,
+            simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0]]), 
                              noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
         policy = RbfPolicy(env.graph)
         with pytest.raises(ValueError, match="non-finite allocation scores for agents \\[1, 2\\]"):
-            simulate_rollout(env, policy.bind(np.zeros(policy.layout.total_dim)), horizon=2,
+            simulate_rollout(env, policy.bind(np.zeros(policy.layout.total_dim)), 
                              noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
 
 
@@ -284,8 +283,8 @@ def test_rollout_replay_is_bit_identical():
     pol = RbfPolicy(env.graph)
     bound = pol.bind(np.random.default_rng(3).normal(scale=0.3, size=pol.layout.total_dim))
     trace = env.draw_noise_trace(8, np.random.default_rng(11))
-    ro1 = simulate_rollout(env, bound, horizon=8, noise_trace=trace)
-    ro2 = simulate_rollout(env, bound, horizon=8, noise_trace=trace)
+    ro1 = simulate_rollout(env, bound, noise_trace=trace)
+    ro2 = simulate_rollout(env, bound, noise_trace=trace)
     for a, b in [(ro1.stocks, ro2.stocks), (ro1.rewards, ro2.rewards),
                  (ro1.returns, ro2.returns)]:
         assert a.tobytes() == b.tobytes()
@@ -294,11 +293,11 @@ def test_rollout_replay_is_bit_identical():
 def test_rollout_returns_are_nonpositive_and_discounted():
     env = make_env()
     trace = env.draw_noise_trace(8, np.random.default_rng(0))
-    ro = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, discount=1.0,
+    ro = simulate_rollout(env, FixedAllocation.uniform(env), discount=1.0,
                           noise_trace=trace)
     assert np.all(ro.returns <= 0.0)
     assert np.array_equal(ro.returns, ro.rewards.sum(axis=0))
-    half = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, discount=0.5,
+    half = simulate_rollout(env, FixedAllocation.uniform(env), discount=0.5,
                             noise_trace=trace)
     weights = 0.5 ** np.arange(8)
     assert np.allclose(half.returns, weights @ ro.rewards)
@@ -306,7 +305,7 @@ def test_rollout_returns_are_nonpositive_and_discounted():
 
 def test_rewards_use_pre_transition_stock():
     env = make_env()
-    ro = simulate_rollout(env, FixedAllocation.uniform(env), horizon=8,
+    ro = simulate_rollout(env, FixedAllocation.uniform(env), 
                           noise_trace=env.draw_noise_trace(8, np.random.default_rng(7)))
     assert np.array_equal(ro.rewards, step_rewards(ro.stocks[:-1].reshape(8, 9)))
     assert np.all(ro.rewards[0] == 0.0)  # initial stocks are ~1
@@ -323,8 +322,8 @@ def test_decoupled_agent_trajectory_is_bitwise_identical():
     bumped = base.copy()
     bumped[pol.layout.block_slice(2)] += 0.7
     tr = env.draw_noise_trace(8, rng)
-    ro_a = simulate_rollout(env, pol.bind(base), horizon=8, noise_trace=tr)
-    ro_b = simulate_rollout(env, pol.bind(bumped), horizon=8, noise_trace=tr)
+    ro_a = simulate_rollout(env, pol.bind(base), noise_trace=tr)
+    ro_b = simulate_rollout(env, pol.bind(bumped), noise_trace=tr)
     assert np.array_equal(ro_a.stocks[:, 0], ro_b.stocks[:, 0])
     assert np.array_equal(ro_a.rewards[:, 0], ro_b.rewards[:, 0])
     assert not np.array_equal(ro_a.stocks[:, 2], ro_b.stocks[:, 2])
@@ -335,8 +334,8 @@ def test_two_resets_same_seed_identical():
     t1 = env.draw_noise_trace(8, np.random.default_rng(42))
     t2 = env.draw_noise_trace(8, np.random.default_rng(42))
     assert np.array_equal(env.initial_stocks(t1), env.initial_stocks(t2))
-    assert np.array_equal(t1.initial_jitter, t2.initial_jitter)
-    assert np.array_equal(t1.demand_noise, t2.demand_noise)
+    assert np.array_equal(t1[0], t2[0])
+    assert np.array_equal(t1[1:], t2[1:])
 
 
 def test_environment_spec_validation():
@@ -344,20 +343,32 @@ def test_environment_spec_validation():
     env = make_env()
     policy = FixedAllocation.uniform(env)
     trace = env.draw_noise_trace(8, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="horizon"):
-        simulate_rollout(env, policy, horizon=0, noise_trace=trace)
+    with pytest.raises(ValueError, match="horizon T >= 1"):  # a horizon of 0
+        simulate_rollout(env, policy, noise_trace=trace[:1])
     for discount in (0.0, -0.5, 1.2):
         with pytest.raises(ValueError, match="discount"):
-            simulate_rollout(env, policy, horizon=8, discount=discount, noise_trace=trace)
+            simulate_rollout(env, policy, discount=discount, noise_trace=trace)
     with pytest.raises(TypeError, match="noise_trace"):  # no trace, no fresh draw
-        simulate_rollout(env, policy, horizon=8)
+        simulate_rollout(env, policy)
 
 
 def test_trace_shape_mismatch_rejected():
     env = make_env()
-    tr = NoiseTrace(np.zeros(9), np.zeros((4, 9)))
-    with pytest.raises(ValueError, match="demand shocks"):
-        simulate_rollout(env, FixedAllocation.uniform(env), horizon=8, noise_trace=tr)
+    for tr in (np.zeros((5, 8)), np.zeros(9), np.zeros((4, 9, 1))):
+        with pytest.raises(ValueError, match=r"noise trace has shape .*, expected \(T \+ 1, 9\)"):
+            simulate_rollout(env, FixedAllocation.uniform(env), noise_trace=tr)
+
+
+def test_trace_rows_are_the_jitter_then_the_shocks():
+    # One (T+1, N) block: row 0 from the uniform jitter draw, rows 1..T
+    # from the normal shock draw, in that generator order.
+    env = make_env(initial_stock_jitter=0.01, demand_noise_std=0.1)
+    tr = env.draw_noise_trace(8, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    assert tr.shape == (9, 9)
+    assert tr[0].tobytes() == rng.uniform(-0.01, 0.01, size=9).tobytes()
+    assert tr[1:].tobytes() == rng.normal(0.0, 0.1, size=(8, 9)).tobytes()
+    assert np.array_equal(env.initial_stocks(tr), 1.0 + tr[0])
 
 
 def _workload_env(name, tmp_path):
