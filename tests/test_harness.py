@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dirmarl.experiments
 import dirmarl.learner
@@ -962,6 +962,9 @@ def run_tables(draw):
 
 
 @given(run_tables())
+@example(run_table(values=[[-0.0, 5e-324], [1e300, 2.0 ** 53 + 1]], global_values=[-0.0, 1e300],
+                   grad_norms=[[5e-324, 0.0], [2.0 ** 53 + 1, 1e300]],
+                   messages=[2 ** 63 - 1, 2 ** 53 + 1], epochs=[2 ** 53 + 1, 2 ** 63 - 1]))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_run_csv_round_trip_is_exact(tmp_path, table):
