@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .configio import ConfigError, load_config
-from .experiments import run_experiment, summarize
+from .experiments import _write_whole, run_experiment, summarize
 from .graphs import build_artifacts
 from .learner import accuracy_schedule, schedule_bound_constant
 from .validation import run_validation
@@ -86,10 +86,9 @@ def _cmd_validate(args) -> int:
     for res in results:
         print(f"{res.name}: {'PASS' if res.passed else 'FAIL'}  {res.detail}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([{"name": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in results], fh, indent=2)
-            fh.write("\n")
+        _write_whole(args.json, json.dumps([{"name": r.name, "passed": r.passed,
+                                             "detail": r.detail} for r in results],
+                                           indent=2) + "\n")
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1

@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import time
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,7 +78,11 @@ def _write_whole(path: str, data: str | bytes) -> None:
         raise
 
 
-def write_run_csv(path: str, table: RunTable) -> None:
+def write_run_csv(path: str, table: RunTable) -> list[int] | None:
+    """Write ``table`` to ``path`` and return the file's checksum,
+    [CRC-32, byte length], when ``read_run_csv`` accepts the table in
+    full: every cell finite and both counts non-negative.  Otherwise
+    None: a file without a checksum is always parsed in full."""
     n = table.values.shape[1]
     # "%.17g" % x gives the bytes of f"{float(x):.17g}": 17 significant
     # digits, which read back to the same double
@@ -86,10 +91,15 @@ def write_run_csv(path: str, table: RunTable) -> None:
     cols = (table.epochs, table.values, table.global_values, table.grad_norms, table.messages)
     lines += [row % (k, *values, total, *norms, messages)
               for k, values, total, norms, messages in zip(*(c.tolist() for c in cols))]
-    _write_whole(path, "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode()
+    _write_whole(path, data)
+    readable = (all(np.isfinite(c).all() for c in (table.values, table.global_values,
+                                                    table.grad_norms))
+                and (table.epochs >= 0).all() and (table.messages >= 0).all())
+    return [zlib.crc32(data), len(data)] if readable else None
 
 
-def read_run_csv(path: str) -> RunTable:
+def read_run_csv(path: str, checksum: list[int] | None = None) -> RunTable:
     """Read a run CSV back; a header other than the columns
     ``write_run_csv`` writes, or a row whose cell count differs from the
     header's, that holds a non-number or a non-finite number, or whose
@@ -101,7 +111,23 @@ def read_run_csv(path: str) -> RunTable:
     bit-equal.  When that parse fails or a row fails a check, the rows
     are parsed again one at a time with ``float()``: that loop alone
     names ``path:line``, and it still accepts the cells only ``float()``
-    reads (underscores, non-ASCII digits)."""
+    reads (underscores, non-ASCII digits).
+
+    With ``checksum``, the [CRC-32, byte length] that ``write_run_csv``
+    returned, and a file whose bytes still match it, only the epoch,
+    global_value and messages columns are parsed: the returned table's
+    ``values`` and ``grad_norms`` are None.  Such bytes are the writer's
+    own output of a table that passes every check above (ASCII, the
+    header's cell count, finite cells, digit-only counts below 2**63),
+    so the full parse would find nothing.  A file that does not match
+    is read in full, as without a checksum."""
+    if checksum is not None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if len(data) == checksum[1] and zlib.crc32(data) == checksum[0]:
+            table = _read_summary_columns(data)
+            if table is not None:
+                return table
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -137,6 +163,33 @@ def read_run_csv(path: str) -> RunTable:
         global_values=data[:, 1 + n],
         grad_norms=data[:, 2 + n:2 + 2 * n],
         messages=counts[:, 1],
+    )
+
+
+def _read_summary_columns(data: bytes) -> RunTable | None:
+    """The epoch, global_value and messages columns of ``write_run_csv``
+    output, read from the cells' byte offsets, or None when its first
+    two lines are not the magic line and a run csv header."""
+    head = len(CSV_MAGIC) + 1
+    end = data.find(b"\n", head)
+    if end < 0:
+        return None
+    header = data[head:end].decode("latin-1")
+    n = header.count(",value_") + header.startswith("value_")
+    if data[:end] != f"{CSV_MAGIC}\n{_run_csv_header(n)}".encode():
+        return None
+    body = np.frombuffer(data, dtype=np.uint8)[end + 1:]
+    row_ends = np.flatnonzero(body == ord("\n")) + (end + 1)
+    commas = (np.flatnonzero(body == ord(",")) + (end + 1)).reshape(len(row_ends), 2 * n + 2)
+    row_starts = [end + 1, *(row_ends[:-1] + 1).tolist()]
+    first, total, after, last = (commas[:, c].tolist() for c in (0, n, n + 1, -1))
+    return RunTable(
+        epochs=np.array([int(data[a:b]) for a, b in zip(row_starts, first)], dtype=np.int64),
+        values=None,
+        global_values=np.array([float(data[a + 1:b]) for a, b in zip(total, after)]),
+        grad_norms=None,
+        messages=np.array([int(data[a + 1:b]) for a, b in zip(last, row_ends.tolist())],
+                          dtype=np.int64),
     )
 
 
@@ -338,7 +391,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
 
     learners = {alg: parse_algorithm(alg, cfg.delta, cfg.eta) for alg in cfg.algorithms}
     runs = {alg: {} for alg in cfg.algorithms}
-    aborted = []
+    aborted, checksums = [], {}
     for r in repeats:
         probes, traces = _repeat_streams(cfg, env, layout, r)
         for alg in cfg.algorithms:
@@ -358,7 +411,10 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
             except (RolloutError, NonFiniteScores) as exc:
                 aborted.append((alg, r, f"{type(exc).__name__}: {exc}"))
                 continue
-            write_run_csv(os.path.join(out, run_file_name(alg, r)), table)
+            name = run_file_name(alg, r)
+            checksum = write_run_csv(os.path.join(out, name), table)
+            if checksum is not None:
+                checksums[name] = checksum
             runs[alg][r] = _summary_inputs(table)
 
     summary = _build_summary(cfg.algorithms, cfg.repeats, cfg.epochs, runs, aborted)
@@ -368,6 +424,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         "config": cfg.echo(),
         "repeats_run": list(repeats),
         "aborted": [list(a) for a in aborted],
+        "run_csv_checksums": checksums,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
                      "dirmarl": __version__},
@@ -382,7 +439,9 @@ def summarize(run_dir: str) -> RunSummary:
     """Recompute the cross-repeat statistics from the raw CSVs of a
     finished run directory.  Missing runs are an error that lists every
     absent file; a run CSV whose rows are not the manifest's epochs
-    0..K-1 is an error that names it."""
+    0..K-1 is an error that names it.  A run CSV whose bytes match the
+    manifest's checksum for it is parsed only in the columns a summary
+    reads (see ``read_run_csv``); any other is parsed in full."""
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -423,17 +482,26 @@ def summarize(run_dir: str) -> RunSummary:
                     "a list of [algorithm, repeat, reason] entries", [])
     skip = {(a, r) for a, r, _ in aborted}
 
+    def checksum(v):
+        return (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
+                and 0 <= v[0] < 2 ** 32 and v[1] >= 0)
+
+    checksums = field("run_csv_checksums",
+                      lambda v: isinstance(v, dict) and all(map(checksum, v.values())),
+                      "a map of run csv names to [crc32, bytes] pairs", {})
+
     missing = []
     runs = {alg: {} for alg in algorithms}
     for alg in algorithms:
         for r in repeats_run:
             if (alg, r) in skip:
                 continue
-            path = os.path.join(run_dir, run_file_name(alg, r))
+            name = run_file_name(alg, r)
+            path = os.path.join(run_dir, name)
             try:
-                table = read_run_csv(path)
+                table = read_run_csv(path, checksums.get(name))
             except FileNotFoundError:
-                missing.append(run_file_name(alg, r))
+                missing.append(name)
                 continue
             if not np.array_equal(table.epochs, np.arange(epochs)):
                 raise ValueError(f"{path}: rows must be the manifest's epochs "

@@ -194,13 +194,14 @@ class EpisodeRecord:
 
 @dataclass(frozen=True)
 class RunTable:
-    """One run, one row per episode: the columns of its CSV."""
+    """One run, one row per episode: the columns of its CSV.  A table
+    read for a summary only leaves the per-agent columns out (None)."""
 
-    epochs: np.ndarray         # (K,)
-    values: np.ndarray         # (K, N) per-agent observed values
-    global_values: np.ndarray  # (K,) sums of the observed values
-    grad_norms: np.ndarray     # (K, N)
-    messages: np.ndarray       # (K,)
+    epochs: np.ndarray                # (K,)
+    values: np.ndarray | None         # (K, N) per-agent observed values
+    global_values: np.ndarray         # (K,) sums of the observed values
+    grad_norms: np.ndarray | None     # (K, N)
+    messages: np.ndarray              # (K,)
 
 
 class WarehouseEvaluator:

@@ -660,6 +660,8 @@ def _check_scope_variance(rng: np.random.Generator, num_samples: int) -> CheckRe
 def run_validation(seed: int = 0, *, quick: bool = False) -> list[CheckResult]:
     """Run the whole claim-check battery and return one result per
     check.  ``quick`` shrinks the Monte-Carlo sample counts."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     mc = 20_000 if quick else 100_000
     results = [

@@ -31,8 +31,9 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
-from dirmarl import load_config, run_experiment
+from dirmarl import load_config, run_experiment, summarize
 from dirmarl.policy import RbfPolicy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -60,13 +61,18 @@ def config_file(config: str, epochs: int, work_dir: str) -> str:
     return os.path.join(CONFIG_DIR, f"{config}.cfg")
 
 
-def output_digests(name: str, out_dir: str) -> dict[str, str]:
+def run_case(name: str, out_dir: str):
+    """Run case ``name`` into ``out_dir``; its summary."""
     config, epochs, repeats, algorithms, checkpoint_every = CASES[name]
     cfg = load_config(config_file(config, epochs, out_dir + ".input"))
     cfg = dataclasses.replace(cfg, epochs=epochs, repeats=repeats or cfg.repeats,
                               algorithms=algorithms or cfg.algorithms, output_dir=out_dir,
                               checkpoint_every=checkpoint_every)
-    run_experiment(cfg)
+    return run_experiment(cfg)
+
+
+def output_digests(name: str, out_dir: str) -> dict[str, str]:
+    run_case(name, out_dir)
     digests = {}
     for fname in sorted(os.listdir(out_dir)):
         if fname.endswith(".csv"):
@@ -89,6 +95,29 @@ def test_outputs_match_recorded_digests(tmp_path):
         assert sorted(got) == sorted(golden[name])
         moved = [f for f in golden[name] if got[f] != golden[name][f]]
         assert moved == [], f"{name}: output bytes changed in {moved}"
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "tree1k"])
+def test_summarize_is_bit_equal_with_and_without_checksums(tmp_path, name):
+    # with the manifest's checksums summarize parses only the summary
+    # columns; without them every cell, as an older manifest is read
+    out = str(tmp_path / name)
+    direct = run_case(name, out)
+    manifest_path = os.path.join(out, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert len(manifest["run_csv_checksums"]) == sum(map(len, direct.executed.values()))
+    fast = summarize(out)
+    del manifest["run_csv_checksums"]
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    full = summarize(out)
+    for got in (fast, full):
+        assert (got.algorithms, got.executed, got.total_messages, got.aborted) == (
+            direct.algorithms, direct.executed, direct.total_messages, direct.aborted)
+        for alg in direct.mean_value:
+            assert got.mean_value[alg].tobytes() == direct.mean_value[alg].tobytes()
+            assert got.std_value[alg].tobytes() == direct.std_value[alg].tobytes()
 
 
 def test_tree1k_case_has_wide_rows(tmp_path):

@@ -7,10 +7,12 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import LearnerConfig, MessageBus, TrainingDiverged, train
 from dirmarl.oracles import sample_perturbation
 from dirmarl.policy import BlockLayout, RbfPolicy
+from dirmarl.validation import CheckResult
 from dirmarl.warehouse import RolloutError, WarehouseConfig, WarehouseEnv, simulate_rollout
 
 from helpers import (draw_streams, example2_expected_learning_edges, learning_edge_set,
@@ -484,6 +487,24 @@ def test_checkpoints_written_and_loadable(tmp_path):
     assert not np.array_equal(theta, earlier)
 
 
+class Torn:
+    """A file that takes half of its first write and is then interrupted."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise KeyboardInterrupt
+
+
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_an_interrupted_batch_leaves_only_whole_run_csvs(tmp_path, monkeypatch, k):
     # KeyboardInterrupt half-way through the k-th lane's CSV write: the
@@ -494,23 +515,6 @@ def test_an_interrupted_batch_leaves_only_whole_run_csvs(tmp_path, monkeypatch, 
                                   algorithms="distributed_one_point centralized_one_point"))
     run_experiment(cfg)
     real_open, csv_writes = open, []
-
-    class Torn:
-        """A file that takes half of its first write and is then interrupted."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return self.fh.__exit__(*exc)
-
-        def write(self, text):
-            self.fh.write(text[:len(text) // 2])
-            self.fh.flush()
-            raise KeyboardInterrupt
 
     def torn_open(path, mode="r", *args, **kwargs):
         fh = real_open(path, mode, *args, **kwargs)
@@ -809,7 +813,10 @@ def test_summarize_checks_every_manifest_key_it_reads(tmp_path):
                        ("config.learner.epochs", 2.0),
                        ("repeats_run", [0, 2]),
                        ("repeats_run", 0),
-                       ("aborted", [["distributed_one_point", 0]])):
+                       ("aborted", [["distributed_one_point", 0]]),
+                       ("run_csv_checksums", {"distributed_one_point.rep000.csv": [1, -1]}),
+                       ("run_csv_checksums", {"distributed_one_point.rep000.csv": [2 ** 32, 9]}),
+                       ("run_csv_checksums", [[1, 9]])):
         def change(m, key=key, value=value):
             *parents, last = key.split(".")
             for part in parents:
@@ -919,6 +926,84 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(clean) + "\r\n")
     assert _assert_reads_like_the_row_loop(path)
+
+
+def _checksums(out):
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)["run_csv_checksums"]
+
+
+def test_read_run_csv_with_a_matching_checksum_parses_only_the_summary_columns(tmp_path):
+    path = str(tmp_path / "run.csv")
+    table = random_table(np.random.default_rng(5), 7)
+    checksum = write_run_csv(path, table)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert checksum == [zlib.crc32(data), len(data)]
+    fast, full = read_run_csv(path, checksum), read_run_csv(path)
+    assert fast.values is None and fast.grad_norms is None
+    for name in ("epochs", "global_values", "messages"):
+        a, b = getattr(fast, name), getattr(full, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # a checksum of other bytes reads the file in full
+    for wrong in ([checksum[0] ^ 1, checksum[1]], [checksum[0], checksum[1] + 1]):
+        assert read_run_csv(path, wrong).values.tobytes() == full.values.tobytes()
+
+    # a table the full reader refuses gets no checksum
+    for column, bad in (("grad_norms", np.nan), ("values", -np.inf), ("global_values", np.inf),
+                        ("messages", -1), ("epochs", -1)):
+        broken = getattr(table, column).copy()
+        broken.flat[3] = bad
+        assert write_run_csv(path, replace(table, **{column: broken})) is None, column
+
+
+def test_summarize_reads_an_edited_run_in_full(tmp_path):
+    # one per-agent cell edited after the run: the summary columns are
+    # untouched, the bytes no longer match their checksum, and the full
+    # parse names the cell as it does without a checksum
+    out = str(tmp_path / "out")
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    path = os.path.join(out, run_file_name("distributed_one_point", 0))
+    assert run_file_name("distributed_one_point", 0) in _checksums(out)
+
+    def set_value_2(text):
+        def damage(lines):
+            cells = lines[3].split(",")
+            cells[2] = text
+            return lines[:3] + [",".join(cells)] + lines[4:]
+        return damage
+
+    _damage_run_csvs(out, set_value_2("nan"))
+    with pytest.raises(ValueError) as without:
+        read_run_csv(path)
+    assert str(without.value) == f"{path}:4: value_2 must be finite, got nan"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(without.value))}$"):
+        summarize(out)
+
+    # a finite edit is read in full and accepted
+    _damage_run_csvs(out, set_value_2("0.5"))
+    assert summarize(out).total_messages["distributed_one_point"] == 2 * 3 * 6
+
+
+def test_a_non_finite_run_gets_no_checksum_and_fails_summarize(tmp_path, monkeypatch):
+    real_train = dirmarl.experiments.train
+
+    def train_with_a_nan(*args, **kwargs):
+        table, theta = real_train(*args, **kwargs)
+        if not hasattr(train_with_a_nan, "done"):
+            train_with_a_nan.done = True
+            table.grad_norms[1, 0] = np.nan
+        return table, theta
+
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(dirmarl.experiments, "train", train_with_a_nan)
+    run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
+    monkeypatch.undo()
+    assert sorted(_checksums(out)) == [run_file_name("distributed_one_point", 1)]
+    path = os.path.join(out, run_file_name("distributed_one_point", 0))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}:4: grad_norm_1 must be finite, "
+                                         "got nan$"):
+        summarize(out)
 
 
 def test_summary_statistics_hand_check(tmp_path):
@@ -1179,6 +1264,19 @@ def test_cli_run_summarize_and_output_precedence(tmp_path, capsys, monkeypatch):
     assert "distributed_one_point: final value" in out
 
 
+def test_cli_run_output_flag_beats_environment_beats_config(tmp_path, monkeypatch):
+    dirs = {source: tmp_path / source for source in ("config", "env", "flag")}
+    path = tiny_config(tmp_path, str(dirs["config"]), repeats=1)
+    monkeypatch.delenv("DIRMARL_OUTPUT_DIR", raising=False)
+    for env, flag, want in ((False, False, "config"), (True, False, "env"), (True, True, "flag")):
+        if env:
+            monkeypatch.setenv("DIRMARL_OUTPUT_DIR", str(dirs["env"]))
+        assert main(["run", path] + (["--output", str(dirs["flag"])] if flag else [])) == 0
+        assert [s for s, d in dirs.items() if d.exists()] == [want]
+        assert (dirs[want] / "manifest.json").is_file()
+        shutil.rmtree(dirs[want])
+
+
 def test_cli_seed_override_changes_runs(tmp_path):
     out1 = str(tmp_path / "s1")
     out2 = str(tmp_path / "s2")
@@ -1350,6 +1448,37 @@ def test_cli_validate_json_in_missing_directory_exits_2_before_the_battery(
     # an existing directory in place of the report file
     assert main(["validate", "--quick", "--json", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write --json {tmp_path}: it is a directory\n"
+
+
+def test_cli_validate_names_a_negative_seed(capsys):
+    assert main(["validate", "--quick", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+def test_an_interrupted_validate_json_write_leaves_the_old_report(tmp_path, monkeypatch):
+    # KeyboardInterrupt half-way through writing the report: the file of
+    # an earlier run stays whole under the final name, and no temporary
+    # is left beside it
+    report = tmp_path / "report.json"
+    report.write_text("[]\n", encoding="utf-8")
+    monkeypatch.setattr("dirmarl.cli.run_validation",
+                        lambda **kw: [CheckResult("stub", True, "x" * 100)])
+    real_open = open
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return Torn(fh) if "w" in mode and str(path).startswith(str(report)) else fh
+
+    monkeypatch.setattr(dirmarl.experiments, "open", torn_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(["validate", "--json", str(report)])
+    monkeypatch.setattr(dirmarl.experiments, "open", real_open, raising=False)
+    assert os.listdir(tmp_path) == ["report.json"]
+    assert report.read_text(encoding="utf-8") == "[]\n"
+
+    assert main(["validate", "--json", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8")) == [
+        {"name": "stub", "passed": True, "detail": "x" * 100}]
 
 
 def test_cli_help_exits_zero():

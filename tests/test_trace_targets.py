@@ -1,16 +1,18 @@
 """The benchmark's tracer finds every layer it wraps, and its battery
-self-check holds.
+and summarize self-checks hold.
 
 ``perfbench/tracing.py`` reports a wrap target that is missing from the
 package as absent instead of failing, so without this check a rename or
 deletion of a traced function would only show in a benchmark run.  The
-same goes for the claim battery's call and draw counts, which the
-benchmark's ``root_metrics`` checks against fixed predictions."""
+same goes for the claim battery's call and draw counts and for
+summarize's one run CSV read per lane, which the benchmark's
+``root_metrics`` checks against fixed predictions."""
 
 from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 import dirmarl
 import dirmarl.experiments
@@ -49,3 +51,20 @@ def test_battery_trace_self_check_passes():
     assert problems == []
     assert metrics["validation.moment_draws"] == bench.BATTERY_MOMENT_CALLS * 20_000
     assert metrics["validation.checks_failed"] == 0
+
+
+def test_summarize_trace_self_check_passes(tmp_path):
+    cfg = dirmarl.load_config(os.path.join(bench.ROOT, "configs", "example1.cfg"))
+    cfg = replace(cfg, epochs=2, repeats=2, output_dir=str(tmp_path / "out"))
+    dirmarl.run_experiment(cfg)
+    lanes = len(cfg.algorithms) * cfg.repeats
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        dirmarl.summarize(cfg.output_dir)
+    (i,) = [i for i, s in enumerate(tracer.spans) if s[tracing.PARENT] < 0]
+    root = tracer.spans[i]
+    assert root[tracing.NAME] == "experiments.summarize"
+    metrics, problems = bench.root_metrics(root[tracing.NAME], root,
+                                           tracer.descendants()[i], lanes)
+    assert problems == []
+    assert metrics["experiments.csv_read_s"] > 0
