@@ -66,15 +66,18 @@ def _run_csv_header(num_agents: int) -> str:
 def _write_whole(path: str, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) so that ``path`` only ever holds it
     whole: under a temporary name in the same directory, then moved over
-    ``path``; a failed or interrupted write removes the temporary file."""
+    ``path``; a failed or interrupted write removes the temporary file,
+    and one that fails for the file system is an error that names ``path``."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):  # a directory in the way, no permission, a full disk
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 
@@ -104,40 +107,37 @@ def read_run_csv(path: str, checksum: list[int] | None = None) -> RunTable:
     ``write_run_csv`` writes, or a row whose cell count differs from the
     header's, that holds a non-number or a non-finite number, or whose
     epoch or message count is not a whole number below 2**63, is an
-    error that names ``path:line``.
+    error that names ``path:line``.  A file that cannot be read, other
+    than a missing one, is an error that names it.
 
-    The body is parsed in one pass by numpy's C reader, which converts
-    each cell with the routine ``float()`` uses, so the doubles are
-    bit-equal.  When that parse fails or a row fails a check, the rows
-    are parsed again one at a time with ``float()``: that loop alone
-    names ``path:line``, and it still accepts the cells only ``float()``
-    reads (underscores, non-ASCII digits).
-
-    With ``checksum``, the [CRC-32, byte length] that ``write_run_csv``
-    returned, and a file whose bytes still match it, only the epoch,
-    global_value and messages columns are parsed: the returned table's
-    ``values`` and ``grad_norms`` are None.  Such bytes are the writer's
-    own output of a table that passes every check above (ASCII, the
-    header's cell count, finite cells, digit-only counts below 2**63),
-    so the full parse would find nothing.  A file that does not match
-    is read in full, as without a checksum."""
-    if checksum is not None:
+    The file is read once.  With ``checksum``, the [CRC-32, byte length]
+    that ``write_run_csv`` returned, and bytes that still match it, only
+    the epoch, global_value and messages columns are parsed: the
+    returned table's ``values`` and ``grad_norms`` are None.  Such bytes
+    are the writer's own output of a table that passes every check
+    above (ASCII, the header's cell count, finite cells, digit-only
+    counts below 2**63), so the full parse would find nothing.  Any
+    other file is decoded whole, split into lines at ``\\n``, ``\\r\\n``
+    and ``\\r``, and parsed row by row with ``float()``, so the first
+    failed row names ``path:line``; rows fail in file order, then the
+    first non-finite cell, then the first count of 2**63 or more."""
+    try:
         with open(path, "rb") as fh:
             data = fh.read()
-        if len(data) == checksum[1] and zlib.crc32(data) == checksum[0]:
-            table = _read_summary_columns(data)
-            if table is not None:
-                return table
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory in the way, or no permission
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    if checksum is not None and len(data) == checksum[1] and zlib.crc32(data) == checksum[0]:
+        table = _read_summary_columns(data)
+        if table is not None:
+            return table
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:  # decoded whole, its error gives the file offset
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+    # text mode's line ends (str.splitlines also splits at \x1c-\x1e, \x85, \u2028)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
     if len(lines) < 2 or lines[0] != CSV_MAGIC:
         raise ValueError(f"{path} is not a dirmarl run csv (missing {CSV_MAGIC!r} "
                          "and a header)")
@@ -147,9 +147,24 @@ def read_run_csv(path: str, checksum: list[int] | None = None) -> RunTable:
         raise ValueError(f"{path}:2: header is not the run csv columns for {n} agents "
                          "(epoch, value_i, global_value, grad_norm_i, messages)")
     body = [(lineno, ln) for lineno, ln in enumerate(lines[2:], start=3) if ln]
-    data = _parse_body([ln for _, ln in body], len(header))
-    if data is None:
-        data = _parse_rows(path, body, header)
+    rows = []
+    for lineno, ln in body:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not (cells[0].isdigit() and cells[-1].isdigit()):  # epoch and messages
+            col = -1 if cells[0].isdigit() else 0
+            raise ValueError(f"{path}:{lineno}: {header[col]} must be a whole number, "
+                             f"got {cells[col]!r}")
+    data = np.array(rows, dtype=float).reshape(-1, len(header))
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"{path}:{body[r][0]}: {header[c]} must be finite, "
+                         f"got {float(data[r, c])!r}")
     counts = []  # epoch and messages exactly, from their digit text
     for lineno, ln in body:
         for name, cell in (("epoch", ln.partition(",")[0]), ("messages", ln.rpartition(",")[2])):
@@ -191,58 +206,6 @@ def _read_summary_columns(data: bytes) -> RunTable | None:
         messages=np.array([int(data[a + 1:b]) for a, b in zip(last, row_ends.tolist())],
                           dtype=np.int64),
     )
-
-
-# The characters that numpy's reader strips around a number as
-# whitespace and float() rejects (str.isspace() counts them, float()
-# strips only ASCII blanks)
-_NOT_FLOAT_BLANKS = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _parse_body(body: list[str], columns: int) -> np.ndarray | None:
-    """The non-empty body rows as one (rows, columns) array, or None
-    when some row might fail a check: an epoch or message cell that is
-    not digits, a cell the C reader rejects, a cell count other than
-    ``columns`` or a non-finite cell."""
-    if not body:
-        return np.empty((0, columns))
-    for ln in body:  # the epoch and message tests of the row loop, per row
-        if not (ln.partition(",")[0].isdigit() and ln.rpartition(",")[2].isdigit()):
-            return None
-    joined = "".join(body)
-    if any(c in joined for c in _NOT_FLOAT_BLANKS):
-        return None
-    try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if data.shape != (len(body), columns) or not np.isfinite(data).all():
-        return None
-    return data
-
-
-def _parse_rows(path: str, body: list[tuple[int, str]], header: list[str]) -> np.ndarray:
-    """The numbered body rows parsed one by one with ``float()``; the
-    first row that fails a check is an error that names ``path:line``."""
-    rows = []
-    for lineno, ln in body:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(header)}")
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not (cells[0].isdigit() and cells[-1].isdigit()):  # epoch and messages
-            col = -1 if cells[0].isdigit() else 0
-            raise ValueError(f"{path}:{lineno}: {header[col]} must be a whole number, "
-                             f"got {cells[col]!r}")
-    data = np.array(rows, dtype=float).reshape(-1, len(header))
-    if not np.isfinite(data).all():
-        r, c = np.argwhere(~np.isfinite(data))[0]
-        raise ValueError(f"{path}:{body[r][0]}: {header[c]} must be finite, "
-                         f"got {float(data[r, c])!r}")
-    return data
 
 
 @dataclass(frozen=True)

@@ -673,8 +673,8 @@ def reference_write_run_csv(path: str, table: RunTable) -> None:
 
 
 def reference_read_run_csv(path: str) -> RunTable:
-    """``experiments.read_run_csv`` as one ``float()`` per cell, row by
-    row: the oracle for its one-pass parse, doubles and error text."""
+    """``experiments.read_run_csv`` without a checksum, written apart
+    from it in text mode: the oracle for its doubles and error text."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]

@@ -905,8 +905,8 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(path)} is not UTF-8 text: "):
         summarize(out)
 
-    # the one-pass parse against the row loop it stands in for: the same
-    # doubles, or the same error text (True: the file is accepted)
+    # the reader against the reference row loop: the same doubles, or
+    # the same error text (True: the file is accepted)
     out = str(tmp_path / "grammar")
     run_experiment(load_config(tiny_config(tmp_path, out, epochs=3)))
     path = os.path.join(out, run_file_name("distributed_one_point", 0))
@@ -916,9 +916,13 @@ def test_summarize_names_a_non_numeric_cell(tmp_path):
         (1, " 1.5", True), (1, "1.5 2", False), (4, "", False), (1, "1_0", True),
         (1, "\uff11", True), (1, "0x10", False), (4, "1e999", False), (1, "1\x1c", False),
         (0, "+3", False), (0, "\u0663", True))]
+    nan_first = clean[2].split(",")
+    nan_first[4] = "nan"
     cases += [(clean[:3] + [" \t "] + clean[3:], False),
               (clean[:3] + ["# a note"] + clean[3:], False),
-              (clean[:2] + [ln + ",0" for ln in clean[2:]], False)]
+              (clean[:2] + [ln + ",0" for ln in clean[2:]], False),
+              # a nan on line 3 and a short line 5: the row error names line 5
+              (clean[:2] + [",".join(nan_first), clean[3], clean[4].rpartition(",")[0]], False)]
     for lines, accepted in cases:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -1129,6 +1133,29 @@ def test_read_run_csv_names_a_bad_byte_by_its_file_offset(tmp_path):
         read_run_csv(path)
 
 
+def test_read_run_csv_opens_a_file_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "run.csv")
+    checksum = write_run_csv(path, random_table(np.random.default_rng(4), 5))
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dirmarl.experiments, "open", spy, raising=False)
+    for given in (checksum, [checksum[0] ^ 1, checksum[1]], None):
+        opened.clear()
+        read_run_csv(path, given)
+        assert opened == [path], given
+    with real_open(path, "ab") as fh:
+        fh.write(b"0,\xff\n")
+    opened.clear()
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        read_run_csv(path, checksum)
+    assert opened == [path]
+
+
 def _assert_reads_like_the_row_loop(path) -> bool:
     """``read_run_csv`` gives ``reference_read_run_csv``'s arrays bit for
     bit, or its error text; True when the file was accepted."""
@@ -1301,6 +1328,32 @@ def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {taken}: ")
     assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_run_names_a_run_csv_it_cannot_write(tmp_path, capsys):
+    # a directory in place of a run CSV: training finishes, and the write
+    # is an error that names the file and leaves no temporary behind
+    out = tmp_path / "out"
+    taken = out / run_file_name("distributed_one_point", 0)
+    taken.mkdir(parents=True)
+    assert main(["run", tiny_config(tmp_path, str(out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}: ") and "Traceback" not in err
+    assert os.listdir(out) == [taken.name] and taken.is_dir()
+
+
+def test_cli_summarize_names_a_run_csv_it_cannot_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_experiment(load_config(tiny_config(tmp_path, str(out))))
+    path = out / run_file_name("distributed_one_point", 0)
+    path.unlink()
+    path.mkdir()
+    assert main(["summarize", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: Is a directory\n"
+    path.rmdir()  # a missing file is still a missing run
+    assert main(["summarize", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {out} is incomplete; missing runs: "
+                                       f"{path.name}\n")
 
 
 def test_cli_run_rejects_a_jitter_whose_span_overflows(tmp_path, capsys):
