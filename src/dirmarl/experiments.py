@@ -337,20 +337,19 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         if not 0 <= r < cfg.repeats:
             raise ValueError(f"repeat index {r} outside 0..{cfg.repeats - 1}")
     out = cfg.output_dir
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    ckpt_dir = os.path.join(out, "checkpoints")
+    wanted = [("output", out)] + ([("checkpoint", ckpt_dir)] if cfg.checkpoint_every > 0 else [])
+    for what, path in wanted:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ValueError(f"cannot create {what} directory {path}: {exc.strerror}") from exc
     env = WarehouseEnv(cfg.warehouse)
     policy = RbfPolicy(cfg.graph, **asdict(cfg.policy))
     bus = MessageBus(build_artifacts(cfg.graph).learning)
     ev = WarehouseEvaluator(env, policy, cfg.discount)
     layout = policy.layout
     theta0 = np.zeros(layout.total_dim)
-
-    ckpt_dir = os.path.join(out, "checkpoints")
-    if cfg.checkpoint_every > 0:
-        os.makedirs(ckpt_dir, exist_ok=True)
 
     learners = {alg: parse_algorithm(alg, cfg.delta, cfg.eta) for alg in cfg.algorithms}
     runs = {alg: {} for alg in cfg.algorithms}

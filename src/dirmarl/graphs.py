@@ -28,7 +28,7 @@ member, senders and member lists ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -162,12 +162,15 @@ class LearningGraph:
     indptr: np.ndarray
     indices: np.ndarray
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        """(|E_L|, 2) array of the 1-based (sender, target) pairs, sorted."""
+        """Read-only (|E_L|, 2) array of the 1-based (sender, target)
+        pairs, sorted; built on first read."""
         targets = np.repeat(np.arange(1, self.num_agents + 1), np.diff(self.indptr))
         order = np.argsort(self.indices, kind="stable")
-        return np.column_stack((self.indices[order] + 1, targets[order]))
+        edges = np.column_stack((self.indices[order] + 1, targets[order]))
+        edges.flags.writeable = False
+        return edges
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -247,6 +250,9 @@ class GraphArtifacts:
     learning: LearningGraph
 
 
+@lru_cache(maxsize=8)
 def build_artifacts(g: CoordinationGraph) -> GraphArtifacts:
+    """The graph's clusters and learning graph, derived once per distinct
+    graph: an equal graph gets the same read-only result."""
     d = strongly_connected_components(g)
     return GraphArtifacts(d, derive_learning_graph(g, d))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -181,14 +181,6 @@ def _coordinate_major(thetas: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(thetas, dtype=float)).T
 
 
-@lru_cache(maxsize=8)
-def _learning_graph(graph: CoordinationGraph) -> LearningGraph:
-    """The graph's learning graph, built once per distinct graph: the
-    battery draws 23 instances on its 3 demo graphs.  Its arrays are
-    read-only, so the instances can share it."""
-    return build_artifacts(graph).learning
-
-
 def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
                    family: str = "quadratic",
                    block_dims: tuple[int, ...] | None = None,
@@ -203,7 +195,7 @@ def make_synthetic(graph: CoordinationGraph, rng: np.random.Generator, *,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    learning = _learning_graph(graph)
+    learning = build_artifacts(graph).learning
     n = graph.num_agents
     if block_dims is None:
         block_dims = tuple(int(v) for v in rng.integers(1, 4, size=n))

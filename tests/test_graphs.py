@@ -336,6 +336,24 @@ def test_large_sparse_graph_scales():
     assert retained <= 64 * entries, f"{retained / entries:.0f} bytes per entry"
 
 
+def test_build_artifacts_is_one_read_only_memo_per_graph():
+    edges = [(1, 2), (2, 3), (3, 1), (3, 4)]
+    g = build_graph(4, edges)
+    art = build_artifacts(g)
+    assert build_artifacts(g) is art
+    assert build_artifacts(build_graph(4, edges[::-1])) is art  # equal graph, new object
+    pairs = art.learning.edges
+    assert art.learning.edges is pairs and not pairs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0, 0] = 4
+    other = build_artifacts(build_graph(4, edges[:-1] + [(4, 3)]))
+    assert other is not art and other.learning is not art.learning
+    # (j, i): j sends to i, as i reaches j; the cycle 1-2-3 reaches 4, then 4 reaches it
+    cycle = {(j, i) for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
+    assert learning_edge_set(art.learning) == cycle | {(4, 1), (4, 2), (4, 3)}
+    assert learning_edge_set(other.learning) == cycle | {(1, 4), (2, 4), (3, 4)}
+
+
 def test_deep_chain_cluster_level_reachability():
     # A long path: Tarjan's walk is 3000 deep and the learning graph is
     # built one cluster level at a time; agent 1 reaches everyone and

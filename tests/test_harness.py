@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dirmarl.experiments
+import dirmarl.graphs
 import dirmarl.learner
 from dirmarl.cli import main
 from dirmarl.configio import (_KEYS, MAX_REPEAT_DOUBLES, ConfigError, ExperimentConfig,
@@ -470,6 +471,23 @@ def test_message_bus_built_once_per_experiment(tmp_path, monkeypatch):
     # 3-cycle: 6 routing edges, one message each per episode
     assert summary.total_messages == summarize(out).total_messages == {
         alg: 3 * cfg.epochs * 6 for alg in cfg.algorithms}
+
+
+def test_experiments_on_one_graph_derive_its_learning_graph_once(tmp_path, monkeypatch):
+    derived = []
+    derive = dirmarl.graphs.derive_learning_graph
+
+    def counted(g, d):
+        derived.append(g)
+        return derive(g, d)
+
+    build_artifacts.cache_clear()
+    monkeypatch.setattr(dirmarl.graphs, "derive_learning_graph", counted)
+    cfg = load_config(tiny_config(tmp_path, str(tmp_path / "out"), repeats=1))
+    first = run_experiment(cfg)
+    second = run_experiment(replace(cfg, output_dir=str(tmp_path / "again")))
+    assert derived == [cfg.graph]
+    assert second.total_messages == first.total_messages
 
 
 def test_checkpoints_written_and_loadable(tmp_path):
@@ -1328,6 +1346,18 @@ def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {taken}: ")
     assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_run_checkpoints_over_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    taken = out / "checkpoints"
+    out.mkdir()
+    taken.write_text("not a directory\n")
+    assert main(["run", tiny_config(tmp_path, str(out), extra="checkpoint_every = 1")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create checkpoint directory {taken}: ")
+    assert "Traceback" not in err
+    assert os.listdir(out) == ["checkpoints"] and taken.read_text() == "not a directory\n"
 
 
 def test_cli_run_names_a_run_csv_it_cannot_write(tmp_path, capsys):
