@@ -18,6 +18,11 @@ component passes walk the edge array, and every reach fact is a
 learning-graph row (agent i reaches the senders in its row; the agents
 that reach i are the rows that contain it).
 
+``build_artifacts`` is the one memo of both derivations: it runs the
+component and closure passes once per distinct graph in a process and
+returns the same read-only ``GraphArtifacts`` for every equal graph,
+so the experiment driver, the CLI and the claim battery share them.
+
 Agent indices are 1-based in every public structure but the 0-based
 arrays (``edge_array``, the learning graph's CSR).  Cluster indices
 are 0-based positions into ``ClusterDecomposition.clusters``.  All
