@@ -56,7 +56,6 @@ class ExperimentConfig:
     repeats: int = 10
     master_seed: int = 0
     output_dir: str = "runs"
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -80,8 +79,6 @@ class ExperimentConfig:
                               f"got {self.epochs}, {self.horizon}")
         if not 0.0 < self.discount <= 1.0:
             raise ConfigError(f"discount must lie in (0, 1], got {self.discount}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         self._check_repeat_size()
 
     def _check_repeat_size(self) -> None:
@@ -256,7 +253,7 @@ _KEYS = {
     "learner": {"delta": _as_float, "eta": _as_float, "epochs": _as_int,
                 "horizon": _as_int, "discount": _as_float},
     "experiment": {"algorithms": _as_names, "repeats": _as_int, "master_seed": _as_int,
-                   "output_dir": _as_text, "checkpoint_every": _as_int},
+                   "output_dir": _as_text},
 }
 
 

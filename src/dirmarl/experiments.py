@@ -5,7 +5,6 @@ One experiment is (config, master_seed) -> an output directory with
     <algorithm>.rep<RRR>.csv   per-episode rows for each run
     summary.csv / summary.json cross-repeat statistics
     manifest.json              config echo, seeds, versions, timing
-    checkpoints/               parameter snapshots when enabled
 
 Within a repeat every algorithm consumes the same pre-drawn
 perturbation and environment-noise streams and starts from the same
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import json
 import os
 import platform
@@ -213,7 +211,6 @@ class RunSummary:
     """Cross-repeat statistics, recomputable from the raw run CSVs."""
 
     algorithms: tuple[str, ...]
-    repeats: int
     num_epochs: int
     mean_value: dict        # algorithm -> (K,) cross-repeat mean global value
     std_value: dict         # algorithm -> (K,) cross-repeat sample std
@@ -262,8 +259,7 @@ def _summary_inputs(table: RunTable) -> tuple[np.ndarray, int]:
     return table.global_values.copy(), sum(table.messages.tolist())
 
 
-def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
-                   aborted) -> RunSummary:
+def _build_summary(algorithms, epochs: int, runs: dict, aborted) -> RunSummary:
     """Cross-repeat statistics of ``runs[alg][repeat] =
     _summary_inputs(table)``, one entry per completed run; an algorithm
     without one is left out of the per-algorithm maps."""
@@ -278,7 +274,7 @@ def _build_summary(algorithms, repeats: int, epochs: int, runs: dict,
                           else np.zeros_like(mean_value[alg]))
         messages[alg] = sum(runs[alg][r][1] for r in done)
         executed[alg] = tuple(done)
-    return RunSummary(tuple(algorithms), repeats, epochs, mean_value, std_value, messages,
+    return RunSummary(tuple(algorithms), epochs, mean_value, std_value, messages,
                       executed, tuple(tuple(a) for a in aborted))
 
 
@@ -292,12 +288,6 @@ def write_summary(out_dir: str, summary: RunSummary) -> None:
     _write_whole(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
     _write_whole(os.path.join(out_dir, "summary.json"),
                  json.dumps(summary.report(), indent=2, sort_keys=True) + "\n")
-
-
-def save_parameters(path: str, theta: np.ndarray, epoch: int) -> None:
-    buf = io.BytesIO()  # np.savez appends .npz to a bare path
-    np.savez(buf, theta=np.asarray(theta, dtype=float), epoch=np.int64(epoch))
-    _write_whole(path, buf.getvalue())
 
 
 def _repeat_streams(cfg: ExperimentConfig, env: WarehouseEnv, layout: BlockLayout,
@@ -337,13 +327,10 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         if not 0 <= r < cfg.repeats:
             raise ValueError(f"repeat index {r} outside 0..{cfg.repeats - 1}")
     out = cfg.output_dir
-    ckpt_dir = os.path.join(out, "checkpoints")
-    wanted = [("output", out)] + ([("checkpoint", ckpt_dir)] if cfg.checkpoint_every > 0 else [])
-    for what, path in wanted:
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:  # a file in the way, or no permission
-            raise ValueError(f"cannot create {what} directory {path}: {exc.strerror}") from exc
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValueError(f"cannot create output directory {out}: {exc.strerror}") from exc
     env = WarehouseEnv(cfg.warehouse)
     policy = RbfPolicy(cfg.graph, **asdict(cfg.policy))
     bus = MessageBus(build_artifacts(cfg.graph).learning)
@@ -357,16 +344,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     for r in repeats:
         probes, traces = _repeat_streams(cfg, env, layout, r)
         for alg in cfg.algorithms:
-            on_episode = None
-            if cfg.checkpoint_every > 0:
-                def on_episode(k, theta, rec, alg=alg, r=r):
-                    if (k + 1) % cfg.checkpoint_every == 0 or k + 1 == cfg.epochs:
-                        save_parameters(
-                            os.path.join(ckpt_dir, f"{alg}.rep{r:03d}.ep{k + 1:05d}.npz"),
-                            theta, k + 1)
             try:
-                table, _ = train(theta0, ev, learners[alg], bus, probes, traces,
-                                 on_episode=on_episode)
+                table, _ = train(theta0, ev, learners[alg], bus, probes, traces)
             except TrainingDiverged as exc:
                 aborted.append((alg, r, str(exc)))
                 continue
@@ -379,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
                 checksums[name] = checksum
             runs[alg][r] = _summary_inputs(table)
 
-    summary = _build_summary(cfg.algorithms, cfg.repeats, cfg.epochs, runs, aborted)
+    summary = _build_summary(cfg.algorithms, cfg.epochs, runs, aborted)
     write_summary(out, summary)
     manifest = {
         "format": "dirmarl manifest v1",
@@ -471,4 +450,4 @@ def summarize(run_dir: str) -> RunSummary:
             runs[alg][r] = _summary_inputs(table)
     if missing:
         raise ValueError(f"{run_dir} is incomplete; missing runs: {', '.join(missing)}")
-    return _build_summary(algorithms, repeats, epochs, runs, aborted)
+    return _build_summary(algorithms, epochs, runs, aborted)

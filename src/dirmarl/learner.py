@@ -299,12 +299,11 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
 
 
 def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
-          perturbations: Sequence[np.ndarray], noise_traces: Sequence, *,
-          on_episode=None) -> tuple[RunTable, np.ndarray]:
+          perturbations: Sequence[np.ndarray], noise_traces: Sequence
+          ) -> tuple[RunTable, np.ndarray]:
     """Run one episode per (joint probe, noise trace) pair of the shared
     streams, an (E, d) probe array and E noises, and return the run's
-    table and the final parameter.  ``on_episode(epoch, theta, record)``
-    runs after every update (checkpointing, progress)."""
+    table and the final parameter."""
     epochs = len(perturbations)
     if epochs != len(noise_traces) or epochs == 0:
         raise ValueError(f"need equally many perturbations and noise traces, at least one: "
@@ -323,8 +322,6 @@ def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
                                         noise=noise, residual_state=state)
         table.values[k], table.grad_norms[k] = rec.observed_values, rec.gradient_norms
         table.global_values[k], table.messages[k] = rec.observed_values.sum(), rec.message_count
-        if on_episode is not None:
-            on_episode(k, theta, rec)
     return table, theta
 
 

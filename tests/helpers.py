@@ -531,12 +531,6 @@ def global_noise_std(obj) -> float:
     return float(np.sqrt((obj.noise_std ** 2).sum()))
 
 
-def load_parameters(path: str) -> tuple[np.ndarray, int]:
-    """Read a checkpoint written by ``experiments.save_parameters``."""
-    with np.load(path) as data:
-        return data["theta"].copy(), int(data["epoch"])
-
-
 # -- set-up references ----------------------------------------------------
 # The policy and environment tables, the exchange plan and the run-CSV
 # writer as they were first written: one agent, one plan group and one

@@ -3,6 +3,7 @@ layout and determinism, summary statistics, and the command line."""
 
 from __future__ import annotations
 
+import configparser
 import json
 import math
 import os
@@ -25,8 +26,8 @@ import dirmarl.learner
 from dirmarl.cli import main
 from dirmarl.configio import (_KEYS, MAX_REPEAT_DOUBLES, ConfigError, ExperimentConfig,
                               load_config, load_graph_file, parse_edge_list)
-from dirmarl.experiments import (CSV_MAGIC, _repeat_streams, read_run_csv, run_experiment,
-                                 run_file_name, summarize, write_run_csv)
+from dirmarl.experiments import (_repeat_streams, read_run_csv, run_experiment, run_file_name,
+                                 summarize, write_run_csv)
 from dirmarl.graphs import build_artifacts, build_graph
 from dirmarl.learner import LearnerConfig, MessageBus, TrainingDiverged, train
 from dirmarl.oracles import sample_perturbation
@@ -35,7 +36,7 @@ from dirmarl.validation import CheckResult
 from dirmarl.warehouse import RolloutError, WarehouseConfig, WarehouseEnv, simulate_rollout
 
 from helpers import (draw_streams, example2_expected_learning_edges, learning_edge_set,
-                     load_parameters, reference_read_run_csv, run_table)
+                     reference_read_run_csv, run_table)
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
@@ -190,6 +191,28 @@ def test_unknown_key_is_named(tmp_path):
                         "[environment]\nshared_demand_noise = false\n")
     with pytest.raises(ConfigError, match="unknown key 'shared_demand_noise'"):
         load_config(path)
+    # checkpoints were removed with their key
+    path = write_config(tmp_path,
+                        "[graph]\nnum_agents = 2\nedges = 1->2\n"
+                        "[experiment]\ncheckpoint_every = 0\n")
+    with pytest.raises(ConfigError,
+                       match=r"unknown key 'checkpoint_every' in \[experiment\]"):
+        load_config(path)
+
+
+def test_readme_config_block_names_exactly_the_config_keys():
+    readme = os.path.join(os.path.dirname(CONFIG_DIR), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^## Config format\n.*?^```ini\n(.*?)^```$", text, re.S | re.M)
+    assert block is not None, "README has no ini block under '## Config format'"
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(block.group(1))
+    shown = {section: set(parser[section]) for section in parser.sections()}
+    # the block shows [graph] file only as a comment, beside the inline edges
+    want = {section: set(keys) - ({"file"} if section == "graph" else set())
+            for section, keys in _KEYS.items()}
+    assert shown == want
 
 
 def test_unknown_section_is_named(tmp_path):
@@ -488,21 +511,6 @@ def test_experiments_on_one_graph_derive_its_learning_graph_once(tmp_path, monke
     second = run_experiment(replace(cfg, output_dir=str(tmp_path / "again")))
     assert derived == [cfg.graph]
     assert second.total_messages == first.total_messages
-
-
-def test_checkpoints_written_and_loadable(tmp_path):
-    out = str(tmp_path / "out")
-    cfg = load_config(tiny_config(tmp_path, out, epochs=5, repeats=1,
-                                  extra="checkpoint_every = 2"))
-    run_experiment(cfg)
-    ckpt = os.path.join(out, "checkpoints")
-    names = sorted(os.listdir(ckpt))
-    assert names == [f"distributed_one_point.rep000.ep{k:05d}.npz" for k in (2, 4, 5)]
-    theta, epoch = load_parameters(os.path.join(ckpt, names[-1]))
-    assert epoch == 5
-    assert theta.ndim == 1 and np.isfinite(theta).all()
-    earlier, _ = load_parameters(os.path.join(ckpt, names[0]))
-    assert not np.array_equal(theta, earlier)
 
 
 class Torn:
@@ -846,7 +854,11 @@ def test_summarize_checks_every_manifest_key_it_reads(tmp_path):
             summarize(out)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(clean)
-    summarize(out)
+    want = summarize(out).report()
+    # an echo key summarize does not read is ignored, such as the
+    # checkpoint_every that run directories of older versions hold
+    _rewrite_manifest(out, lambda m: m["config"]["experiment"].update(checkpoint_every=0))
+    assert summarize(out).report() == want
 
 
 def _damage_run_csvs(out, damage):
@@ -1336,6 +1348,12 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     bad = write_config(tmp_path, "[graph]\nedges = 1->2\n")
     assert main(["run", bad]) == 2
     assert "num_agents" in capsys.readouterr().err
+    out = tmp_path / "out"
+    old = tiny_config(tmp_path, str(out), extra="checkpoint_every = 2", name="old.cfg")
+    assert main(["run", old]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'checkpoint_every' in [experiment]" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
@@ -1346,18 +1364,6 @@ def test_cli_run_output_over_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {taken}: ")
     assert taken.read_text() == "not a directory\n"
-
-
-def test_cli_run_checkpoints_over_a_file_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    taken = out / "checkpoints"
-    out.mkdir()
-    taken.write_text("not a directory\n")
-    assert main(["run", tiny_config(tmp_path, str(out), extra="checkpoint_every = 1")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot create checkpoint directory {taken}: ")
-    assert "Traceback" not in err
-    assert os.listdir(out) == ["checkpoints"] and taken.read_text() == "not a directory\n"
 
 
 def test_cli_run_names_a_run_csv_it_cannot_write(tmp_path, capsys):

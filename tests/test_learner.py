@@ -469,13 +469,12 @@ def test_residual_carries_previous_local_values():
     us = [sample_perturbation(policy.layout, rng) for _ in range(2)]
     traces = [env.draw_noise_trace(4, rng) for _ in range(2)]
     cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual")
-    records = []
-    train(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), us, traces,
-          on_episode=lambda k, theta, rec: records.append(rec))
-    r0, r1 = records
-    diff = r1.local_values - r0.local_values
+    bus = MessageBus(arts.learning)
+    table, _ = train(np.zeros(policy.layout.total_dim), ev, cfg, bus, us, traces)
+    local0, local1 = (bus.gather(row) for row in table.values)
+    diff = local1 - local0
     want = policy.layout.block_norms((policy.layout.expand(diff) / 0.1) * us[1])
-    np.testing.assert_allclose(r1.gradient_norms, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(table.grad_norms[1], want, rtol=1e-12, atol=1e-15)
 
 
 def test_residual_second_episode_at_same_point_and_noise_is_null():

@@ -11,7 +11,11 @@ name does not call it).  Dunders are exempt, and the names
 
 The same holds for parameters: a defaulted parameter of a module-level
 function or of a method that no call in src, tests, scripts or the
-benchmark ever passes is a setting nobody sets, so it fails too."""
+benchmark ever passes is a setting nobody sets, so it fails too.
+
+And for imports: no module in src, tests or scripts imports a name it
+never uses.  ``from __future__`` imports, the re-exports of an
+``__init__.py`` and an import on a line marked ``noqa`` are exempt."""
 
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ import dirmarl
 PACKAGE = os.path.dirname(os.path.abspath(dirmarl.__file__))
 REPO = os.path.dirname(os.path.dirname(PACKAGE))
 CALLERS = [os.path.join(REPO, d) for d in ("src", "tests", "scripts", "perfbench")]
+IMPORTERS = CALLERS[:3]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -181,3 +186,64 @@ def test_the_scan_finds_a_parameter_nobody_passes(tmp_path):
         "box.grow(**{})\n")
     assert unpassed_parameters(str(pkg), [str(pkg), str(callers)]) == [
         "a.py:1 f(never)", "a.py:8 __init__(label)"]
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def unused_imports(roots: list[str]) -> list[str]:
+    """``file:line name`` for every import under ``roots`` whose name the
+    module never uses.  ``import a.b`` is used where ``a.b`` heads a
+    dotted name; any other import where its bound name is a name."""
+    base, unused = os.path.commonpath(roots), []
+    for path, tree in (item for root in roots for item in _parse_tree(root).items()):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        used = set()
+        for node in ast.walk(tree):
+            name = _dotted(node) if isinstance(node, (ast.Attribute, ast.Name)) else None
+            while name:
+                used.add(name)
+                name = name.rpartition(".")[0]
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*" or "noqa" in lines[alias.lineno - 1]:
+                    continue
+                bound = alias.asname or alias.name  # dotted only for ``import a.b``
+                if bound not in used:
+                    unused.append((os.path.relpath(path, base), alias.lineno, bound))
+    return [f"{fname}:{line} {name}" for fname, line, name in sorted(unused)]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(IMPORTERS) == []
+
+
+def test_the_scan_finds_an_unused_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import reexported\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import json\n"
+        "import os.path\n"
+        "import xml.dom\n"
+        "from io import BytesIO, StringIO as Text\n"
+        "from sys import (argv,\n"
+        "                 path)\n"
+        "from zlib import crc32  # noqa: F401\n\n\n"
+        "def reexported(x: Text) -> str:\n"
+        "    import math\n"
+        "    return json.dumps(os.path.join(*argv)) + xml.__name__\n")
+    assert unused_imports([str(tmp_path)]) == [
+        "a.py:5 xml.dom", "a.py:6 BytesIO", "a.py:8 path", "a.py:13 math"]
