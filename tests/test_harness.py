@@ -191,7 +191,7 @@ def test_unknown_key_is_named(tmp_path):
                         "[environment]\nshared_demand_noise = false\n")
     with pytest.raises(ConfigError, match="unknown key 'shared_demand_noise'"):
         load_config(path)
-    # checkpoints were removed with their key
+    # so is a key the experiment no longer has
     path = write_config(tmp_path,
                         "[graph]\nnum_agents = 2\nedges = 1->2\n"
                         "[experiment]\ncheckpoint_every = 0\n")

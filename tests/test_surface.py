@@ -28,7 +28,7 @@ import dirmarl
 PACKAGE = os.path.dirname(os.path.abspath(dirmarl.__file__))
 REPO = os.path.dirname(os.path.dirname(PACKAGE))
 CALLERS = [os.path.join(REPO, d) for d in ("src", "tests", "scripts", "perfbench")]
-IMPORTERS = CALLERS[:3]
+IMPORTERS = [os.path.join(REPO, d) for d in ("src", "tests", "scripts")]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
