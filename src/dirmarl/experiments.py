@@ -318,8 +318,8 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
     without changing what any individual run computes; an index given
     twice runs once.  A run that diverges, whose rollout aborts or whose
     allocation scores turn non-finite is recorded in ``aborted`` with
-    its cause and the remaining runs continue; any other error
-    propagates.
+    its cause, ``TYPE: message``, and the remaining runs continue; any
+    other error propagates.
     """
     started = time.perf_counter()
     repeats = range(cfg.repeats) if repeat_indices is None else sorted(set(repeat_indices))
@@ -346,10 +346,7 @@ def run_experiment(cfg: ExperimentConfig, *, repeat_indices=None) -> RunSummary:
         for alg in cfg.algorithms:
             try:
                 table, _ = train(theta0, ev, learners[alg], bus, probes, traces)
-            except TrainingDiverged as exc:
-                aborted.append((alg, r, str(exc)))
-                continue
-            except (RolloutError, NonFiniteScores) as exc:
+            except (TrainingDiverged, RolloutError, NonFiniteScores) as exc:
                 aborted.append((alg, r, f"{type(exc).__name__}: {exc}"))
                 continue
             name = run_file_name(alg, r)

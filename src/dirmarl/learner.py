@@ -182,17 +182,6 @@ class MessageBus:
 
 
 @dataclass(frozen=True)
-class EpisodeRecord:
-    """What one episode yields: one row of a run's table, plus the
-    assembled local values that the table leaves out."""
-
-    observed_values: np.ndarray   # W_i of the perturbed episode, (N,)
-    local_values: np.ndarray      # assembled hat-W_i, (N,)
-    gradient_norms: np.ndarray    # per-agent ||g_i||, (N,)
-    message_count: int
-
-
-@dataclass(frozen=True)
 class RunTable:
     """One run, one row per episode: the columns of its CSV.  A table
     read for a summary only leaves the per-agent columns out (None)."""
@@ -242,13 +231,13 @@ def estimate(cfg: LearnerConfig, values: np.ndarray, reference, u: np.ndarray,
 
 
 def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
-                epoch: int, *, perturbation: np.ndarray, noise,
-                residual_state: np.ndarray) -> tuple[np.ndarray, EpisodeRecord, np.ndarray]:
+                table: RunTable, epoch: int, *, perturbation: np.ndarray, noise,
+                previous: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One learning episode under the joint probe ``perturbation`` and the
-    realized ``noise``; returns the updated joint parameter, the episode
-    record, and the residual carry state: the per-agent values the
-    residual flavor subtracts next episode (zeros before the first),
-    passed through unchanged by the other flavors."""
+    realized ``noise``, written to row ``epoch`` of ``table``.  Returns the
+    updated joint parameter and the feedback values that scaled the probe.
+    ``previous`` is the previous episode's feedback (zeros before the
+    first): the residual flavor subtracts it, the others ignore it."""
     layout: BlockLayout = evaluator.layout
     n = evaluator.num_agents
     u = perturbation
@@ -279,10 +268,8 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
     # one (N,) column at a time: a centralized sum over the stacked
     # (N, 2) payload would round differently from N = 8 on
     values = feedback(cfg.scope, w_pert, hat_pert)
-    reference = residual_state if w_base is None else feedback(cfg.scope, w_base, hat[:, 1])
+    reference = previous if w_base is None else feedback(cfg.scope, w_base, hat[:, 1])
     g = estimate(cfg, values, reference, u, layout)
-    if cfg.flavor == "residual":
-        residual_state = values
 
     with np.errstate(over="ignore", invalid="ignore"):  # guard below turns overflow into an abort
         theta_next = theta + cfg.step_size * g
@@ -293,9 +280,9 @@ def run_episode(theta: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBu
             f"non-finite parameters for agents {bad} after epoch {epoch} "
             f"({cfg.scope} {cfg.flavor}, step_size {cfg.step_size})")
 
-    record = EpisodeRecord(observed_values=w_pert, local_values=hat_pert,
-                           gradient_norms=layout.block_norms(g), message_count=count)
-    return theta_next, record, residual_state
+    table.values[epoch], table.grad_norms[epoch] = w_pert, layout.block_norms(g)
+    table.global_values[epoch], table.messages[epoch] = w_pert.sum(), count
+    return theta_next, values
 
 
 def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
@@ -313,15 +300,13 @@ def train(theta0: np.ndarray, evaluator, cfg: LearnerConfig, bus: MessageBus,
         raise ValueError(f"theta0 has shape {theta.shape}, "
                          f"expected ({evaluator.layout.total_dim},)")
     n = evaluator.num_agents
-    state = np.zeros(n)
+    values = np.zeros(n)
     table = RunTable(epochs=np.arange(epochs, dtype=np.int64), values=np.empty((epochs, n)),
                      global_values=np.empty(epochs), grad_norms=np.empty((epochs, n)),
                      messages=np.empty(epochs, dtype=np.int64))
     for k, (u, noise) in enumerate(zip(perturbations, noise_traces)):
-        theta, rec, state = run_episode(theta, evaluator, cfg, bus, k, perturbation=u,
-                                        noise=noise, residual_state=state)
-        table.values[k], table.grad_norms[k] = rec.observed_values, rec.gradient_norms
-        table.global_values[k], table.messages[k] = rec.observed_values.sum(), rec.message_count
+        theta, values = run_episode(theta, evaluator, cfg, bus, table, k, perturbation=u,
+                                    noise=noise, previous=values)
     return table, theta
 
 

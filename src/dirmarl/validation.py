@@ -119,7 +119,7 @@ class SyntheticObjective:
         ``delta`` in closed form, embedded in the flat space.  At
         ``delta = 0`` it is the plain gradient; for the abs family that
         is the sign subgradient (zero at kinks)."""
-        if delta < 0.0:
+        if not delta >= 0.0:  # NaN fails every comparison
             raise ValueError(f"delta must be >= 0, got {delta}")
         theta = np.asarray(theta, dtype=float)
         g = np.zeros(self.total_dim)
@@ -358,7 +358,7 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
     10^3 samples; non-finite values abort.
     """
     _check_sizes(num_samples, 1000, batch_size)
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     theta = np.asarray(theta, dtype=float)
     acc = _MomentAccumulator(theta.size, None)
@@ -371,7 +371,7 @@ def mc_smoothed_gradient(f, theta: np.ndarray, delta: float, num_samples: int,
 def finite_difference_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
     """Central differences per coordinate; ``f`` maps (m, d) to (m,)
     and must be deterministic."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"step h must be > 0, got {h}")
     theta = np.asarray(theta, dtype=float)
     d = theta.size
@@ -405,9 +405,9 @@ def check_smoothing_gap(f, lipschitz: float, delta: float, thetas,
                         batch_size: int = 16384) -> SmoothingGapReport:
     """Monte-Carlo J^delta at each theta versus the exact value, with
     the Lipschitz smoothing ceiling delta sqrt(d) L."""
-    if lipschitz <= 0.0:
+    if not lipschitz > 0.0:
         raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     _check_sizes(num_samples, 1000, batch_size)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))

@@ -24,18 +24,25 @@ from dirmarl.learner import (
     schedule_bound_constant,
     train,
 )
-from dirmarl.oracles import one_point, residual, sample_perturbation, two_point
+from dirmarl.oracles import SCOPES, one_point, residual, sample_perturbation, two_point
 from dirmarl.policy import BlockLayout, RbfPolicy
 from dirmarl.validation import make_synthetic
 from dirmarl.warehouse import WarehouseConfig, WarehouseEnv, simulate_rollout
 
 from helpers import (SyntheticEvaluator, ascending_reach_sums, bus_links, closed_reach,
                      draw_streams, learning_edge_set, nine_agent_graph,
-                     random_weakly_connected_digraph, tree_with_back_edges)
+                     random_weakly_connected_digraph, run_table, tree_with_back_edges)
 
 
 def chain_artifacts():
     return build_artifacts(build_graph(3, [(1, 2), (2, 3)]))
+
+
+def nan_table(epochs: int, n: int):
+    """A run table whose every cell reads as unwritten: NaN values and
+    norms, message count -1."""
+    return run_table(np.full((epochs, n), np.nan), np.full(epochs, np.nan),
+                     np.full((epochs, n), np.nan), np.full(epochs, -1))
 
 
 def small_warehouse(num_centers=2, **cfg_kw):
@@ -267,20 +274,21 @@ def test_episode_message_count_and_record_shape():
     bus = MessageBus(arts.learning)
     theta = np.zeros(policy.layout.total_dim)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(3))
-    theta1, rec, _ = run_episode(theta, ev, cfg, bus, 0, perturbation=u, noise=trace,
-                                 residual_state=np.zeros(3))
-    assert rec.message_count == len(arts.learning.edges)
-    assert rec.observed_values.shape == (3,)
-    assert rec.local_values.shape == (3,)
-    assert rec.gradient_norms.shape == (3,)
+    table = nan_table(1, 3)
+    theta1, values = run_episode(theta, ev, cfg, bus, table, 0, perturbation=u, noise=trace,
+                                 previous=np.zeros(3))
+    assert table.messages[0] == len(arts.learning.edges)
+    assert table.values[0].shape == (3,)
+    assert values.shape == (3,)
+    assert table.grad_norms[0].shape == (3,)
     assert theta1.shape == theta.shape
     # local values recompute exactly from the observed ones
     for i, reach in enumerate(closed_reach(graph), 1):
         acc = None
         for j in reach:
-            w = rec.observed_values[j - 1]
+            w = table.values[0, j - 1]
             acc = w if acc is None else acc + w
-        assert rec.local_values[i - 1] == acc
+        assert values[i - 1] == acc
 
 
 def test_zero_step_size_is_a_no_op():
@@ -290,10 +298,11 @@ def test_zero_step_size_is_a_no_op():
     cfg = LearnerConfig(step_size=0.0, delta=0.1)
     theta = np.linspace(-0.2, 0.3, policy.layout.total_dim)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(0))
-    theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
+    table = nan_table(1, 3)
+    theta1, values = run_episode(theta, ev, cfg, MessageBus(arts.learning), table, 0,
+                                 perturbation=u, noise=trace, previous=np.zeros(3))
     assert np.array_equal(theta1, theta)
-    assert np.any(rec.gradient_norms > 0)  # gradient computed, just not applied
+    assert np.any(table.grad_norms[0] > 0)  # gradient computed, just not applied
 
 
 def test_zero_rewards_leave_parameters_untouched():
@@ -308,10 +317,11 @@ def test_zero_rewards_leave_parameters_untouched():
     cfg = LearnerConfig(step_size=0.05, delta=0.1)
     ro = simulate_rollout(env, policy.bind(theta + cfg.delta * u), noise_trace=trace)
     assert np.all(ro.rewards == 0.0)  # fixture precondition
-    theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
+    table = nan_table(1, 3)
+    theta1, values = run_episode(theta, ev, cfg, MessageBus(arts.learning), table, 0,
+                                 perturbation=u, noise=trace, previous=np.zeros(3))
     assert np.array_equal(theta1, theta)
-    assert np.all(rec.gradient_norms == 0.0)
+    assert np.all(table.grad_norms[0] == 0.0)
 
 
 def test_update_touches_only_own_block_direction():
@@ -323,12 +333,13 @@ def test_update_touches_only_own_block_direction():
     rng = np.random.default_rng(11)
     (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
-    theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
+    table = nan_table(1, 3)
+    theta1, values = run_episode(theta, ev, cfg, MessageBus(arts.learning), table, 0,
+                                 perturbation=u, noise=trace, previous=np.zeros(3))
     step = theta1 - theta
     for i in range(1, 4):
         sl = policy.layout.block_slice(i)
-        scale = cfg.step_size * rec.local_values[i - 1] / cfg.delta
+        scale = cfg.step_size * values[i - 1] / cfg.delta
         np.testing.assert_allclose(step[sl], scale * u[sl], rtol=1e-12, atol=1e-15)
 
 
@@ -340,12 +351,13 @@ def test_centralized_scope_scales_every_block_by_the_global_value():
     rng = np.random.default_rng(13)
     (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
-    theta1, rec, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0,
-                                 perturbation=u, noise=trace, residual_state=np.zeros(3))
-    scale = cfg.step_size * rec.observed_values.sum() / cfg.delta
+    table = nan_table(1, 3)
+    theta1, values = run_episode(theta, ev, cfg, MessageBus(arts.learning), table, 0,
+                                 perturbation=u, noise=trace, previous=np.zeros(3))
+    scale = cfg.step_size * table.values[0].sum() / cfg.delta
     np.testing.assert_allclose(theta1 - theta, scale * u, rtol=1e-12, atol=1e-15)
     # the exchange still ran and was audited
-    assert rec.message_count == len(arts.learning.edges)
+    assert table.messages[0] == len(arts.learning.edges)
 
 
 def test_two_point_reuses_the_episode_noise():
@@ -366,8 +378,8 @@ def test_two_point_reuses_the_episode_noise():
     ev = Spy(WarehouseEvaluator(env, policy))
     cfg = LearnerConfig(step_size=0.01, delta=0.1, flavor="two_point")
     (u,), (trace,) = draw_streams(ev.inner, 1, np.random.default_rng(2))
-    run_episode(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), 0,
-                perturbation=u, noise=trace, residual_state=np.zeros(3))
+    run_episode(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning),
+                nan_table(1, 3), 0, perturbation=u, noise=trace, previous=np.zeros(3))
     assert len(calls) == 2
     assert calls[0] is calls[1]  # common randomness: the same trace object
 
@@ -403,11 +415,12 @@ def test_centralized_two_point_feeds_the_one_dimensional_global_sums(monkeypatch
         ev = Values(n, rng)
         bus = MessageBus(build_artifacts(build_graph(n, [(i, i + 1) for i in range(1, n)]))
                          .learning)
+        table = nan_table(40, n)
         for epoch in range(40):
             seen.clear()
             ev.returned.clear()
-            run_episode(np.zeros(n), ev, cfg, bus, epoch, perturbation=rng.standard_normal(n),
-                        noise=None, residual_state=np.zeros(n))
+            run_episode(np.zeros(n), ev, cfg, bus, table, epoch,
+                        perturbation=rng.standard_normal(n), noise=None, previous=np.zeros(n))
             (got_pert, got_base), = seen
             w_pert, w_base = ev.returned
             assert got_pert.tobytes() == np.full(n, w_pert.sum()).tobytes()
@@ -421,12 +434,12 @@ def test_run_episode_requires_its_streams():
     ev = WarehouseEvaluator(env, policy)
     cfg = LearnerConfig(step_size=0.01, delta=0.1)
     (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(0))
-    streams = dict(perturbation=u, noise=trace, residual_state=np.zeros(3))
+    streams = dict(perturbation=u, noise=trace, previous=np.zeros(3))
     for name in streams:
         kw = {k: v for k, v in streams.items() if k != name}
         with pytest.raises(TypeError, match=name):
             run_episode(np.zeros(policy.layout.total_dim), ev, cfg,
-                        MessageBus(arts.learning), 0, **kw)
+                        MessageBus(arts.learning), nan_table(1, 3), 0, **kw)
 
 
 def test_evaluator_rejects_mismatched_graph():
@@ -453,28 +466,56 @@ def test_residual_first_episode_matches_one_point():
     rng = np.random.default_rng(17)
     (u,), (trace,) = draw_streams(ev, 1, rng)
     theta = rng.normal(scale=0.1, size=policy.layout.total_dim)
-    kw = dict(perturbation=u, noise=trace, residual_state=np.zeros(3))
+    kw = dict(perturbation=u, noise=trace, previous=np.zeros(3))
     got = {}
     for flavor in ("one_point", "residual"):
         cfg = LearnerConfig(step_size=0.02, delta=0.1, flavor=flavor)
-        got[flavor], _, _ = run_episode(theta, ev, cfg, MessageBus(arts.learning), 0, **kw)
+        got[flavor], _ = run_episode(theta, ev, cfg, MessageBus(arts.learning),
+                                     nan_table(1, 3), 0, **kw)
     assert np.array_equal(got["one_point"], got["residual"])
 
 
-def test_residual_carries_previous_local_values():
+@pytest.mark.parametrize("scope", SCOPES)
+def test_residual_carries_previous_local_values(scope):
+    # the carry is each agent's local value (distributed) or, for every
+    # agent, the global sum (centralized)
     graph, env, policy = small_warehouse()
     arts = build_artifacts(graph)
     ev = WarehouseEvaluator(env, policy)
     rng = np.random.default_rng(19)
     us = [sample_perturbation(policy.layout, rng) for _ in range(2)]
     traces = [env.draw_noise_trace(4, rng) for _ in range(2)]
-    cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual")
+    cfg = LearnerConfig(step_size=0.0, delta=0.1, flavor="residual", scope=scope)
     bus = MessageBus(arts.learning)
     table, _ = train(np.zeros(policy.layout.total_dim), ev, cfg, bus, us, traces)
-    local0, local1 = (bus.gather(row) for row in table.values)
-    diff = local1 - local0
+    if scope == "distributed":
+        carry0, carry1 = (bus.gather(row) for row in table.values)
+    else:
+        carry0, carry1 = (np.full(3, total) for total in table.global_values)
+    diff = carry1 - carry0
     want = policy.layout.block_norms((policy.layout.expand(diff) / 0.1) * us[1])
     np.testing.assert_allclose(table.grad_norms[1], want, rtol=1e-12, atol=1e-15)
+    # the feedback an episode returns is the carry train passes on
+    _, values = run_episode(np.zeros(policy.layout.total_dim), ev, cfg, bus, nan_table(1, 3),
+                            0, perturbation=us[0], noise=traces[0], previous=np.zeros(3))
+    assert values.tobytes() == carry0.tobytes()
+
+
+def test_run_episode_writes_only_its_row():
+    graph, env, policy = small_warehouse()
+    arts = build_artifacts(graph)
+    ev = WarehouseEvaluator(env, policy)
+    cfg = LearnerConfig(step_size=0.01, delta=0.1)
+    (u,), (trace,) = draw_streams(ev, 1, np.random.default_rng(29))
+    table = nan_table(3, 3)
+    run_episode(np.zeros(policy.layout.total_dim), ev, cfg, MessageBus(arts.learning), table,
+                1, perturbation=u, noise=trace, previous=np.zeros(3))
+    for k in (0, 2):
+        assert np.isnan(table.values[k]).all() and np.isnan(table.grad_norms[k]).all()
+        assert np.isnan(table.global_values[k]) and table.messages[k] == -1
+    assert np.isfinite(table.values[1]).all() and np.isfinite(table.grad_norms[1]).all()
+    assert table.global_values[1] == table.values[1].sum()
+    assert table.messages[1] == len(arts.learning.edges)
 
 
 def test_residual_second_episode_at_same_point_and_noise_is_null():

@@ -428,6 +428,34 @@ def test_smoothing_gap_validation():
         check_smoothing_gap(f, 1.0, 0.1, np.zeros((0, 3)), 2000, rng)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda obj, f, rng: obj.gradient(np.zeros(obj.total_dim), NAN), "delta must be >= 0"),
+    (lambda obj, f, rng: obj.local_gradients(np.zeros(obj.total_dim), NAN),
+     "delta must be >= 0"),
+    (lambda obj, f, rng: obj.term_gradient(1, np.zeros(obj.total_dim), NAN),
+     "delta must be >= 0"),
+    (lambda obj, f, rng: mc_smoothed_gradient(f, np.zeros(2), NAN, 2000, rng),
+     "delta must be > 0"),
+    (lambda obj, f, rng: check_smoothing_gap(f, NAN, 0.1, np.zeros((1, 2)), 2000, rng),
+     "lipschitz must be > 0"),
+    (lambda obj, f, rng: check_smoothing_gap(f, 1.0, NAN, np.zeros((1, 2)), 2000, rng),
+     "delta must be >= 0"),
+    (lambda obj, f, rng: finite_difference_gradient(f, np.zeros(2), NAN), "h must be > 0"),
+], ids=["gradient", "local_gradients", "term_gradient", "mc_delta", "gap_lipschitz",
+        "gap_delta", "fd_h"])
+def test_nan_arguments_are_named(call, match):
+    # NaN fails every comparison, so each check is written to pass only
+    # valid values; a NaN must not run on into a NaN result or a
+    # "non-finite values" error that blames the objective
+    for family in ("cosine", "abs"):  # the families whose gradients read delta
+        obj = make_synthetic(chain(), np.random.default_rng(0), family=family)
+        with pytest.raises(ValueError, match=match):
+            call(obj, lambda t: t.sum(axis=1), np.random.default_rng(0))
+
+
 # -- second moments ---------------------------------------------------
 
 
