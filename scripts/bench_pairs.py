@@ -14,14 +14,19 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles over the pairs, B's relative change of the median,
 the interquartile range of A's runs, and in how many pairs B was better
 (by the metric's ``better`` direction).  A run that exits non-zero or
-reports ``correct: false`` is listed and counts as a lost pair.
+reports ``correct: false`` is listed and counts as a lost pair.  Two
+more columns give the verdicts: ``claim`` (B won at least nine tenths
+of the pairs and its median beats A's by more than A's IQR) and
+``beyond`` (B's median is worse than A's by more than the metric's
+``bound`` times A's median).
 
 ``--json PATH`` also writes a machine-readable record: the machine as
 the benchmark reports it (nproc, CPU, Python, numpy), both full commit
 ids, and one entry per (workload, seed) holding, per end-to-end metric,
-each side's median, quartiles, IQR and pair wins.  An existing file for
-the same two commits gains the entry (replacing one for the same
-workload and seed), so one file can hold several workloads.
+each side's median, quartiles, IQR and pair wins, and the ``claim``
+and ``beyond_bound`` verdicts.  An existing file for the same two
+commits gains the entry (replacing one for the same workload and
+seed), so one file can hold several workloads.
 
 Stopped with SIGTERM or Ctrl-C, it kills the running benchmark and
 removes both exports before it exits.
@@ -79,6 +84,37 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4)
     return q1, med, q3
+
+
+def metric_summary(a: list[float | None], b: list[float | None], better: str,
+                   bound: float) -> dict | None:
+    """One metric's statistics over the pairs: ``a[k]`` and ``b[k]`` are
+    pair k's values, None where that run failed.  None when a side has
+    no value at all.
+
+    A pair is won by the side with the better value; a tie goes to
+    neither side, and a failed run loses its pair.  ``claim`` holds when
+    B won at least nine tenths of the pairs and B's median beats A's by
+    more than A's IQR; ``beyond_bound`` when B's median is worse than
+    A's by more than ``bound`` times A's median."""
+    va, vb = [x for x in a if x is not None], [x for x in b if x is not None]
+    if not va or not vb:
+        return None
+    sign = -1.0 if better == "lower" else 1.0  # sign * (x - y) > 0: x is better than y
+
+    def beats(x, y):
+        return x is not None and (y is None or sign * (x - y) > 0)
+
+    wins = {"A": sum(beats(x, y) for x, y in zip(a, b)),
+            "B": sum(beats(y, x) for x, y in zip(a, b))}
+    qa, qb = quartiles(va), quartiles(vb)
+    gain = sign * (qb[1] - qa[1])
+    return {"better": better,
+            "change": (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan"),
+            "claim": 10 * wins["B"] >= 9 * len(a) and gain > qa[2] - qa[0],
+            "beyond_bound": -gain > bound * abs(qa[1]),
+            **{label: {"median": q[1], "q1": q[0], "q3": q[2], "iqr": q[2] - q[0],
+                       "wins": wins[label]} for label, q in (("A", qa), ("B", qb))}}
 
 
 def existing_record(path: str, commits: dict) -> dict | None:
@@ -148,26 +184,22 @@ def main(argv=None) -> int:
     print(f"\n# workload {args.workload}  seed {args.seed}  pairs {args.pairs}")
     print(f"{'metric':16s} {'A median':>11s} {'A q1':>11s} {'A q3':>11s} "
           f"{'B median':>11s} {'B q1':>11s} {'B q3':>11s} {'change':>8s} "
-          f"{'A IQR':>10s} {'B wins':>7s}")
+          f"{'A IQR':>10s} {'B wins':>7s} {'claim':>5s} {'beyond':>6s}")
     metrics = {}
     for m in spec:
-        name, lower = m["name"], m["better"] == "lower"
-        a = [r[name] for r in runs["A"] if r and name in r]
-        b = [r[name] for r in runs["B"] if r and name in r]
-        if not a or not b:
+        name = m["name"]
+        per_pair = {label: [r.get(name) if r else None for r in rs] for label, rs in runs.items()}
+        summary = metric_summary(per_pair["A"], per_pair["B"], m["better"], m["bound"])
+        if summary is None:
             print(f"{name:16s} absent")
             continue
-        both = [(ra[name], rb[name]) for ra, rb in zip(runs["A"], runs["B"]) if ra and rb]
-        wins = {"A": sum(1 for va, vb in both if (va < vb if lower else va > vb)),
-                "B": sum(1 for va, vb in both if (vb < va if lower else vb > va))}
-        qa, qb = quartiles(a), quartiles(b)
-        change = (qb[1] - qa[1]) / qa[1] if qa[1] else float("nan")
-        metrics[name] = {"unit": m["unit"], "better": m["better"], "change": change, **{
-            label: {"median": q[1], "q1": q[0], "q3": q[2], "iqr": q[2] - q[0],
-                    "wins": wins[label]} for label, q in (("A", qa), ("B", qb))}}
-        print(f"{name:16s} {qa[1]:11.5g} {qa[0]:11.5g} {qa[2]:11.5g} "
-              f"{qb[1]:11.5g} {qb[0]:11.5g} {qb[2]:11.5g} {change:+8.1%} "
-              f"{qa[2] - qa[0]:10.3g} {wins['B']:4d}/{args.pairs}")
+        metrics[name] = {"unit": m["unit"], **summary}
+        qa, qb = summary["A"], summary["B"]
+        print(f"{name:16s} {qa['median']:11.5g} {qa['q1']:11.5g} {qa['q3']:11.5g} "
+              f"{qb['median']:11.5g} {qb['q1']:11.5g} {qb['q3']:11.5g} {summary['change']:+8.1%} "
+              f"{qa['iqr']:10.3g} {qb['wins']:4d}/{args.pairs} "
+              f"{'yes' if summary['claim'] else 'no':>5s} "
+              f"{'yes' if summary['beyond_bound'] else 'no':>6s}")
     failed = {label: sum(r is None for r in rs) for label, rs in runs.items()}
     if args.json:
         write_json(args.json, machine, commits, {

@@ -12,6 +12,8 @@ with u ~ N(0, I_d) the joint Gaussian probe and u_i agent i's block:
               caller; before the first episode it is zero, so episode 0
               reduces to the one-point estimator)
 
+Two-point and residual differ only in the subtracted reference, so
+they are one function, ``two_point``; ``residual`` is its other name.
 In the distributed scope V_i is agent i's assembled local value (its
 own return plus every reward it influences); in the centralized scope
 every agent substitutes the global value.  Each estimator is unbiased
@@ -48,8 +50,8 @@ def one_point(values: np.ndarray, u: np.ndarray, delta: float,
     """g_i = (V_i / delta) u_i from a single perturbed evaluation."""
     values = np.asarray(values, dtype=float)
     u = np.asarray(u, dtype=float)
-    if delta == 0.0:
-        raise ValueError("delta must be non-zero")
+    if not abs(delta) > 0.0:
+        raise ValueError(f"delta must be non-zero, got {delta}")
     if values.shape[:1] != (layout.num_agents,):
         raise ValueError(f"expected {layout.num_agents} per-agent values, got shape {values.shape}")
     if u.shape != (layout.total_dim,) + values.shape[1:]:
@@ -58,28 +60,17 @@ def one_point(values: np.ndarray, u: np.ndarray, delta: float,
     return layout.expand(values / delta) * u
 
 
-def two_point(values_perturbed: np.ndarray, values_base: np.ndarray, u: np.ndarray,
-              delta: float, layout: BlockLayout) -> np.ndarray:
-    """g_i = ((V_i(theta+delta u) - V_i(theta)) / delta) u_i, both
-    evaluations under the same realized noise."""
-    return _difference(values_perturbed, values_base, u, delta, layout,
-                       "perturbed and baseline values")
-
-
-def residual(values_perturbed: np.ndarray, values_previous: np.ndarray, u: np.ndarray,
-             delta: float, layout: BlockLayout) -> np.ndarray:
-    """g_i = ((V_i^k - V_i^{k-1}) / delta) u_i^k where V^{k-1} is the
-    previous episode's perturbed value (zeros before the first)."""
-    return _difference(values_perturbed, values_previous, u, delta, layout,
-                       "values and previous values")
-
-
-def _difference(values: np.ndarray, reference: np.ndarray, u: np.ndarray, delta: float,
-                layout: BlockLayout, what: str) -> np.ndarray:
+def two_point(values: np.ndarray, reference: np.ndarray, u: np.ndarray, delta: float,
+              layout: BlockLayout) -> np.ndarray:
+    """g_i = ((V_i - R_i) / delta) u_i for a same-shape reference R: the
+    baseline values (two-point) or the previous episode's (residual)."""
     values, reference = np.asarray(values, dtype=float), np.asarray(reference, dtype=float)
     if values.shape != reference.shape:
-        raise ValueError(f"{what} have mismatched shapes {values.shape} vs {reference.shape}")
+        raise ValueError(f"mismatched shapes: values {values.shape}, reference {reference.shape}")
     return one_point(values - reference, u, delta, layout)
+
+
+residual = two_point  # the residual flavor's name, called by learner.estimate and traced there
 
 
 def one_point_second_moment_bound(value_bound: float, sigma_hat: float,
@@ -87,7 +78,7 @@ def one_point_second_moment_bound(value_bound: float, sigma_hat: float,
     """Ceiling on E||g_i||^2 for the one-point estimator when
     |V_i| <= value_bound and the additive noise has variance
     sigma_hat^2: (V^2 + sigma^2) d_i / delta^2."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if block_dim < 1:
         raise ValueError(f"block_dim must be >= 1, got {block_dim}")

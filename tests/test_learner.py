@@ -263,6 +263,29 @@ def test_estimate_dispatches_by_flavor():
     assert estimate(cfg, values, None, u, layout).tobytes() == want["one_point"].tobytes()
 
 
+def test_each_flavor_calls_its_own_estimator_once_per_episode(monkeypatch):
+    # learner.estimate reaches each flavor under its own name, the name
+    # a tracer counts; residual and two_point are one function, so only
+    # the name tells the flavors apart
+    names = ("one_point", "two_point", "residual")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(dirmarl.learner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dirmarl.learner, name, counted)
+    obj = make_synthetic(build_graph(3, [(1, 2), (2, 3)]), np.random.default_rng(47),
+                         family="quadratic", block_dims=(2, 1, 2))
+    ev = SyntheticEvaluator(obj)
+    for flavor in names:
+        calls.update(dict.fromkeys(names, 0))
+        train(np.zeros(obj.total_dim), ev, LearnerConfig(0.01, 0.1, flavor),
+              MessageBus(chain_artifacts().learning),
+              *draw_streams(ev, 3, np.random.default_rng(53)))
+        assert calls == {name: 3 if name == flavor else 0 for name in names}
+
+
 # -- single episodes on the warehouse ---------------------------------
 
 

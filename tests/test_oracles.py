@@ -60,6 +60,14 @@ def test_one_point_rejects_zero_delta_and_bad_shapes():
     u = np.zeros(6)
     with pytest.raises(ValueError, match="delta"):
         one_point(np.zeros(3), u, 0.0, LAYOUT)
+    for bad in (0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError, match="delta must be non-zero"):
+            one_point(np.zeros(3), u, bad, LAYOUT)
+        for difference in (two_point, residual):
+            with pytest.raises(ValueError, match="delta must be non-zero"):
+                difference(np.zeros(3), np.zeros(3), u, bad, LAYOUT)
+    # a negative delta is accepted: g flips sign with the probe
+    assert np.array_equal(one_point(np.ones(3), np.ones(6), -1.0, LAYOUT), -np.ones(6))
     with pytest.raises(ValueError, match="per-agent values"):
         one_point(np.zeros(2), u, 1.0, LAYOUT)
     with pytest.raises(ValueError, match="perturbation"):
@@ -92,6 +100,16 @@ def test_two_point_invariant_to_constant_shift():
     assert np.allclose(a, b)
 
 
+def test_residual_is_two_point_under_its_flavor_name():
+    assert residual is two_point
+    u = np.ones(6)
+    for difference in (two_point, residual):
+        with pytest.raises(ValueError, match=r"mismatched.*\(3,\).*\(2,\)"):
+            difference(np.zeros(3), np.zeros(2), u, 0.5, LAYOUT)
+        with pytest.raises(ValueError, match=r"mismatched.*\(3, 2\).*\(3,\)"):
+            difference(np.zeros((3, 2)), np.zeros(3), u, 0.5, LAYOUT)
+
+
 def test_residual_first_episode_reduces_to_one_point():
     u = np.arange(1.0, 7.0)
     vals = np.array([1.0, -2.0, 0.5])
@@ -117,8 +135,9 @@ def test_sample_perturbation_shape_and_determinism():
 def test_one_point_bound_values():
     assert one_point_second_moment_bound(1.0, 0.0, 4, 1.0) == 4.0
     assert one_point_second_moment_bound(2.0, 1.0, 3, 0.5) == (4 + 1) * 3 / 0.25
-    with pytest.raises(ValueError, match="delta"):
-        one_point_second_moment_bound(1.0, 0.0, 4, 0.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            one_point_second_moment_bound(1.0, 0.0, 4, bad)
     with pytest.raises(ValueError, match="block_dim"):
         one_point_second_moment_bound(1.0, 0.0, 0, 1.0)
 
