@@ -84,7 +84,8 @@ class ExperimentConfig:
     def _check_repeat_size(self) -> None:
         """One repeat's probes (epochs x d), noise traces (epochs x (horizon
         + 1) x N) and policy tables (2 num_centers x (2N + |E|) plus d),
-        d = num_centers x (N + |E|), against ``MAX_REPEAT_DOUBLES``.  The
+        d = num_centers x (N + |E|), against ``MAX_REPEAT_DOUBLES``; the tables
+        cover only agents that ship, so theirs is an upper bound.  The
         error names the key whose value 1 would shrink the size most."""
         n, e = self.graph.num_agents, len(self.graph.edges)
 

@@ -12,7 +12,9 @@ shipments and serving a stochastic demand:
 Reward is 0 while the pre-transition stock is non-negative and
 -m_i(t)^2 once it backlogs.  Agent i observes the stocks of its closed
 in-neighborhood plus its own realized same-step demand, so the
-observation has |in(i)| + 2 entries.
+observation has |in(i)| + 2 entries.  An agent without out-edges (a
+sink) keeps all its stock: it neither observes nor acts, and the
+compact observation and allocation hold only the agents that ship.
 
 Randomness is reified as a noise trace, one (T+1, N) array drawn ahead
 of the episode and its only source of randomness: row 0 is the initial
@@ -83,18 +85,22 @@ class WarehouseEnv:
 
         # Edges ordered by (source, target): fixed summation order.
         src, dst = self._e_src, self._e_dst = config.graph.edge_array
-        # Gather index of the compact (S,) observation, S = 2N + E, from
-        # concatenate((stocks, demands)): agent by agent, the observed stocks
-        # (in-neighbours and the agent itself, ascending), then its demand.
-        agents = np.arange(n)
-        who = np.concatenate((dst, agents, agents))
-        seen = np.concatenate((src, agents, n + agents))
+        # Gather index of the compact (S,) observation from
+        # concatenate((stocks, demands)): shipping agent by shipping agent,
+        # the observed stocks (in-neighbours and the agent itself,
+        # ascending), then its demand.  S = sum of |in(i)| + 2 over them.
+        ships = np.bincount(src, minlength=n) > 0
+        agents, into = np.flatnonzero(ships), ships[dst]
+        who = np.concatenate((dst[into], agents, agents))
+        seen = np.concatenate((src[into], agents, n + agents))
         self._obs_gather = seen[np.lexsort((seen, who))]
 
-        # Edge e of source s is slot e + s + 1 of the compact allocation:
-        # each agent's slots are its retained fraction, then its out-edges,
-        # so the non-self slots in slot order are the edges in order.
-        self._e_slot = np.arange(src.size) + src + 1
+        # Edge e of source s is slot e + rank(s) + 1 of the compact
+        # allocation, rank(s) counting the shipping agents before s: each
+        # shipping agent's slots are its retained fraction, then its
+        # out-edges, so the non-self slots in slot order are the edges in order.
+        rank = np.cumsum(ships) - ships
+        self._e_slot = np.arange(src.size) + rank[src] + 1
 
     # -- randomness -------------------------------------------------
 
@@ -124,7 +130,7 @@ class WarehouseEnv:
         return d
 
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-        """The compact (S,) observation: each agent's observed stocks, then its demand."""
+        """The compact (S,) observation: each shipping agent's observed stocks, then its demand."""
         return np.concatenate((stocks, demands))[self._obs_gather]
 
     def validate_allocations(self, frac: np.ndarray, where: str = "") -> None:
@@ -181,8 +187,9 @@ def simulate_rollout(env: WarehouseEnv, policy, discount: float = 1.0, *,
     """Run one episode under the realized randomness ``noise_trace``, a
     (T+1, N) trace whose length sets the horizon T.
     ``policy.act_matrix(obs)`` maps the compact (S,) observation to
-    the compact (K,) allocation, each agent's retained fraction first;
-    the step reads its out-edge fractions once, in edge order."""
+    the compact (K,) allocation, each shipping agent's retained
+    fraction first; the step reads its out-edge fractions once, in edge
+    order, and a sink keeps its whole stock whatever its parameters."""
     n, horizon = env.num_agents, len(noise_trace) - 1
     if not 0.0 < discount <= 1.0:
         raise ValueError(f"discount must lie in (0, 1], got {discount}")

@@ -58,6 +58,12 @@ def out_neighbors(g: CoordinationGraph) -> list[list[int]]:
     return out
 
 
+def shipping_agents(g: CoordinationGraph) -> list[int]:
+    """The agents with at least one out-edge, 1-based and ascending: the
+    only ones the policy scores, a sink's allocation being the constant 1."""
+    return [i for i, out in enumerate(out_neighbors(g), 1) if out]
+
+
 def observation_sets(g: CoordinationGraph) -> list[list[int]]:
     """Entry i - 1: agent i's in-neighbours and i itself, ascending,
     from ``g.edges``: the agents whose stock agent i observes."""
@@ -263,11 +269,17 @@ def per_agent_allocation(policy, flat: np.ndarray, i: int, obs: np.ndarray) -> n
 
 class FixedAllocation:
     """Policy stub whose ``act_matrix`` always returns one compact (K,)
-    allocation, whatever the observation.  Built from one row per agent:
-    its retained fraction, then one per out-neighbour in ascending order."""
+    allocation, whatever the observation.  Built from one row per
+    shipping agent: its retained fraction, then one per out-neighbour in
+    ascending order.  A sink has no row: a one-entry row placed before a
+    shipping agent would shift every later fraction, so it is rejected."""
 
     def __init__(self, rows):
-        self.alloc = np.concatenate([np.asarray(r, dtype=float) for r in rows])
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        if any(r.size < 2 for r in rows):
+            raise ValueError("a row needs a retained fraction and at least one "
+                             "out-edge fraction; sinks have no row")
+        self.alloc = np.concatenate([np.empty(0), *rows])
 
     def act_matrix(self, obs: np.ndarray) -> np.ndarray:
         return self.alloc
@@ -276,7 +288,7 @@ class FixedAllocation:
     def uniform(cls, env) -> "FixedAllocation":
         """Stock split evenly over self and every out-edge."""
         return cls([np.full(len(out) + 1, 1.0 / (len(out) + 1))
-                    for out in out_neighbors(env.graph)])
+                    for out in out_neighbors(env.graph) if out])
 
 
 # Values that stress bitwise agreement: non-finite, signed zero, near
@@ -317,38 +329,45 @@ def left_fold(values) -> float:
 
 
 def reference_act_matrix(bound, obs: np.ndarray) -> np.ndarray:
-    """The policy agent by agent, on that agent's own entries of the
-    compact observation and its own slots only: each squared distance to
-    a center is the left fold of d * d over the agent's entries, and each
-    softmax denominator the left fold of its exp-weights in slot order.
-    Returns the compact (K,) allocation."""
+    """The policy shipping agent by shipping agent, on that agent's own
+    entries of the compact observation and its own slots only: each
+    squared distance to a center is the left fold of d * d over the
+    agent's entries, and each softmax denominator the left fold of its
+    exp-weights in slot order.  Sinks are skipped.  Returns the compact
+    (K,) allocation; a non-finite score is reported by agent number."""
     p = bound.policy
+    ships = shipping_agents(p.graph)
+    obs_sets = observation_sets(p.graph)
     sqd, start = [], 0
-    for s in observation_sets(p.graph):
+    for i in ships:
+        s = obs_sets[i - 1]
         own = obs[start:start + len(s) + 1]
         start += len(s) + 1
         centers = make_centers([p.stock_range] * len(s) + [p.demand_range], p.num_centers)
         sqd.append([left_fold(d * d) for d in own - centers])
-    sqd = np.array(sqd)
+    sqd = np.array(sqd).reshape(len(ships), p.num_centers)
     feats = sqd if p.kernel == "squared" else np.exp(-sqd)
-    z = np.einsum("isl,il->is", theta_padded(p, bound.flat), feats)
-    bad = [i + 1 for i, k in enumerate(p.num_slots) if not np.all(np.isfinite(z[i, :k]))]
+    theta = theta_padded(p, bound.flat)[np.array(ships, dtype=np.intp) - 1]
+    z = np.einsum("isl,il->is", theta, feats)
+    slots = [int(p.num_slots[i - 1]) for i in ships]
+    bad = [i for i, zi, k in zip(ships, z, slots) if not np.all(np.isfinite(zi[:k]))]
     if bad:
         raise NonFiniteScores(f"non-finite allocation scores for agents {bad}")
     rows = []
-    for i, k in enumerate(p.num_slots):
-        w = np.exp(-(z[i, :k] - z[i, :k].min()))
+    for zi, k in zip(z, slots):
+        w = np.exp(-(zi[:k] - zi[:k].min()))
         rows.append(w / left_fold(w))
-    return np.concatenate(rows)
+    return np.concatenate([np.empty(0), *rows])
 
 
 def reference_observation_matrix(g: CoordinationGraph, stocks: np.ndarray,
                                  demands: np.ndarray) -> np.ndarray:
-    """The compact observation agent by agent: the stocks of agent i's
-    observation set, ascending, then its own demand."""
-    rows = [np.append(stocks[np.array(s) - 1], demands[i])
-            for i, s in enumerate(observation_sets(g))]
-    return np.concatenate(rows)
+    """The compact observation shipping agent by shipping agent: the
+    stocks of agent i's observation set, ascending, then its own demand."""
+    obs_sets = observation_sets(g)
+    rows = [np.append(stocks[np.array(obs_sets[i - 1]) - 1], demands[i - 1])
+            for i in shipping_agents(g)]
+    return np.concatenate([np.empty(0), *rows])
 
 
 def out_fractions(env, frac: np.ndarray) -> list[list[float]]:
@@ -557,44 +576,60 @@ def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
 
 
 def reference_policy_tables(policy) -> dict[str, np.ndarray]:
-    """``_centers``, ``_feat_key``, ``slot_agent`` and ``slot_start`` of
-    an RbfPolicy, filled agent by agent."""
+    """``_centers``, ``_feat_key``, ``_feat_index``, ``slot_agent``,
+    ``slot_start`` and ``_rows`` of an RbfPolicy, filled shipping agent by
+    shipping agent (sinks skipped); agents are named by their rank among
+    the shipping agents, and ``_rows`` holds the rows of the flat vector
+    read as (N + |E|, num_centers) that the shipping agents' slots take."""
     g = policy.graph
-    n = g.num_agents
-    num_slots = [len(out) + 1 for out in out_neighbors(g)]
-    obs_sets = observation_sets(g)
-    centers = np.concatenate([make_centers([policy.stock_range] * len(s) + [policy.demand_range],
-                                           policy.num_centers) for s in obs_sets], axis=1)
-    entry_agent = [i for i, s in enumerate(obs_sets) for _ in range(len(s) + 1)]
-    feat_key = [l * n + i for l in range(policy.num_centers) for i in entry_agent]
+    nc = policy.num_centers
+    ships = shipping_agents(g)
+    m = len(ships)
+    out, obs_sets = out_neighbors(g), observation_sets(g)
+    centers = np.concatenate(
+        [np.empty((nc, 0))] + [make_centers([policy.stock_range] * len(obs_sets[i - 1])
+                                            + [policy.demand_range], nc) for i in ships], axis=1)
+    entry_rank = [r for r, i in enumerate(ships) for _ in range(len(obs_sets[i - 1]) + 1)]
+    feat_key = [l * m + r for l in range(nc) for r in entry_rank]
     agent, start = [], []
-    for i in range(n):
+    for r, i in enumerate(ships):
         start.append(len(agent))
-        agent.extend([i] * num_slots[i])
+        agent.extend([r] * (len(out[i - 1]) + 1))
+    rows, first = [], 0
+    for o in out:
+        if o:
+            rows.extend(range(first, first + len(o) + 1))
+        first += len(o) + 1
+    feat_index = [[l * m + r for l in range(nc)] for r in agent]
     return {"_centers": centers, "_feat_key": np.array(feat_key, dtype=np.intp),
+            "_feat_index": np.array(feat_index, dtype=np.intp).reshape(len(agent), nc),
             "slot_agent": np.array(agent, dtype=np.intp),
-            "slot_start": np.array(start, dtype=np.intp)}
+            "slot_start": np.array(start, dtype=np.intp),
+            "_rows": np.array(rows, dtype=np.intp)}
 
 
 def reference_env_tables(env) -> dict[str, np.ndarray]:
     """``_obs_gather``, ``_e_src``, ``_e_dst`` and ``_e_slot`` of a
-    WarehouseEnv, filled agent by agent.  ``_e_slot`` is each edge's
-    index into the compact allocation, whose agents each hold a
-    retained slot and then one slot per out-neighbour."""
+    WarehouseEnv, filled agent by agent.  The observation gathers the
+    shipping agents' entries only.  ``_e_slot`` is each edge's index into
+    the compact allocation, whose shipping agents each hold a retained
+    slot and then one slot per out-neighbour; sinks hold no slot."""
     g = env.graph
     n = g.num_agents
     out_slots = out_neighbors(g)
     gather = []
     for i, s in enumerate(observation_sets(g)):
-        gather.extend(j - 1 for j in s)
-        gather.append(n + i)
+        if out_slots[i]:
+            gather.extend(j - 1 for j in s)
+            gather.append(n + i)
     e_src, e_dst, e_slot, first = [], [], [], 0
     for i in range(n):
         for k, j in enumerate(out_slots[i]):
             e_src.append(i)
             e_dst.append(j - 1)
             e_slot.append(first + 1 + k)
-        first += len(out_slots[i]) + 1
+        if out_slots[i]:
+            first += len(out_slots[i]) + 1
     return {"_obs_gather": np.array(gather, dtype=np.intp),
             "_e_src": np.array(e_src, dtype=np.intp),
             "_e_dst": np.array(e_dst, dtype=np.intp),

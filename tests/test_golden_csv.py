@@ -114,6 +114,17 @@ def test_tree1k_case_has_wide_rows(tmp_path):
     assert RbfPolicy(cfg.graph).num_slots.max() >= 11
 
 
+def test_cases_pin_both_table_paths(tmp_path):
+    # Sinks drop out of the policy's tables: the example2 and tree1k digests
+    # pin the shorter tables, the example1 ones the all-ship tables.
+    for name, (config, epochs, _, _) in CASES.items():
+        policy = RbfPolicy(load_config(config_file(config, epochs, str(tmp_path / name))).graph)
+        ships = policy.num_slots > 1
+        assert ships.all() == (config == "example1"), name
+        assert policy._centers.shape[1] == policy.obs_dims[ships].sum()
+        assert policy.slot_agent.size == policy.num_slots[ships].sum()
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -609,7 +609,7 @@ def test_aborted_runs_recorded_and_rest_continue(tmp_path):
     # A single agent routes everything to itself, so its trajectory is
     # parameter-independent: the two-point difference is exactly zero
     # and survives any step size, while the one-point estimate overflows
-    # immediately.
+    # the parameters of both repeats.
     out = str(tmp_path / "out")
     path = write_config(tmp_path, f"""
 [graph]
@@ -624,15 +624,35 @@ horizon = 8
 [experiment]
 algorithms = distributed_two_point distributed_one_point
 repeats = 2
-master_seed = 3
+master_seed = 1
 output_dir = {out}
 """)
     summary = run_experiment(load_config(path))
     assert {(a, r) for a, r, _ in summary.aborted} == {
         ("distributed_one_point", 0), ("distributed_one_point", 1)}
-    # repeat 0 overflows its parameters; repeat 1's huge but finite step
-    # overflows the next evaluation's scores, which is divergence too
-    causes = {r: reason for _, r, reason in summary.aborted}
+    for _, _, reason in summary.aborted:
+        assert reason.startswith("TrainingDiverged: non-finite parameters")
+    # A huge but finite step overflows the next evaluation's scores, which
+    # is divergence too; the agent must ship for its scores to be formed
+    # (agent 2 of 1->2 is a sink).  Repeat 1 of this run takes that path.
+    sink_out = str(tmp_path / "sink_out")
+    sink_path = write_config(tmp_path, f"""
+[graph]
+num_agents = 2
+edges = 1->2
+
+[learner]
+eta = 1e307
+epochs = 2
+horizon = 8
+
+[experiment]
+algorithms = distributed_one_point
+repeats = 2
+master_seed = 3
+output_dir = {sink_out}
+""", name="ships.cfg")
+    causes = {r: reason for _, r, reason in run_experiment(load_config(sink_path)).aborted}
     assert causes[0].startswith("TrainingDiverged: non-finite parameters")
     assert causes[1].startswith("TrainingDiverged: evaluation failed at epoch 1")
     assert causes[1].endswith("non-finite allocation scores for agents [1]")

@@ -94,9 +94,9 @@ def test_block_below_one_is_rejected():
 
 
 def agent_rows(pol: RbfPolicy, alloc: np.ndarray) -> list[np.ndarray]:
-    """The compact (K,) allocation cut into one row per agent."""
+    """The compact (K,) allocation cut into one row per shipping agent."""
     assert alloc.shape == pol.slot_agent.shape
-    return np.split(alloc, pol.slot_start[1:])
+    return np.split(alloc, pol.slot_start)[1:]
 
 
 def test_zero_params_give_uniform_allocation():
@@ -193,7 +193,7 @@ def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
     g = random_weakly_connected_digraph(rng, 1, 10)
     pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
     bound = pol.bind(10.0 ** log_scale * rng.normal(size=pol.layout.total_dim))
-    obs = rng.uniform(-1.5, 2.5, size=pol.obs_dims.sum())
+    obs = rng.uniform(-1.5, 2.5, size=pol.obs_dims[pol.num_slots > 1].sum())
     for row in agent_rows(pol, bound.act_matrix(obs)):
         assert np.all(row >= 0.0)
         assert abs(row.sum() - 1.0) <= 1e-12
@@ -229,7 +229,8 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, 
     flat = sprinkle(rng, flat, SPECIAL_VALUES, special / 4)
     # half the time a strided view: einsum's strided loop rounds differently
     bound = pol.bind(flat if rng.random() < 0.5 else np.repeat(flat, 2)[::2])
-    obs = sprinkle(rng, rng.uniform(-1.5, 2.5, size=pol.obs_dims.sum()), SPECIAL_VALUES, special)
+    obs = sprinkle(rng, rng.uniform(-1.5, 2.5, size=pol.obs_dims[pol.num_slots > 1].sum()),
+                   SPECIAL_VALUES, special)
 
     def outcome(act):
         try:
@@ -293,6 +294,19 @@ def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel, hub):
     assert untouched
     for i in untouched:
         assert allocs[0][i].tobytes() == allocs[1][i].tobytes(), f"agent {i + 1}"
+
+
+def test_non_finite_scores_name_agent_numbers():
+    # Agent 2 is a sink before the shipping agent 3: the error names agent
+    # 3 by its number, not by its rank among the agents that ship.
+    pol = RbfPolicy(build_graph(3, [(2, 1), (3, 1)]), num_centers=2)
+    flat = np.zeros(pol.layout.total_dim)
+    flat[pol.layout.block_slice(3)] = np.inf
+    obs = np.zeros(pol.obs_dims[pol.num_slots > 1].sum())
+    for act in (pol.bind(flat).act_matrix, lambda o: reference_act_matrix(pol.bind(flat), o)):
+        with pytest.raises(NonFiniteScores) as err:
+            act(obs)
+        assert str(err.value) == "non-finite allocation scores for agents [3]"
 
 
 def test_gaussian_kernel_changes_features():

@@ -70,11 +70,12 @@ def test_tables_match_the_per_agent_loops():
         assert policy.num_slots.tolist() == [len(out) + 1 for out in out_neighbors(g)]
         assert policy.layout.dims == tuple(
             settings["num_centers"] * (len(out) + 1) for out in out_neighbors(g))
-        # act_matrix reads the flat vector as (K, num_centers): row k must
-        # be valid slot k, so each block starts at its agent's first slot.
-        assert np.array_equal(policy.layout.offsets,
-                              np.append(policy.slot_start, policy.slot_agent.size)
-                              * settings["num_centers"])
+        # act_matrix takes rows ``_rows`` of the flat vector read as (N + |E|,
+        # num_centers): row _rows[k] must be valid slot k, so each shipping
+        # agent's block starts at its first slot's row.
+        ships = policy.num_slots > 1
+        assert np.array_equal(policy.layout.offsets[:-1][ships],
+                              policy._rows[policy.slot_start] * settings["num_centers"])
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:

@@ -53,7 +53,7 @@ def test_demand_formula_matches_hand_value():
 
 def test_isolated_agent_step():
     env = make_env(build_graph(1, []), initial_stock_jitter=0.0, demand_noise_std=0.0)
-    ro = simulate_rollout(env, FixedAllocation([[1.0]]), 
+    ro = simulate_rollout(env, FixedAllocation([]), 
                           noise_trace=env.draw_noise_trace(1, np.random.default_rng(0)))
     assert np.array_equal(ro.stocks[0], [1.0])
     assert ro.rewards[0, 0] == 0.0
@@ -121,14 +121,14 @@ def test_allocation_contract_violations():
     env = make_env(build_graph(2, [(1, 2)]))
     rng = np.random.default_rng(0)
     with pytest.raises(RolloutError, match="agent 1.*outside.*at step 0"):
-        simulate_rollout(env, FixedAllocation([[-0.5, 1.5], [1.0]]), 
+        simulate_rollout(env, FixedAllocation([[-0.5, 1.5]]), 
                          noise_trace=env.draw_noise_trace(2, rng))
     env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
     with pytest.raises(RolloutError, match="agent 1 ships more"):
-        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7], [1.0], [1.0]]), 
+        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7]]), 
                          noise_trace=env3.draw_noise_trace(2, rng))
     # The retained fraction is neither checked nor used: the rollout runs.
-    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0], [np.nan]]), 
+    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0]]), 
                           noise_trace=env.draw_noise_trace(2, rng))
     assert np.isfinite(ro.stocks).all()
 
@@ -209,10 +209,11 @@ def test_non_finite_stock_aborts():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
-            simulate_rollout(env, FixedAllocation([[0.0, 1.0], [1.0]]), 
+            simulate_rollout(env, FixedAllocation([[0.0, 1.0]]), 
                              noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
         policy = RbfPolicy(env.graph)
-        with pytest.raises(ValueError, match="non-finite allocation scores for agents \\[1, 2\\]"):
+        # agent 2 is a sink: its scores are never formed
+        with pytest.raises(ValueError, match="non-finite allocation scores for agents \\[1\\]$"):
             simulate_rollout(env, policy.bind(np.zeros(policy.layout.total_dim)), 
                              noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
 
@@ -266,7 +267,8 @@ def test_observation_layout():
     stocks = np.arange(1.0, 10.0)
     d = np.linspace(0.1, 0.9, 9)
     obs = env.observation_matrix(stocks, d)
-    # S = 2N + E entries: each agent's observed stocks, then its demand
+    # every agent of this graph ships, so S = 2N + E entries: each
+    # agent's observed stocks, then its demand
     obs_sets = observation_sets(env.graph)
     assert obs.shape == (2 * 9 + len(env.graph.edges),)
     start = np.cumsum([0] + [len(s) + 1 for s in obs_sets])
@@ -327,6 +329,36 @@ def test_decoupled_agent_trajectory_is_bitwise_identical():
     assert np.array_equal(ro_a.stocks[:, 0], ro_b.stocks[:, 0])
     assert np.array_equal(ro_a.rewards[:, 0], ro_b.rewards[:, 0])
     assert not np.array_equal(ro_a.stocks[:, 2], ro_b.stocks[:, 2])
+
+
+def test_sink_parameter_blocks_are_inert():
+    # A sink's one slot holds its retained fraction exp(0)/exp(0) = 1, so
+    # no value of its block, however wild, moves a bit of the episode.
+    rng = np.random.default_rng(34)
+    graphs = [build_graph(1, [])]
+    while len(graphs) < 16:
+        g = random_weakly_connected_digraph(rng, 2, 10)
+        if not all(out_neighbors(g)):
+            graphs.append(g)
+    for g in graphs:
+        env, pol = make_env(g), RbfPolicy(g, num_centers=int(rng.integers(1, 5)))
+        sinks = [pol.layout.block_slice(i) for i, out in enumerate(out_neighbors(g), 1)
+                 if not out]
+        theta = rng.normal(scale=0.3, size=pol.layout.total_dim)
+        for block in sinks:
+            theta[block] = 0.0
+        trace = env.draw_noise_trace(8, rng)
+        want = simulate_rollout(env, pol.bind(theta), noise_trace=trace)
+        for value in (np.nan, np.inf, -np.inf, 1e308):
+            wild = theta.copy()
+            for block in sinks:
+                wild[block] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = simulate_rollout(env, pol.bind(wild), noise_trace=trace)
+            for a, b in [(got.stocks, want.stocks), (got.rewards, want.rewards),
+                         (got.returns, want.returns)]:
+                assert a.tobytes() == b.tobytes(), (g.edges, value)
 
 
 def test_two_resets_same_seed_identical():
