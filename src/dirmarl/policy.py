@@ -120,7 +120,7 @@ class RbfPolicy:
     Holds per-agent centers, the slot structure (self + sorted
     out-neighbors), and the block layout.  ``bind`` attaches a concrete
     flat parameter vector and yields a policy whose ``act_matrix`` maps
-    the compact observation of the whole population to allocations.
+    the compact observation of the shipping agents to allocations.
     ``settings`` are keywords of ``PolicySettings``, which checks them.
     """
 
