@@ -17,12 +17,13 @@ BlockLayout; all learning updates and perturbations act on the flat
 view, and block views always alias it.
 
 A sink (no out-edges) has only its self slot, so its allocation is
-exp(0)/exp(0) = 1: its block is never scored.  ``act_matrix`` reads the
-compact (S,) observation, each shipping agent's own entries agent after
-agent, and scores only the K valid (agent, slot) pairs of the shipping
-agents, whose rows of the flat vector read as (N + |E|, n_c) ``bind``
-takes once.  Each agent's features and softmax denominator are left
-folds of its own entries and weights, whatever the widest agent.
+exp(0)/exp(0) = 1: its block is never scored.  ``act_matrix`` gathers
+the compact (S,) observation of the shipping agents, agent after agent,
+from the environment's (2N,) state, scores only their K valid (agent,
+slot) pairs, whose rows of the flat vector read as (N + |E|, n_c)
+``bind`` takes once, and returns the (E,) out-edge fractions in edge
+order.  Each agent's features and softmax denominator are left folds
+of its own entries and weights, whatever the widest agent.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class RbfPolicy:
     Holds per-agent centers, the slot structure (self + sorted
     out-neighbors), and the block layout.  ``bind`` attaches a concrete
     flat parameter vector and yields a policy whose ``act_matrix`` maps
-    the compact observation of the shipping agents to allocations.
+    the environment's state to out-edge fractions.
     ``settings`` are keywords of ``PolicySettings``, which checks them.
     """
 
@@ -146,6 +147,12 @@ class RbfPolicy:
         # The tables cover only the agents that ship (0-based, ascending).
         ships = self.shipping = np.flatnonzero(self.num_slots > 1)
         m, dims, slots = ships.size, self.obs_dims[ships], self.num_slots[ships]
+        # The compact (S,) observation's index into the (2N,) state: per
+        # shipping agent, its observed stocks (ascending), then its demand.
+        into = (self.num_slots > 1)[dst]
+        who = np.concatenate((dst[into], ships, ships))
+        seen = np.concatenate((src[into], ships, n + ships))
+        self._obs_index = seen[np.lexsort((seen, who))]
         # Per (center, entry) of the compact (S,) observation: the center,
         # the demand one at each agent's last entry, and the bincount key.
         entry_rank = np.repeat(np.arange(m), dims)
@@ -156,6 +163,9 @@ class RbfPolicy:
         # of each one's agent among the shipping agents, and each agent's first.
         self.slot_agent = np.repeat(np.arange(m), slots)
         self.slot_start = np.cumsum(slots) - slots
+        # Edge e of source s is slot e + rank(s) + 1: the slots other than
+        # each agent's first (retained) one are the edges in order.
+        self._edge_slot = np.delete(np.arange(self.slot_agent.size), self.slot_start)
         # Index of slot k's agent's features into the flat (nc * m,)
         # bincount result, whose entry c * m + r is shipping agent r's center c.
         self._feat_index = np.arange(nc) * m + self.slot_agent[:, None]  # (K, nc)
@@ -182,15 +192,15 @@ class BoundRbfPolicy:
         self._theta = np.ascontiguousarray(flat).reshape(-1, policy.num_centers).take(
             policy._rows, axis=0)
 
-    def act_matrix(self, obs: np.ndarray) -> np.ndarray:
-        """Allocations for all shipping agents at once.
+    def act_matrix(self, state: np.ndarray) -> np.ndarray:
+        """Out-edge fractions for all shipping agents at once.
 
-        obs is the compact (S,) observation of the shipping agents; returns
-        the compact (K,) allocation of their slots in slot order, each
-        agent's retained fraction first.  ``NonFiniteScores`` never names a sink.
+        state is the environment's (2N,) stocks then demands; returns the
+        (E,) fractions in edge order.  A retained fraction is what its
+        agent does not ship.  ``NonFiniteScores`` never names a sink.
         """
         p = self.policy
-        diff = obs - p._centers
+        diff = state[p._obs_index] - p._centers
         diff *= diff
         # bincount adds each agent's squared distances in entry order: a left fold
         sqd = np.bincount(p._feat_key, weights=diff.ravel())
@@ -205,4 +215,4 @@ class BoundRbfPolicy:
         np.exp(w, out=w)
         # bincount adds each agent's weights in slot order: a left fold
         w /= np.bincount(p.slot_agent, weights=w)[p.slot_agent]
-        return w
+        return w[p._edge_slot]

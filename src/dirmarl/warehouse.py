@@ -10,11 +10,11 @@ shipments and serving a stochastic demand:
     d_i(t) = A_i (1 - sin(w_it * t)) + w_it,   w_it ~ N(0, sigma_w^2)
 
 Reward is 0 while the pre-transition stock is non-negative and
--m_i(t)^2 once it backlogs.  Agent i observes the stocks of its closed
-in-neighborhood plus its own realized same-step demand, so the
-observation has |in(i)| + 2 entries.  An agent without out-edges (a
-sink) keeps all its stock: it neither observes nor acts, and the
-compact observation and allocation hold only the agents that ship.
+-m_i(t)^2 once it backlogs.  Each step the environment hands the
+policy its raw state, stocks then demands, and takes back the out-edge
+fractions; what each agent observes of that state is the policy's
+layout (``dirmarl.policy``).  An agent without out-edges (a sink)
+keeps all its stock.
 
 Randomness is reified as a noise trace, one (T+1, N) array drawn ahead
 of the episode and its only source of randomness: row 0 is the initial
@@ -81,26 +81,10 @@ class WarehouseEnv:
 
     def __init__(self, config: WarehouseConfig):
         self.config, self.graph = config, config.graph
-        n = self.num_agents = config.graph.num_agents
+        self.num_agents = config.graph.num_agents
 
         # Edges ordered by (source, target): fixed summation order.
-        src, dst = self._e_src, self._e_dst = config.graph.edge_array
-        # Gather index of the compact (S,) observation from
-        # concatenate((stocks, demands)): shipping agent by shipping agent,
-        # the observed stocks (in-neighbours and the agent itself,
-        # ascending), then its demand.  S = sum of |in(i)| + 2 over them.
-        ships = np.bincount(src, minlength=n) > 0
-        agents, into = np.flatnonzero(ships), ships[dst]
-        who = np.concatenate((dst[into], agents, agents))
-        seen = np.concatenate((src[into], agents, n + agents))
-        self._obs_gather = seen[np.lexsort((seen, who))]
-
-        # Edge e of source s is slot e + rank(s) + 1 of the compact
-        # allocation, rank(s) counting the shipping agents before s: each
-        # shipping agent's slots are its retained fraction, then its
-        # out-edges, so the non-self slots in slot order are the edges in order.
-        rank = np.cumsum(ships) - ships
-        self._e_slot = np.arange(src.size) + rank[src] + 1
+        self._e_src, self._e_dst = config.graph.edge_array
 
     # -- randomness -------------------------------------------------
 
@@ -130,8 +114,9 @@ class WarehouseEnv:
         return d
 
     def observation_matrix(self, stocks: np.ndarray, demands: np.ndarray) -> np.ndarray:
-        """The compact (S,) observation: each shipping agent's observed stocks, then its demand."""
-        return np.concatenate((stocks, demands))[self._obs_gather]
+        """The (2N,) state, stocks then demands, that the policy reads; a
+        method, so the per-step state build is timed as its own layer."""
+        return np.concatenate((stocks, demands))
 
     def validate_allocations(self, frac: np.ndarray, where: str = "") -> None:
         # (E,) out-edge fractions.  Fast accept; a graph without edges has
@@ -186,10 +171,10 @@ def simulate_rollout(env: WarehouseEnv, policy, discount: float = 1.0, *,
                      noise_trace: np.ndarray) -> Rollout:
     """Run one episode under the realized randomness ``noise_trace``, a
     (T+1, N) trace whose length sets the horizon T.
-    ``policy.act_matrix(obs)`` maps the compact (S,) observation to
-    the compact (K,) allocation, each shipping agent's retained
-    fraction first; the step reads its out-edge fractions once, in edge
-    order, and a sink keeps its whole stock whatever its parameters."""
+    ``policy.act_matrix(state)`` maps the (2N,) state of
+    ``env.observation_matrix`` to the (E,) out-edge fractions in edge
+    order, which the allocation check and the transition consume; what
+    an agent does not ship it keeps."""
     n, horizon = env.num_agents, len(noise_trace) - 1
     if not 0.0 < discount <= 1.0:
         raise ValueError(f"discount must lie in (0, 1], got {discount}")
@@ -202,13 +187,12 @@ def simulate_rollout(env: WarehouseEnv, policy, discount: float = 1.0, *,
     # so that a wrapper installed on the class or module is the one used).
     demand_row, observe, act = env.demand_row, env.observation_matrix, policy.act_matrix
     transition, reward = env.apply_transition, step_rewards
-    e_slot = env._e_slot
     # Overflow may surface as inf in rewards and stocks; the guard below
     # turns a non-finite stock into a named abort instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for t, w_row in enumerate(noise_trace[1:]):
             d = demand_row(t, w_row)
-            frac = act(observe(m, d))[e_slot]
+            frac = act(observe(m, d))
             env.validate_allocations(frac, where=f" at step {t}")
             rewards[t] = reward(m)
             m = transition(m, frac, d)

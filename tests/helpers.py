@@ -268,27 +268,20 @@ def per_agent_allocation(policy, flat: np.ndarray, i: int, obs: np.ndarray) -> n
 
 
 class FixedAllocation:
-    """Policy stub whose ``act_matrix`` always returns one compact (K,)
-    allocation, whatever the observation.  Built from one row per
-    shipping agent: its retained fraction, then one per out-neighbour in
-    ascending order.  A sink has no row: a one-entry row placed before a
-    shipping agent would shift every later fraction, so it is rejected."""
+    """Policy stub whose ``act_matrix`` always returns one (E,) vector of
+    out-edge fractions, in edge order, whatever the state."""
 
-    def __init__(self, rows):
-        rows = [np.asarray(r, dtype=float) for r in rows]
-        if any(r.size < 2 for r in rows):
-            raise ValueError("a row needs a retained fraction and at least one "
-                             "out-edge fraction; sinks have no row")
-        self.alloc = np.concatenate([np.empty(0), *rows])
+    def __init__(self, frac):
+        self.frac = np.array(frac, dtype=float).reshape(-1)
 
-    def act_matrix(self, obs: np.ndarray) -> np.ndarray:
-        return self.alloc
+    def act_matrix(self, state: np.ndarray) -> np.ndarray:
+        return self.frac
 
     @classmethod
     def uniform(cls, env) -> "FixedAllocation":
         """Stock split evenly over self and every out-edge."""
-        return cls([np.full(len(out) + 1, 1.0 / (len(out) + 1))
-                    for out in out_neighbors(env.graph) if out])
+        return cls(np.concatenate([np.empty(0)] + [np.full(len(out), 1.0 / (len(out) + 1))
+                                                   for out in out_neighbors(env.graph)]))
 
 
 # Values that stress bitwise agreement: non-finite, signed zero, near
@@ -328,15 +321,19 @@ def left_fold(values) -> float:
     return functools.reduce(operator.add, (float(v) for v in values), 0.0)
 
 
-def reference_act_matrix(bound, obs: np.ndarray) -> np.ndarray:
+def reference_act_matrix(bound, state: np.ndarray) -> np.ndarray:
     """The policy shipping agent by shipping agent, on that agent's own
-    entries of the compact observation and its own slots only: each
-    squared distance to a center is the left fold of d * d over the
-    agent's entries, and each softmax denominator the left fold of its
-    exp-weights in slot order.  Sinks are skipped.  Returns the compact
-    (K,) allocation; a non-finite score is reported by agent number."""
+    observation (``reference_observation_matrix``) and its own slots
+    only: each squared distance to a center is the left fold of d * d
+    over the agent's entries, and each softmax denominator the left fold
+    of its exp-weights in slot order.  Sinks are skipped.  Returns the
+    (E,) out-edge fractions, each agent's allocation without its retained
+    fraction, agent after agent; a non-finite score is reported by agent
+    number."""
     p = bound.policy
+    n = p.graph.num_agents
     ships = shipping_agents(p.graph)
+    obs = reference_observation_matrix(p.graph, state[:n], state[n:])
     obs_sets = observation_sets(p.graph)
     sqd, start = [], 0
     for i in ships:
@@ -356,7 +353,7 @@ def reference_act_matrix(bound, obs: np.ndarray) -> np.ndarray:
     rows = []
     for zi, k in zip(z, slots):
         w = np.exp(-(zi[:k] - zi[:k].min()))
-        rows.append(w / left_fold(w))
+        rows.append((w / left_fold(w))[1:])
     return np.concatenate([np.empty(0), *rows])
 
 
@@ -576,24 +573,33 @@ def make_centers(obs_ranges, num_centers: int) -> np.ndarray:
 
 
 def reference_policy_tables(policy) -> dict[str, np.ndarray]:
-    """``_centers``, ``_feat_key``, ``_feat_index``, ``slot_agent``,
-    ``slot_start`` and ``_rows`` of an RbfPolicy, filled shipping agent by
-    shipping agent (sinks skipped); agents are named by their rank among
-    the shipping agents, and ``_rows`` holds the rows of the flat vector
-    read as (N + |E|, num_centers) that the shipping agents' slots take."""
+    """``_obs_index``, ``_centers``, ``_feat_key``, ``_edge_slot``,
+    ``_feat_index``, ``slot_agent``, ``slot_start`` and ``_rows`` of an
+    RbfPolicy, filled shipping agent by shipping agent (sinks skipped);
+    agents are named by their rank among the shipping agents.
+    ``_obs_index`` indexes the (2N,) state, stocks then demands;
+    ``_edge_slot`` is each edge's index into the compact allocation,
+    whose shipping agents each hold a retained slot and then one slot
+    per out-neighbour; ``_rows`` holds the rows of the flat vector read
+    as (N + |E|, num_centers) that the shipping agents' slots take."""
     g = policy.graph
-    nc = policy.num_centers
+    n, nc = g.num_agents, policy.num_centers
     ships = shipping_agents(g)
     m = len(ships)
     out, obs_sets = out_neighbors(g), observation_sets(g)
+    obs_index = []
+    for i in ships:
+        obs_index.extend(j - 1 for j in obs_sets[i - 1])
+        obs_index.append(n + i - 1)
     centers = np.concatenate(
         [np.empty((nc, 0))] + [make_centers([policy.stock_range] * len(obs_sets[i - 1])
                                             + [policy.demand_range], nc) for i in ships], axis=1)
     entry_rank = [r for r, i in enumerate(ships) for _ in range(len(obs_sets[i - 1]) + 1)]
     feat_key = [l * m + r for l in range(nc) for r in entry_rank]
-    agent, start = [], []
+    agent, start, edge_slot = [], [], []
     for r, i in enumerate(ships):
         start.append(len(agent))
+        edge_slot.extend(range(len(agent) + 1, len(agent) + 1 + len(out[i - 1])))
         agent.extend([r] * (len(out[i - 1]) + 1))
     rows, first = [], 0
     for o in out:
@@ -601,7 +607,9 @@ def reference_policy_tables(policy) -> dict[str, np.ndarray]:
             rows.extend(range(first, first + len(o) + 1))
         first += len(o) + 1
     feat_index = [[l * m + r for l in range(nc)] for r in agent]
-    return {"_centers": centers, "_feat_key": np.array(feat_key, dtype=np.intp),
+    return {"_obs_index": np.array(obs_index, dtype=np.intp),
+            "_centers": centers, "_feat_key": np.array(feat_key, dtype=np.intp),
+            "_edge_slot": np.array(edge_slot, dtype=np.intp),
             "_feat_index": np.array(feat_index, dtype=np.intp).reshape(len(agent), nc),
             "slot_agent": np.array(agent, dtype=np.intp),
             "slot_start": np.array(start, dtype=np.intp),
@@ -609,31 +617,14 @@ def reference_policy_tables(policy) -> dict[str, np.ndarray]:
 
 
 def reference_env_tables(env) -> dict[str, np.ndarray]:
-    """``_obs_gather``, ``_e_src``, ``_e_dst`` and ``_e_slot`` of a
-    WarehouseEnv, filled agent by agent.  The observation gathers the
-    shipping agents' entries only.  ``_e_slot`` is each edge's index into
-    the compact allocation, whose shipping agents each hold a retained
-    slot and then one slot per out-neighbour; sinks hold no slot."""
-    g = env.graph
-    n = g.num_agents
-    out_slots = out_neighbors(g)
-    gather = []
-    for i, s in enumerate(observation_sets(g)):
-        if out_slots[i]:
-            gather.extend(j - 1 for j in s)
-            gather.append(n + i)
-    e_src, e_dst, e_slot, first = [], [], [], 0
-    for i in range(n):
-        for k, j in enumerate(out_slots[i]):
-            e_src.append(i)
-            e_dst.append(j - 1)
-            e_slot.append(first + 1 + k)
-        if out_slots[i]:
-            first += len(out_slots[i]) + 1
-    return {"_obs_gather": np.array(gather, dtype=np.intp),
-            "_e_src": np.array(e_src, dtype=np.intp),
-            "_e_dst": np.array(e_dst, dtype=np.intp),
-            "_e_slot": np.array(e_slot, dtype=np.intp)}
+    """``_e_src`` and ``_e_dst`` of a WarehouseEnv, filled agent by agent
+    in (source, target) order."""
+    e_src, e_dst = [], []
+    for i, out in enumerate(out_neighbors(env.graph)):
+        e_src.extend([i] * len(out))
+        e_dst.extend(j - 1 for j in out)
+    return {"_e_src": np.array(e_src, dtype=np.intp),
+            "_e_dst": np.array(e_dst, dtype=np.intp)}
 
 
 def grouped_gather(learning, values: np.ndarray) -> np.ndarray:

@@ -26,10 +26,12 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from dirmarl import load_config, run_experiment, summarize
 from dirmarl.policy import RbfPolicy
+from dirmarl.warehouse import WarehouseEnv
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG_DIR = os.path.join(os.path.dirname(HERE), "configs")
@@ -116,13 +118,19 @@ def test_tree1k_case_has_wide_rows(tmp_path):
 
 def test_cases_pin_both_table_paths(tmp_path):
     # Sinks drop out of the policy's tables: the example2 and tree1k digests
-    # pin the shorter tables, the example1 ones the all-ship tables.
+    # pin the shorter tables, the example1 ones the all-ship tables.  On
+    # every case the policy maps the (2N,) state to the (E,) out-edge fractions.
     for name, (config, epochs, _, _) in CASES.items():
-        policy = RbfPolicy(load_config(config_file(config, epochs, str(tmp_path / name))).graph)
+        cfg = load_config(config_file(config, epochs, str(tmp_path / name)))
+        policy = RbfPolicy(cfg.graph)
         ships = policy.num_slots > 1
         assert ships.all() == (config == "example1"), name
         assert policy._centers.shape[1] == policy.obs_dims[ships].sum()
         assert policy.slot_agent.size == policy.num_slots[ships].sum()
+        env, n = WarehouseEnv(cfg.warehouse), cfg.graph.num_agents
+        state = env.observation_matrix(np.ones(n), np.full(n, 0.2))
+        frac = policy.bind(np.zeros(policy.layout.total_dim)).act_matrix(state)
+        assert frac.shape == (len(cfg.graph.edges),), name
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dirmarl.graphs import build_graph
 from dirmarl.policy import BlockLayout, NonFiniteScores, PolicySettings, RbfPolicy
+from dirmarl.warehouse import WarehouseConfig, WarehouseEnv
 from helpers import (
     SPECIAL_VALUES,
     agent_centers,
@@ -17,7 +18,7 @@ from helpers import (
     rbf_features,
     rbf_scores,
     reference_act_matrix,
-    reference_observation_matrix,
+    shipping_agents,
     softmax_allocation,
     sprinkle,
 )
@@ -93,19 +94,20 @@ def test_block_below_one_is_rejected():
             BlockLayout(dims)
 
 
-def agent_rows(pol: RbfPolicy, alloc: np.ndarray) -> list[np.ndarray]:
-    """The compact (K,) allocation cut into one row per shipping agent."""
-    assert alloc.shape == pol.slot_agent.shape
-    return np.split(alloc, pol.slot_start)[1:]
+def agent_rows(pol: RbfPolicy, frac: np.ndarray) -> list[np.ndarray]:
+    """The (E,) out-edge fractions cut into one row per agent (a sink's
+    row is empty), by the agents' out-degrees."""
+    assert frac.shape == (len(pol.graph.edges),)
+    return np.split(frac, np.cumsum(pol.num_slots - 1)[:-1])
 
 
 def test_zero_params_give_uniform_allocation():
     g = nine_agent_graph()
     pol = RbfPolicy(g, num_centers=4)
-    alloc = pol.bind(np.zeros(pol.layout.total_dim)).act_matrix(np.zeros(pol.obs_dims.sum()))
-    rows = agent_rows(pol, alloc)
-    assert np.allclose(rows[1], [1.0 / 3] * 3)  # two out-neighbors + self
-    assert np.allclose(rows[0], [0.5, 0.5])
+    frac = pol.bind(np.zeros(pol.layout.total_dim)).act_matrix(np.zeros(2 * g.num_agents))
+    rows = agent_rows(pol, frac)
+    assert np.allclose(rows[1], [1.0 / 3] * 2)  # two out-neighbors + self
+    assert np.allclose(rows[0], [0.5])
 
 
 def test_rbf_scores_match_manual_sum():
@@ -174,13 +176,12 @@ def test_act_matrix_matches_per_agent_path():
         pol = RbfPolicy(g, num_centers=4, kernel=kernel)
         rng = np.random.default_rng(3)
         bound = pol.bind(rng.normal(scale=0.4, size=pol.layout.total_dim))
-        obs = [rng.uniform(-1, 2, size=d) for d in pol.obs_dims]
-        rows = agent_rows(pol, bound.act_matrix(np.concatenate(obs)))
-        for i in agents(g):
-            row = rows[i - 1]
-            assert np.allclose(row, per_agent_allocation(pol, bound.flat, i, obs[i - 1]),
-                               rtol=1e-12, atol=1e-14)
-            assert np.isclose(row.sum(), 1.0)
+        stocks, demands = rng.uniform(-1, 2, size=(2, g.num_agents))
+        rows = agent_rows(pol, bound.act_matrix(np.concatenate((stocks, demands))))
+        for i, obs in zip(agents(g), observation_sets(g)):
+            want = per_agent_allocation(pol, bound.flat, i,
+                                        np.append(stocks[np.array(obs) - 1], demands[i - 1]))
+            assert np.allclose(rows[i - 1], want[1:], rtol=1e-12, atol=1e-14)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")),
@@ -188,15 +189,56 @@ def test_act_matrix_matches_per_agent_path():
 @settings(max_examples=150, deadline=None)
 def test_act_matrix_rows_lie_on_the_simplex(seed, kernel, log_scale):
     # The contract validate_allocations guards, pinned on the production
-    # path: every agent's row is a probability vector.
+    # path: every agent's out-edge fractions are non-negative and leave a
+    # retained fraction 1 - sum of at least -1e-12.
     rng = np.random.default_rng(seed)
     g = random_weakly_connected_digraph(rng, 1, 10)
     pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
     bound = pol.bind(10.0 ** log_scale * rng.normal(size=pol.layout.total_dim))
-    obs = rng.uniform(-1.5, 2.5, size=pol.obs_dims[pol.num_slots > 1].sum())
-    for row in agent_rows(pol, bound.act_matrix(obs)):
+    state = rng.uniform(-1.5, 2.5, size=2 * g.num_agents)
+    for row in agent_rows(pol, bound.act_matrix(state)):
         assert np.all(row >= 0.0)
-        assert abs(row.sum() - 1.0) <= 1e-12
+        assert 1.0 - row.sum() >= -1e-12
+
+
+def graph_with_spliced_agent(rng: np.random.Generator, kind: str):
+    """A random digraph as drawn, or with one more agent spliced in: a
+    sink fed by some agents or an isolated agent, numbered between two
+    shipping agents when the graph has two; or the edgeless 1-agent graph."""
+    if kind == "edgeless":
+        return build_graph(1, [])
+    g = random_weakly_connected_digraph(rng, 2, 10)
+    if kind == "as drawn":
+        return g
+    n, ships = g.num_agents, shipping_agents(g)
+    new = (int(rng.integers(ships[0] + 1, ships[-1] + 1)) if len(ships) > 1
+           else int(rng.integers(1, n + 2)))
+    edges = {(i + (i >= new), j + (j >= new)) for i, j in g.edges}
+    if kind == "sink":
+        feeders = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+        edges |= {(a + (a >= new), new) for a in map(int, feeders)}
+    return build_graph(n + 1, edges)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("as drawn", "sink", "isolated", "edgeless")),
+       st.sampled_from(("squared", "gaussian")))
+@settings(max_examples=150, deadline=None)
+def test_act_matrix_returns_out_fractions_in_edge_order(seed, kind, kernel):
+    # The policy boundary: the environment's (2N,) state goes in and the
+    # (E,) out-edge fractions come out in edge order, each agent's
+    # allocation without its retained fraction, sinks and isolated agents
+    # contributing none wherever their numbers fall.
+    rng = np.random.default_rng(seed)
+    g = graph_with_spliced_agent(rng, kind)
+    env = WarehouseEnv(WarehouseConfig(g))
+    pol = RbfPolicy(g, num_centers=int(rng.integers(1, 5)), kernel=kernel)
+    bound = pol.bind(rng.normal(scale=0.5, size=pol.layout.total_dim))
+    stocks, demands = rng.uniform(-1.5, 2.5, size=(2, g.num_agents))
+    state = env.observation_matrix(stocks, demands)
+    assert state.shape == (2 * g.num_agents,)
+    frac = bound.act_matrix(state)
+    assert frac.shape == (len(g.edges),)
+    assert frac.tobytes() == reference_act_matrix(bound, state).tobytes()
 
 
 def graph_with_hub(rng: np.random.Generator):
@@ -229,12 +271,12 @@ def test_act_matrix_matches_reference_bitwise(seed, kernel, log_scale, special, 
     flat = sprinkle(rng, flat, SPECIAL_VALUES, special / 4)
     # half the time a strided view: einsum's strided loop rounds differently
     bound = pol.bind(flat if rng.random() < 0.5 else np.repeat(flat, 2)[::2])
-    obs = sprinkle(rng, rng.uniform(-1.5, 2.5, size=pol.obs_dims[pol.num_slots > 1].sum()),
-                   SPECIAL_VALUES, special)
+    state = sprinkle(rng, rng.uniform(-1.5, 2.5, size=2 * g.num_agents),
+                     SPECIAL_VALUES, special)
 
     def outcome(act):
         try:
-            return act(obs).tobytes()
+            return act(state).tobytes()
         except NonFiniteScores as exc:
             return str(exc)
 
@@ -286,8 +328,8 @@ def test_allocation_does_not_depend_on_the_widest_agent(seed, kernel, hub):
     for pol in pols:
         k = pol.graph.num_agents
         flat = np.concatenate([b[:d] for b, d in zip(blocks, pol.layout.dims)])
-        obs = reference_observation_matrix(pol.graph, stocks[:k], demands[:k])
-        allocs.append(agent_rows(pol, pol.bind(flat).act_matrix(obs)))
+        state = np.concatenate((stocks[:k], demands[:k]))
+        allocs.append(agent_rows(pol, pol.bind(flat).act_matrix(state)))
     untouched = [i for i in range(n)
                  if observation_sets(base)[i] == observation_sets(wide)[i]
                  and out_neighbors(base)[i] == out_neighbors(wide)[i]]
@@ -302,10 +344,10 @@ def test_non_finite_scores_name_agent_numbers():
     pol = RbfPolicy(build_graph(3, [(2, 1), (3, 1)]), num_centers=2)
     flat = np.zeros(pol.layout.total_dim)
     flat[pol.layout.block_slice(3)] = np.inf
-    obs = np.zeros(pol.obs_dims[pol.num_slots > 1].sum())
+    state = np.zeros(2 * pol.graph.num_agents)
     for act in (pol.bind(flat).act_matrix, lambda o: reference_act_matrix(pol.bind(flat), o)):
         with pytest.raises(NonFiniteScores) as err:
-            act(obs)
+            act(state)
         assert str(err.value) == "non-finite allocation scores for agents [3]"
 
 

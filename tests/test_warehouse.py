@@ -121,14 +121,14 @@ def test_allocation_contract_violations():
     env = make_env(build_graph(2, [(1, 2)]))
     rng = np.random.default_rng(0)
     with pytest.raises(RolloutError, match="agent 1.*outside.*at step 0"):
-        simulate_rollout(env, FixedAllocation([[-0.5, 1.5]]), 
+        simulate_rollout(env, FixedAllocation([1.5]), 
                          noise_trace=env.draw_noise_trace(2, rng))
     env3 = make_env(build_graph(3, [(1, 2), (1, 3)]))
     with pytest.raises(RolloutError, match="agent 1 ships more"):
-        simulate_rollout(env3, FixedAllocation([[-0.4, 0.7, 0.7]]), 
+        simulate_rollout(env3, FixedAllocation([0.7, 0.7]), 
                          noise_trace=env3.draw_noise_trace(2, rng))
-    # The retained fraction is neither checked nor used: the rollout runs.
-    ro = simulate_rollout(env, FixedAllocation([[np.nan, 1.0]]), 
+    # Shipping the whole stock is inside the contract: the rollout runs.
+    ro = simulate_rollout(env, FixedAllocation([1.0]), 
                           noise_trace=env.draw_noise_trace(2, rng))
     assert np.isfinite(ro.stocks).all()
 
@@ -209,7 +209,7 @@ def test_non_finite_stock_aborts():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RolloutError, match="non-finite stock for agents \\[2\\] after step 0"):
-            simulate_rollout(env, FixedAllocation([[0.0, 1.0]]), 
+            simulate_rollout(env, FixedAllocation([1.0]), 
                              noise_trace=env.draw_noise_trace(2, np.random.default_rng(0)))
         policy = RbfPolicy(env.graph)
         # agent 2 is a sink: its scores are never formed
@@ -242,7 +242,9 @@ def test_step_functions_match_reference_bitwise(seed, special, near):
                     SPECIAL_VALUES, special / 4)
 
     with np.errstate(all="ignore"):
-        pairs = [(env.observation_matrix(stocks, demands),
+        state = env.observation_matrix(stocks, demands)
+        pairs = [(state[:n], stocks), (state[n:], demands),
+                 (state[RbfPolicy(env.graph)._obs_index],
                   reference_observation_matrix(env.graph, stocks, demands)),
                  (step_rewards(stocks), reference_step_rewards(stocks)),
                  (env.apply_transition(stocks, frac, demands),
@@ -263,12 +265,15 @@ def test_step_functions_match_reference_bitwise(seed, special, near):
 
 
 def test_observation_layout():
+    # The environment hands over the (2N,) state; the policy's
+    # ``_obs_index`` gathers each agent's observed stocks, then its demand.
     env = make_env()
     stocks = np.arange(1.0, 10.0)
     d = np.linspace(0.1, 0.9, 9)
-    obs = env.observation_matrix(stocks, d)
-    # every agent of this graph ships, so S = 2N + E entries: each
-    # agent's observed stocks, then its demand
+    state = env.observation_matrix(stocks, d)
+    assert state.tobytes() == np.concatenate((stocks, d)).tobytes()
+    obs = state[RbfPolicy(env.graph)._obs_index]
+    # every agent of this graph ships, so S = 2N + E entries
     obs_sets = observation_sets(env.graph)
     assert obs.shape == (2 * 9 + len(env.graph.edges),)
     start = np.cumsum([0] + [len(s) + 1 for s in obs_sets])
@@ -425,13 +430,13 @@ def test_step_functions_neither_mutate_nor_alias_their_inputs(name, tmp_path):
     w_row = rng.normal(0.0, 0.1, n)
     stocks = rng.uniform(-0.5, 2.0, n)  # some backlogged, so rewards are non-zero
     demands = env.demand_row(5, w_row)
-    obs = env.observation_matrix(stocks, demands)
-    frac = bound.act_matrix(obs)[env._e_slot]
+    state = env.observation_matrix(stocks, demands)
+    frac = bound.act_matrix(state)
     calls = {
         "demand_row": (lambda: env.demand_row(5, w_row), [w_row, env.config.amplitude]),
         "observation_matrix": (lambda: env.observation_matrix(stocks, demands),
                                [stocks, demands]),
-        "act_matrix": (lambda: bound.act_matrix(obs), [obs, theta]),
+        "act_matrix": (lambda: bound.act_matrix(state), [state, theta]),
         "step_rewards": (lambda: step_rewards(stocks), [stocks]),
         "apply_transition": (lambda: env.apply_transition(stocks, frac, demands),
                              [stocks, frac, demands]),
