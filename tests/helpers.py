@@ -272,7 +272,7 @@ class FixedAllocation:
     out-edge fractions, in edge order, whatever the state."""
 
     def __init__(self, frac):
-        self.frac = np.array(frac, dtype=float).reshape(-1)
+        self.frac = np.array(frac, dtype=float)
 
     def act_matrix(self, state: np.ndarray) -> np.ndarray:
         return self.frac
@@ -280,8 +280,7 @@ class FixedAllocation:
     @classmethod
     def uniform(cls, env) -> "FixedAllocation":
         """Stock split evenly over self and every out-edge."""
-        return cls(np.concatenate([np.empty(0)] + [np.full(len(out), 1.0 / (len(out) + 1))
-                                                   for out in out_neighbors(env.graph)]))
+        return cls([1.0 / (len(out) + 1) for out in out_neighbors(env.graph) for _ in out])
 
 
 # Values that stress bitwise agreement: non-finite, signed zero, near

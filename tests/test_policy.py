@@ -182,6 +182,7 @@ def test_act_matrix_matches_per_agent_path():
             want = per_agent_allocation(pol, bound.flat, i,
                                         np.append(stocks[np.array(obs) - 1], demands[i - 1]))
             assert np.allclose(rows[i - 1], want[1:], rtol=1e-12, atol=1e-14)
+            assert np.isclose(1.0 - rows[i - 1].sum(), want[0])  # the retained fraction
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(("squared", "gaussian")),
